@@ -140,18 +140,6 @@ def _exit_code(e: CubeRamseyError) -> int:
     return EXIT_PARSE
 
 
-def _decomposition_params(preset: str, n: int) -> DecompositionParams:
-    if preset == "desk":
-        return DecompositionParams.desk(n)
-    return DecompositionParams.paper_asymptotic(n)
-
-
-def _solver_params(preset: str, n: int) -> SolverParams:
-    if preset == "desk":
-        return SolverParams.desk(n)
-    return SolverParams.paper_asymptotic(n)
-
-
 def _cmd_gen_lower_bound(args) -> int:
     G = lower_bound_coloring(args.n)
     with _open_out(args.out) as f:
@@ -203,8 +191,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     G = _load_graph(args.infile)
-    params = _decomposition_params(args.params, args.n)
-    dec = decompose(G, params, max_workers=args.threads)
+    dec = decompose(G, DecompositionParams.desk(args.n))
     verdict = verify_decomposition(G, dec)
     if not verdict:
         raise StageFailure(
@@ -230,9 +217,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_solve(args) -> int:
     G = _load_graph(args.infile)
-    params = _solver_params(args.params, args.n)
     try:
-        phi = solve(G, args.n, params, max_workers=args.threads)
+        phi = solve(G, args.n, SolverParams.desk(args.n))
     except (HypothesisError, StageFailure) as e:
         payload = _failure_payload(e)
         # on desk-sized inputs an exhaustive search can tell a failed
@@ -326,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
             "decomposition, embedding, and exhaustive small-case oracles."
         ),
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker threads for pairwise weight computations",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -375,18 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split into a sparse part and snakes")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True, help="cube dimension the parameters target")
-    p.add_argument(
-        "--params", choices=["desk", "paper-asymptotic"], default="desk"
-    )
     p.add_argument("--cert-out", help="write the decomposition as JSON")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("solve", help="embed a red n-cube")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--params", choices=["desk", "paper-asymptotic"], default="desk"
-    )
     p.add_argument(
         "--embedding-out",
         help="write the embedding here; without it the lines go to stdout",

@@ -25,10 +25,6 @@ class Verdict:
     errors: list[str] = field(default_factory=list)
 
     @classmethod
-    def success(cls) -> "Verdict":
-        return cls(True, [])
-
-    @classmethod
     def failure(cls, *errors: str) -> "Verdict":
         return cls(False, list(errors))
 
@@ -97,14 +93,6 @@ class ColouredGraph:
 
     def red_mask(self, v: int) -> int:
         return self.full_mask & ~self.blue[v] & ~bit(v)
-
-    def blue_degree(self, v: int, within: Optional[int] = None) -> int:
-        m = self.blue[v] if within is None else self.blue[v] & within
-        return m.bit_count()
-
-    def red_degree(self, v: int, within: Optional[int] = None) -> int:
-        m = self.red_mask(v) if within is None else self.red_mask(v) & within
-        return m.bit_count()
 
     def blue_edge_count(self) -> int:
         return sum(m.bit_count() for m in self.blue) // 2

@@ -14,11 +14,9 @@ whole exercise.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor, log2
-from typing import Optional
+from math import ceil, comb
 
 from .bits import bit, bits_list, iter_bits, mask_of
 from .colored_graph import (
@@ -29,7 +27,7 @@ from .colored_graph import (
 )
 from .errors import StageFailure
 from .rational import as_fraction
-from .snake_embedding import LinkWitness, Snake, validate_snake
+from .snake_embedding import LinkWitness, Snake, link_components, validate_snake
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,10 @@ class DecompositionParams:
 
         The clique size 2^(n+1) makes a graph on 2^(n+2) vertices resolve
         into at most two cliques, which keeps the exact searches fast on
-        the instance families this package ships.
+        the instance families this package ships.  The paper's own choices
+        (m = 2^(n-d) with d about log log log n, s between 2^n / n^(1/3)
+        and 2^n / n^(1/4)) satisfy the snake walk's worst-case conditions
+        only beyond n of about 1660, so they are not offered.
         """
         if n < 1:
             raise ValueError("dimension must be positive")
@@ -77,20 +78,6 @@ class DecompositionParams:
             s_hi=1 << (n + 1),
             lam=Fraction(2),
             mu=Fraction(2),
-        )
-
-    @classmethod
-    def paper_asymptotic(cls, n: int) -> "DecompositionParams":
-        """The iterated-logarithm formulas; meaningful only for large n."""
-        if n < 5:
-            raise ValueError("the asymptotic formulas need n >= 5")
-        d = floor(log2(log2(log2(n)))) + 1
-        return cls(
-            m=1 << (n - d),
-            s_lo=ceil((1 << n) / n ** (1 / 3)),
-            s_hi=floor((1 << n) / n ** (1 / 4)),
-            lam=Fraction(1 << (3 * d + 2)),
-            mu=Fraction(1 << (2 * d)),
         )
 
 
@@ -248,57 +235,23 @@ def _pair_weights(
     G: ColouredGraph,
     cliques: list[tuple[int, ...]],
     memo: dict,
-    max_workers: Optional[int],
 ) -> dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Balanced biclique weights for every clique pair, memoised exactly.
 
     The cache key is the pair of clique tuples themselves, so an entry
     can never go stale: the weight depends on nothing else.
     """
-    pairs = [
-        (i, j)
-        for i in range(len(cliques))
-        for j in range(i + 1, len(cliques))
-    ]
-    missing = [
-        (i, j) for i, j in pairs if (cliques[i], cliques[j]) not in memo
-    ]
-
-    def compute(p):
-        i, j = p
-        return max_balanced_biclique(G, cliques[i], cliques[j])
-
-    if max_workers and max_workers > 1 and len(missing) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(compute, missing))
-    else:
-        results = [compute(p) for p in missing]
-    for (i, j), res in zip(missing, results):
-        memo[(cliques[i], cliques[j])] = res
-    return {(i, j): memo[(cliques[i], cliques[j])] for i, j in pairs}
+    out = {}
+    for i in range(len(cliques)):
+        for j in range(i + 1, len(cliques)):
+            key = (cliques[i], cliques[j])
+            if key not in memo:
+                memo[key] = max_balanced_biclique(G, cliques[i], cliques[j])
+            out[(i, j)] = memo[key]
+    return out
 
 
-def _component_of(k: int, edges, start: int) -> list[int]:
-    nbr: dict[int, set[int]] = {i: set() for i in range(k)}
-    for i, j in edges:
-        nbr[i].add(j)
-        nbr[j].add(i)
-    comp = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in nbr[v]:
-            if w not in comp:
-                comp.add(w)
-                frontier.append(w)
-    return sorted(comp)
-
-
-def decompose(
-    G: ColouredGraph,
-    params: DecompositionParams,
-    max_workers: Optional[int] = None,
-) -> Decomposition:
+def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     """Strip snakes off the graph until no red m-clique is left.
 
     Each round removes the snake through the first extracted clique and
@@ -307,6 +260,8 @@ def decompose(
     vertices have blue degree at most s/mu into the removed snake, and
     each removed attached vertex keeps blue degree at most 2m into what
     survives.  Violations are structured failures, not silent repairs.
+    The snakes are not validated here: ``snake_embed`` validates each one
+    it walks and ``verify_decomposition`` re-checks the certificate.
     """
     A = G.full_mask
     sparse_acc = 0
@@ -319,10 +274,10 @@ def decompose(
         cliques = max_disjoint_red_cliques(G, A, params.m)
         if not cliques:
             break
-        weights = _pair_weights(G, cliques, memo, max_workers)
+        weights = _pair_weights(G, cliques, memo)
         s = select_gap_threshold([w for w, _, _ in weights.values()], params)
         linked = [(i, j) for (i, j), (w, _, _) in weights.items() if w >= s]
-        comp = _component_of(len(cliques), linked, 0)
+        comp = sorted(link_components(len(cliques), linked)[0])
         pos = {ci: idx for idx, ci in enumerate(comp)}
 
         witnesses = []
@@ -338,13 +293,6 @@ def decompose(
             witnesses=tuple(witnesses),
             s=s,
         )
-        check = validate_snake(G, snake)
-        if not check:
-            raise StageFailure(
-                "snake-validity",
-                "assembled snake failed validation: " + "; ".join(check.errors),
-                data={"round": round_index, "errors": check.errors},
-            )
 
         S_mask = mask_of(snake.vertex_set())
         clique_masks = [mask_of(c) for c in cliques]
@@ -382,9 +330,10 @@ def decompose(
         for v in iter_bits(sparse_new):
             for ci in out:
                 d = (G.blue[v] & clique_masks[ci]).bit_count()
-                assert params.lam * d < s, (
-                    f"vertex {v} attached to out-of-snake clique {ci}"
-                )
+                if params.lam * d >= s:
+                    raise AssertionError(
+                        f"vertex {v} attached to out-of-snake clique {ci}"
+                    )
 
         rounds.append(
             RoundRecord(
@@ -410,7 +359,12 @@ def decompose(
     # maximality of the last clique search: whatever is left cannot hold
     # a red m-clique, so blue neighbourhoods inside it stay below m
     for v in range(G.n_vertices):
-        assert (G.blue[v] & A).bit_count() < params.m
+        d = (G.blue[v] & A).bit_count()
+        if d >= params.m:
+            raise AssertionError(
+                f"vertex {v} keeps {d} blue neighbours in the clique-free "
+                f"remainder, not below m = {params.m}"
+            )
 
     sparse_acc |= A
     return Decomposition(

@@ -261,9 +261,9 @@ def extend_or_clean(
     # the cleaning can only discard so much: each touching candidate set
     # receives at most |S_i| * 2^(n-a) blue edges from A, and membership
     # in the removed set costs (g/d_i) * 2^(n-d_i) of them
-    if b >= 1:
-        allowance = (b * b / g) * (1 << (n - a + 1))
-        assert Fraction(removed.bit_count()) <= allowance, (
+    allowance = (b * b / g) * (1 << (n - a + 1))
+    if removed.bit_count() > allowance:
+        raise AssertionError(
             "cleaning removed more than the degree hypothesis permits"
         )
 
@@ -307,7 +307,6 @@ def dense_embed(
     n: int,
     gamma,
     schedule: ThresholdSchedule,
-    check_hypotheses: bool = True,
 ) -> dict[int, int]:
     """Embed all of Q_n into H along a grown partial assignment.
 
@@ -320,37 +319,37 @@ def dense_embed(
     g = as_fraction(gamma)
     if not 0 < g < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {g}")
-    if check_hypotheses:
-        if schedule.b[-1] + 1 > n:
+    if schedule.b[-1] + 1 > n:
+        raise HypothesisError(
+            "schedule-depth",
+            f"b_k+1 + 1 = {schedule.b[-1] + 1} exceeds the dimension {n}",
+        )
+    need = ceil((1 + 3 * g) * (1 << n))
+    if H.n_vertices < need:
+        raise HypothesisError(
+            "order",
+            f"host has {H.n_vertices} vertices, needs {need}",
+        )
+    cap = 1 << (n - schedule.b[0])
+    for v in range(H.n_vertices):
+        if H.blue[v].bit_count() > cap:
             raise HypothesisError(
-                "schedule-depth",
-                f"b_k+1 + 1 = {schedule.b[-1] + 1} exceeds the dimension {n}",
+                "max-degree",
+                f"vertex {v} has blue degree {H.blue[v].bit_count()}, "
+                f"above 2^(n - b_0) = {cap}",
+                witness=v,
             )
-        need = ceil((1 + 3 * g) * (1 << n))
-        if H.n_vertices < need:
-            raise HypothesisError(
-                "order",
-                f"host has {H.n_vertices} vertices, needs {need}",
-            )
-        cap = 1 << (n - schedule.b[0])
-        for v in range(H.n_vertices):
-            if H.blue[v].bit_count() > cap:
-                raise HypothesisError(
-                    "max-degree",
-                    f"vertex {v} has blue degree {H.blue[v].bit_count()}, "
-                    f"above 2^(n - b_0) = {cap}",
-                    witness=v,
-                )
-        ok, tri = is_blue_triangle_free(H)
-        if not ok:
-            raise HypothesisError(
-                "triangle-free", f"blue triangle {tri}", witness=tri
-            )
+    ok, tri = is_blue_triangle_free(H)
+    if not ok:
+        raise HypothesisError(
+            "triangle-free", f"blue triangle {tri}", witness=tri
+        )
 
     pa = PartialAssignment.empty(g)
     A = H.full_mask
+    # bit z of ``covered`` marks cube vertex z as inside an assigned subcube
     covered = 0
-    full_cube = (1 << n) - 1
+    full_cube = (1 << (1 << n)) - 1
     passes_run = 0
     for j in range(1, schedule.passes + 1):
         if covered == full_cube:
@@ -388,7 +387,10 @@ def dense_embed(
             )
             # exhaustion means the blocked sets cover the whole remaining
             # pool, so the count can never come out positive
-            assert slack <= 0, "greedy exhaustion with positive counting slack"
+            if slack > 0:
+                raise AssertionError(
+                    "greedy exhaustion with positive counting slack"
+                )
             raise StageFailure(
                 "greedy-completion",
                 f"no red-compatible vertex left for cube vertex {z}",

@@ -36,29 +36,12 @@ class InitialSubcube:
     def codim(self) -> int:
         return len(self.prefix)
 
-    def size(self, n: int) -> int:
-        """Number of vertices of this subcube inside Q_n."""
-        if self.codim > n:
-            raise ValueError(f"codimension {self.codim} exceeds dimension {n}")
-        return 1 << (n - self.codim)
-
     def base_word(self) -> int:
         """The integer whose bits i-1 hold x_i and whose other bits are 0."""
         w = 0
         for i, b in enumerate(self.prefix):
             w |= b << i
         return w
-
-    def contains(self, v: int) -> bool:
-        for i, b in enumerate(self.prefix):
-            if (v >> i) & 1 != b:
-                return False
-        return True
-
-    def sort_key(self) -> tuple:
-        # Lexicographic on the prefix itself; shorter prefixes first among
-        # equal starts, matching the usual numeral ordering 0 < 00 < 01 < 1.
-        return self.prefix
 
 
 def subcube_distance(x: InitialSubcube, z: InitialSubcube) -> int:
@@ -109,12 +92,6 @@ class SubcubeFamily:
                     )
         self.members = members
         self.n = n
-
-    def covered_size(self) -> int:
-        return sum(x.size(self.n) for x in self.members)
-
-    def covers_cube(self) -> bool:
-        return self.covered_size() == 1 << self.n
 
     def __iter__(self) -> Iterator[InitialSubcube]:
         return iter(self.members)

@@ -224,9 +224,10 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
 def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
     graphs = canonical_triangle_free_graphs(N)
     expected = TRIANGLE_FREE_GRAPH_COUNTS[N - 1]
-    assert len(graphs) == expected, (
-        f"generated {len(graphs)} classes at N={N}, expected {expected}"
-    )
+    if len(graphs) != expected:
+        raise AssertionError(
+            f"generated {len(graphs)} classes at N={N}, expected {expected}"
+        )
     for adj in graphs:
         G = ColouredGraph(N, list(adj), validate=False)
         if not contains_red_cube(G, n).found:

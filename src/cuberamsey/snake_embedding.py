@@ -14,12 +14,11 @@ witnessed pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb
 from typing import Iterable, Optional
 
 from .bits import bit, lowest_bits, mask_of
 from .colored_graph import ColouredGraph, Verdict
-from .errors import HypothesisError, StageFailure
+from .errors import StageFailure
 from .hypercube import bandwidth_bound, bandwidth_order
 
 
@@ -86,7 +85,9 @@ class Snake:
         raise KeyError(f"no witness for clique pair {key}")
 
 
-def _link_components(k: int, pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
+def link_components(k: int, pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """Connected components of the link graph on cliques 0..k-1, the
+    component of clique 0 first."""
     nbr: dict[int, set[int]] = {i: set() for i in range(k)}
     for i, j in pairs:
         nbr[i].add(j)
@@ -159,30 +160,19 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             )
     if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
         errors.append("duplicate witness for a clique pair")
-    comps = _link_components(snake.k, [w.pair() for w in snake.witnesses])
+    comps = link_components(snake.k, [w.pair() for w in snake.witnesses])
     if len(comps) != 1:
         errors.append(f"link graph is disconnected: {len(comps)} components")
     return Verdict(not errors, errors)
 
 
-@dataclass(frozen=True)
-class ClosedWalk:
-    """A closed spanning-tree walk over clique indices.
-
-    ``positions`` visits every tree edge exactly twice, starting and
-    ending at the root; ``last_visits`` is the set of positions after
-    which the clique at that position never occurs again.
-    """
-
-    positions: tuple[int, ...]
-    last_visits: frozenset[int]
-
-
-def closed_tree_walk(snake: Snake) -> ClosedWalk:
+def closed_tree_walk(snake: Snake) -> tuple[int, ...]:
     """Double every edge of a breadth-first spanning tree of the links.
 
-    The tree is rooted at clique 0 and children are visited in ascending
-    order, so the walk has 2(k-1)+1 positions and is deterministic.
+    Returns the clique index at each position of the walk.  The tree is
+    rooted at clique 0 and children are visited in ascending order, so
+    the walk has 2(k-1)+1 positions, starts and ends at the root, and is
+    deterministic.
     """
     k = snake.k
     nbr: dict[int, set[int]] = {i: set() for i in range(k)}
@@ -213,13 +203,7 @@ def closed_tree_walk(snake: Snake) -> ClosedWalk:
             positions.append(v)
 
     tour(0)
-    remaining: set[int] = set()
-    last = set()
-    for p in range(len(positions) - 1, -1, -1):
-        if positions[p] not in remaining:
-            last.add(p)
-            remaining.add(positions[p])
-    return ClosedWalk(tuple(positions), frozenset(last))
+    return tuple(positions)
 
 
 def snake_embed(
@@ -228,24 +212,23 @@ def snake_embed(
     cube_vertices: Iterable[int],
     n: int,
     forbidden: Optional[dict[int, int]] = None,
-    strict: bool = False,
 ) -> dict[int, int]:
     """Embed the given cube vertices into the snake along a tree walk.
 
     ``forbidden`` maps a cube vertex to a mask of graph vertices it must
-    avoid.  In strict mode the clique and link sizes must dominate the
-    walk's worst-case consumption, and any batch cut short is an error;
-    relaxed mode attempts the walk regardless and lets the final
-    verification decide.  Either way the returned embedding has been
-    checked: cube edges between embedded vertices are red, images are
-    distinct, stay inside the snake, and avoid their forbidden masks.
+    avoid.  The snake is validated on entry; an invalid one raises
+    ``ValueError``.  By construction the images are distinct snake
+    vertices outside their forbidden masks, but the map is not
+    self-verified: that every cube edge lands on a red pair is checked
+    once, by ``verify_red_embedding`` on the whole map at the end of
+    ``solve``, and direct callers should check it the same way.
 
     The walk spends, at each position, an arrival batch on the witness
     side of the link just crossed, then a free stretch inside the clique
     (keeping clear of witness sides still owed batches), then a departure
     batch on the witness side of the link about to be crossed.  Batch
-    length t is s // 4k, raised in relaxed mode to the bandwidth bound so
-    that a full batch always separates the zones of distinct cliques.
+    length t is the larger of s // 4k and the bandwidth bound, so that a
+    full batch always separates the zones of distinct cliques.
     """
     check = validate_snake(G, snake)
     if not check:
@@ -258,29 +241,10 @@ def snake_embed(
     forb = forbidden or {}
     delta = max((d.bit_count() for d in forb.values()), default=0)
 
-    k, m, s = snake.k, snake.m, snake.s
-    t = s // (4 * k)
-    if not strict:
-        t = max(t, bandwidth_bound(n))
-    if t <= 0:
-        raise StageFailure(
-            "snake-batch-length",
-            f"batch length s // 4k = {t} leaves no room to cross links",
-            data={"s": s, "k": k},
-        )
-    if strict:
-        need_m = ceil(len(queue) / k) + s + delta
-        need_s = 2 * delta + 8 * k * comb(n, n // 2)
-        if m < need_m or s < need_s:
-            raise HypothesisError(
-                "snake-conditions",
-                f"strict mode needs m >= ceil(|Q|/k) + s + delta = {need_m} "
-                f"and s >= 2*delta + 8k*C(n, n//2) = {need_s}, "
-                f"got m = {m}, s = {s}",
-            )
+    k, s = snake.k, snake.s
+    t = max(s // (4 * k), bandwidth_bound(n))
 
-    walk = closed_tree_walk(snake)
-    positions = walk.positions
+    positions = closed_tree_walk(snake)
     clique_masks = [mask_of(c) for c in snake.cliques]
 
     # tree edges are exactly the pairs stepped along by the walk; each of
@@ -315,28 +279,20 @@ def snake_embed(
         qi += 1
         return True
 
-    def run_batch(key: tuple[int, int, int], p: int, kind: str):
-        nonlocal qi
+    def run_batch(key: tuple[int, int, int]):
         placed = 0
         while qi < len(queue) and placed < t:
             if not place(queue[qi], side_mask[key]):
                 break
             placed += 1
         owed[key] -= 1
-        if strict and placed < t and qi < len(queue):
-            raise StageFailure(
-                "snake-batch",
-                f"{kind} batch at walk position {p} placed only "
-                f"{placed} of {t} vertices on side {key}",
-                data={"position": p, "side": key, "placed": placed},
-            )
 
     for p, c in enumerate(positions):
         if qi >= len(queue):
             break
         if p > 0:
             prev = positions[p - 1]
-            run_batch((min(prev, c), max(prev, c), c), p, "arrival")
+            run_batch((min(prev, c), max(prev, c), c))
         # free stretch: keep every side that is still owed batches covered
         # for (t + delta) vertices per remaining batch
         while qi < len(queue):
@@ -352,7 +308,7 @@ def snake_embed(
             break
         if p + 1 < len(positions):
             nxt = positions[p + 1]
-            run_batch((min(c, nxt), max(c, nxt), c), p, "departure")
+            run_batch((min(c, nxt), max(c, nxt), c))
 
     if qi < len(queue):
         raise StageFailure(
@@ -361,45 +317,4 @@ def snake_embed(
             f"next is {queue[qi]}",
             data={"remaining": len(queue) - qi, "next": queue[qi]},
         )
-
-    _verify_snake_embedding(G, snake, queue, n, forb, phi)
     return phi
-
-
-def _verify_snake_embedding(
-    G: ColouredGraph,
-    snake: Snake,
-    queue: list[int],
-    n: int,
-    forb: dict[int, int],
-    phi: dict[int, int],
-):
-    """Re-check the finished embedding; failures are reported, not returned."""
-    errors = []
-    snake_vertices = mask_of(snake.vertex_set())
-    seen: dict[int, int] = {}
-    for z in queue:
-        v = phi[z]
-        if v in seen:
-            errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
-        seen[v] = z
-        if not (snake_vertices >> v) & 1:
-            errors.append(f"cube vertex {z} maps outside the snake")
-        if (forb.get(z, 0) >> v) & 1:
-            errors.append(f"cube vertex {z} maps into its forbidden set")
-    members = set(queue)
-    for z in queue:
-        for i in range(n):
-            w = z ^ (1 << i)
-            if w < z or w not in members:
-                continue
-            if not G.is_red(phi[z], phi[w]):
-                errors.append(
-                    f"cube edge {z}-{w} lands on blue pair {phi[z]}-{phi[w]}"
-                )
-    if errors:
-        raise StageFailure(
-            "snake-verification",
-            f"{len(errors)} defects in the walked embedding; first: {errors[0]}",
-            data={"errors": errors[:20]},
-        )

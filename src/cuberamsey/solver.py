@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log
-from typing import Optional
+from math import ceil
 
 from .bits import mask_of
 from .colored_graph import (
@@ -51,7 +50,6 @@ class SolverParams:
     decomp: DecompositionParams
     codim_split: int
     high_degree_cutoff: int
-    snake_strict: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
@@ -82,25 +80,6 @@ class SolverParams:
             decomp=DecompositionParams.desk(n),
             codim_split=2 if n >= 2 else 1,
             high_degree_cutoff=1 << (n - b[0]),
-            snake_strict=False,
-        )
-
-    @classmethod
-    def paper_asymptotic(cls, n: int) -> "SolverParams":
-        """The iterated-logarithm regime; hypotheses only hold for huge n."""
-        if n < 12:
-            raise ValueError("the asymptotic schedule needs n >= 12")
-        b = tuple(ceil(3 * log(n) / log(base)) for base in (4, 3, 2))
-        decomp = DecompositionParams.paper_asymptotic(n)
-        d = n - (decomp.m.bit_length() - 1)
-        return cls(
-            epsilon=Fraction(1, 4),
-            gamma=Fraction(1, 8),
-            schedule=ThresholdSchedule(b),
-            decomp=decomp,
-            codim_split=2 * d,
-            high_degree_cutoff=1 << (n - b[0]),
-            snake_strict=True,
         )
 
 
@@ -177,30 +156,19 @@ def _solve_snakes(
                     D |= G.blue[img] & snake_masks[j]
             if D:
                 forb[x] = D
-        psi = snake_embed(
-            G,
-            dec.snakes[j],
-            Q,
-            n,
-            forbidden=forb,
-            strict=params.snake_strict,
-        )
-        phi.update(psi)
+        phi.update(snake_embed(G, dec.snakes[j], Q, n, forbidden=forb))
     return phi
 
 
-def solve(
-    G: ColouredGraph,
-    n: int,
-    params: SolverParams,
-    max_workers: Optional[int] = None,
-) -> dict[int, int]:
+def solve(G: ColouredGraph, n: int, params: SolverParams) -> dict[int, int]:
     """Embed a red copy of Q_n, or fail with a stage diagnosis.
 
     The graph must be blue triangle free with at least
-    ceil((1 + epsilon) * 2^(n+1)) vertices.  The returned map sends every
-    cube vertex to a graph vertex and has been verified: injective, every
-    cube edge red.
+    ceil((1 + epsilon) * 2^(n+1)) vertices.  Neither route checks its own
+    output; the assembled map is verified here, once, by
+    ``verify_red_embedding``: every cube vertex mapped, injective, every
+    cube edge red, including the edges between pieces walked into
+    different snakes.
     """
     need = ceil((1 + params.epsilon) * (1 << (n + 1)))
     if G.n_vertices < need:
@@ -215,7 +183,7 @@ def solve(
             "triangle-free", f"blue triangle {tri}", witness=tri
         )
 
-    dec = decompose(G, params.decomp, max_workers)
+    dec = decompose(G, params.decomp)
     if choose_case(dec) == 1:
         phi = _solve_dense(G, n, params, dec)
     else:

@@ -201,6 +201,16 @@ def test_argparse_misuse_exits_with_parse_code(capsys):
     assert e.value.code == EXIT_PARSE
 
 
+def test_removed_flags_are_misuse(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--threads", "2", "bandwidth-check", "--n", "2"])
+    assert e.value.code == EXIT_PARSE
+    for command in ("solve", "decompose"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--in", "-", "--n", "2", "--params", "desk"])
+        assert e.value.code == EXIT_PARSE
+
+
 def test_read_embedding_rejections():
     with pytest.raises(Exception) as e:
         read_embedding(io.StringIO("0 1 2\n"), 1)

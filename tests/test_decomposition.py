@@ -41,16 +41,6 @@ def test_desk_preset_values():
         assert p.lam == 2 and p.mu == 2
 
 
-def test_asymptotic_preset_values():
-    p = DecompositionParams.paper_asymptotic(40)
-    # lg lg lg 40 is about 1.27, so d = 2
-    assert p.m == 1 << 38
-    assert p.lam == 1 << 8 and p.mu == 1 << 4
-    assert p.s_lo == 321499150299  # ceil(2^40 / 40^(1/3))
-    assert p.s_hi == 437204706754  # floor(2^40 / 40^(1/4))
-    assert p.s_lo <= p.s_hi < 1 << 40
-
-
 def test_gap_threshold_hand_cases():
     p = DecompositionParams(m=4, s_lo=4, s_hi=16, lam=2, mu=2)
     assert select_gap_threshold([3, 5], p) == 16
@@ -138,14 +128,6 @@ def test_decompose_no_clique_graph():
     assert dec.r == 0
     assert sorted(dec.sparse) == list(range(16))
     assert verify_decomposition(G, dec).ok
-
-
-def test_decompose_respects_worker_count():
-    n = 3
-    G = two_clique_linked_graph(n)
-    a = decompose(G, DecompositionParams.desk(n))
-    b = decompose(G, DecompositionParams.desk(n), max_workers=4)
-    assert a == b
 
 
 def test_verify_rejects_tampering():

@@ -27,17 +27,17 @@ def test_subcube_basics():
     x = InitialSubcube((0, 1))
     assert x.codim == 2
     assert x.base_word() == 0b10
-    assert x.size(4) == 4
-    assert x.contains(0b0110)
-    assert not x.contains(0b0100)
-    assert InitialSubcube(()).size(3) == 8
+    assert len(subcube_vertices(x, 4)) == 4
+    assert 0b0110 in subcube_vertices(x, 4)
+    assert 0b0100 not in subcube_vertices(x, 4)
+    assert len(subcube_vertices(InitialSubcube(()), 3)) == 8
 
 
 def test_subcube_rejects_bad_prefix():
     with pytest.raises(ValueError):
         InitialSubcube((0, 2))
     with pytest.raises(ValueError):
-        InitialSubcube((1,)).size(0)
+        subcube_vertices(InitialSubcube((1,)), 0)
 
 
 def test_subcube_vertices_match_brute_force():
@@ -94,8 +94,8 @@ def test_family_rejects_overlap():
     with pytest.raises(ValueError):
         SubcubeFamily([InitialSubcube((0,)), InitialSubcube((0, 1))], 3)
     fam = SubcubeFamily([InitialSubcube((0,)), InitialSubcube((1, 0))], 3)
-    assert fam.covered_size() == 4 + 2
-    assert not fam.covers_cube()
+    assert len(fam) == 2
+    assert sum(len(subcube_vertices(x, 3)) for x in fam) == 4 + 2
 
 
 def test_partition_complement_is_a_partition():

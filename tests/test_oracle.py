@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cuberamsey
 from helpers import all_red_graph
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -119,3 +125,25 @@ def test_verdict_bookkeeping():
     assert v.checked == 8 and v.mode == "plain"
     c = exhaustive_ramsey(1, 3, mode="canonical")
     assert c.checked == TRIANGLE_FREE_GRAPH_COUNTS[2]
+
+
+def test_count_check_survives_optimised_mode():
+    # python -O strips assert statements; the tabulated class count must
+    # still be enforced, so a wrong table has to stop the canonical sweep
+    code = (
+        "import cuberamsey.oracle as o\n"
+        "if __debug__: raise SystemExit('not optimised')\n"
+        "o.TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 15)\n"
+        "try:\n"
+        "    o.exhaustive_ramsey(2, 5, 'canonical')\n"
+        "except AssertionError as e:\n"
+        "    print('refused:', e)\n"
+    )
+    src = str(Path(cuberamsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "refused: generated 14 classes at N=5, expected 15" in run.stdout

@@ -1,8 +1,8 @@
 import pytest
 
 from helpers import all_red_graph, two_clique_linked_graph
-from cuberamsey.colored_graph import ColouredGraph
-from cuberamsey.errors import HypothesisError, StageFailure
+from cuberamsey.colored_graph import ColouredGraph, verify_red_embedding
+from cuberamsey.errors import StageFailure
 from cuberamsey.hypercube import bandwidth_bound
 from cuberamsey.snake_embedding import (
     LinkWitness,
@@ -78,9 +78,7 @@ def test_closed_tree_walk_path_and_star():
         ),
         s=1,
     )
-    w = closed_tree_walk(path)
-    assert w.positions == (0, 1, 2, 1, 0)
-    assert w.last_visits == frozenset({2, 3, 4})
+    assert closed_tree_walk(path) == (0, 1, 2, 1, 0)
 
     star = Snake(
         cliques=((0, 1), (2, 3), (4, 5), (6, 7)),
@@ -92,13 +90,12 @@ def test_closed_tree_walk_path_and_star():
         s=1,
     )
     w = closed_tree_walk(star)
-    assert w.positions == (0, 1, 0, 2, 0, 3, 0)
-    assert w.last_visits == frozenset({1, 3, 5, 6})
+    assert w == (0, 1, 0, 2, 0, 3, 0)
     # every step of the walk is a link, and every clique gets visited
     links = star.link_pairs()
-    for a, b in zip(w.positions, w.positions[1:]):
+    for a, b in zip(w, w[1:]):
         assert (min(a, b), max(a, b)) in links
-    assert set(w.positions) == {0, 1, 2, 3}
+    assert set(w) == {0, 1, 2, 3}
 
 
 def test_closed_tree_walk_disconnected():
@@ -113,6 +110,7 @@ def test_snake_embed_single_clique():
     phi = snake_embed(G, snake, range(1 << n), n)
     assert sorted(phi) == list(range(8))
     assert len(set(phi.values())) == 8
+    assert verify_red_embedding(G, n, phi).ok
 
 
 def test_snake_embed_within_clique_of_planted_host():
@@ -128,6 +126,7 @@ def test_snake_embed_within_clique_of_planted_host():
     )
     phi = snake_embed(G, snake, range(1 << n), n)
     assert len(phi) == 1 << n
+    assert verify_red_embedding(G, n, phi).ok
 
 
 def test_snake_embed_crosses_planted_link():
@@ -144,6 +143,7 @@ def test_snake_embed_crosses_planted_link():
         s=s,
     )
     phi = snake_embed(G, snake, range(1 << n), n)
+    assert verify_red_embedding(G, n, phi).ok
     images = set(phi.values())
     assert images & set(range(32, 32 + m)), "second clique went unused"
 
@@ -154,6 +154,7 @@ def test_snake_embed_respects_forbidden_masks():
     snake = Snake((tuple(range(32)),), (), s=4)
     forb = {0: (1 << 10) - 1, 5: (1 << 20) - 1}
     phi = snake_embed(G, snake, range(1 << n), n, forbidden=forb)
+    assert verify_red_embedding(G, n, phi).ok
     assert phi[0] >= 10 and phi[5] >= 20
 
 
@@ -173,37 +174,3 @@ def test_snake_embed_rejects_bad_input():
         snake_embed(G, snake, [0, 0, 1], 2)
     with pytest.raises(ValueError):
         snake_embed(G, snake, [0, 9], 2)
-
-
-def test_snake_embed_strict_conditions():
-    # s and m sized for two cliques at n = 2: s >= 16k, m >= |Q|/k + s
-    s, m = 32, 34
-    G = all_red_graph(2 * m)
-    snake = Snake(
-        cliques=(tuple(range(m)), tuple(range(m, 2 * m))),
-        witnesses=(
-            LinkWitness(0, 1, tuple(range(s)), tuple(range(m, m + s))),
-        ),
-        s=s,
-    )
-    phi = snake_embed(G, snake, range(4), 2, strict=True)
-    assert len(phi) == 4
-
-    thin = Snake(
-        cliques=snake.cliques,
-        witnesses=(
-            LinkWitness(0, 1, tuple(range(12)), tuple(range(m, m + 12))),
-        ),
-        s=12,
-    )
-    with pytest.raises(HypothesisError) as e:
-        snake_embed(G, thin, range(4), 2, strict=True)
-    assert e.value.hypothesis == "snake-conditions"
-
-
-def test_snake_embed_strict_batch_length():
-    G = all_red_graph(8)
-    snake = Snake((tuple(range(8)),), (), s=2)
-    with pytest.raises(StageFailure) as e:
-        snake_embed(G, snake, range(4), 2, strict=True)
-    assert e.value.stage == "snake-batch-length"
