@@ -29,11 +29,20 @@ def bits_list(mask: int) -> list[int]:
 
 
 def lowest_bits(mask: int, k: int) -> int:
-    """Mask of the k lowest set bits (all of them if fewer than k)."""
-    out = 0
-    while mask and k > 0:
-        low = mask & -mask
-        out |= low
-        mask ^= low
-        k -= 1
-    return out
+    """Mask of the k lowest set bits of a non-negative mask (all of them
+    if fewer than k)."""
+    if k <= 0:
+        return 0
+    if mask.bit_count() <= k:
+        return mask
+    # the popcount of the low p bits rises by at most one per step of p,
+    # so the least p where it reaches k cuts off exactly k bits; k bits
+    # need at least k positions
+    lo, hi = k, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)

@@ -593,19 +593,23 @@ def verify_red_embedding(
         )
     errors = []
     seen: dict[int, int] = {}
+    # an edge at an out-of-range image is reported with that image alone
+    checkable: set[int] = set()
     for z in dom:
         v = phi[z]
         if not (0 <= v < G.n_vertices):
             errors.append(f"cube vertex {z} maps to out-of-range vertex {v}")
             continue
+        checkable.add(z)
         if v in seen:
             errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
         seen[v] = z
-    dom_set = set(dom)
     for z in dom:
+        if z not in checkable:
+            continue
         for i in range(n):
             w = z ^ (1 << i)
-            if w < z or w not in dom_set:
+            if w < z or w not in checkable:
                 continue
             if not G.is_red(phi[z], phi[w]):
                 errors.append(

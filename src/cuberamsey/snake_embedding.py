@@ -294,16 +294,23 @@ def snake_embed(
             prev = positions[p - 1]
             run_batch((min(prev, c), max(prev, c), c))
         # free stretch: keep every side that is still owed batches covered
-        # for (t + delta) vertices per remaining batch
-        while qi < len(queue):
-            reserved = 0
-            for key in sides_in[c]:
-                if owed[key] > 0:
-                    free_side = side_mask[key] & ~used
-                    keep = min((t + delta) * owed[key], free_side.bit_count())
-                    reserved |= lowest_bits(free_side, keep)
-            if not place(queue[qi], clique_masks[c] & ~reserved):
-                break
+        # for (t + delta) vertices per remaining batch, by reserving its
+        # lowest `keep` free vertices.  The reservation is computed once per
+        # position: it cannot change during the stretch.  `owed` is fixed
+        # here, and `place` takes a vertex outside `reserved`, so for each
+        # side that vertex is either outside the side, or above its lowest
+        # `keep` free vertices, which the side then has more than `keep` of
+        # (else all of them would be reserved); either way those lowest
+        # `keep` free vertices, and `keep` itself, stay the same.
+        reserved = 0
+        for key in sides_in[c]:
+            if owed[key] > 0:
+                free_side = side_mask[key] & ~used
+                keep = min((t + delta) * owed[key], free_side.bit_count())
+                reserved |= lowest_bits(free_side, keep)
+        pool = clique_masks[c] & ~reserved
+        while qi < len(queue) and place(queue[qi], pool):
+            pass
         if qi >= len(queue):
             break
         if p + 1 < len(positions):

@@ -3,13 +3,21 @@
 import random
 from math import comb
 
+from cuberamsey.bits import mask_of
 from cuberamsey.colored_graph import ColouredGraph
 from cuberamsey.dense_embedding import (
     AssignmentEntry,
     PartialAssignment,
     candidate_set_size,
 )
-from cuberamsey.hypercube import InitialSubcube, subcube_distance
+from cuberamsey.errors import StageFailure
+from cuberamsey.hypercube import (
+    InitialSubcube,
+    bandwidth_bound,
+    bandwidth_order,
+    subcube_distance,
+)
+from cuberamsey.snake_embedding import closed_tree_walk
 
 
 def all_red_graph(n_vertices: int) -> ColouredGraph:
@@ -149,3 +157,102 @@ def two_clique_linked_shuffled(n: int, rng: random.Random, extra: int = 0):
     }
     blue = [blue_of[g] for g in labels]
     return ColouredGraph(N, blue, validate=False)
+
+
+def reference_lowest_bits(mask: int, k: int) -> int:
+    """``bits.lowest_bits`` as a loop that clears one bit per pass."""
+    out = 0
+    while mask and k > 0:
+        low = mask & -mask
+        out |= low
+        mask ^= low
+        k -= 1
+    return out
+
+
+def reference_snake_embed(snake, cube_vertices, n, forb, stats):
+    """``snake_embed`` with the reservation of the free stretch rebuilt
+    before every placed cube vertex, for a valid snake and input.
+
+    Fills ``stats``: ``"binding"`` counts the free-stretch placements at
+    which the reservation turned away the vertex that would have been
+    taken without it; ``"partial"`` counts those that took a vertex of a
+    side still owed batches, above the side's reserved vertices.
+    """
+    queue = bandwidth_order(cube_vertices, n)
+    delta = max((d.bit_count() for d in forb.values()), default=0)
+    stats["binding"] = stats["partial"] = 0
+
+    k, s = snake.k, snake.s
+    t = max(s // (4 * k), bandwidth_bound(n))
+    positions = closed_tree_walk(snake)
+    clique_masks = [mask_of(c) for c in snake.cliques]
+    tree_pairs = {(min(a, b), max(a, b)) for a, b in zip(positions, positions[1:])}
+    side_mask, owed = {}, {}
+    sides_in = {c: [] for c in range(k)}
+    for pair in tree_pairs:
+        w = snake.witness_for(*pair)
+        for c in pair:
+            key = (pair[0], pair[1], c)
+            side_mask[key] = mask_of(w.side_in(c))
+            owed[key] = 2
+            sides_in[c].append(key)
+
+    used = 0
+    phi = {}
+    qi = 0
+
+    def place(z, pool):
+        nonlocal used, qi
+        avail = pool & ~used & ~forb.get(z, 0)
+        if not avail:
+            return False
+        v = (avail & -avail).bit_length() - 1
+        phi[z] = v
+        used |= 1 << v
+        qi += 1
+        return True
+
+    def run_batch(key):
+        placed = 0
+        while qi < len(queue) and placed < t:
+            if not place(queue[qi], side_mask[key]):
+                break
+            placed += 1
+        owed[key] -= 1
+
+    for p, c in enumerate(positions):
+        if qi >= len(queue):
+            break
+        if p > 0:
+            prev = positions[p - 1]
+            run_batch((min(prev, c), max(prev, c), c))
+        while qi < len(queue):
+            reserved = 0
+            for key in sides_in[c]:
+                if owed[key] > 0:
+                    free_side = side_mask[key] & ~used
+                    keep = min((t + delta) * owed[key], free_side.bit_count())
+                    reserved |= reference_lowest_bits(free_side, keep)
+            unreserved = clique_masks[c] & ~used & ~forb.get(queue[qi], 0)
+            if unreserved & -unreserved & reserved:
+                stats["binding"] += 1
+            if not place(queue[qi], clique_masks[c] & ~reserved):
+                break
+            v = phi[queue[qi - 1]]
+            if any(owed[key] > 0 and side_mask[key] >> v & 1 for key in sides_in[c]):
+                stats["partial"] += 1
+        if qi >= len(queue):
+            break
+        if p + 1 < len(positions):
+            nxt = positions[p + 1]
+            run_batch((min(c, nxt), max(c, nxt), c))
+
+    if qi < len(queue):
+        raise StageFailure(
+            "snake-walk",
+            f"walk exhausted with {len(queue) - qi} cube vertices left; "
+            f"next is {queue[qi]}",
+            data={"remaining": len(queue) - qi, "next": queue[qi]},
+        )
+    return phi

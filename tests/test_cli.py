@@ -222,3 +222,16 @@ def test_read_embedding_rejections():
     with pytest.raises(Exception):
         read_embedding(io.StringIO("01 3\n01 4\n"), 2)
     assert read_embedding(io.StringIO("# note\n\n10 5\n"), 2) == {1: 5}
+
+
+def test_check_embedding_out_of_range_image(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    emb = tmp_path / "e.txt"
+    g.write_text("8\n")  # eight vertices, no blue edge
+    emb.write_text("00 99\n10 1\n01 2\n11 3\n")
+    code, out = _run(capsys, "check", "--in", str(g), "--n", "2",
+                     "--embedding", str(emb))
+    assert code == EXIT_OK
+    payload = _last_json(out)
+    assert payload["embedding_valid"] is False
+    assert any("out-of-range" in e for e in payload["embedding_errors"])

@@ -293,3 +293,14 @@ def test_verify_red_embedding():
     assert any("non-red" in e for e in v.errors)
     # out-of-range image
     assert not verify_red_embedding(G, 2, {0: 0, 1: 1, 2: 2, 3: 9}).ok
+
+
+@pytest.mark.parametrize("image", [99, -1])
+def test_verify_red_embedding_out_of_range_lower_end(image):
+    # cube vertex 0 is the lower end of its edges, so the edge check meets
+    # the bad image first; it is reported once and its edges are skipped.
+    # The blue edge 1-7 would show up if -1 were read as vertex 7.
+    G = ColouredGraph.from_blue_edges(8, [(1, 7)])
+    v = verify_red_embedding(G, 2, {0: image, 1: 1, 2: 2, 3: 3})
+    assert not v.ok
+    assert v.errors == [f"cube vertex 0 maps to out-of-range vertex {image}"]

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
-from helpers import all_red_graph, two_clique_linked_graph
+from helpers import all_red_graph, reference_snake_embed, two_clique_linked_graph
 from cuberamsey.colored_graph import ColouredGraph, verify_red_embedding
 from cuberamsey.errors import StageFailure
-from cuberamsey.hypercube import bandwidth_bound
+from cuberamsey.hypercube import bandwidth_bound, bandwidth_order
 from cuberamsey.snake_embedding import (
     LinkWitness,
     Snake,
@@ -174,3 +176,98 @@ def test_snake_embed_rejects_bad_input():
         snake_embed(G, snake, [0, 0, 1], 2)
     with pytest.raises(ValueError):
         snake_embed(G, snake, [0, 9], 2)
+
+
+def _seeded_snake(rng, k, shape, n, wide):
+    """k disjoint cliques on shuffled labels of an all-red host, linked as
+    a path or as a star by random witness sides.
+
+    Narrow sides are shorter than a batch, so the walk reserves all of a
+    side and crosses several links.  Wide sides are longer than the two
+    batches a side is owed, so the reservation holds back only their
+    lowest free vertices and the free stretch fills the rest.
+    """
+    if wide:
+        least = 2 * (bandwidth_bound(n) + 3) + 1
+        s = rng.randint(least, least + 12)
+        m = rng.randint(s, s + 8)
+    else:
+        m = rng.randint(5, 60 // k)
+        s = rng.randint(2, min(m, 8))
+    N = k * m + rng.randint(0, 6)
+    labels = rng.sample(range(N), k * m)
+    cliques = [tuple(sorted(labels[i * m:(i + 1) * m])) for i in range(k)]
+    if shape == "path":
+        pairs = [(i, i + 1) for i in range(k - 1)]
+    else:
+        pairs = [(0, j) for j in range(1, k)]
+    witnesses = tuple(
+        LinkWitness(i, j, tuple(sorted(rng.sample(cliques[i], s))),
+                    tuple(sorted(rng.sample(cliques[j], s))))
+        for i, j in pairs
+    )
+    return all_red_graph(N), Snake(tuple(cliques), witnesses, s)
+
+
+def _walk_outcome(embed, *args, **kwargs):
+    try:
+        return ("map", embed(*args, **kwargs))
+    except StageFailure as e:
+        return ("failure", e.stage, e.data)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("shape", ["path", "star"])
+@pytest.mark.parametrize("wide", [False, True])
+def test_snake_embed_matches_per_vertex_reservation(k, shape, wide):
+    # the walk computes the reservation once per position; the reference
+    # rebuilds it before every placed vertex, and the two must agree
+    outcomes = set()
+    clique_counts = set()
+    partial = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.choice((4, 5))
+        G, snake = _seeded_snake(rng, k, shape, n, wide)
+        cube = range(1 << n)
+        members = sorted(snake.vertex_set())
+        forb = {
+            z: sum(1 << v for v in rng.sample(members, rng.randint(1, 3)))
+            for z in rng.sample(cube, rng.randint(1, len(cube)))
+        }
+        stats = {}
+        want = _walk_outcome(reference_snake_embed, snake, cube, n, forb, stats)
+        got = _walk_outcome(snake_embed, G, snake, cube, n, forbidden=forb)
+        assert got == want, f"seed {seed}"
+        assert stats["binding"] > 0, f"seed {seed}: the reservation never bound"
+        partial += stats["partial"]
+        outcomes.add(want[0])
+        if want[0] == "map":
+            clique_counts.add(
+                sum(1 for c in snake.cliques if set(c) & set(want[1].values()))
+            )
+    if wide:
+        assert partial > 0
+    else:
+        assert outcomes == {"map", "failure"}
+        assert max(clique_counts) > 2
+
+
+def test_snake_embed_reserves_after_arrival_batch():
+    # The walk is 0, 1, 0 and both batches on the side X = {0, 1} are cut
+    # short by forbidden masks, so X is still free when the walk returns.
+    # Its last batch is then spent and X is owed nothing: the final
+    # stretch may use it, which only a reservation taken after the
+    # arrival batch allows.
+    n = 3
+    q = bandwidth_order(range(8), n)
+    G = all_red_graph(8)
+    snake = Snake(
+        cliques=((0, 1, 2, 3), (4, 5, 6, 7)),
+        witnesses=(LinkWitness(0, 1, (0, 1), (4, 5)),),
+        s=2,
+    )
+    forb = {q[1]: 0b1011, q[5]: 0b0011}
+    phi = snake_embed(G, snake, range(8), n, forbidden=forb)
+    assert phi == reference_snake_embed(snake, range(8), n, forb, {})
+    assert {phi[q[6]], phi[q[7]]} == {0, 1}
