@@ -61,13 +61,10 @@ class ColouredGraph:
             if (m >> u) & 1:
                 raise ValueError(f"vertex {u} is blue-adjacent to itself")
         for u, m in enumerate(self.blue):
-            rest = m >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1 and not (self.blue[v] >> u) & 1:
+            for v in iter_bits(m >> (u + 1)):
+                v += u + 1
+                if not (self.blue[v] >> u) & 1:
                     raise ValueError(f"blue edge {u}-{v} is not symmetric")
-                rest >>= 1
-                v += 1
 
     @classmethod
     def from_blue_edges(
@@ -180,6 +177,11 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     edge would force a self-loop via symmetry), so it is enough to look
     for a triangle between distinct mask classes.  Colourings built from
     a few large pieces collapse to a handful of classes.
+
+    Cost: one pass over the N blue masks to build the k classes, then one
+    k-bit intersection per blue class edge, O(E * k / 64) word operations
+    for E blue edges.  Class pairs (a, b) with a < b are tried in order;
+    the witness is the first pair's lowest common neighbour class.
     """
     class_index: dict[int, int] = {}
     reps: list[int] = []
@@ -202,16 +204,13 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
         class_adj[i] = m
 
     for a in range(k):
-        rest = class_adj[a] >> (a + 1)
-        b = a + 1
-        while rest:
-            if rest & 1:
-                common = class_adj[a] & class_adj[b]
-                if common:
-                    c = (common & -common).bit_length() - 1
-                    return False, (reps[a], reps[b], reps[c])
-            rest >>= 1
-            b += 1
+        adj_a = class_adj[a]
+        for b in iter_bits(adj_a >> (a + 1)):
+            b += a + 1
+            common = adj_a & class_adj[b]
+            if common:
+                c = (common & -common).bit_length() - 1
+                return False, (reps[a], reps[b], reps[c])
     return True, None
 
 

@@ -269,6 +269,9 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     s_values: list[int] = []
     rounds: list[RoundRecord] = []
     memo: dict = {}
+    # lam * d >= s and mu * d > s, cross-multiplied into integers
+    lam_num, lam_den = params.lam.numerator, params.lam.denominator
+    mu_num, mu_den = params.mu.numerator, params.mu.denominator
 
     for round_index in range(1, G.n_vertices + 2):
         cliques = max_disjoint_red_cliques(G, A, params.m)
@@ -299,14 +302,15 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         sparse_new = 0
         for v in iter_bits(A & ~S_mask):
             for ci in comp:
-                if params.lam * (G.blue[v] & clique_masks[ci]).bit_count() >= s:
+                d = (G.blue[v] & clique_masks[ci]).bit_count()
+                if lam_num * d >= s * lam_den:
                     sparse_new |= bit(v)
                     break
         A_next = A & ~S_mask & ~sparse_new
 
         for v in iter_bits(A_next):
             d = (G.blue[v] & S_mask).bit_count()
-            if params.mu * d > s:
+            if mu_num * d > s * mu_den:
                 raise StageFailure(
                     "residual-attachment",
                     f"vertex {v} keeps blue degree {d} into the removed "
@@ -330,7 +334,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         for v in iter_bits(sparse_new):
             for ci in out:
                 d = (G.blue[v] & clique_masks[ci]).bit_count()
-                if params.lam * d >= s:
+                if lam_num * d >= s * lam_den:
                     raise AssertionError(
                         f"vertex {v} attached to out-of-snake clique {ci}"
                     )

@@ -251,10 +251,12 @@ def extend_or_clean(
     for e in pa.entries:
         if subcube_distance(e.subcube, y) != 1:
             continue
+        # d >= thr as d * thr.denominator >= thr.numerator, exactly
         thr = g * (1 << (n - e.codim)) / e.codim
+        thr_num, thr_den = thr.numerator, thr.denominator
         mi = e.members_mask()
         for v in iter_bits(A):
-            if Fraction((H.blue[v] & mi).bit_count()) >= thr:
+            if (H.blue[v] & mi).bit_count() * thr_den >= thr_num:
                 removed |= bit(v)
     C = A & ~removed
 

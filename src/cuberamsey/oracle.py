@@ -15,8 +15,6 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-import numpy as np
-
 from .bits import bit, iter_bits
 from .colored_graph import ColouredGraph, red_components
 from .hypercube import bandwidth_order
@@ -120,6 +118,9 @@ def _graph_from_pairbits(N: int, c: int) -> ColouredGraph:
 
 
 def _plain_sweep(n: int, N: int) -> RamseyVerdict:
+    # imported here, so that importing the package does not pay for numpy
+    import numpy as np
+
     P = N * (N - 1) // 2
     cs = np.arange(1 << P, dtype=np.uint32)
     has_triangle = np.zeros(cs.shape, dtype=bool)

@@ -3,7 +3,7 @@
 import random
 from math import comb
 
-from cuberamsey.bits import mask_of
+from cuberamsey.bits import iter_bits, mask_of
 from cuberamsey.colored_graph import ColouredGraph
 from cuberamsey.dense_embedding import (
     AssignmentEntry,
@@ -256,3 +256,48 @@ def reference_snake_embed(snake, cube_vertices, n, forb, stats):
             data={"remaining": len(queue) - qi, "next": queue[qi]},
         )
     return phi
+
+
+def reference_is_blue_triangle_free(G: ColouredGraph):
+    """``is_blue_triangle_free`` with the class-pair loop that shifts each
+    class mask right one bit per pass."""
+    class_index, reps = {}, []
+    vertex_class = [0] * G.n_vertices
+    for v in range(G.n_vertices):
+        i = class_index.setdefault(G.blue[v], len(reps))
+        if i == len(reps):
+            reps.append(v)
+        vertex_class[v] = i
+    k = len(reps)
+    class_adj = [mask_of(vertex_class[w] for w in iter_bits(G.blue[r])) for r in reps]
+    for a in range(k):
+        rest = class_adj[a] >> (a + 1)
+        b = a + 1
+        while rest:
+            if rest & 1:
+                common = class_adj[a] & class_adj[b]
+                if common:
+                    c = (common & -common).bit_length() - 1
+                    return False, (reps[a], reps[b], reps[c])
+            rest >>= 1
+            b += 1
+    return True, None
+
+
+def reference_validation_error(n_vertices: int, blue: list[int]):
+    """The message ``ColouredGraph(n_vertices, blue)`` raises, or None, by
+    the validation loop that shifts each mask right one bit per pass."""
+    for u, m in enumerate(blue):
+        if m >> n_vertices:
+            return f"mask of vertex {u} mentions out-of-range vertices"
+        if (m >> u) & 1:
+            return f"vertex {u} is blue-adjacent to itself"
+    for u, m in enumerate(blue):
+        rest = m >> (u + 1)
+        v = u + 1
+        while rest:
+            if rest & 1 and not (blue[v] >> u) & 1:
+                return f"blue edge {u}-{v} is not symmetric"
+            rest >>= 1
+            v += 1
+    return None

@@ -1,0 +1,117 @@
+"""The bit-scanning loops of ``colored_graph`` against the loops they
+replaced, which shift a mask right one bit per pass."""
+
+import random
+
+import pytest
+from hypothesis import given, strategies as st
+
+from helpers import reference_is_blue_triangle_free, reference_validation_error
+from cuberamsey.colored_graph import (
+    ColouredGraph,
+    is_blue_triangle_free,
+    random_triangle_free_greedy,
+)
+
+
+def _add_edge(blue, u, v):
+    blue[u] |= 1 << v
+    blue[v] |= 1 << u
+
+
+@st.composite
+def hosts(draw):
+    """A host of up to 200 vertices and whether it is known to be
+    triangle free (True), known to hold a triangle (False), or neither
+    (None).
+
+    ``sparse`` and ``greedy`` hosts have many mask classes; ``blow-up``
+    hosts replace each vertex of a small base graph by a red clique, so
+    they have a few large classes (two parts give the two-clique and
+    bipartite shapes).  Any host may get a planted triangle.
+    """
+    kind = draw(st.sampled_from(["sparse", "greedy", "blow-up"]))
+    N = draw(st.integers(3, 200))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sparse":
+        blue = [0] * N
+        for _ in range(draw(st.integers(0, 2 * N))):
+            u, v = rng.sample(range(N), 2)
+            _add_edge(blue, u, v)
+        known = None
+    elif kind == "greedy":
+        blue = random_triangle_free_greedy(N, draw(st.integers(0, 3 * N)), rng).blue
+        known = True
+    else:
+        parts = draw(st.integers(2, min(8, N)))
+        p = draw(st.sampled_from([0.3, 0.7, 1.0]))
+        base = [0] * parts
+        for a in range(parts):
+            for b in range(a + 1, parts):
+                if rng.random() < p:
+                    _add_edge(base, a, b)
+        part_of = [v % parts for v in range(N)]
+        rng.shuffle(part_of)
+        members = [0] * parts
+        for v, a in enumerate(part_of):
+            members[a] |= 1 << v
+        blue = []
+        for a in part_of:
+            m = 0
+            for b in range(parts):
+                if base[a] >> b & 1:
+                    m |= members[b]
+            blue.append(m)
+        known = True if parts == 2 else None
+    if draw(st.booleans()):
+        u, v, w = rng.sample(range(N), 3)
+        _add_edge(blue, u, v)
+        _add_edge(blue, u, w)
+        _add_edge(blue, v, w)
+        known = False
+    return ColouredGraph(N, blue), known
+
+
+@given(hosts())
+def test_triangle_check_matches_per_bit_loop(host):
+    G, known = host
+    ok, witness = is_blue_triangle_free(G)
+    assert (ok, witness) == reference_is_blue_triangle_free(G)
+    if known is not None:
+        assert ok is known
+    if not ok:
+        a, b, c = witness
+        assert G.is_blue(a, b) and G.is_blue(a, c) and G.is_blue(b, c)
+
+
+@st.composite
+def asymmetric_masks(draw):
+    """A symmetric relation on up to 200 vertices with a few bits flipped
+    on one side only, and at times a self-loop or an out-of-range bit."""
+    N = draw(st.integers(1, 200))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    blue = [0] * N
+    if N > 1:
+        for _ in range(draw(st.integers(0, 3 * N))):
+            u, v = rng.sample(range(N), 2)
+            _add_edge(blue, u, v)
+        for _ in range(draw(st.integers(0, 4))):
+            u, v = rng.sample(range(N), 2)
+            blue[u] ^= 1 << v
+    if draw(st.integers(0, 9)) == 0:
+        blue[rng.randrange(N)] |= 1 << rng.randrange(N)
+    if draw(st.integers(0, 9)) == 0:
+        blue[rng.randrange(N)] |= 1 << (N + rng.randrange(3))
+    return N, blue
+
+
+@given(asymmetric_masks())
+def test_validation_reports_first_error_of_per_bit_loop(case):
+    N, blue = case
+    expected = reference_validation_error(N, blue)
+    if expected is None:
+        ColouredGraph(N, list(blue))
+    else:
+        with pytest.raises(ValueError) as e:
+            ColouredGraph(N, list(blue))
+        assert str(e.value) == expected

@@ -147,3 +147,22 @@ def test_count_check_survives_optimised_mode():
     )
     assert run.returncode == 0, run.stderr
     assert "refused: generated 14 classes at N=5, expected 15" in run.stdout
+
+
+def test_package_import_leaves_numpy_out():
+    # numpy is only needed by the plain sweep, which imports it itself
+    code = (
+        "import sys, cuberamsey, cuberamsey.cli, cuberamsey.oracle\n"
+        "print('numpy' in sys.modules)\n"
+        "from cuberamsey.oracle import exhaustive_ramsey\n"
+        "v = exhaustive_ramsey(1, 3, mode='plain')\n"
+        "print('numpy' in sys.modules, v.mode)\n"
+    )
+    src = str(Path(cuberamsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True", "plain"]
