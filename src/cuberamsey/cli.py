@@ -169,9 +169,7 @@ def _cmd_check(args) -> int:
         "status": "ok",
         "vertices": G.n_vertices,
         "blue_edges": G.blue_edge_count(),
-        "max_blue_degree": max(
-            (m.bit_count() for m in G.blue), default=0
-        ),
+        "max_blue_degree": max(G.blue_degrees(), default=0),
         "triangle_free": ok,
     }
     if not ok:

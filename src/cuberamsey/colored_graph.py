@@ -38,7 +38,8 @@ class ColouredGraph:
     ``blue`` is a list of bitmasks, one per vertex; bit v of ``blue[u]``
     says uv is blue.  The relation must be irreflexive and symmetric.
     Construction with ``validate=False`` skips that check; it is meant for
-    internal constructions that are symmetric by shape.
+    internal constructions that are symmetric by shape.  The masks are
+    not changed after construction: ``blue_degrees`` counts them once.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -51,6 +52,7 @@ class ColouredGraph:
         self.n_vertices = n_vertices
         self.blue = blue
         self.full_mask = (1 << n_vertices) - 1
+        self._blue_degrees: Optional[list[int]] = None
         if validate:
             self._validate()
 
@@ -91,8 +93,14 @@ class ColouredGraph:
     def red_mask(self, v: int) -> int:
         return self.full_mask & ~self.blue[v] & ~bit(v)
 
+    def blue_degrees(self) -> list[int]:
+        """The blue degree of every vertex, counted on first use."""
+        if self._blue_degrees is None:
+            self._blue_degrees = [m.bit_count() for m in self.blue]
+        return self._blue_degrees
+
     def blue_edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.blue) // 2
+        return sum(self.blue_degrees()) // 2
 
     def is_red_clique(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)
@@ -252,36 +260,40 @@ def _red_clique_decision(G: ColouredGraph, pool: int, m: int) -> Optional[int]:
         return 0
 
     def matching_bound(cand: int) -> int:
-        # every blue edge inside cand costs the independent set a vertex
+        # every blue edge inside cand costs the independent set a vertex;
+        # a vertex leaves ``free`` before its turn only as a partner
         free = cand
-        lost = 0
+        partners = set()
         for v in iter_bits(cand):
-            if not (free >> v) & 1:
+            if v in partners:
                 continue
-            nb = G.blue[v] & free & ~bit(v)
+            nb = G.blue[v] & free
+            if nb:
+                nb &= ~bit(v)  # a self-loop is no matching edge
             if nb:
                 w = nb & -nb
                 free &= ~(bit(v) | w)
-                lost += 1
-        return cand.bit_count() - lost
+                partners.add(w.bit_length() - 1)
+        return cand.bit_count() - len(partners)
 
     # stack entries: (candidates, chosen_count, chosen_mask)
     stack = [(pool, 0, 0)]
     while stack:
         cand, size, chosen = stack.pop()
-        # vertices with no blue edge inside cand are free to take
+        # vertices with no blue edge inside cand are free to take; taking
+        # one leaves every other vertex's blue edges inside cand as they
+        # were, so a pass takes all of them at once, lowest first
         while True:
-            moved = False
-            for v in iter_bits(cand):
-                if G.blue[v] & cand == 0:
-                    chosen |= bit(v)
-                    cand &= ~bit(v)
-                    size += 1
-                    if size >= m:
-                        return lowest_bits(chosen, m) if size > m else chosen
-                    moved = True
-            if not moved:
+            fm = mask_of([v for v in iter_bits(cand) if G.blue[v] & cand == 0])
+            if not fm:
                 break
+            if size + fm.bit_count() >= m:
+                # the per-vertex takes stop at the first one reaching m
+                take = lowest_bits(fm, max(m - size, 1))
+                return lowest_bits(chosen | take, m)
+            chosen |= fm
+            cand &= ~fm
+            size += fm.bit_count()
         if size + cand.bit_count() < m or size + matching_bound(cand) < m:
             continue
         if not cand:
@@ -323,6 +335,9 @@ def max_disjoint_red_cliques(
         raise ValueError("clique size must be positive")
     cliques: list[tuple[int, ...]] = []
     residual = A
+    deg = G.blue_degrees()
+    # only a vertex of whole blue degree m or more can have a star of m
+    heavy = [v for v, d in enumerate(deg) if d >= m]
     while residual.bit_count() >= m:
         # all-red fast path
         if all(G.blue[v] & residual == 0 for v in iter_bits(residual)):
@@ -333,7 +348,7 @@ def max_disjoint_red_cliques(
             break
         # blue-star harvest: the blue neighbourhood of any vertex is red
         best_v, best_d = -1, m - 1
-        for v in range(G.n_vertices):
+        for v in heavy:
             d = (G.blue[v] & residual).bit_count()
             if d > best_d:
                 best_v, best_d = v, d
@@ -347,16 +362,34 @@ def max_disjoint_red_cliques(
             # the star was not red after all: the blue graph has a triangle
             # through best_v; fall through to the sweeps below
         # greedy sweep: take vertices in index order, discarding the blue
-        # neighbourhood of each pick
-        cand, chosen, size = residual, 0, 0
-        while cand and size < m:
+        # neighbourhood of each pick.  One walk over the residual marks the
+        # discarded vertices, at the cost of each pick's blue degree; after
+        # a pick of degree above N/256, clearing a candidate mask (one
+        # N-bit operation per pick) is the cheaper way to go on.
+        picks: list[int] = []
+        marked = bytearray(G.n_vertices)
+        cand = 0
+        for v in iter_bits(residual):
+            if marked[v]:
+                continue
+            picks.append(v)
+            if len(picks) == m:
+                break
+            if deg[v] << 8 > G.n_vertices:
+                cand = residual & ~((2 << v) - 1)
+                for p in picks:
+                    cand &= ~G.blue[p]
+                break
+            if deg[v]:
+                for w in iter_bits(G.blue[v]):
+                    marked[w] = 1
+        while cand and len(picks) < m:
             v = (cand & -cand).bit_length() - 1
-            chosen |= bit(v)
-            size += 1
+            picks.append(v)
             cand &= ~(bit(v) | G.blue[v])
-        if size >= m:
-            cliques.append(tuple(bits_list(chosen)))
-            residual &= ~chosen
+        if len(picks) == m:
+            cliques.append(tuple(picks))
+            residual &= ~mask_of(picks)
             continue
         got = find_red_clique(G, residual, m)
         if got is None:
@@ -389,8 +422,9 @@ def max_balanced_biclique(
         side1, side2 = side2, side1
         m1, m2 = m2, m1
 
-    adj = {u: G.red_mask(u) & m2 for u in side1}
-    adj_back = {v: G.red_mask(v) & m1 for v in side2}
+    # the sides are disjoint, so no vertex meets itself across them
+    adj = {u: m2 & ~G.blue[u] for u in side1}
+    adj_back = {v: m1 & ~G.blue[v] for v in side2}
 
     if all(adj[u] == m2 for u in side1):
         w = min(len(side1), len(side2))

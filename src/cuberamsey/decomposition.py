@@ -272,6 +272,10 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     # lam * d >= s and mu * d > s, cross-multiplied into integers
     lam_num, lam_den = params.lam.numerator, params.lam.denominator
     mu_num, mu_den = params.mu.numerator, params.mu.denominator
+    # a blue degree into a set is at most the whole blue degree, so each
+    # degree test below walks only the vertices whose whole degree passes
+    deg = G.blue_degrees()
+    above_2m = mask_of([v for v, d in enumerate(deg) if d > 2 * params.m])
 
     for round_index in range(1, G.n_vertices + 2):
         cliques = max_disjoint_red_cliques(G, A, params.m)
@@ -299,8 +303,12 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
 
         S_mask = mask_of(snake.vertex_set())
         clique_masks = [mask_of(c) for c in cliques]
+        lam_heavy = mask_of(
+            [v for v, d in enumerate(deg) if lam_num * d >= s * lam_den]
+        )
+        mu_heavy = mask_of([v for v, d in enumerate(deg) if mu_num * d > s * mu_den])
         sparse_new = 0
-        for v in iter_bits(A & ~S_mask):
+        for v in iter_bits(A & ~S_mask & lam_heavy):
             for ci in comp:
                 d = (G.blue[v] & clique_masks[ci]).bit_count()
                 if lam_num * d >= s * lam_den:
@@ -308,7 +316,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
                     break
         A_next = A & ~S_mask & ~sparse_new
 
-        for v in iter_bits(A_next):
+        for v in iter_bits(A_next & mu_heavy):
             d = (G.blue[v] & S_mask).bit_count()
             if mu_num * d > s * mu_den:
                 raise StageFailure(
@@ -318,7 +326,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
                     data={"round": round_index, "vertex": v, "degree": d},
                 )
         within = A_next | sparse_new
-        for v in iter_bits(sparse_new):
+        for v in iter_bits(sparse_new & above_2m):
             d = (G.blue[v] & within).bit_count()
             if d > 2 * params.m:
                 raise StageFailure(
@@ -362,7 +370,9 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
 
     # maximality of the last clique search: whatever is left cannot hold
     # a red m-clique, so blue neighbourhoods inside it stay below m
-    for v in range(G.n_vertices):
+    for v, dv in enumerate(deg):
+        if dv < params.m:
+            continue
         d = (G.blue[v] & A).bit_count()
         if d >= params.m:
             raise AssertionError(

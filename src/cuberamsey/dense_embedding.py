@@ -247,6 +247,9 @@ def extend_or_clean(
         )
     y = cells[0]
 
+    # a blue degree into a set is at most the whole blue degree, so each
+    # degree test below walks only the vertices whose whole degree passes
+    deg = H.blue_degrees()
     removed = 0
     for e in pa.entries:
         if subcube_distance(e.subcube, y) != 1:
@@ -254,8 +257,9 @@ def extend_or_clean(
         # d >= thr as d * thr.denominator >= thr.numerator, exactly
         thr = g * (1 << (n - e.codim)) / e.codim
         thr_num, thr_den = thr.numerator, thr.denominator
+        heavy = mask_of([v for v, d in enumerate(deg) if d * thr_den >= thr_num])
         mi = e.members_mask()
-        for v in iter_bits(A):
+        for v in iter_bits(A & heavy):
             if (H.blue[v] & mi).bit_count() * thr_den >= thr_num:
                 removed |= bit(v)
     C = A & ~removed
@@ -271,7 +275,9 @@ def extend_or_clean(
 
     need = 1 << (n - b + 1)
     size = candidate_set_size(g, n, b)
-    for u in range(H.n_vertices):
+    for u, du in enumerate(deg):
+        if du < need:
+            continue
         nb = H.blue[u] & C
         if nb.bit_count() >= need:
             members = tuple(bits_list(lowest_bits(nb, size)))
@@ -333,11 +339,11 @@ def dense_embed(
             f"host has {H.n_vertices} vertices, needs {need}",
         )
     cap = 1 << (n - schedule.b[0])
-    for v in range(H.n_vertices):
-        if H.blue[v].bit_count() > cap:
+    for v, d in enumerate(H.blue_degrees()):
+        if d > cap:
             raise HypothesisError(
                 "max-degree",
-                f"vertex {v} has blue degree {H.blue[v].bit_count()}, "
+                f"vertex {v} has blue degree {d}, "
                 f"above 2^(n - b_0) = {cap}",
                 witness=v,
             )

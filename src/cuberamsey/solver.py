@@ -124,13 +124,25 @@ def _solve_dense(
     G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
 ) -> dict[int, int]:
     C_mask = dec.sparse_mask()
+    cutoff, deg = params.high_degree_cutoff, G.blue_degrees()
+    # a vertex of whole blue degree below the cutoff stays below it in C
     keep = [
         v
         for v in dec.sparse
-        if (G.blue[v] & C_mask).bit_count() < params.high_degree_cutoff
+        if deg[v] < cutoff or (G.blue[v] & C_mask).bit_count() < cutoff
     ]
     H, order = G.induced(keep)
-    phi_h = dense_embed(H, n, params.gamma, params.schedule)
+    try:
+        phi_h = dense_embed(H, n, params.gamma, params.schedule)
+    except HypothesisError as e:
+        if e.hypothesis != "order":
+            raise
+        # G itself qualified; the sparse part left too few vertices
+        raise StageFailure(
+            "dense-material",
+            f"the dense route ran out of vertices: {e.details}",
+            data={"hypothesis": e.hypothesis, "details": e.details},
+        ) from e
     return {z: order[w] for z, w in phi_h.items()}
 
 

@@ -301,3 +301,111 @@ def reference_validation_error(n_vertices: int, blue: list[int]):
             rest >>= 1
             v += 1
     return None
+
+
+def reference_iter_bits(mask: int):
+    """``bits.iter_bits`` as a loop that peels the lowest bit per pass."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_mask_of(vertices) -> int:
+    """``bits.mask_of`` as one shift per vertex."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def reference_red_clique_decision(G: ColouredGraph, pool: int, m: int):
+    """``colored_graph._red_clique_decision`` taking free vertices one at a
+    time, clearing each from the candidates."""
+    if m <= 0:
+        return 0
+
+    def matching_bound(cand: int) -> int:
+        free = cand
+        lost = 0
+        for v in reference_iter_bits(cand):
+            if not (free >> v) & 1:
+                continue
+            nb = G.blue[v] & free & ~(1 << v)
+            if nb:
+                w = nb & -nb
+                free &= ~((1 << v) | w)
+                lost += 1
+        return cand.bit_count() - lost
+
+    stack = [(pool, 0, 0)]
+    while stack:
+        cand, size, chosen = stack.pop()
+        while True:
+            moved = False
+            for v in reference_iter_bits(cand):
+                if G.blue[v] & cand == 0:
+                    chosen |= 1 << v
+                    cand &= ~(1 << v)
+                    size += 1
+                    if size >= m:
+                        return reference_lowest_bits(chosen, m) if size > m else chosen
+                    moved = True
+            if not moved:
+                break
+        if size + cand.bit_count() < m or size + matching_bound(cand) < m:
+            continue
+        if not cand:
+            continue
+        v_best, d_best = -1, -1
+        for v in reference_iter_bits(cand):
+            d = (G.blue[v] & cand).bit_count()
+            if d > d_best:
+                v_best, d_best = v, d
+        drop = cand & ~(1 << v_best)
+        stack.append((drop, size, chosen))
+        stack.append((drop & ~G.blue[v_best], size + 1, chosen | (1 << v_best)))
+    return None
+
+
+def reference_max_disjoint_red_cliques(G: ColouredGraph, A: int, m: int):
+    """``colored_graph.max_disjoint_red_cliques`` with the star harvest
+    scanning every vertex and the greedy sweep clearing each pick and its
+    blue neighbourhood from a candidate mask."""
+    cliques = []
+    residual = A
+    while residual.bit_count() >= m:
+        if all(G.blue[v] & residual == 0 for v in reference_iter_bits(residual)):
+            while residual.bit_count() >= m:
+                take = reference_lowest_bits(residual, m)
+                cliques.append(tuple(reference_iter_bits(take)))
+                residual &= ~take
+            break
+        best_v, best_d = -1, m - 1
+        for v in range(G.n_vertices):
+            d = (G.blue[v] & residual).bit_count()
+            if d > best_d:
+                best_v, best_d = v, d
+        if best_v >= 0:
+            take = reference_lowest_bits(G.blue[best_v] & residual, m)
+            took = list(reference_iter_bits(take))
+            if all(G.blue[v] & take == 0 for v in took):
+                cliques.append(tuple(took))
+                residual &= ~take
+                continue
+        cand, chosen, size = residual, 0, 0
+        while cand and size < m:
+            v = (cand & -cand).bit_length() - 1
+            chosen |= 1 << v
+            size += 1
+            cand &= ~((1 << v) | G.blue[v])
+        if size >= m:
+            cliques.append(tuple(reference_iter_bits(chosen)))
+            residual &= ~chosen
+            continue
+        got = reference_red_clique_decision(G, residual, m)
+        if got is None:
+            break
+        cliques.append(tuple(reference_iter_bits(got)))
+        residual &= ~got
+    return cliques

@@ -1,13 +1,38 @@
-from hypothesis import given, strategies as st
+import random
+from itertools import islice
 
-from helpers import reference_lowest_bits
-from cuberamsey.bits import bits_list, lowest_bits, mask_of
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import reference_iter_bits, reference_lowest_bits, reference_mask_of
+from cuberamsey.bits import bits_list, iter_bits, lowest_bits, mask_of
 
 masks = st.one_of(
     st.just(0),
     st.integers(min_value=0, max_value=(1 << 20000) - 1),
     st.lists(st.integers(0, 19999), max_size=60).map(mask_of),
 )
+
+
+@st.composite
+def wide_masks(draw):
+    """Masks of up to 70,000 bits on both sides of the per-bit limit of
+    ``iter_bits`` (2**20 / bit_length peels, so 14 bits of a 70,000-bit
+    mask, before the scan): zero, a single top bit, random masks of
+    density 1/2 down to 1/128, and up to 40 scattered bits."""
+    kind = draw(st.sampled_from(["zero", "top", "dense", "scattered"]))
+    N = draw(st.integers(1, 70000))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zero":
+        return 0
+    if kind == "top":
+        return 1 << (N - 1)
+    if kind == "dense":
+        mask = rng.getrandbits(N)
+        for _ in range(draw(st.integers(0, 6))):
+            mask &= rng.getrandbits(N)
+        return mask
+    return reference_mask_of(rng.sample(range(N), min(N, draw(st.integers(1, 40)))))
 
 
 @given(masks, st.integers(-3, 25000))
@@ -28,3 +53,49 @@ def test_mask_of_bits_list_round_trip(vertices):
     mask = mask_of(vertices)
     assert bits_list(mask) == sorted(vertices)
     assert mask_of(bits_list(mask)) == mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_masks(), st.randoms(use_true_random=False))
+def test_wide_masks_match_per_bit_loops(mask, rng):
+    want = list(reference_iter_bits(mask))
+    assert list(iter_bits(mask)) == want
+    assert bits_list(mask) == want
+    # unsorted, with repeats, as a list, a tuple and a generator
+    vertices = want + rng.sample(want, min(len(want), 5))
+    rng.shuffle(vertices)
+    assert mask_of(vertices) == mask
+    assert mask_of(tuple(vertices)) == mask
+    assert mask_of(v for v in vertices) == mask
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        0,
+        (1 << 9) - 1,
+        1 << 69999,
+        sum(1 << v for v in (3, 17, 40000, 65000, 65535)),
+        random.Random(0).getrandbits(65536),
+    ],
+    ids=["zero", "9-bit", "top-bit", "5-of-65536", "half-of-65536"],
+)
+def test_both_sides_of_per_bit_limit(mask):
+    assert bits_list(mask) == list(reference_iter_bits(mask))
+    assert mask_of(bits_list(mask)) == mask
+
+
+def test_iter_bits_rejects_negative_mask():
+    # a peel of -1 never ends, and a bin() scan would read "-0b1"
+    with pytest.raises(ValueError):
+        list(islice(iter_bits(-1), 5))
+    with pytest.raises(ValueError):
+        bits_list(-(1 << 70000))
+
+
+def test_mask_of_rejects_negative_vertex():
+    # a bytearray index of -1 would set the top byte instead
+    with pytest.raises(ValueError):
+        mask_of([3, -1])
+    with pytest.raises(ValueError):
+        mask_of(list(range(0, 70000, 3)) + [-1])

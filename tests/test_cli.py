@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -8,12 +9,17 @@ from cuberamsey.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_STAGE,
     format_cube_vertex,
     main,
     parse_cube_vertex,
     read_embedding,
 )
-from cuberamsey.colored_graph import ColouredGraph, is_blue_triangle_free
+from cuberamsey.colored_graph import (
+    ColouredGraph,
+    is_blue_triangle_free,
+    random_bipartite_blue,
+)
 from cuberamsey.decomposition import Decomposition, verify_decomposition
 from cuberamsey.colored_graph import verify_red_embedding
 from cuberamsey.oracle import contains_red_cube
@@ -101,6 +107,20 @@ def test_solve_reports_definitive_absence(tmp_path, capsys):
     payload = _last_json(out)
     assert payload["status"] == "hypothesis-failure"
     assert payload["definitive"] == "no red Q_2 exists in this graph"
+
+
+def test_solve_starved_dense_route_is_stage_failure(tmp_path, capsys):
+    # complete bipartite blue on 160 vertices qualifies for n=6, but the
+    # dense route is left too few vertices: exit 3, not the input's exit 2
+    g = tmp_path / "g.txt"
+    with open(g, "w") as f:
+        random_bipartite_blue(160, 1.0, random.Random(0)).to_text(f)
+    code, out = _run(capsys, "solve", "--in", str(g), "--n", "6")
+    assert code == EXIT_STAGE
+    payload = _last_json(out)
+    assert payload["status"] == "stage-failure"
+    assert payload["stage"] == "dense-material"
+    assert payload["data"]["hypothesis"] == "order"
 
 
 def test_decompose_certificate(tmp_path, capsys):

@@ -262,6 +262,9 @@ def test_random_triangle_free_greedy_respects_both_promises():
         ok, _ = is_blue_triangle_free(G)
         assert ok
         assert G.blue_edge_count() <= target
+        deg = G.blue_degrees()
+        assert deg == [sum(G.is_blue(u, v) for v in range(n)) for u in range(n)]
+        assert G.blue_degrees() is deg
 
 
 def test_generators_are_seed_deterministic():

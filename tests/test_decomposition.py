@@ -100,6 +100,50 @@ def test_decompose_two_clique_linked():
     assert verify_decomposition(G, dec).ok
 
 
+def test_attachment_threshold_is_inclusive():
+    # a vertex with exactly s/lambda blue neighbours in a snake clique
+    # (lambda = 2) is attached to the snake; one neighbour fewer and it
+    # stays active
+    n = 4
+    params = DecompositionParams.desk(n)
+    base = two_clique_linked_graph(n, extra=1)
+    s = decompose(base, params).rounds[0].s
+    v = base.n_vertices - 1
+    for d in (s // 2, s // 2 - 1):
+        blue = list(base.blue)
+        for u in range(d):
+            blue[u] |= 1 << v
+        blue[v] = (1 << d) - 1
+        rec = decompose(ColouredGraph(len(blue), blue), params).rounds[0]
+        assert rec.s == s
+        assert (v in rec.sparse_added) == (2 * d >= s)
+
+
+def test_residual_attachment_threshold_is_exclusive():
+    # a vertex blue to j planted vertices of each clique stays below s/lambda
+    # towards either clique, so it survives the round; with 2j blue
+    # neighbours in the removed snake it must stay at or below s/mu = s/2
+    n = 4
+    params = DecompositionParams.desk(n)
+    base = two_clique_linked_graph(n, extra=1)
+    s = decompose(base, params).rounds[0].s
+    m, v = params.m, base.n_vertices - 1
+    for j, k in ((s // 4, s // 4), (s // 4, s // 4 + 1)):
+        blue = list(base.blue)
+        # the planted vertices are red across, so no blue triangle forms
+        for u in list(range(j)) + list(range(m, m + k)):
+            blue[u] |= 1 << v
+            blue[v] |= 1 << u
+        G = ColouredGraph(len(blue), blue)
+        if 2 * (j + k) <= s:
+            assert v not in decompose(G, params).rounds[0].sparse_added
+        else:
+            with pytest.raises(StageFailure) as e:
+                decompose(G, params)
+            assert e.value.stage == "residual-attachment"
+            assert e.value.data == {"round": 1, "vertex": v, "degree": j + k}
+
+
 def test_decompose_random_hosts():
     rng = random.Random(5)
     for trial in range(6):

@@ -183,6 +183,21 @@ def test_extend_or_clean_cube_covered():
     assert e.value.hypothesis == "cube-covered"
 
 
+def test_cleaning_threshold_is_inclusive():
+    # gamma = 1/4, n = 4, an entry of codimension 1 next to the cell y:
+    # the threshold is gamma * 2^3 / 1 = 2 blue neighbours in the entry,
+    # so a vertex with exactly 2 is removed and one with 1 stays
+    n, g = 4, Fraction(1, 4)
+    size = candidate_set_size(g, n, 1)
+    two, one = size, size + 1
+    H = ColouredGraph.from_blue_edges(size + 2, [(0, two), (1, two), (2, one)])
+    entry = AssignmentEntry(InitialSubcube((0,)), tuple(range(size)))
+    pa = PartialAssignment((entry,), g)
+    step = extend_or_clean(H, pa, mask_of([two, one]), 1, 1, n)
+    assert isinstance(step, Cleaned)
+    assert step.vertices == (one,)
+
+
 def test_dichotomy_outcomes_on_random_graphs():
     rng = random.Random(77)
     extended = cleaned = 0

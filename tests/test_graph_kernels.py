@@ -1,15 +1,25 @@
 """The bit-scanning loops of ``colored_graph`` against the loops they
-replaced, which shift a mask right one bit per pass."""
+replaced, which shift a mask right one bit per pass, and the red-clique
+extraction against the one that cleared a candidate mask per vertex."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_is_blue_triangle_free, reference_validation_error
+import cuberamsey.colored_graph as colored_graph
+from helpers import (
+    reference_is_blue_triangle_free,
+    reference_max_disjoint_red_cliques,
+    reference_red_clique_decision,
+    reference_validation_error,
+    two_clique_linked_shuffled,
+)
 from cuberamsey.colored_graph import (
     ColouredGraph,
     is_blue_triangle_free,
+    max_disjoint_red_cliques,
+    random_bipartite_blue,
     random_triangle_free_greedy,
 )
 
@@ -115,3 +125,67 @@ def test_validation_reports_first_error_of_per_bit_loop(case):
         with pytest.raises(ValueError) as e:
             ColouredGraph(N, list(blue))
         assert str(e.value) == expected
+
+
+def _clique_host(kind: str, seed: int):
+    """A seeded triangle-free host, a vertex mask and a clique size.
+
+    Hosts of a few hundred vertices and more keep low-degree picks of the
+    greedy sweep on its marking walk; on the smaller ones any pick with a
+    blue neighbour moves the sweep onto its candidate mask.
+    """
+    rng = random.Random(f"{kind}/{seed}")
+    if kind == "greedy":
+        N = rng.randrange(16, 200)
+        G = random_triangle_free_greedy(N, rng.randrange(N // 2, 3 * N), rng)
+    elif kind == "sparse-greedy":
+        N = rng.randrange(600, 2500)
+        G = random_triangle_free_greedy(N, rng.randrange(N // 16, N), rng)
+    elif kind == "bipartite":
+        N = rng.randrange(16, 200)
+        G = random_bipartite_blue(N, rng.choice([0.05, 0.2, 0.5]), rng)
+    else:
+        G = two_clique_linked_shuffled(rng.randrange(2, 5), rng, extra=rng.randrange(10))
+        N = G.n_vertices
+    # large hosts take small cliques, so the exact search stays small
+    m = rng.randrange(2, 64 if N > 500 else max(3, N // 3))
+    A = G.full_mask if rng.random() < 0.5 else rng.getrandbits(N)
+    return G, A, m
+
+
+KINDS = ["greedy", "sparse-greedy", "bipartite", "two-clique"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_disjoint_red_cliques_matches_mask_clearing_sweep(kind, monkeypatch):
+    searches = []
+    search = colored_graph._red_clique_decision
+
+    def counted(G, pool, m):
+        got = search(G, pool, m)
+        searches.append(got is not None)
+        return got
+
+    monkeypatch.setattr(colored_graph, "_red_clique_decision", counted)
+    for seed in range(40):
+        G, A, m = _clique_host(kind, seed)
+        assert max_disjoint_red_cliques(G, A, m) == reference_max_disjoint_red_cliques(G, A, m)
+    if kind != "sparse-greedy":
+        # the sweep fell short and the exact search ran, finding a clique
+        # on some hosts and proving there is none on others
+        assert True in searches and False in searches
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_red_clique_decision_matches_per_vertex_takes(kind):
+    found = set()
+    for seed in range(40):
+        G, A, m = _clique_host(kind, seed)
+        rng = random.Random(seed)
+        for size in (m, rng.randrange(1, m + 1), m + 4, 0):
+            pool = A & rng.getrandbits(G.n_vertices) if seed % 2 else A
+            got = colored_graph._red_clique_decision(G, pool, size)
+            assert got == reference_red_clique_decision(G, pool, size)
+            found.add(got is not None)
+    # large sparse hosts hold every small clique asked for
+    assert found == ({True} if kind == "sparse-greedy" else {True, False})

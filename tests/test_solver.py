@@ -13,6 +13,7 @@ from cuberamsey.colored_graph import (
 )
 from cuberamsey.decomposition import Decomposition, DecompositionParams, decompose
 from cuberamsey.errors import HypothesisError, StageFailure
+from cuberamsey import solver
 from cuberamsey.solver import SolverParams, assign_subcubes, choose_case, solve
 
 
@@ -121,9 +122,28 @@ def test_solve_dense_route_can_run_out_of_material():
     G = random_bipartite_blue(_min_order(n, params), 1.0, random.Random(0))
     dec = decompose(G, params.decomp)
     assert choose_case(dec) == 1
-    with pytest.raises(HypothesisError) as e:
+    # G qualifies, so running short is a stage failure of the construction
+    with pytest.raises(StageFailure) as e:
         solve(G, n, params)
-    assert e.value.hypothesis == "order"
+    assert e.value.stage == "dense-material"
+    assert e.value.data["hypothesis"] == "order"
+    assert "needs" in e.value.data["details"]
+
+
+def test_solve_dense_cuts_vertices_at_the_degree_cutoff(monkeypatch):
+    # vertex 0 has exactly the cutoff's blue degree inside the sparse part
+    # and is cut; vertex 1, one neighbour short, is kept
+    n = 5
+    params = SolverParams.desk(n)
+    cut = params.high_degree_cutoff
+    edges = [(0, 10 + i) for i in range(cut)] + [(1, 30 + i) for i in range(cut - 1)]
+    G = ColouredGraph.from_blue_edges(64, edges)
+    dec = Decomposition(64, params.decomp, tuple(range(64)), (), (), ())
+    # an identity embedding of the induced subgraph reads back its order
+    monkeypatch.setattr(
+        solver, "dense_embed", lambda H, *args: {w: w for w in range(H.n_vertices)}
+    )
+    assert sorted(solver._solve_dense(G, n, params, dec).values()) == list(range(1, 64))
 
 
 def test_solve_dense_route_tiles_whole_cube():
