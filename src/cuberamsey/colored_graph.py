@@ -400,14 +400,15 @@ def max_disjoint_red_cliques(
 
 
 def max_balanced_biclique(
-    G: ColouredGraph, M1: Iterable[int], M2: Iterable[int]
+    G: ColouredGraph, M1: Iterable[int], M2: Iterable[int], cap: Optional[int] = None
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Largest w with a red complete bipartite K_{w,w} between M1 and M2.
 
-    Returns (w, X, Y) with X from M1 and Y from M2, sorted tuples, every
-    cross pair red.  Exact: a prefix heuristic seeds the answer, then a
-    (t,t)-core reduction plus depth-first search settles each larger
-    target until one fails.
+    Returns (min(w, cap), X, Y) with X from M1 and Y from M2, sorted
+    tuples of that size, every cross pair red; ``cap=None`` is no cap.
+    A prefix heuristic seeds the answer and is returned once it reaches
+    the cap; otherwise a (t,t)-core reduction plus depth-first search
+    settles each larger target up to the cap until one fails.
     """
     side1 = sorted(set(M1))
     side2 = sorted(set(M2))
@@ -426,17 +427,20 @@ def max_balanced_biclique(
     adj = {u: m2 & ~G.blue[u] for u in side1}
     adj_back = {v: m1 & ~G.blue[v] for v in side2}
 
+    limit = min(len(side1), len(side2))
+    if cap is not None:
+        limit = min(limit, cap)
     if all(adj[u] == m2 for u in side1):
-        w = min(len(side1), len(side2))
+        w = limit
         X = tuple(side1[:w])
         Y = tuple(side2[:w])
         return (w, Y, X) if swapped else (w, X, Y)
     if all(adj[u] == 0 for u in side1):
         return 0, (), ()
 
-    # seed: walk one side in increasing blue-cross order, keeping the
-    # other side's vertices red to the entire prefix; every prefix is a
-    # certified biclique, and a planted dense block floats to the front
+    # seeds: walk a side in increasing blue-cross order, keeping the other
+    # side red to the whole prefix (a planted block floats to the front);
+    # each prefix is a biclique, and a first seed at the limit is final
     def prefix_seed(rows, row_adj, col_mask):
         order = sorted(
             rows, key=lambda u: (col_mask & ~row_adj[u]).bit_count()
@@ -455,7 +459,7 @@ def max_balanced_biclique(
         return best_w, best_rows, best_common
 
     w1, rows1, common1 = prefix_seed(side1, adj, m2)
-    w2, rows2, common2 = prefix_seed(side2, adj_back, m1)
+    w2, rows2, common2 = prefix_seed(side2, adj_back, m1) if w1 < limit else (0, [], 0)
     if w1 >= w2:
         best = w1
         best_X = sorted(rows1)[:w1]
@@ -464,6 +468,9 @@ def max_balanced_biclique(
         best = w2
         best_X = bits_list(lowest_bits(common2, w2))
         best_Y = sorted(rows2)[:w2]
+    if best >= limit:
+        X, Y = tuple(best_X[:limit]), tuple(best_Y[:limit])
+        return (limit, Y, X) if swapped else (limit, X, Y)
 
     def core(t: int) -> tuple[int, int]:
         px, py = m1, m2
@@ -507,7 +514,7 @@ def max_balanced_biclique(
         return None
 
     t = best + 1
-    while t <= min(len(side1), len(side2)):
+    while t <= limit:
         got = decision(t)
         if got is None:
             break

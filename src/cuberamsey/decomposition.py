@@ -1,14 +1,14 @@
 """Partitioning a triangle-free-blue colouring into a sparse part and snakes.
 
 Round by round, a maximal family of disjoint red m-cliques is pulled out
-of the active set, pairwise link weights (largest balanced red
-bicliques) are measured, and a threshold s is chosen inside a weight
-gap, so that links are unambiguous: every pair is either strongly linked
-(weight at least s) or clearly not (weight below s divided by lambda).
-The connected component of the first clique becomes a snake and leaves
-the active set, together with the vertices blue-attached to it.  What
-survives every round is sparse in blue, and that is the point of the
-whole exercise.
+of the active set and a threshold s is chosen inside a gap of the pair
+link weights (largest balanced red bicliques), so that links are
+unambiguous: every pair is either strongly linked (weight at least s) or
+clearly not (weight below s divided by lambda).  Only that side is read,
+so a weight is searched and recorded as min(w, s).  The component of the
+first clique becomes a snake and leaves the active set, together with
+the vertices blue-attached to it.  What survives every round is sparse
+in blue, and that is the point of the whole exercise.
 """
 
 from __future__ import annotations
@@ -234,20 +234,23 @@ class Decomposition:
 def _pair_weights(
     G: ColouredGraph,
     cliques: list[tuple[int, ...]],
+    cap: int,
     memo: dict,
 ) -> dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Balanced biclique weights for every clique pair, memoised exactly.
-
-    The cache key is the pair of clique tuples themselves, so an entry
-    can never go stale: the weight depends on nothing else.
+    """Balanced biclique weights min(w, cap), with red witnesses of that
+    size, for every clique pair.  The memo keeps the cap each pair was
+    searched at: a weight below it is exact, one at it is only a lower
+    bound, so a larger cap searches the pair again.
     """
     out = {}
     for i in range(len(cliques)):
         for j in range(i + 1, len(cliques)):
             key = (cliques[i], cliques[j])
-            if key not in memo:
-                memo[key] = max_balanced_biclique(G, cliques[i], cliques[j])
-            out[(i, j)] = memo[key]
+            got = memo.get(key)
+            if got is None or got[1][0] == got[0] < cap:
+                got = memo[key] = (cap, max_balanced_biclique(G, *key, cap))
+            w, X, Y = got[1]
+            out[(i, j)] = (min(w, cap), X[:cap], Y[:cap])
     return out
 
 
@@ -281,25 +284,32 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         cliques = max_disjoint_red_cliques(G, A, params.m)
         if not cliques:
             break
-        weights = _pair_weights(G, cliques, memo)
-        s = select_gap_threshold([w for w, _, _ in weights.values()], params)
+        # clip weights at the grid point under test: those below it are
+        # exact, settle every point up to it and lie in no later gap, so
+        # the selection returns the cap or the next grid point to try
+        cap = params.s_lo
+        while True:
+            weights = _pair_weights(G, cliques, cap, memo)
+            ws = [w for w, _, _ in weights.values()]
+            try:
+                s = select_gap_threshold([w for w in ws if w < cap], params)
+            except StageFailure as e:
+                e.data.update(weights=sorted(set(ws)), cap=cap)
+                raise
+            if s <= cap:
+                break
+            cap = s
         linked = [(i, j) for (i, j), (w, _, _) in weights.items() if w >= s]
         comp = sorted(link_components(len(cliques), linked)[0])
         pos = {ci: idx for idx, ci in enumerate(comp)}
 
-        witnesses = []
-        for i, j in linked:
-            if i in pos and j in pos:
-                w, X, Y = weights[(i, j)]
-                ni, nj = pos[i], pos[j]
-                if ni > nj:
-                    ni, nj, X, Y = nj, ni, Y, X
-                witnesses.append(LinkWitness(ni, nj, X[:s], Y[:s]))
-        snake = Snake(
-            cliques=tuple(cliques[ci] for ci in comp),
-            witnesses=tuple(witnesses),
-            s=s,
+        # comp is sorted, so pos keeps the order of each linked pair
+        witnesses = tuple(
+            LinkWitness(pos[i], pos[j], *weights[(i, j)][1:])
+            for i, j in linked
+            if i in pos
         )
+        snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
 
         S_mask = mask_of(snake.vertex_set())
         clique_masks = [mask_of(c) for c in cliques]
@@ -397,7 +407,10 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     The sparse set and the snake vertex sets must partition the graph,
     blue inside the sparse set must stay under 2m edges per vertex on
     average, each snake must validate, and vertices of later snakes must
-    be only weakly blue-attached to every earlier snake.
+    be only weakly blue-attached to every earlier snake.  Each round
+    record must agree with its snake: weights (not re-searched) at most
+    s, s the first grid point with a weight-free gap, and the snake the
+    link component of clique 0.
     """
     errors = []
     masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
@@ -409,8 +422,8 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
         total |= m
     if total != G.full_mask:
         errors.append("the parts do not cover the vertex set")
-    if len(dec.s_values) != len(dec.snakes):
-        errors.append("one s value per snake is required")
+    if not len(dec.s_values) == len(dec.rounds) == len(dec.snakes):
+        errors.append("one s value and one round record per snake is required")
 
     blue_inside = 0
     for v in iter_bits(cm):
@@ -428,6 +441,25 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
             errors.append(f"snake {i} invalid: " + "; ".join(check.errors))
         if sn.s != dec.s_values[i]:
             errors.append(f"snake {i} carries s={sn.s}, recorded {dec.s_values[i]}")
+
+    for i, (rec, sn) in enumerate(zip(dec.rounds, dec.snakes)):
+        k, ws = len(rec.cliques), [w for _, _, w in rec.weights]
+        try:
+            chosen = select_gap_threshold(ws, dec.params)
+        except StageFailure:
+            chosen = None
+        if rec.s != dec.s_values[i] or chosen != rec.s or max(ws, default=0) > rec.s:
+            errors.append(f"round {i} records s={rec.s} against its weights {ws}")
+        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        if k == 0 or sorted(tuple(w[:2]) for w in rec.weights) != pairs:
+            errors.append(f"round {i} does not record one weight per clique pair")
+            continue
+        linked = [(a, b) for a, b, w in rec.weights if w >= rec.s]
+        comp = sorted(link_components(k, linked)[0])
+        if list(rec.snake_indices) != comp or sn.cliques != tuple(
+            rec.cliques[c] for c in comp
+        ):
+            errors.append(f"round {i}: snake {i} is not the link component of clique 0")
 
     for i in range(len(dec.snakes)):
         si = dec.s_values[i]

@@ -194,12 +194,14 @@ def test_max_balanced_biclique_against_subset_enumeration():
         side1 = list(range(n1))
         side2 = list(range(n1, n1 + n2))
         G = random_colouring(n1 + n2, rng.choice([0.2, 0.5, 0.8]), rng)
-        w, X, Y = max_balanced_biclique(G, side1, side2)
         bw, _, _ = brute_max_balanced_biclique(G, side1, side2)
-        assert w == bw
-        assert len(X) == len(Y) == w
-        assert set(X) <= set(side1) and set(Y) <= set(side2)
-        assert all(G.is_red(x, y) for x in X for y in Y)
+        # cap=None is the exact search; a cap clips it, witness included
+        for cap in [None] + list(range(min(n1, n2) + 2)):
+            w, X, Y = max_balanced_biclique(G, side1, side2, cap)
+            assert w == (bw if cap is None else min(bw, cap))
+            assert len(X) == len(Y) == w
+            assert set(X) <= set(side1) and set(Y) <= set(side2)
+            assert all(G.is_red(x, y) for x in X for y in Y)
 
 
 def test_max_balanced_biclique_conventions():

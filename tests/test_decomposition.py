@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from helpers import all_red_graph, gap_consequence_holds, two_clique_linked_graph
+from cuberamsey.bits import mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_bipartite_blue,
@@ -58,6 +60,20 @@ def test_gap_threshold_fractional_ratio():
     # grid is 4, 6, 9; a weight of 3 blocks 4 (since 4.5 >= 4) but not 6
     assert select_gap_threshold([3], p) == 6
     assert select_gap_threshold([4], p) == 4
+
+
+def test_gap_failure_carries_the_cap():
+    # red 6-cliques of a bipartite host with weights below 3 and in [3, 6):
+    # both grid points are blocked, and the failure names the cap its
+    # weights were clipped at, which is enough to replay it
+    params = DecompositionParams(m=6, s_lo=3, s_hi=6, lam=2, mu=2)
+    G = random_bipartite_blue(24, 0.4, random.Random(1))
+    with pytest.raises(StageFailure) as e:
+        decompose(G, params)
+    assert e.value.stage == "gap-selection"
+    assert e.value.data == {"weights": [2, 3, 4, 6], "grid": [3, 6], "cap": 6}
+    with pytest.raises(StageFailure):
+        select_gap_threshold(e.value.data["weights"], params)
 
 
 def test_decompose_all_red():
@@ -166,6 +182,39 @@ def test_decompose_random_hosts():
             assert rec.snake_indices
 
 
+def brute_biclique_weight(G, A, B):
+    """Largest min(|X|, |Y|) over red bicliques X x Y, by running through
+    every subset X of A with Y its common red neighbourhood in B."""
+    red = [mask_of(B) & ~G.blue[a] for a in A]
+    common = [mask_of(B)] * (1 << len(A))
+    best = 0
+    for X in range(1, 1 << len(A)):
+        low = X & -X
+        common[X] = common[X ^ low] & red[low.bit_length() - 1]
+        best = max(best, min(X.bit_count(), common[X].bit_count()))
+    return best
+
+
+def test_round_weights_are_exact_weights_clipped_at_s():
+    # bipartite n=3 hosts open with two red 16-cliques whose weight falls
+    # on either side of s; a weight read off the prefix seed alone falls
+    # short of the exact one on some of them
+    rng = random.Random(11)
+    counts = {"pairs": 0, "below": 0, "clipped": 0}
+    for _ in range(12):
+        G = random_bipartite_blue(32, rng.choice([0.1, 0.2, 0.3, 0.4]), rng)
+        dec = decompose(G, DecompositionParams.desk(3))
+        assert verify_decomposition(G, dec).ok
+        for rec in dec.rounds:
+            for i, j, w in rec.weights:
+                bw = brute_biclique_weight(G, rec.cliques[i], rec.cliques[j])
+                assert w == min(bw, rec.s), (rec.index, i, j, w, bw, rec.s)
+                counts["pairs"] += 1
+                counts["below"] += bw < rec.s
+                counts["clipped"] += bw > rec.s
+    assert all(counts.values()), counts
+
+
 def test_decompose_no_clique_graph():
     G = random_bipartite_blue(16, 1.0, random.Random(1))
     dec = decompose(G, DecompositionParams.desk(4))  # m = 32 > 16
@@ -201,6 +250,28 @@ def test_verify_rejects_tampering():
         (bad_snake,) + dec.snakes[1:], dec.s_values, dec.rounds,
     )
     assert not verify_decomposition(G, tampered).ok
+
+
+def test_verify_checks_round_records():
+    # one round, two cliques linked at exactly s; the records are claims
+    # the verifier must hold against the snake and the gap rule
+    n = 3
+    G = two_clique_linked_graph(n)
+    dec = decompose(G, DecompositionParams.desk(n))
+    rec = dec.rounds[0]
+    s = rec.s
+    assert rec.weights == ((0, 1, s),) and rec.snake_indices == (0, 1)
+
+    def with_round(**changes):
+        return replace(dec, rounds=(replace(rec, **changes),) + dec.rounds[1:])
+
+    assert verify_decomposition(G, with_round()).ok
+    in_gap = with_round(weights=((0, 1, s - 1),))  # lambda = 2: s/2 <= s-1 < s
+    above_s = with_round(weights=((0, 1, s + 1),))
+    dropped = with_round(snake_indices=(0,))
+    for bad in (in_gap, above_s, dropped):
+        assert not verify_decomposition(G, bad).ok
+    assert not verify_decomposition(G, replace(dec, rounds=())).ok
 
 
 def test_verify_catches_dense_sparse_set():

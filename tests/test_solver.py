@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from math import ceil
 
@@ -97,6 +98,26 @@ def test_solve_sparse_random():
     assert choose_case(dec) == 1
     phi = solve(G, n, params)
     assert verify_red_embedding(G, n, phi).ok
+
+
+def test_solve_bipartite_n5_decides_the_gap_from_the_seed():
+    # the n=5 bipartite host of the exact-search benchmark: its clique
+    # pair's prefix seed already clears s, and an exact biclique search
+    # there runs for minutes, so the alarm turns a return of it into a
+    # failure instead of a hang
+    G = random_bipartite_blue(128, 0.05, random.Random("exact-search/0/bip5"))
+
+    def stalled(signum, frame):
+        raise TimeoutError("solve on the bipartite n=5 host took over 30 s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(30)
+    try:
+        phi = solve(G, 5, SolverParams.desk(5))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert verify_red_embedding(G, 5, phi).ok
 
 
 def test_solve_hypothesis_errors():
