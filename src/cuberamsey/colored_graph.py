@@ -225,9 +225,10 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
 # -- red components ------------------------------------------------------
 
 
-def red_components(G: ColouredGraph) -> list[int]:
-    """Connected components of the red graph, as masks, by smallest member."""
-    unvisited = G.full_mask
+def red_components(G: ColouredGraph, pool: Optional[int] = None) -> list[int]:
+    """Connected components of the red graph induced on the pool (all of
+    G by default), as masks, by smallest member."""
+    unvisited = G.full_mask if pool is None else pool
     comps = []
     while unvisited:
         start = unvisited & -unvisited

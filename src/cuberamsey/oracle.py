@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Optional
 
-from .bits import bit, iter_bits
+from .bits import bit, bits_list, iter_bits
 from .colored_graph import ColouredGraph, red_components
 from .hypercube import bandwidth_order
 
@@ -31,16 +31,97 @@ class CubeSearchResult:
     nodes: int
 
 
+def _red_core(G: ColouredGraph, pool: int, k: int) -> int:
+    """The red k-core of the pool: what is left after repeatedly dropping
+    vertices with fewer than k red neighbours in what is left."""
+    while True:
+        low = 0
+        for v in iter_bits(pool):
+            if (G.red_mask(v) & pool).bit_count() < k:
+                low |= bit(v)
+        if not low:
+            return pool
+        pool &= ~low
+
+
+def _min_red_cut(G: ColouredGraph, pool: int) -> tuple[int, int]:
+    """A global minimum cut of the red graph induced on the pool, by
+    Stoer and Wagner (J. ACM 1997): returns the number of red edges
+    across it and one side as a mask.
+
+    Each phase adds groups of vertices in maximum-adjacency order; the
+    last two are merged, and the last one's edges to everything else are
+    a cut.  k vertices cost k - 1 phases of O(k^2) each.  A pool of one
+    vertex has no cut; its weight is reported as infinite.
+    """
+    verts = bits_list(pool)
+    k = len(verts)
+    # edge counts between groups; group i starts as the single vertex verts[i]
+    W = [[(G.red_mask(u) >> v) & 1 for v in verts] for u in verts]
+    groups = [bit(v) for v in verts]
+    alive = list(range(k))
+    best = (inf, 0)
+    while len(alive) > 1:
+        w = [0] * k
+        last, rest = alive[0], alive[1:]
+        while rest:
+            row = W[last]
+            for x in rest:
+                w[x] += row[x]
+            prev, last = last, max(rest, key=w.__getitem__)
+            rest.remove(last)
+        if w[last] < best[0]:
+            best = (w[last], groups[last])
+        groups[prev] |= groups[last]
+        row_p, row_l = W[prev], W[last]
+        for x in alive:
+            row_p[x] += row_l[x]
+            W[x][prev] = row_p[x]
+        alive.remove(last)
+    return best
+
+
+def _cube_pieces(G: ColouredGraph, pool: int, n: int) -> list[int]:
+    """Disjoint red pieces of the pool, each holding any red Q_n that
+    lies in the pool.
+
+    Q_n has minimum degree n and is n-edge-connected.  So its image lies
+    in the red n-core, inside one component of it, and on one side of
+    any red cut of fewer than n edges.  Components are split at their
+    minimum cut while that cut is below n; what stays is n-edge-connected.
+    """
+    size = 1 << n
+    pieces = []
+    todo = [pool]
+    while todo:
+        for comp in red_components(G, _red_core(G, todo.pop(), n)):
+            if comp.bit_count() < size:
+                continue
+            cut, side = _min_red_cut(G, comp)
+            if cut < n:
+                todo += [side, comp & ~side]
+            else:
+                pieces.append(comp)
+    return pieces
+
+
 def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     """Exhaustive search for a red copy of Q_n in G.
 
     Cube vertices are tried in bandwidth order, candidates are the
-    intersection of the red masks of already-placed neighbours.  The cube
-    is connected, so its image lies inside one red component; components
-    with fewer than 2^n vertices are skipped outright, and the search
-    runs per component.  The cost is exponential in 2^n; meant for
-    graphs of a few dozen vertices.  A graph smaller than the cube
-    trivially contains none.
+    intersection of the red masks of already-placed neighbours.  The
+    search is confined to pieces that can hold a cube: each red component
+    of at least 2^n vertices is peeled to its red n-core, and split at
+    red cuts of fewer than n edges by recursive Stoer-Wagner minimum cut
+    (see ``_cube_pieces``).  Peeling costs O(k) red-degree counts per
+    round; a piece of k vertices costs O(k^3) for its minimum cut, which
+    is small next to the search: a bridged pair of red cliques splits
+    at once, where the plain search walked every partial cube in each
+    clique.  The first cube vertex still runs over the component in
+    increasing order and the rest stay in its piece, so the embedding
+    found is the one the unconfined search finds.  The cost remains
+    exponential in 2^n; meant for graphs of a few dozen vertices.  A
+    graph smaller than the cube trivially contains none.
     """
     size = 1 << n
     if G.n_vertices < size:
@@ -74,10 +155,15 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     for comp in red_components(G):
         if comp.bit_count() < size:
             continue
-        if dfs(0, comp):
-            return CubeSearchResult(
-                True, {order[i]: assigned[i] for i in range(size)}, nodes
-            )
+        piece_of = {v: p for p in _cube_pieces(G, comp, n) for v in iter_bits(p)}
+        for v in sorted(piece_of):
+            nodes += 1
+            assigned[0] = v
+            used = bit(v)
+            if dfs(1, piece_of[v]):
+                return CubeSearchResult(
+                    True, {order[i]: assigned[i] for i in range(size)}, nodes
+                )
     return CubeSearchResult(False, None, nodes)
 
 
@@ -167,33 +253,37 @@ def _is_canonical(adj: list[int], v: int) -> bool:
     The code lists, vertex by vertex, each vertex's adjacency column
     towards smaller labels.  The search walks every relabeling whose
     partial code ties the given one and rejects as soon as any column
-    can be beaten.
+    can be beaten.  A column towards the chosen prefix is kept as an int,
+    first prefix vertex most significant, so lexicographic order is int
+    order and each depth appends one bit.  Of two unused twins (equal
+    neighbourhoods apart from each other) only the first is tried: the
+    transposition of the two is an automorphism fixing the prefix, so the
+    second one's subtree repeats the first one's.
     """
-    cols = [tuple((adj[t] >> s) & 1 for s in range(t)) for t in range(v)]
-    chosen: list[int] = []
-    in_use = [False] * v
+    targets = [
+        sum(((adj[t] >> s) & 1) << (t - 1 - s) for s in range(t)) for t in range(v)
+    ]
 
-    def dfs(t: int) -> bool:
+    def dfs(t: int, free: list[tuple[int, int]]) -> bool:
+        # free: each unused vertex with its column towards the prefix
         if t == v:
             return True
-        target = cols[t]
-        for u in range(v):
-            if in_use[u]:
-                continue
-            col = tuple((adj[u] >> w) & 1 for w in chosen)
+        target = targets[t]
+        tried: list[int] = []
+        for u, col in free:
             if col < target:
                 return False
-            if col == target:
-                chosen.append(u)
-                in_use[u] = True
-                ok = dfs(t + 1)
-                chosen.pop()
-                in_use[u] = False
-                if not ok:
-                    return False
+            if col > target or any(
+                adj[u] & ~(1 << w) == adj[w] & ~(1 << u) for w in tried
+            ):
+                continue
+            tried.append(u)
+            deeper = [(x, (c << 1) | ((adj[x] >> u) & 1)) for x, c in free if x != u]
+            if not dfs(t + 1, deeper):
+                return False
         return True
 
-    return dfs(0)
+    return dfs(0, [(u, 0) for u in range(v)])
 
 
 def canonical_triangle_free_graphs(N: int) -> list[list[int]]:

@@ -3,8 +3,8 @@
 import random
 from math import comb
 
-from cuberamsey.bits import iter_bits, mask_of
-from cuberamsey.colored_graph import ColouredGraph
+from cuberamsey.bits import bit, iter_bits, mask_of
+from cuberamsey.colored_graph import ColouredGraph, red_components
 from cuberamsey.dense_embedding import (
     AssignmentEntry,
     PartialAssignment,
@@ -17,11 +17,23 @@ from cuberamsey.hypercube import (
     bandwidth_order,
     subcube_distance,
 )
+from cuberamsey.oracle import CubeSearchResult
 from cuberamsey.snake_embedding import closed_tree_walk
 
 
 def all_red_graph(n_vertices: int) -> ColouredGraph:
     return ColouredGraph(n_vertices, [0] * n_vertices, validate=False)
+
+
+def random_colouring(n: int, p: float, rng: random.Random) -> ColouredGraph:
+    """Arbitrary symmetric blue relation, not necessarily triangle free."""
+    blue = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                blue[u] |= 1 << v
+                blue[v] |= 1 << u
+    return ColouredGraph(n, blue)
 
 
 def two_clique_linked_graph(n: int, extra: int = 0, m: int = None) -> ColouredGraph:
@@ -409,3 +421,93 @@ def reference_max_disjoint_red_cliques(G: ColouredGraph, A: int, m: int):
         cliques.append(tuple(reference_iter_bits(got)))
         residual &= ~got
     return cliques
+
+
+def reference_contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
+    """``oracle.contains_red_cube`` searching every red component of at
+    least 2^n vertices whole, with no core peeling or cut split."""
+    size = 1 << n
+    if G.n_vertices < size:
+        return CubeSearchResult(False, None, 0)
+    order = bandwidth_order(range(size), n)
+    pos = {z: i for i, z in enumerate(order)}
+    nbrs_before = [
+        [pos[order[i] ^ (1 << p)] for p in range(n) if pos[order[i] ^ (1 << p)] < i]
+        for i in range(size)
+    ]
+    assigned = [0] * size
+    used = 0
+    nodes = 0
+
+    def dfs(i: int, pool: int) -> bool:
+        nonlocal used, nodes
+        if i == size:
+            return True
+        avail = pool & ~used
+        for j in nbrs_before[i]:
+            avail &= G.red_mask(assigned[j])
+        for v in iter_bits(avail):
+            nodes += 1
+            assigned[i] = v
+            used |= bit(v)
+            if dfs(i + 1, pool):
+                return True
+            used &= ~bit(v)
+        return False
+
+    for comp in red_components(G):
+        if comp.bit_count() < size:
+            continue
+        if dfs(0, comp):
+            return CubeSearchResult(
+                True, {order[i]: assigned[i] for i in range(size)}, nodes
+            )
+    return CubeSearchResult(False, None, nodes)
+
+
+def reference_is_canonical(adj: list[int], v: int) -> bool:
+    """``oracle._is_canonical`` comparing tuple columns and walking every
+    tied relabeling, twins included."""
+    cols = [tuple((adj[t] >> s) & 1 for s in range(t)) for t in range(v)]
+    chosen: list[int] = []
+    in_use = [False] * v
+
+    def dfs(t: int) -> bool:
+        if t == v:
+            return True
+        target = cols[t]
+        for u in range(v):
+            if in_use[u]:
+                continue
+            col = tuple((adj[u] >> w) & 1 for w in chosen)
+            if col < target:
+                return False
+            if col == target:
+                chosen.append(u)
+                in_use[u] = True
+                ok = dfs(t + 1)
+                chosen.pop()
+                in_use[u] = False
+                if not ok:
+                    return False
+        return True
+
+    return dfs(0)
+
+
+def reference_canonical_triangle_free_graphs(N: int) -> list[list[int]]:
+    """``oracle.canonical_triangle_free_graphs`` on top of
+    ``reference_is_canonical``."""
+    level: list[list[int]] = [[0]]
+    for v in range(2, N + 1):
+        nxt: list[list[int]] = []
+        for adj in level:
+            for S in range(1 << (v - 1)):
+                if any(adj[u] & S for u in iter_bits(S)):
+                    continue
+                cand = [adj[u] | (((S >> u) & 1) << (v - 1)) for u in range(v - 1)]
+                cand.append(S)
+                if reference_is_canonical(cand, v):
+                    nxt.append(cand)
+        level = nxt
+    return level

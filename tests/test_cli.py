@@ -109,6 +109,30 @@ def test_solve_reports_definitive_absence(tmp_path, capsys):
     assert payload["definitive"] == "no red Q_2 exists in this graph"
 
 
+def test_solve_settles_bridged_lower_bound_at_n4(tmp_path, capsys):
+    # two red 15-cliques joined by one red edge, blue across otherwise,
+    # labels shuffled: the 30-vertex host is below the solver's order
+    # bound, and the oracle settles it by splitting at the bridge instead
+    # of walking every partial Q_4 in both cliques
+    rng = random.Random(4)
+    half = 15
+    u, v = rng.randrange(half), half + rng.randrange(half)
+    perm = list(range(2 * half))
+    rng.shuffle(perm)
+    G = ColouredGraph.from_blue_edges(2 * half, [
+        (perm[a], perm[b])
+        for a in range(half) for b in range(half, 2 * half) if (a, b) != (u, v)
+    ])
+    g = tmp_path / "g.txt"
+    with open(g, "w") as f:
+        G.to_text(f)
+    code, out = _run(capsys, "solve", "--in", str(g), "--n", "4")
+    assert code == EXIT_HYPOTHESIS
+    payload = _last_json(out)
+    assert payload["status"] == "hypothesis-failure"
+    assert payload["definitive"] == "no red Q_4 exists in this graph"
+
+
 def test_solve_starved_dense_route_is_stage_failure(tmp_path, capsys):
     # complete bipartite blue on 160 vertices qualifies for n=6, but the
     # dense route is left too few vertices: exit 3, not the input's exit 2

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from helpers import random_colouring
 from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -18,17 +19,6 @@ from cuberamsey.colored_graph import (
     verify_red_embedding,
 )
 from cuberamsey.errors import GraphParseError
-
-
-def random_colouring(n, p, rng):
-    """Arbitrary symmetric blue relation, not necessarily triangle free."""
-    blue = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                blue[u] |= 1 << v
-                blue[v] |= 1 << u
-    return ColouredGraph(n, blue)
 
 
 def brute_has_blue_triangle(G):
@@ -104,11 +94,14 @@ def test_triangle_detection_against_brute_force():
 
 def test_red_components_against_brute_force():
     rng = random.Random(29)
-    for _ in range(80):
+    for trial in range(160):
         n = rng.randrange(1, 14)
         G = random_colouring(n, rng.random(), rng)
-        comps = red_components(G)
-        # brute union-find over red edges
+        # every other graph is split inside a random pool
+        pool = G.full_mask if trial % 2 else rng.getrandbits(n)
+        comps = red_components(G) if trial % 2 else red_components(G, pool)
+        # brute union-find over red edges inside the pool
+        members = [v for v in range(n) if pool >> v & 1]
         parent = list(range(n))
 
         def find(x):
@@ -117,15 +110,16 @@ def test_red_components_against_brute_force():
                 x = parent[x]
             return x
 
-        for u in range(n):
-            for v in range(u + 1, n):
-                if G.is_red(u, v):
-                    parent[find(u)] = find(v)
+        for u, v in combinations(members, 2):
+            if G.is_red(u, v):
+                parent[find(u)] = find(v)
         groups = {}
-        for v in range(n):
+        for v in members:
             groups.setdefault(find(v), 0)
             groups[find(v)] |= 1 << v
         assert sorted(comps) == sorted(groups.values())
+        # ordered by smallest member
+        assert [c & -c for c in comps] == sorted(c & -c for c in comps)
 
 
 def test_find_red_clique_against_brute_force():

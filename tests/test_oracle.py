@@ -3,18 +3,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cuberamsey
-from helpers import all_red_graph
+from helpers import (
+    all_red_graph,
+    random_colouring,
+    reference_canonical_triangle_free_graphs,
+    reference_contains_red_cube,
+    reference_is_canonical,
+)
 from cuberamsey.colored_graph import (
     ColouredGraph,
     is_blue_triangle_free,
     lower_bound_coloring,
+    random_bipartite_blue,
+    random_triangle_free_greedy,
     verify_red_embedding,
 )
 from cuberamsey.oracle import (
     TRIANGLE_FREE_GRAPH_COUNTS,
+    _is_canonical,
+    _min_red_cut,
     canonical_triangle_free_graphs,
     contains_red_cube,
     exhaustive_ramsey,
@@ -47,6 +61,117 @@ def test_contains_red_cube_small_graphs():
     res = contains_red_cube(cyc, 2)
     assert res.found
     assert verify_red_embedding(cyc, 2, res.embedding).ok
+
+
+def _blow_up(N: int, rng: random.Random) -> ColouredGraph:
+    """Each vertex of a small triangle-free base graph replaced by a red
+    clique, under a random labelling."""
+    parts = rng.randint(2, 6)
+    base = random_triangle_free_greedy(parts, rng.randint(0, 2 * parts), rng).blue
+    part_of = [v % parts for v in range(N)]
+    rng.shuffle(part_of)
+    members = [0] * parts
+    for v, a in enumerate(part_of):
+        members[a] |= 1 << v
+    blue = [0] * N
+    for v, a in enumerate(part_of):
+        for b in range(parts):
+            if base[a] >> b & 1:
+                blue[v] |= members[b]
+    return ColouredGraph(N, blue)
+
+
+def _bridged(a: int, b: int, rng: random.Random, bridges: int) -> ColouredGraph:
+    """Red cliques on a and b vertices joined by a few red edges, blue
+    across otherwise, under a random labelling; with one bridge and
+    a = b = 2^n - 1 this is the bridged lower bound."""
+    N = a + b
+    red_across = {(rng.randrange(a), rng.randrange(a, N)) for _ in range(bridges)}
+    perm = list(range(N))
+    rng.shuffle(perm)
+    return ColouredGraph.from_blue_edges(N, [
+        (perm[x], perm[y])
+        for x in range(a) for y in range(a, N) if (x, y) not in red_across
+    ])
+
+
+@st.composite
+def cube_hosts(draw):
+    """A triangle-free host on 8 to 24 vertices and a cube dimension 2 or
+    3: greedy, bipartite, blow-up or bridged two-clique.  Bridged hosts
+    get 1 to n + 1 red edges across, so some red cuts sit below n and
+    some do not."""
+    n = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(8, 24))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["greedy", "bipartite", "blow-up", "bridged"]))
+    if kind == "greedy":
+        G = random_triangle_free_greedy(N, draw(st.integers(0, 3 * N)), rng)
+    elif kind == "bipartite":
+        G = random_bipartite_blue(N, draw(st.sampled_from([0.2, 0.5, 0.8, 1.0])), rng)
+    elif kind == "blow-up":
+        G = _blow_up(N, rng)
+    else:
+        a = draw(st.integers(1, N - 1))
+        G = _bridged(a, N - a, rng, draw(st.integers(1, n + 1)))
+    return G, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(cube_hosts())
+def test_contains_red_cube_matches_unsplit_search(host):
+    G, n = host
+    got = contains_red_cube(G, n)
+    want = reference_contains_red_cube(G, n)
+    assert got.found == want.found
+    # the first cube vertex still runs over the whole component in order,
+    # so even the embedding found is the unsplit search's
+    assert got.embedding == want.embedding
+    if got.found:
+        assert verify_red_embedding(G, n, got.embedding).ok
+
+
+def test_bridged_lower_bound_splits_without_search():
+    # the red graph is two (2^n - 1)-cliques and a bridge: the cut of one
+    # edge splits it into pieces too small for the cube, so no cube
+    # vertex is ever placed
+    rng = random.Random(4)
+    for n in (3, 4, 5):
+        half = (1 << n) - 1
+        G = _bridged(half, half, rng, 1)
+        res = contains_red_cube(G, n)
+        assert not res.found and res.nodes == 0
+
+
+def test_min_red_cut_against_brute_force():
+    rng = random.Random(31)
+    for _ in range(150):
+        k = rng.randrange(2, 11)
+        G = random_colouring(k, rng.random(), rng)
+        # half the time a sub-pool, so edges leaving the pool are ignored
+        pool = G.full_mask
+        sub = rng.getrandbits(k)
+        if rng.random() < 0.5 and sub.bit_count() >= 2:
+            pool = sub
+        members = [v for v in range(k) if pool >> v & 1]
+
+        def across(side):
+            return sum(
+                G.is_red(u, v) for u, v in combinations(members, 2)
+                if (side >> u & 1) != (side >> v & 1)
+            )
+
+        # every bipartition once: the side holding the first member
+        first, rest = members[0], members[1:]
+        brute = min(
+            across((1 << first) | sum(1 << v for v in chosen))
+            for r in range(len(rest))
+            for chosen in combinations(rest, r)
+        )
+        weight, side = _min_red_cut(G, pool)
+        assert weight == brute
+        assert side and side & pool == side and side != pool
+        assert across(side) == weight
 
 
 def test_ramsey_number_of_an_edge():
@@ -84,9 +209,42 @@ def test_plain_and_canonical_agree():
 
 
 def test_canonical_counts_match_tabulation():
-    for N in range(1, 9):
+    # canonical mode advertises N = 9, so the whole table is checked
+    for N in range(1, 10):
         got = len(canonical_triangle_free_graphs(N))
         assert got == TRIANGLE_FREE_GRAPH_COUNTS[N - 1]
+
+
+def test_canonical_generator_matches_tuple_search():
+    # same classes, same labelling, same order
+    for N in range(1, 8):
+        assert canonical_triangle_free_graphs(N) == reference_canonical_triangle_free_graphs(N)
+
+
+def test_is_canonical_matches_tuple_search_on_relabelings():
+    # relabeled classes, with twin-rich ones (empty, stars, complete
+    # bipartite) among them, exercise both verdicts and the twin skip
+    rng = random.Random(37)
+    graphs = [
+        (N, adj) for N in (5, 7, 8)
+        for adj in rng.sample(canonical_triangle_free_graphs(N), 12)
+    ]
+    # the unskipped search walks all 7! relabelings of the empty graph
+    graphs += [
+        (7, list(random_bipartite_blue(7, 1.0, rng).blue)),
+        (7, [0] * 7),
+        (7, [0b1111110] + [1] * 6),
+    ]
+    for N, adj in graphs:
+        for _ in range(4):
+            perm = list(range(N))
+            rng.shuffle(perm)
+            relabeled = [0] * N
+            for u in range(N):
+                for w in range(N):
+                    if adj[u] >> w & 1:
+                        relabeled[perm[u]] |= 1 << perm[w]
+            assert _is_canonical(relabeled, N) == reference_is_canonical(relabeled, N)
 
 
 def test_canonical_classes_are_triangle_free_and_distinct():
