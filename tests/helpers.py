@@ -331,24 +331,29 @@ def reference_mask_of(vertices) -> int:
     return m
 
 
+def reference_matching_bound(G: ColouredGraph, cand: int) -> int:
+    """The bound ``colored_graph._independence_bound`` replaced: every
+    edge of a greedy blue matching inside cand, taken in index order,
+    costs an independent set one vertex.  A self-loop is no edge."""
+    free = cand
+    lost = 0
+    for v in reference_iter_bits(cand):
+        if not (free >> v) & 1:
+            continue
+        nb = G.blue[v] & free & ~(1 << v)
+        if nb:
+            w = nb & -nb
+            free &= ~((1 << v) | w)
+            lost += 1
+    return cand.bit_count() - lost
+
+
 def reference_red_clique_decision(G: ColouredGraph, pool: int, m: int):
     """``colored_graph._red_clique_decision`` taking free vertices one at a
-    time, clearing each from the candidates."""
+    time, clearing each from the candidates, and pruning by the greedy
+    matching bound."""
     if m <= 0:
         return 0
-
-    def matching_bound(cand: int) -> int:
-        free = cand
-        lost = 0
-        for v in reference_iter_bits(cand):
-            if not (free >> v) & 1:
-                continue
-            nb = G.blue[v] & free & ~(1 << v)
-            if nb:
-                w = nb & -nb
-                free &= ~((1 << v) | w)
-                lost += 1
-        return cand.bit_count() - lost
 
     stack = [(pool, 0, 0)]
     while stack:
@@ -365,7 +370,9 @@ def reference_red_clique_decision(G: ColouredGraph, pool: int, m: int):
                     moved = True
             if not moved:
                 break
-        if size + cand.bit_count() < m or size + matching_bound(cand) < m:
+        if size + cand.bit_count() < m:
+            continue
+        if size + reference_matching_bound(G, cand) < m:
             continue
         if not cand:
             continue

@@ -1,6 +1,8 @@
 """The bit-scanning loops of ``colored_graph`` against the loops they
-replaced, which shift a mask right one bit per pass, and the red-clique
-extraction against the one that cleared a candidate mask per vertex."""
+replaced, which shift a mask right one bit per pass, the red-clique
+extraction against the one that cleared a candidate mask per vertex, and
+the independence bound of the clique search against brute force and the
+greedy matching bound it replaced."""
 
 import random
 
@@ -9,7 +11,9 @@ from hypothesis import given, strategies as st
 
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
+    random_colouring,
     reference_is_blue_triangle_free,
+    reference_matching_bound,
     reference_max_disjoint_red_cliques,
     reference_red_clique_decision,
     reference_validation_error,
@@ -189,3 +193,73 @@ def test_red_clique_decision_matches_per_vertex_takes(kind):
             found.add(got is not None)
     # large sparse hosts hold every small clique asked for
     assert found == ({True} if kind == "sparse-greedy" else {True, False})
+
+
+def test_red_clique_decision_tight_refutations():
+    # with two blue edges per vertex the largest red clique sits just
+    # below N/2 on most of these hosts, so asking for N/2 makes the
+    # search prove a near miss rather than stop at the root
+    found = []
+    for seed in range(20):
+        rng = random.Random(f"tight/{seed}")
+        N = rng.randrange(32, 129)
+        G = random_triangle_free_greedy(N, 2 * N, rng)
+        got = colored_graph._red_clique_decision(G, G.full_mask, N // 2)
+        assert got == reference_red_clique_decision(G, G.full_mask, N // 2)
+        found.append(got is not None)
+    assert True in found and False in found
+
+
+def _brute_independence_number(G, cand):
+    if not cand:
+        return 0
+    v = (cand & -cand).bit_length() - 1
+    rest = cand & ~(1 << v)
+    return max(
+        _brute_independence_number(G, rest),
+        1 + _brute_independence_number(G, rest & ~G.blue[v]),
+    )
+
+
+@st.composite
+def small_pools(draw):
+    """A host of at most 14 vertices (greedy triangle free, bipartite, or
+    random with triangles) and a random vertex pool."""
+    kind = draw(st.sampled_from(["greedy", "bipartite", "random"]))
+    N = draw(st.integers(1, 14))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "greedy":
+        G = random_triangle_free_greedy(N, draw(st.integers(0, 3 * N)), rng)
+    elif kind == "bipartite":
+        G = random_bipartite_blue(N, draw(st.sampled_from([0.2, 0.5, 0.9])), rng)
+    else:
+        G = random_colouring(N, draw(st.sampled_from([0.2, 0.5, 0.8])), rng)
+    return G, rng.getrandbits(N)
+
+
+@given(small_pools(), st.randoms(use_true_random=False))
+def test_independence_bound_between_alpha_and_matching_bound(case, rng):
+    G, cand = case
+    bound = colored_graph._independence_bound(G, cand)
+    assert _brute_independence_number(G, cand) <= bound
+    assert bound <= reference_matching_bound(G, cand)
+    # a start from any part of a maximum cover matching grows back to one
+    matching = {}
+    colored_graph._independence_bound(G, cand, matching)
+    part = {r: u for r, u in matching.items() if rng.random() < 0.5}
+    assert colored_graph._independence_bound(G, cand, part) == bound
+    assert len(set(part.values())) == len(part)
+    assert all((cand >> r) & (cand >> u) & 1 for r, u in part.items())
+    assert all(G.is_blue(r, u) for r, u in part.items())
+
+
+def test_independence_bound_hand_cases():
+    C5 = ColouredGraph.from_blue_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert colored_graph._independence_bound(C5, C5.full_mask) == 2
+    assert reference_matching_bound(C5, C5.full_mask) == 3
+    edge = ColouredGraph.from_blue_edges(2, [(0, 1)])
+    assert colored_graph._independence_bound(edge, 0b11) == 1
+    # a self-loop is no edge, as in the greedy bound
+    loop = ColouredGraph(1, [1], validate=False)
+    assert colored_graph._independence_bound(loop, 1) == 1
+    assert colored_graph._independence_bound(C5, 0) == 0

@@ -100,24 +100,39 @@ def test_solve_sparse_random():
     assert verify_red_embedding(G, n, phi).ok
 
 
-def test_solve_bipartite_n5_decides_the_gap_from_the_seed():
-    # the n=5 bipartite host of the exact-search benchmark: its clique
-    # pair's prefix seed already clears s, and an exact biclique search
-    # there runs for minutes, so the alarm turns a return of it into a
-    # failure instead of a hang
-    G = random_bipartite_blue(128, 0.05, random.Random("exact-search/0/bip5"))
-
+def _solve_within_30_s(G, n):
+    # the alarm turns a stalled search into a failure instead of a hang
     def stalled(signum, frame):
-        raise TimeoutError("solve on the bipartite n=5 host took over 30 s")
+        raise TimeoutError(f"solve on an n={n} host took over 30 s")
 
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(30)
     try:
-        phi = solve(G, 5, SolverParams.desk(5))
+        return solve(G, n, SolverParams.desk(n))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_solve_bipartite_n5_decides_the_gap_from_the_seed():
+    # the n=5 bipartite host of the exact-search benchmark: its clique
+    # pair's prefix seed already clears s, and an exact biclique search
+    # there runs for minutes
+    G = random_bipartite_blue(128, 0.05, random.Random("exact-search/0/bip5"))
+    phi = _solve_within_30_s(G, 5)
     assert verify_red_embedding(G, 5, phi).ok
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_solve_greedy_refutes_the_last_clique_by_the_lp_bound(n):
+    # the greedy hosts of the exact-search benchmark (two blue edges per
+    # vertex) hold no red clique of m = N/2 vertices, and the clique
+    # search must prove it; pruned by a greedy blue matching alone, that
+    # proof ran past the alarm
+    N = 1 << (n + 2)
+    G = random_triangle_free_greedy(N, 2 * N, random.Random(f"exact-search/0/greedy{n}"))
+    phi = _solve_within_30_s(G, n)
+    assert verify_red_embedding(G, n, phi).ok
 
 
 def test_solve_hypothesis_errors():
