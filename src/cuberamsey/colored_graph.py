@@ -120,10 +120,11 @@ class ColouredGraph:
         chosen = mask_of(order)
         blue = []
         for v in order:
-            m = self.blue[v] & chosen
+            m = self.blue[v]
             nm = 0
-            for w in iter_bits(m):
-                nm |= bit(pos[w])
+            if m:
+                for w in iter_bits(m & chosen):
+                    nm |= bit(pos[w])
             blue.append(nm)
         return ColouredGraph(len(order), blue, validate=False), order
 
@@ -184,22 +185,36 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     Vertices with identical blue masks can never be blue-adjacent (the
     edge would force a self-loop via symmetry), so it is enough to look
     for a triangle between distinct mask classes.  Colourings built from
-    a few large pieces collapse to a handful of classes.
+    a few large pieces collapse to a handful of classes.  A vertex of
+    blue degree below 2 lies on no triangle, and its whole class (one
+    mask, one degree) is left out, so on sparse hosts only the few
+    vertices of degree 2 or more are classed.
 
-    Cost: one pass over the N blue masks to build the k classes, then one
-    k-bit intersection per blue class edge, O(E * k / 64) word operations
-    for E blue edges.  Class pairs (a, b) with a < b are tried in order;
-    the witness is the first pair's lowest common neighbour class.
+    Cost: one pass over the N cached blue degrees, one dict lookup per
+    vertex of degree 2 or more to build the k classes, then one k-bit
+    intersection per blue class edge, O(E * k / 64) word operations for
+    E blue edges.  The dict key leads with the mask's bit length:
+    CPython hashes an int modulo 2**61 - 1, so masks alike in their low
+    61 residues (every single bit 1 << k, for one) would share a hash
+    value.  Class pairs (a, b) with a < b are tried in order; the
+    witness is the first pair's lowest common neighbour class.  Leaving
+    out classes of degree below 2 keeps that witness: such a class has
+    at most one class neighbour, so it is never a or b of a pair with a
+    common neighbour, and never the common neighbour c of a, b.
     """
-    class_index: dict[int, int] = {}
+    class_index: dict[tuple[int, int], int] = {}
     reps: list[int] = []
-    vertex_class = [0] * G.n_vertices
-    for v in range(G.n_vertices):
+    # -1: a vertex of blue degree below 2, left unclassed
+    vertex_class = [-1] * G.n_vertices
+    for v, d in enumerate(G.blue_degrees()):
+        if d < 2:
+            continue
         m = G.blue[v]
-        i = class_index.get(m)
+        key = (m.bit_length(), m)
+        i = class_index.get(key)
         if i is None:
             i = len(reps)
-            class_index[m] = i
+            class_index[key] = i
             reps.append(v)
         vertex_class[v] = i
 
@@ -208,7 +223,9 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     for i, r in enumerate(reps):
         m = 0
         for w in iter_bits(G.blue[r]):
-            m |= bit(vertex_class[w])
+            c = vertex_class[w]
+            if c >= 0:
+                m |= bit(c)
         class_adj[i] = m
 
     for a in range(k):
@@ -400,15 +417,22 @@ def max_disjoint_red_cliques(
     """A maximal family of pairwise-disjoint red m-cliques inside mask A.
 
     Maximal means the leftover vertices provably contain no further red
-    m-clique; the last, failing search is the certificate.  Three cheap
-    passes run first: if the residual is all red we can cut cliques off
-    the low end directly; in a triangle-free blue graph every blue
+    m-clique; the last, failing check is the certificate.  Cheap passes
+    run first: if the residual is all red we can cut cliques off the low
+    end directly, and if it is not and holds exactly m vertices, a red
+    m-clique would have to be all of it, so that failed check is the
+    proof that none is left; in a triangle-free blue graph every blue
     neighbourhood is a red clique, so large blue stars are harvested; and
     a greedy sweep in index order picks up cliques that sparse blue noise
     leaves lying around.  Only then does the exact search
     (``find_red_clique``) start.  It prunes by the LP bound of
     independent set; on the sparse greedy hosts measured, its proof that
     no clique is left takes one to about 500 nodes.
+
+    Cost per clique: the all-red check, one N-bit AND per residual
+    vertex; the star harvest, one per vertex of blue degree m or more;
+    the sweep, a walk over the residual.  The dense route's sparse hosts
+    end on a residual of exactly m vertices, settled by the check alone.
     """
     if m <= 0:
         raise ValueError("clique size must be positive")
@@ -417,13 +441,16 @@ def max_disjoint_red_cliques(
     deg = G.blue_degrees()
     # only a vertex of whole blue degree m or more can have a star of m
     heavy = [v for v, d in enumerate(deg) if d >= m]
-    while residual.bit_count() >= m:
+    while (size := residual.bit_count()) >= m:
         # all-red fast path
         if all(G.blue[v] & residual == 0 for v in iter_bits(residual)):
             while residual.bit_count() >= m:
                 take = lowest_bits(residual, m)
                 cliques.append(tuple(bits_list(take)))
                 residual &= ~take
+            break
+        if size == m:
+            # the only m-set is the residual itself, and it is not red
             break
         # blue-star harvest: the blue neighbourhood of any vertex is red
         best_v, best_d = -1, m - 1
@@ -723,17 +750,21 @@ def verify_red_embedding(
         if v in seen:
             errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
         seen[v] = z
+    blue = G.blue
     for z in dom:
         if z not in checkable:
             continue
+        a = phi[z]
+        mask_a = blue[a]
         for i in range(n):
             w = z ^ (1 << i)
             if w < z or w not in checkable:
                 continue
-            if not G.is_red(phi[z], phi[w]):
-                errors.append(
-                    f"cube edge {z}-{w} lands on non-red pair {phi[z]}-{phi[w]}"
-                )
-                if len(errors) >= 20:
-                    return Verdict.failure(*errors)
+            b = phi[w]
+            # a vertex with a zero mask is red to every other: no shift
+            if a != b and not (mask_a and (mask_a >> b) & 1):
+                continue
+            errors.append(f"cube edge {z}-{w} lands on non-red pair {a}-{b}")
+            if len(errors) >= 20:
+                return Verdict.failure(*errors)
     return Verdict(not errors, errors)

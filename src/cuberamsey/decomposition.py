@@ -427,7 +427,8 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
 
     blue_inside = 0
     for v in iter_bits(cm):
-        blue_inside += (G.blue[v] & cm).bit_count()
+        if G.blue[v]:
+            blue_inside += (G.blue[v] & cm).bit_count()
     blue_inside //= 2
     if blue_inside > 2 * dec.params.m * len(dec.sparse):
         errors.append(

@@ -322,7 +322,13 @@ def dense_embed(
     2^(n - b_0) and at least ceil((1+3*gamma)*2^n) vertices, and the last
     threshold must satisfy b_{k+1} + 1 <= n.  Cube vertices left outside
     the assigned subcubes are embedded greedily, in bandwidth order, into
-    the final cleaned set.
+    the final cleaned set (``complete_greedily``).
+
+    Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
+    cached degrees) and the passes of ``extend_or_clean``: the greedy
+    completion does N-bit work only for cube vertices with a blue mask
+    in the way, so on a sparse host it is O(2^n * n + N) plus one N-bit
+    AND per such vertex.
     """
     g = as_fraction(gamma)
     if not 0 < g < 1:
@@ -376,22 +382,64 @@ def dense_embed(
                 break
 
     phi = embed_partial_assignment(H, pa, n)
-
     residual = [z for z in range(1 << n) if not (covered >> z) & 1]
-    pool = A & ~pa.used_mask()
-    for z in bandwidth_order(residual, n):
+    try:
+        return complete_greedily(
+            H, n, phi, A, A & ~pa.used_mask(), bandwidth_order(residual, n)
+        )
+    except StageFailure as e:
+        e.data.update(passes=passes_run, extensions=len(pa.entries))
+        raise
+
+
+def complete_greedily(
+    H: ColouredGraph, n: int, phi: dict[int, int], A: int, pool: int, order: list[int]
+) -> dict[int, int]:
+    """Place the cube vertices of ``order``, in that order, into the pool.
+
+    Each takes the lowest pool vertex outside the blue masks of its
+    placed neighbours' images; ``phi`` is extended in place and returned.
+    ``A`` is the cleaned set the pool was cut from; a cube vertex that
+    finds no vertex is a ``StageFailure("greedy-completion")`` whose data
+    carries it and the counting slack over A.
+
+    Cost: n list reads per cube vertex, and an OR of each nonzero mask
+    met.  With no mask in the way the vertex is the lowest pool vertex not
+    yet taken, found by a cursor over the pool list, so a sparse host
+    costs O(2^n * n + N) in all; only a cube vertex with a mask in the way
+    pays the N-bit operations, to bring the pool mask up to date (it
+    drops the vertices taken since, lazily) and to take its lowest bit.
+    """
+    blue = H.blue
+    image = [-1] * (1 << n)
+    for z, v in phi.items():
+        image[z] = v
+    free = bits_list(pool)
+    cursor = 0
+    taken = bytearray(H.n_vertices)
+    pending: list[int] = []  # taken, but still in ``pool``
+    for z in order:
         blocked = 0
         for p in range(n):
-            img = phi.get(z ^ (1 << p))
-            if img is not None:
-                blocked |= H.blue[img]
-        avail = pool & ~blocked
-        if not avail:
+            img = image[z ^ (1 << p)]
+            if img >= 0 and blue[img]:
+                blocked |= blue[img]
+        if blocked:
+            if pending:
+                pool &= ~mask_of(pending)
+                pending = []
+            avail = pool & ~blocked
+            v = (avail & -avail).bit_length() - 1
+        else:
+            while cursor < len(free) and taken[free[cursor]]:
+                cursor += 1
+            v = free[cursor] if cursor < len(free) else -1
+        if v < 0:
             neigh = [phi[z ^ (1 << p)] for p in range(n) if z ^ (1 << p) in phi]
             slack = (
                 A.bit_count()
                 - sum(1 for w in phi.values() if (A >> w) & 1)
-                - sum((H.blue[w] & A).bit_count() for w in neigh)
+                - sum((blue[w] & A).bit_count() for w in neigh)
             )
             # exhaustion means the blocked sets cover the whole remaining
             # pool, so the count can never come out positive
@@ -402,14 +450,10 @@ def dense_embed(
             raise StageFailure(
                 "greedy-completion",
                 f"no red-compatible vertex left for cube vertex {z}",
-                data={
-                    "cube_vertex": z,
-                    "slack": slack,
-                    "passes": passes_run,
-                    "extensions": len(pa.entries),
-                },
+                data={"cube_vertex": z, "slack": slack},
             )
-        v = (avail & -avail).bit_length() - 1
         phi[z] = v
-        pool &= ~bit(v)
+        image[z] = v
+        taken[v] = 1
+        pending.append(v)
     return phi

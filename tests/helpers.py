@@ -518,3 +518,62 @@ def reference_canonical_triangle_free_graphs(N: int) -> list[list[int]]:
                     nxt.append(cand)
         level = nxt
     return level
+
+
+def reference_complete_greedily(H: ColouredGraph, n: int, phi, A: int, pool: int, order):
+    """``dense_embedding.complete_greedily`` as the completion loop of
+    ``dense_embed`` was: a ``dict.get`` per cube neighbour, every mask
+    ORed in, and the pool mask cleared of each vertex as it is taken."""
+    for z in order:
+        blocked = 0
+        for p in range(n):
+            img = phi.get(z ^ (1 << p))
+            if img is not None:
+                blocked |= H.blue[img]
+        avail = pool & ~blocked
+        if not avail:
+            neigh = [phi[z ^ (1 << p)] for p in range(n) if z ^ (1 << p) in phi]
+            slack = (
+                A.bit_count()
+                - sum(1 for w in phi.values() if (A >> w) & 1)
+                - sum((H.blue[w] & A).bit_count() for w in neigh)
+            )
+            if slack > 0:
+                raise AssertionError("greedy exhaustion with positive counting slack")
+            raise StageFailure(
+                "greedy-completion",
+                f"no red-compatible vertex left for cube vertex {z}",
+                data={"cube_vertex": z, "slack": slack},
+            )
+        v = (avail & -avail).bit_length() - 1
+        phi[z] = v
+        pool &= ~bit(v)
+    return phi
+
+
+def reference_verify_errors(G: ColouredGraph, n: int, phi, domain=None) -> list[str]:
+    """The errors of ``verify_red_embedding`` as its per-edge loop found
+    them, testing each cube edge with ``G.is_red``."""
+    dom = list(range(1 << n)) if domain is None else sorted(set(domain))
+    errors, seen, checkable = [], {}, set()
+    for z in dom:
+        v = phi[z]
+        if not (0 <= v < G.n_vertices):
+            errors.append(f"cube vertex {z} maps to out-of-range vertex {v}")
+            continue
+        checkable.add(z)
+        if v in seen:
+            errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
+        seen[v] = z
+    for z in dom:
+        if z not in checkable:
+            continue
+        for i in range(n):
+            w = z ^ (1 << i)
+            if w < z or w not in checkable:
+                continue
+            if not G.is_red(phi[z], phi[w]):
+                errors.append(f"cube edge {z}-{w} lands on non-red pair {phi[z]}-{phi[w]}")
+                if len(errors) >= 20:
+                    return errors
+    return errors

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_red_graph, random_valid_partial_assignment
+from helpers import (
+    all_red_graph,
+    random_valid_partial_assignment,
+    reference_complete_greedily,
+)
 from cuberamsey.bits import mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -18,12 +22,14 @@ from cuberamsey.dense_embedding import (
     ThresholdSchedule,
     candidate_set_size,
     check_partial_assignment,
+    complete_greedily,
     dense_embed,
     embed_partial_assignment,
     extend_or_clean,
 )
-from cuberamsey.errors import HypothesisError
-from cuberamsey.hypercube import InitialSubcube, subcube_vertices
+from cuberamsey.errors import HypothesisError, StageFailure
+from cuberamsey.hypercube import InitialSubcube, bandwidth_order, subcube_vertices
+from cuberamsey.solver import SolverParams, solve
 
 
 def test_candidate_set_size_is_exact_ceiling():
@@ -281,3 +287,57 @@ def test_dense_embed_sparse_random_hosts():
             continue
         phi = dense_embed(G, n, Fraction(1, 4), sched)
         assert verify_red_embedding(G, n, phi).ok
+
+
+def _completion_case(seed: int, blocking: bool):
+    """A host, a partial map of Q_n, a cleaned set A and the pool cut
+    from it, and the bandwidth order of the cube vertices left.
+
+    With ``blocking`` the placed images and the pool are any vertices,
+    so placed images block with their blue masks; without it they are
+    vertices of blue degree 0, and nothing ever blocks.
+    """
+    rng = random.Random(f"completion/{seed}/{blocking}")
+    n = rng.randrange(2, 7)
+    N = rng.randrange(1 << n, 4 << n)
+    H = random_triangle_free_greedy(N, rng.randrange(N // 8, 2 * N), rng)
+    usable = list(range(N)) if blocking else [v for v in range(N) if not H.blue[v]]
+    placed = rng.sample(range(1 << n), rng.randrange(min(1 << n, len(usable)) + 1))
+    images = rng.sample(usable, len(placed))
+    phi = dict(zip(placed, images))
+    A = mask_of(v for v in usable if rng.random() < 0.9)
+    pool = A & ~mask_of(images)
+    order = bandwidth_order([z for z in range(1 << n) if z not in phi], n)
+    return H, n, phi, A, pool, order
+
+
+def _completion(complete, case):
+    H, n, phi, A, pool, order = case
+    try:
+        return complete(H, n, dict(phi), A, pool, list(order))
+    except StageFailure as e:
+        return e.stage, str(e), e.data
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+def test_complete_greedily_matches_mask_clearing_loop(blocking):
+    outcomes = set()
+    for seed in range(60):
+        case = _completion_case(seed, blocking)
+        got = _completion(complete_greedily, case)
+        assert got == _completion(reference_complete_greedily, case)
+        outcomes.add(type(got))
+    # some maps are completed, and on other hosts the pool runs dry
+    assert outcomes == {dict, tuple}
+
+
+def test_greedy_completion_failure_payload():
+    # a dense greedy host (8 blue edges per vertex) at the smallest order
+    # solve admits runs the dense route out of pool vertices
+    G = random_triangle_free_greedy(320, 2560, random.Random("gc/7/320/16/0"))
+    with pytest.raises(StageFailure) as e:
+        solve(G, 7, SolverParams.desk(7))
+    assert e.value.stage == "greedy-completion"
+    assert e.value.details == "no red-compatible vertex left for cube vertex 99"
+    assert e.value.data == {"cube_vertex": 99, "slack": -11, "passes": 2, "extensions": 10}
+    assert list(e.value.data) == ["cube_vertex", "slack", "passes", "extensions"]

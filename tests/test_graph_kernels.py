@@ -1,13 +1,14 @@
 """The bit-scanning loops of ``colored_graph`` against the loops they
 replaced, which shift a mask right one bit per pass, the red-clique
-extraction against the one that cleared a candidate mask per vertex, and
-the independence bound of the clique search against brute force and the
-greedy matching bound it replaced."""
+extraction against the one that cleared a candidate mask per vertex, the
+independence bound of the clique search against brute force and the
+greedy matching bound it replaced, and the embedding verifier against
+its per-edge ``is_red`` loop."""
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
@@ -17,6 +18,7 @@ from helpers import (
     reference_max_disjoint_red_cliques,
     reference_red_clique_decision,
     reference_validation_error,
+    reference_verify_errors,
     two_clique_linked_shuffled,
 )
 from cuberamsey.colored_graph import (
@@ -25,6 +27,7 @@ from cuberamsey.colored_graph import (
     max_disjoint_red_cliques,
     random_bipartite_blue,
     random_triangle_free_greedy,
+    verify_red_embedding,
 )
 
 
@@ -93,6 +96,44 @@ def test_triangle_check_matches_per_bit_loop(host):
     assert (ok, witness) == reference_is_blue_triangle_free(G)
     if known is not None:
         assert ok is known
+    if not ok:
+        a, b, c = witness
+        assert G.is_blue(a, b) and G.is_blue(a, c) and G.is_blue(b, c)
+
+
+@st.composite
+def wide_sparse_hosts(draw):
+    """A host of 4096 to 8192 vertices with at most N/4 random blue
+    edges, so most vertices have blue degree 0 or 1 and most masks are a
+    single bit (CPython hashes 1 << k by k mod 61), and up to three
+    triangles planted on vertices of degree 0, which then have degree 2.
+    Returns the host and the number of planted triangles."""
+    N = draw(st.integers(4096, 8192))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    blue = [0] * N
+    for _ in range(draw(st.integers(0, N // 4))):
+        u, v = rng.sample(range(N), 2)
+        _add_edge(blue, u, v)
+    planted = draw(st.integers(0, 3))
+    lonely = rng.sample([v for v in range(N) if not blue[v]], 3 * planted)
+    for i in range(0, len(lonely), 3):
+        u, v, w = lonely[i : i + 3]
+        _add_edge(blue, u, v)
+        _add_edge(blue, u, w)
+        _add_edge(blue, v, w)
+    return ColouredGraph(N, blue), planted
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_sparse_hosts())
+def test_triangle_check_on_wide_sparse_hosts(host):
+    # classing only the vertices of degree 2 or more finds the witness
+    # that classing every vertex finds
+    G, planted = host
+    ok, witness = is_blue_triangle_free(G)
+    assert (ok, witness) == reference_is_blue_triangle_free(G)
+    if planted:
+        assert not ok
     if not ok:
         a, b, c = witness
         assert G.is_blue(a, b) and G.is_blue(a, c) and G.is_blue(b, c)
@@ -180,6 +221,38 @@ def test_max_disjoint_red_cliques_matches_mask_clearing_sweep(kind, monkeypatch)
         assert True in searches and False in searches
 
 
+def test_exactly_m_residual_is_settled_without_a_search(monkeypatch):
+    # A holds (j + 1) * m vertices and one blue edge, among its top m, so
+    # every residual above m vertices yields a clique without the exact
+    # search, and the last one, when it holds the blue edge, is refuted
+    # by the all-red check alone
+    def no_search(G, pool, m):
+        raise AssertionError("the exact clique search ran")
+
+    monkeypatch.setattr(colored_graph, "_red_clique_decision", no_search)
+    settled = 0
+    for seed in range(40):
+        rng = random.Random(f"exactly-m/{seed}")
+        N = rng.randrange(40, 400)
+        blue = random_triangle_free_greedy(N, rng.randrange(N), rng).blue
+        m = rng.randrange(2, 12)
+        members = sorted(rng.sample(range(N), (rng.randrange(4) + 1) * m))
+        A = sum(1 << v for v in members)
+        for v in members:
+            blue[v] &= ~A
+        u, w = rng.sample(members[-m:], 2)
+        _add_edge(blue, u, w)
+        G = ColouredGraph(N, blue)
+        got = max_disjoint_red_cliques(G, A, m)
+        assert got == reference_max_disjoint_red_cliques(G, A, m)
+        left = A & ~sum(1 << v for c in got for v in c)
+        if left.bit_count() == m and (left >> u) & (left >> w) & 1:
+            settled += 1
+    # a vertex outside A with m blue neighbours in the residual may
+    # harvest u or w first, so a host need not end on the blue edge
+    assert settled >= 30
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_red_clique_decision_matches_per_vertex_takes(kind):
     found = set()
@@ -263,3 +336,39 @@ def test_independence_bound_hand_cases():
     loop = ColouredGraph(1, [1], validate=False)
     assert colored_graph._independence_bound(loop, 1) == 1
     assert colored_graph._independence_bound(C5, 0) == 0
+
+
+@st.composite
+def embedding_maps(draw):
+    """A sparse host of up to 64 vertices, a dimension n <= 5, and a map
+    of Q_n (or of a drawn part of it) whose images mix vertices with zero
+    masks, blue-adjacent vertices, repeats and out-of-range values."""
+    N = draw(st.integers(2, 64))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    G = random_triangle_free_greedy(N, draw(st.integers(0, 2 * N)), rng)
+    n = draw(st.integers(1, 5))
+    zero = [v for v in range(N) if not G.blue[v]] or [0]
+    phi = {}
+    for z in range(1 << n):
+        kind = draw(st.sampled_from(["zero", "any", "repeat", "out"]))
+        if kind == "zero":
+            phi[z] = rng.choice(zero)
+        elif kind == "repeat" and phi:
+            phi[z] = phi[rng.choice(list(phi))]
+        elif kind == "out":
+            phi[z] = rng.choice([-1 - rng.randrange(3), N + rng.randrange(3)])
+        else:
+            phi[z] = rng.randrange(N)
+    domain = None
+    if draw(st.booleans()):
+        domain = [z for z in range(1 << n) if rng.random() < 0.7]
+    return G, n, phi, domain
+
+
+@given(embedding_maps())
+def test_verify_red_embedding_matches_per_edge_loop(case):
+    G, n, phi, domain = case
+    verdict = verify_red_embedding(G, n, phi, domain)
+    expected = reference_verify_errors(G, n, phi, domain)
+    assert verdict.errors == expected
+    assert verdict.ok is (not expected)
