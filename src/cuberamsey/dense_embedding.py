@@ -326,9 +326,10 @@ def dense_embed(
 
     Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
     cached degrees) and the passes of ``extend_or_clean``: the greedy
-    completion does N-bit work only for cube vertices with a blue mask
-    in the way, so on a sparse host it is O(2^n * n + N) plus one N-bit
-    AND per such vertex.
+    completion does N-bit work only for the blue masks in the way of a
+    cube vertex, so on a sparse host it is O(2^n * n + N) plus one N-bit
+    OR per such mask and one N-bit bit test per pool vertex with a blue
+    neighbour that the walk meets.
     """
     g = as_fraction(gamma)
     if not 0 < g < 1:
@@ -404,36 +405,36 @@ def complete_greedily(
     carries it and the counting slack over A.
 
     Cost: n list reads per cube vertex, and an OR of each nonzero mask
-    met.  With no mask in the way the vertex is the lowest pool vertex not
-    yet taken, found by a cursor over the pool list, so a sparse host
-    costs O(2^n * n + N) in all; only a cube vertex with a mask in the way
-    pays the N-bit operations, to bring the pool mask up to date (it
-    drops the vertices taken since, lazily) and to take its lowest bit.
+    met.  The vertex is found by walking the pool list from a cursor
+    past the vertices taken; with a mask in the way the walk also passes
+    the blocked ones.  A candidate with no blue neighbour lies in no
+    blue mask and is taken at once, so only a candidate with one pays an
+    N-bit bit test, and a sparse host costs O(2^n * n + N) in all plus
+    one N-bit OR per mask met.
     """
     blue = H.blue
     image = [-1] * (1 << n)
     for z, v in phi.items():
         image[z] = v
     free = bits_list(pool)
+    end = len(free)
     cursor = 0
     taken = bytearray(H.n_vertices)
-    pending: list[int] = []  # taken, but still in ``pool``
     for z in order:
         blocked = 0
         for p in range(n):
             img = image[z ^ (1 << p)]
             if img >= 0 and blue[img]:
                 blocked |= blue[img]
+        while cursor < end and taken[free[cursor]]:
+            cursor += 1
+        i = cursor
         if blocked:
-            if pending:
-                pool &= ~mask_of(pending)
-                pending = []
-            avail = pool & ~blocked
-            v = (avail & -avail).bit_length() - 1
-        else:
-            while cursor < len(free) and taken[free[cursor]]:
-                cursor += 1
-            v = free[cursor] if cursor < len(free) else -1
+            while i < end and (
+                taken[free[i]] or (blue[free[i]] and (blocked >> free[i]) & 1)
+            ):
+                i += 1
+        v = free[i] if i < end else -1
         if v < 0:
             neigh = [phi[z ^ (1 << p)] for p in range(n) if z ^ (1 << p) in phi]
             slack = (
@@ -455,5 +456,4 @@ def complete_greedily(
         phi[z] = v
         image[z] = v
         taken[v] = 1
-        pending.append(v)
     return phi

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cuberamsey
+from cuberamsey import oracle
 from helpers import (
     all_red_graph,
     random_colouring,
@@ -131,6 +132,19 @@ def test_contains_red_cube_matches_unsplit_search(host):
         assert verify_red_embedding(G, n, got.embedding).ok
 
 
+def test_dense_components_need_no_cut(monkeypatch):
+    # K_8 has minimum red degree 7 >= 8 // 2, so it is 7-edge-connected
+    # without a Stoer-Wagner pass
+    def no_cut(G, pool):
+        raise AssertionError("minimum cut computed")
+
+    monkeypatch.setattr(oracle, "_min_red_cut", no_cut)
+    G = all_red_graph(8)
+    res = contains_red_cube(G, 3)
+    assert res.found
+    assert verify_red_embedding(G, 3, res.embedding).ok
+
+
 def test_bridged_lower_bound_splits_without_search():
     # the red graph is two (2^n - 1)-cliques and a bridge: the cut of one
     # edge splits it into pieces too small for the cube, so no cube
@@ -213,6 +227,26 @@ def test_canonical_counts_match_tabulation():
     for N in range(1, 10):
         got = len(canonical_triangle_free_graphs(N))
         assert got == TRIANGLE_FREE_GRAPH_COUNTS[N - 1]
+
+
+def test_canonical_levels_are_generated_once(monkeypatch):
+    want = {N: canonical_triangle_free_graphs(N) for N in (5, 8)}
+
+    def no_check(adj, v):
+        raise AssertionError("level generated again")
+
+    monkeypatch.setattr(oracle, "_is_canonical", no_check)
+    for N in (8, 5):
+        assert canonical_triangle_free_graphs(N) == want[N]
+
+
+def test_canonical_lists_are_fresh():
+    want = canonical_triangle_free_graphs(6)
+    got = canonical_triangle_free_graphs(6)
+    got[0][0] = 0b111
+    got[-1].append(0)
+    del got[1]
+    assert canonical_triangle_free_graphs(6) == want
 
 
 def test_canonical_generator_matches_tuple_search():
