@@ -90,22 +90,13 @@ def _cube_pieces(G: ColouredGraph, pool: int, n: int) -> list[int]:
     in the red n-core, inside one component of it, and on one side of
     any red cut of fewer than n edges.  Components are split at their
     minimum cut while that cut is below n; what stays is n-edge-connected.
-    A component of k vertices whose minimum red degree is at least
-    floor(k/2) has edge-connectivity equal to that degree (Chartrand,
-    1966), at least n inside the core, so it needs no cut.
     """
     size = 1 << n
     pieces = []
     todo = [pool]
     while todo:
         for comp in red_components(G, _red_core(G, todo.pop(), n)):
-            k = comp.bit_count()
-            if k < size:
-                continue
-            if all(
-                (G.red_mask(v) & comp).bit_count() >= k // 2 for v in iter_bits(comp)
-            ):
-                pieces.append(comp)
+            if comp.bit_count() < size:
                 continue
             cut, side = _min_red_cut(G, comp)
             if cut < n:

@@ -132,19 +132,6 @@ def test_contains_red_cube_matches_unsplit_search(host):
         assert verify_red_embedding(G, n, got.embedding).ok
 
 
-def test_dense_components_need_no_cut(monkeypatch):
-    # K_8 has minimum red degree 7 >= 8 // 2, so it is 7-edge-connected
-    # without a Stoer-Wagner pass
-    def no_cut(G, pool):
-        raise AssertionError("minimum cut computed")
-
-    monkeypatch.setattr(oracle, "_min_red_cut", no_cut)
-    G = all_red_graph(8)
-    res = contains_red_cube(G, 3)
-    assert res.found
-    assert verify_red_embedding(G, 3, res.embedding).ok
-
-
 def test_bridged_lower_bound_splits_without_search():
     # the red graph is two (2^n - 1)-cliques and a bridge: the cut of one
     # edge splits it into pieces too small for the cube, so no cube
