@@ -189,6 +189,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     G = _load_graph(args.infile)
+    ok, tri = is_blue_triangle_free(G)
+    if not ok:
+        raise HypothesisError("triangle-free", f"blue triangle {tri}", witness=tri)
     dec = decompose(G, DecompositionParams.desk(args.n))
     verdict = verify_decomposition(G, dec)
     if not verdict:

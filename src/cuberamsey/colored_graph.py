@@ -263,171 +263,63 @@ def red_components(G: ColouredGraph, pool: Optional[int] = None) -> list[int]:
     return comps
 
 
-# -- exact searches ------------------------------------------------------
-
-
-def _independence_bound(
-    G: ColouredGraph, cand: int, matching: Optional[dict[int, int]] = None
-) -> int:
-    """An upper bound on the largest blue-independent set inside cand.
-
-    Take the blue graph's bipartite double cover on cand: a left and a
-    right copy of each vertex, u_L-w_R whenever uw is blue (a self-loop
-    is no edge).  If k is the size of a maximum matching there, k/2 is
-    the optimum of the vertex-cover LP (Nemhauser-Trotter), so every
-    vertex cover of the blue graph holds at least ceil(k/2) vertices and
-    the largest independent set at most |cand| - ceil(k/2).  A blue
-    matching of j edges is a cover matching of 2j, so the bound never
-    exceeds the greedy-matching one, and it is 2 on a blue C5 where a
-    blue matching gives 3.
-
-    ``matching``, if given, is a matching of that cover inside cand to
-    start from (right copy -> left copy); it is grown in place to a
-    maximum one.
-
-    Cost: a greedy start for the left copies ``matching`` leaves
-    unmatched, then Kuhn's augmenting-path search from each one still
-    unmatched, with bitmask neighbourhoods: each step is one N-bit
-    operation, and each search takes O(|cand|) steps.  A right copy
-    a failed search reached stays out of the next searches until a path
-    augments, since no alternating path from it can end on a free copy.
-    """
-    blue = G.blue
-    if matching is None:
-        matching = {}
-
-    def lowest_neighbour(u: int, within: int) -> int:
-        nb = blue[u] & within
-        w = nb & -nb
-        if w.bit_length() - 1 == u:  # a self-loop is no edge
-            nb ^= w
-            w = nb & -nb
-        return w
-
-    partners = set(matching.values())
-    free = cand & ~mask_of(list(matching))  # right copies not yet matched
-    unmatched = []
-    for u in iter_bits(cand):
-        if u in partners:
-            continue
-        w = lowest_neighbour(u, free)
-        if w:
-            free ^= w
-            matching[w.bit_length() - 1] = u
-        else:
-            unmatched.append(u)
-    unseen = cand
-    for u in unmatched:
-        # path[i] is a left copy, via[i] the right copy that led to
-        # path[i + 1]; a free right copy at the end flips the path
-        path, via = [u], []
-        while path:
-            w = lowest_neighbour(path[-1], unseen)
-            if not w:
-                path.pop()
-                if via:
-                    via.pop()
-                continue
-            unseen ^= w
-            r = w.bit_length() - 1
-            via.append(r)
-            y = matching.get(r)
-            if y is None:
-                for x, r in zip(path, via):
-                    matching[r] = x
-                unseen = cand
-                break
-            path.append(y)
-    return cand.bit_count() - (len(matching) + 1) // 2
-
-
-def _red_clique_decision(G: ColouredGraph, pool: int, m: int) -> Optional[int]:
-    """Find a red clique of size m inside the pool, or prove none exists.
-
-    A red clique is an independent set of the blue graph restricted to the
-    pool.  Branches on the vertex of largest blue degree and prunes a node
-    once its chosen vertices plus ``_independence_bound`` of its
-    candidates fall below m; pruning only drops subtrees that hold no
-    m-clique, so the clique returned is the first one of the DFS order.
-    Per node: a pass over the candidates to take the free ones, the
-    bound (a maximum matching of the blue double cover on the
-    candidates), and a pass to pick the branch vertex.
-    Returns the clique as a mask, or None.
-    """
-    if m <= 0:
-        return 0
-
-    # stack entries: (candidates, chosen_count, chosen_mask, the parent's
-    # cover matching)
-    stack = [(pool, 0, 0, {})]
-    while stack:
-        cand, size, chosen, parent_matching = stack.pop()
-        # vertices with no blue edge inside cand are free to take; taking
-        # one leaves every other vertex's blue edges inside cand as they
-        # were, so a pass takes all of them at once, lowest first
-        while True:
-            fm = mask_of([v for v in iter_bits(cand) if G.blue[v] & cand == 0])
-            if not fm:
-                break
-            if size + fm.bit_count() >= m:
-                # the per-vertex takes stop at the first one reaching m
-                take = lowest_bits(fm, max(m - size, 1))
-                return lowest_bits(chosen | take, m)
-            chosen |= fm
-            cand &= ~fm
-            size += fm.bit_count()
-        if size + cand.bit_count() < m:
-            continue
-        # the parent's pairs that stay inside cand start the matching, so
-        # only the copies whose partner the branch or the free takes
-        # removed need a new one
-        inside = set(iter_bits(cand))
-        matching = {
-            r: u for r, u in parent_matching.items() if r in inside and u in inside
-        }
-        if size + _independence_bound(G, cand, matching) < m:
-            continue
-        if not cand:
-            continue
-        # branch on the most blue-crowded candidate
-        v_best, d_best = -1, -1
-        for v in iter_bits(cand):
-            d = (G.blue[v] & cand).bit_count()
-            if d > d_best:
-                v_best, d_best = v, d
-        drop = cand & ~bit(v_best)
-        stack.append((drop, size, chosen, matching))  # explored second
-        stack.append(
-            (drop & ~G.blue[v_best], size + 1, chosen | bit(v_best), matching)
-        )
-    return None
+# -- red cliques ---------------------------------------------------------
 
 
 def find_red_clique(G: ColouredGraph, pool: int, m: int) -> Optional[tuple[int, ...]]:
-    """A red m-clique within the pool mask, as a sorted vertex tuple."""
-    got = _red_clique_decision(G, pool, m)
-    if got is None:
-        return None
-    return tuple(bits_list(got))
+    """A red m-clique within the pool mask by one greedy sweep, or None.
+
+    The sweep takes vertices in index order, discarding the blue
+    neighbourhood of each pick, and returns the first m picks as a sorted
+    vertex tuple.  It is no search: None proves nothing, and a red
+    m-clique may still lie in the pool.
+
+    Cost: one walk over the pool marks the discarded vertices, at the
+    cost of each pick's blue degree; after a pick of degree above N/256,
+    clearing a candidate mask (one N-bit operation per pick) is the
+    cheaper way to go on.
+    """
+    deg = G.blue_degrees()
+    picks: list[int] = []
+    marked = bytearray(G.n_vertices)
+    cand = 0
+    for v in iter_bits(pool):
+        if marked[v]:
+            continue
+        picks.append(v)
+        if len(picks) == m:
+            break
+        if deg[v] << 8 > G.n_vertices:
+            cand = pool & ~((2 << v) - 1)
+            for p in picks:
+                cand &= ~G.blue[p]
+            break
+        if deg[v]:
+            for w in iter_bits(G.blue[v]):
+                marked[w] = 1
+    while cand and len(picks) < m:
+        v = (cand & -cand).bit_length() - 1
+        picks.append(v)
+        cand &= ~(bit(v) | G.blue[v])
+    return tuple(picks) if len(picks) == m else None
 
 
 def max_disjoint_red_cliques(
     G: ColouredGraph, A: int, m: int
 ) -> list[tuple[int, ...]]:
-    """A maximal family of pairwise-disjoint red m-cliques inside mask A.
+    """Pairwise-disjoint red m-cliques inside mask A, by cheap passes only.
 
-    Maximal means the leftover vertices provably contain no further red
-    m-clique; the last, failing check is the certificate.  Cheap passes
-    run first: if the residual is all red we can cut cliques off the low
-    end directly, and if it is not and holds exactly m vertices, a red
-    m-clique would have to be all of it, so that failed check is the
-    proof that none is left; in a triangle-free blue graph every blue
-    neighbourhood is a red clique, so large blue stars are harvested; and
-    a greedy sweep in index order picks up cliques that sparse blue noise
-    leaves lying around.  Only then does the exact search
-    (``find_red_clique``) start.  It prunes by the LP bound of
-    independent set; on the sparse greedy hosts measured, its proof that
-    no clique is left takes one to about 500 nodes.
+    The family is not maximal: the leftover may still hold a red
+    m-clique.  What it promises, when the blue graph is triangle free, is
+    that no vertex of G has m blue neighbours in the leftover, since in
+    such a graph every blue neighbourhood is a red clique; that is all
+    ``decompose`` reads.  The passes, per clique: if the residual is all
+    red, cliques are cut off its low end; if it is not and holds exactly
+    m vertices, it is no vertex's blue star, and the family ends; a blue
+    star of m or more vertices in the residual is harvested, and once
+    there is none the promise holds; then a greedy sweep
+    (``find_red_clique``) picks up a clique that sparse blue noise leaves
+    lying around, and the family ends when it finds none.
 
     Cost per clique: the all-red check, one N-bit AND per residual
     vertex; the star harvest, one per vertex of blue degree m or more;
@@ -438,9 +330,8 @@ def max_disjoint_red_cliques(
         raise ValueError("clique size must be positive")
     cliques: list[tuple[int, ...]] = []
     residual = A
-    deg = G.blue_degrees()
     # only a vertex of whole blue degree m or more can have a star of m
-    heavy = [v for v, d in enumerate(deg) if d >= m]
+    heavy = [v for v, d in enumerate(G.blue_degrees()) if d >= m]
     while (size := residual.bit_count()) >= m:
         # all-red fast path
         if all(G.blue[v] & residual == 0 for v in iter_bits(residual)):
@@ -466,37 +357,7 @@ def max_disjoint_red_cliques(
                 residual &= ~take
                 continue
             # the star was not red after all: the blue graph has a triangle
-            # through best_v; fall through to the sweeps below
-        # greedy sweep: take vertices in index order, discarding the blue
-        # neighbourhood of each pick.  One walk over the residual marks the
-        # discarded vertices, at the cost of each pick's blue degree; after
-        # a pick of degree above N/256, clearing a candidate mask (one
-        # N-bit operation per pick) is the cheaper way to go on.
-        picks: list[int] = []
-        marked = bytearray(G.n_vertices)
-        cand = 0
-        for v in iter_bits(residual):
-            if marked[v]:
-                continue
-            picks.append(v)
-            if len(picks) == m:
-                break
-            if deg[v] << 8 > G.n_vertices:
-                cand = residual & ~((2 << v) - 1)
-                for p in picks:
-                    cand &= ~G.blue[p]
-                break
-            if deg[v]:
-                for w in iter_bits(G.blue[v]):
-                    marked[w] = 1
-        while cand and len(picks) < m:
-            v = (cand & -cand).bit_length() - 1
-            picks.append(v)
-            cand &= ~(bit(v) | G.blue[v])
-        if len(picks) == m:
-            cliques.append(tuple(picks))
-            residual &= ~mask_of(picks)
-            continue
+            # through best_v, and the promise is void; sweep all the same
         got = find_red_clique(G, residual, m)
         if got is None:
             break

@@ -1,14 +1,16 @@
 """Partitioning a triangle-free-blue colouring into a sparse part and snakes.
 
-Round by round, a maximal family of disjoint red m-cliques is pulled out
-of the active set and a threshold s is chosen inside a gap of the pair
-link weights (largest balanced red bicliques), so that links are
-unambiguous: every pair is either strongly linked (weight at least s) or
-clearly not (weight below s divided by lambda).  Only that side is read,
-so a weight is searched and recorded as min(w, s).  The component of the
-first clique becomes a snake and leaves the active set, together with
-the vertices blue-attached to it.  What survives every round is sparse
-in blue, and that is the point of the whole exercise.
+The blue graph must be triangle free.  Round by round, a family of
+disjoint red m-cliques is pulled out of the active set, taken until no
+blue star of m is left in what remains of it, and a threshold s is
+chosen inside a gap of the pair link weights (largest balanced red
+bicliques), so that links are unambiguous: every pair is either strongly
+linked (weight at least s) or clearly not (weight below s divided by
+lambda).  Only that side is read, so a weight is searched and recorded
+as min(w, s).  The component of the first clique becomes a snake and
+leaves the active set, together with the vertices blue-attached to it.
+What survives every round is sparse in blue, and that is the point of
+the whole exercise.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ class DecompositionParams:
         """Hand-tuned constants that behave at small n.
 
         The clique size 2^(n+1) makes a graph on 2^(n+2) vertices resolve
-        into at most two cliques, which keeps the exact searches fast on
-        the instance families this package ships.  The paper's own choices
-        (m = 2^(n-d) with d about log log log n, s between 2^n / n^(1/3)
-        and 2^n / n^(1/4)) satisfy the snake walk's worst-case conditions
-        only beyond n of about 1660, so they are not offered.
+        into at most two cliques, so a round weighs at most one clique
+        pair on the instance families this package ships.  The paper's
+        own choices (m = 2^(n-d) with d about log log log n, s between
+        2^n / n^(1/3) and 2^n / n^(1/4)) satisfy the snake walk's
+        worst-case conditions only beyond n of about 1660, so they are
+        not offered.
         """
         if n < 1:
             raise ValueError("dimension must be positive")
@@ -255,7 +258,12 @@ def _pair_weights(
 
 
 def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
-    """Strip snakes off the graph until no red m-clique is left.
+    """Strip snakes off the graph until a round finds no red m-clique.
+
+    The blue graph must be triangle free (``solve`` checks it first):
+    each round's clique family stops once no vertex has m blue neighbours
+    in what it leaves, and only on such a graph does that make every blue
+    degree inside the final sparse remainder fall below m.
 
     Each round removes the snake through the first extracted clique and
     the vertices blue-attached to any of its cliques beyond s/lambda.
@@ -378,15 +386,16 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     else:
         raise AssertionError("decomposition failed to terminate")
 
-    # maximality of the last clique search: whatever is left cannot hold
-    # a red m-clique, so blue neighbourhoods inside it stay below m
+    # the last clique family came back empty, which on a triangle-free
+    # graph means no blue star of m is left: blue degrees inside the
+    # remainder stay below m
     for v, dv in enumerate(deg):
         if dv < params.m:
             continue
         d = (G.blue[v] & A).bit_count()
         if d >= params.m:
             raise AssertionError(
-                f"vertex {v} keeps {d} blue neighbours in the clique-free "
+                f"vertex {v} keeps {d} blue neighbours in the sparse "
                 f"remainder, not below m = {params.m}"
             )
 

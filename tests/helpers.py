@@ -331,62 +331,6 @@ def reference_mask_of(vertices) -> int:
     return m
 
 
-def reference_matching_bound(G: ColouredGraph, cand: int) -> int:
-    """The bound ``colored_graph._independence_bound`` replaced: every
-    edge of a greedy blue matching inside cand, taken in index order,
-    costs an independent set one vertex.  A self-loop is no edge."""
-    free = cand
-    lost = 0
-    for v in reference_iter_bits(cand):
-        if not (free >> v) & 1:
-            continue
-        nb = G.blue[v] & free & ~(1 << v)
-        if nb:
-            w = nb & -nb
-            free &= ~((1 << v) | w)
-            lost += 1
-    return cand.bit_count() - lost
-
-
-def reference_red_clique_decision(G: ColouredGraph, pool: int, m: int):
-    """``colored_graph._red_clique_decision`` taking free vertices one at a
-    time, clearing each from the candidates, and pruning by the greedy
-    matching bound."""
-    if m <= 0:
-        return 0
-
-    stack = [(pool, 0, 0)]
-    while stack:
-        cand, size, chosen = stack.pop()
-        while True:
-            moved = False
-            for v in reference_iter_bits(cand):
-                if G.blue[v] & cand == 0:
-                    chosen |= 1 << v
-                    cand &= ~(1 << v)
-                    size += 1
-                    if size >= m:
-                        return reference_lowest_bits(chosen, m) if size > m else chosen
-                    moved = True
-            if not moved:
-                break
-        if size + cand.bit_count() < m:
-            continue
-        if size + reference_matching_bound(G, cand) < m:
-            continue
-        if not cand:
-            continue
-        v_best, d_best = -1, -1
-        for v in reference_iter_bits(cand):
-            d = (G.blue[v] & cand).bit_count()
-            if d > d_best:
-                v_best, d_best = v, d
-        drop = cand & ~(1 << v_best)
-        stack.append((drop, size, chosen))
-        stack.append((drop & ~G.blue[v_best], size + 1, chosen | (1 << v_best)))
-    return None
-
-
 def reference_max_disjoint_red_cliques(G: ColouredGraph, A: int, m: int):
     """``colored_graph.max_disjoint_red_cliques`` with the star harvest
     scanning every vertex and the greedy sweep clearing each pick and its
@@ -418,15 +362,10 @@ def reference_max_disjoint_red_cliques(G: ColouredGraph, A: int, m: int):
             chosen |= 1 << v
             size += 1
             cand &= ~((1 << v) | G.blue[v])
-        if size >= m:
-            cliques.append(tuple(reference_iter_bits(chosen)))
-            residual &= ~chosen
-            continue
-        got = reference_red_clique_decision(G, residual, m)
-        if got is None:
+        if size < m:
             break
-        cliques.append(tuple(reference_iter_bits(got)))
-        residual &= ~got
+        cliques.append(tuple(reference_iter_bits(chosen)))
+        residual &= ~chosen
     return cliques
 
 

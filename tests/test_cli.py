@@ -165,6 +165,25 @@ def test_decompose_certificate(tmp_path, capsys):
     assert verify_decomposition(G, dec).ok
 
 
+def test_decompose_rejects_blue_triangle(tmp_path, capsys):
+    # blue K5: the triangle is reported with its witness, exit 2 as for
+    # solve, and no certificate is written
+    G = ColouredGraph.from_blue_edges(5, [(u, v) for u in range(5) for v in range(u)])
+    g = tmp_path / "g.txt"
+    cert = tmp_path / "dec.json"
+    with open(g, "w") as f:
+        G.to_text(f)
+    code, out = _run(capsys, "decompose", "--in", str(g), "--n", "1",
+                     "--cert-out", str(cert))
+    assert code == EXIT_HYPOTHESIS
+    payload = _last_json(out)
+    assert payload["status"] == "hypothesis-failure"
+    assert payload["hypothesis"] == "triangle-free"
+    a, b, c = payload["witness"]
+    assert G.is_blue(a, b) and G.is_blue(a, c) and G.is_blue(b, c)
+    assert not cert.exists()
+
+
 def test_oracle_ramsey_payloads(capsys):
     code, out = _run(capsys, "oracle", "ramsey", "--n", "1", "--N", "3")
     assert code == EXIT_OK

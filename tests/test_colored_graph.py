@@ -28,14 +28,6 @@ def brute_has_blue_triangle(G):
     return None
 
 
-def brute_max_red_clique(G, pool, m):
-    vs = [v for v in range(G.n_vertices) if (pool >> v) & 1]
-    for cand in combinations(vs, m):
-        if G.is_red_clique(cand):
-            return cand
-    return None
-
-
 def test_constructor_validates():
     with pytest.raises(ValueError):
         ColouredGraph(2, [0b10])  # wrong length
@@ -123,7 +115,10 @@ def test_red_components_against_brute_force():
 
 
 def test_find_red_clique_against_brute_force():
+    # the sweep is sound but not complete: a tuple it returns is a red
+    # m-clique inside the pool, and None proves nothing
     rng = random.Random(41)
+    found = 0
     for _ in range(120):
         n = rng.randrange(4, 13)
         G = random_colouring(n, rng.choice([0.3, 0.5, 0.8]), rng)
@@ -133,21 +128,38 @@ def test_find_red_clique_against_brute_force():
                 pool |= 1 << v
         m = rng.randrange(2, 5)
         got = find_red_clique(G, pool, m)
-        brute = brute_max_red_clique(G, pool, m)
-        assert (got is None) == (brute is None)
         if got is not None:
+            found += 1
             assert len(got) == m
+            assert list(got) == sorted(got)
             assert all((pool >> v) & 1 for v in got)
             assert G.is_red_clique(got)
+    assert found >= 20
 
 
-def test_max_disjoint_red_cliques_family_properties():
+def _clique_family_hosts():
+    """Random colourings, blue triangles allowed, then triangle-free
+    greedy and bipartite hosts, each with a vertex mask and a clique
+    size."""
     rng = random.Random(59)
     for _ in range(60):
         n = rng.randrange(6, 15)
         G = random_colouring(n, rng.choice([0.2, 0.5, 0.8]), rng)
-        A = (1 << n) - 1
-        m = rng.randrange(2, 5)
+        yield G, (1 << n) - 1, rng.randrange(2, 5)
+    rng = random.Random(61)
+    for i in range(80):
+        n = rng.randrange(6, 60)
+        if i % 2:
+            G = random_triangle_free_greedy(n, rng.randrange(3 * n), rng)
+        else:
+            G = random_bipartite_blue(n, rng.choice([0.1, 0.3, 0.7]), rng)
+        A = G.full_mask if rng.random() < 0.5 else rng.getrandbits(n)
+        yield G, A, rng.randrange(2, max(3, n // 3))
+
+
+def test_max_disjoint_red_cliques_family_properties():
+    promised = 0
+    for G, A, m in _clique_family_hosts():
         fam = max_disjoint_red_cliques(G, A, m)
         seen = 0
         for cl in fam:
@@ -157,8 +169,12 @@ def test_max_disjoint_red_cliques_family_properties():
             assert cm & A == cm
             assert not (cm & seen), "cliques overlap"
             seen |= cm
-        # maximality: the leftover provably has no further red m-clique
-        assert brute_max_red_clique(G, A & ~seen, m) is None
+        if is_blue_triangle_free(G)[0]:
+            # the promise: no vertex keeps m blue neighbours in the leftover
+            left = A & ~seen
+            assert all((b & left).bit_count() < m for b in G.blue)
+            promised += 1
+    assert promised >= 80
 
 
 def brute_max_balanced_biclique(G, side1, side2):

@@ -1,9 +1,7 @@
 """The bit-scanning loops of ``colored_graph`` against the loops they
 replaced, which shift a mask right one bit per pass, the red-clique
-extraction against the one that cleared a candidate mask per vertex, the
-independence bound of the clique search against brute force and the
-greedy matching bound it replaced, and the embedding verifier against
-its per-edge ``is_red`` loop."""
+extraction against the one that cleared a candidate mask per vertex, and
+the embedding verifier against its per-edge ``is_red`` loop."""
 
 import random
 
@@ -12,11 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
-    random_colouring,
     reference_is_blue_triangle_free,
-    reference_matching_bound,
     reference_max_disjoint_red_cliques,
-    reference_red_clique_decision,
     reference_validation_error,
     reference_verify_errors,
     two_clique_linked_shuffled,
@@ -192,7 +187,7 @@ def _clique_host(kind: str, seed: int):
     else:
         G = two_clique_linked_shuffled(rng.randrange(2, 5), rng, extra=rng.randrange(10))
         N = G.n_vertices
-    # large hosts take small cliques, so the exact search stays small
+    # large hosts take small cliques, so each family holds dozens
     m = rng.randrange(2, 64 if N > 500 else max(3, N // 3))
     A = G.full_mask if rng.random() < 0.5 else rng.getrandbits(N)
     return G, A, m
@@ -203,33 +198,37 @@ KINDS = ["greedy", "sparse-greedy", "bipartite", "two-clique"]
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_max_disjoint_red_cliques_matches_mask_clearing_sweep(kind, monkeypatch):
-    searches = []
-    search = colored_graph._red_clique_decision
+    sweeps = []
+    sweep = colored_graph.find_red_clique
 
     def counted(G, pool, m):
-        got = search(G, pool, m)
-        searches.append(got is not None)
+        got = sweep(G, pool, m)
+        sweeps.append(got is not None)
         return got
 
-    monkeypatch.setattr(colored_graph, "_red_clique_decision", counted)
+    monkeypatch.setattr(colored_graph, "find_red_clique", counted)
     for seed in range(40):
         G, A, m = _clique_host(kind, seed)
         assert max_disjoint_red_cliques(G, A, m) == reference_max_disjoint_red_cliques(G, A, m)
     if kind != "sparse-greedy":
-        # the sweep fell short and the exact search ran, finding a clique
-        # on some hosts and proving there is none on others
-        assert True in searches and False in searches
+        # the sweep took a clique on some residuals and fell short on
+        # others; on large sparse hosts it never falls short
+        assert True in sweeps and False in sweeps
 
 
 def test_exactly_m_residual_is_settled_without_a_search(monkeypatch):
     # A holds (j + 1) * m vertices and one blue edge, among its top m, so
-    # every residual above m vertices yields a clique without the exact
-    # search, and the last one, when it holds the blue edge, is refuted
-    # by the all-red check alone
-    def no_search(G, pool, m):
-        raise AssertionError("the exact clique search ran")
+    # every residual above m vertices yields a clique, and the last one,
+    # when it holds the blue edge, is refuted by the all-red check alone,
+    # with no sweep that comes back empty
+    sweep = colored_graph.find_red_clique
 
-    monkeypatch.setattr(colored_graph, "_red_clique_decision", no_search)
+    def never_short(G, pool, m):
+        got = sweep(G, pool, m)
+        assert got is not None, "a sweep fell short"
+        return got
+
+    monkeypatch.setattr(colored_graph, "find_red_clique", never_short)
     settled = 0
     for seed in range(40):
         rng = random.Random(f"exactly-m/{seed}")
@@ -251,91 +250,6 @@ def test_exactly_m_residual_is_settled_without_a_search(monkeypatch):
     # a vertex outside A with m blue neighbours in the residual may
     # harvest u or w first, so a host need not end on the blue edge
     assert settled >= 30
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_red_clique_decision_matches_per_vertex_takes(kind):
-    found = set()
-    for seed in range(40):
-        G, A, m = _clique_host(kind, seed)
-        rng = random.Random(seed)
-        for size in (m, rng.randrange(1, m + 1), m + 4, 0):
-            pool = A & rng.getrandbits(G.n_vertices) if seed % 2 else A
-            got = colored_graph._red_clique_decision(G, pool, size)
-            assert got == reference_red_clique_decision(G, pool, size)
-            found.add(got is not None)
-    # large sparse hosts hold every small clique asked for
-    assert found == ({True} if kind == "sparse-greedy" else {True, False})
-
-
-def test_red_clique_decision_tight_refutations():
-    # with two blue edges per vertex the largest red clique sits just
-    # below N/2 on most of these hosts, so asking for N/2 makes the
-    # search prove a near miss rather than stop at the root
-    found = []
-    for seed in range(20):
-        rng = random.Random(f"tight/{seed}")
-        N = rng.randrange(32, 129)
-        G = random_triangle_free_greedy(N, 2 * N, rng)
-        got = colored_graph._red_clique_decision(G, G.full_mask, N // 2)
-        assert got == reference_red_clique_decision(G, G.full_mask, N // 2)
-        found.append(got is not None)
-    assert True in found and False in found
-
-
-def _brute_independence_number(G, cand):
-    if not cand:
-        return 0
-    v = (cand & -cand).bit_length() - 1
-    rest = cand & ~(1 << v)
-    return max(
-        _brute_independence_number(G, rest),
-        1 + _brute_independence_number(G, rest & ~G.blue[v]),
-    )
-
-
-@st.composite
-def small_pools(draw):
-    """A host of at most 14 vertices (greedy triangle free, bipartite, or
-    random with triangles) and a random vertex pool."""
-    kind = draw(st.sampled_from(["greedy", "bipartite", "random"]))
-    N = draw(st.integers(1, 14))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if kind == "greedy":
-        G = random_triangle_free_greedy(N, draw(st.integers(0, 3 * N)), rng)
-    elif kind == "bipartite":
-        G = random_bipartite_blue(N, draw(st.sampled_from([0.2, 0.5, 0.9])), rng)
-    else:
-        G = random_colouring(N, draw(st.sampled_from([0.2, 0.5, 0.8])), rng)
-    return G, rng.getrandbits(N)
-
-
-@given(small_pools(), st.randoms(use_true_random=False))
-def test_independence_bound_between_alpha_and_matching_bound(case, rng):
-    G, cand = case
-    bound = colored_graph._independence_bound(G, cand)
-    assert _brute_independence_number(G, cand) <= bound
-    assert bound <= reference_matching_bound(G, cand)
-    # a start from any part of a maximum cover matching grows back to one
-    matching = {}
-    colored_graph._independence_bound(G, cand, matching)
-    part = {r: u for r, u in matching.items() if rng.random() < 0.5}
-    assert colored_graph._independence_bound(G, cand, part) == bound
-    assert len(set(part.values())) == len(part)
-    assert all((cand >> r) & (cand >> u) & 1 for r, u in part.items())
-    assert all(G.is_blue(r, u) for r, u in part.items())
-
-
-def test_independence_bound_hand_cases():
-    C5 = ColouredGraph.from_blue_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert colored_graph._independence_bound(C5, C5.full_mask) == 2
-    assert reference_matching_bound(C5, C5.full_mask) == 3
-    edge = ColouredGraph.from_blue_edges(2, [(0, 1)])
-    assert colored_graph._independence_bound(edge, 0b11) == 1
-    # a self-loop is no edge, as in the greedy bound
-    loop = ColouredGraph(1, [1], validate=False)
-    assert colored_graph._independence_bound(loop, 1) == 1
-    assert colored_graph._independence_bound(C5, 0) == 0
 
 
 @st.composite
