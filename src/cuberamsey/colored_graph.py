@@ -39,7 +39,8 @@ class ColouredGraph:
     says uv is blue.  The relation must be irreflexive and symmetric.
     Construction with ``validate=False`` skips that check; it is meant for
     internal constructions that are symmetric by shape.  The masks are
-    not changed after construction: ``blue_degrees`` counts them once.
+    not changed after construction: ``blue_degrees`` counts them once,
+    and ``blue_support`` masks the vertices with a blue neighbour once.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -53,6 +54,7 @@ class ColouredGraph:
         self.blue = blue
         self.full_mask = (1 << n_vertices) - 1
         self._blue_degrees: Optional[list[int]] = None
+        self._blue_support: Optional[int] = None
         if validate:
             self._validate()
 
@@ -99,13 +101,28 @@ class ColouredGraph:
             self._blue_degrees = [m.bit_count() for m in self.blue]
         return self._blue_degrees
 
+    def blue_support(self) -> int:
+        """The mask of vertices with a blue neighbour, built on first use."""
+        if self._blue_support is None:
+            self._blue_support = mask_of(
+                [v for v, d in enumerate(self.blue_degrees()) if d]
+            )
+        return self._blue_support
+
     def blue_edge_count(self) -> int:
         return sum(self.blue_degrees()) // 2
 
     def is_red_clique(self, vertices: Iterable[int]) -> bool:
+        """Whether the given vertices of G are pairwise red.
+
+        Cost: building their mask, one read of the cached degree per
+        vertex, and one N-bit AND per vertex that has a blue neighbour; a
+        vertex without one is red to every other and needs no AND.
+        """
         vs = list(vertices)
         m = mask_of(vs)
-        return all(self.blue[v] & m == 0 for v in vs)
+        deg = self.blue_degrees()
+        return all(self.blue[v] & m == 0 for v in vs if deg[v])
 
     # -- derived graphs -------------------------------------------------
 
@@ -322,9 +339,11 @@ def max_disjoint_red_cliques(
     lying around, and the family ends when it finds none.
 
     Cost per clique: the all-red check, one N-bit AND per residual
-    vertex; the star harvest, one per vertex of blue degree m or more;
-    the sweep, a walk over the residual.  The dense route's sparse hosts
-    end on a residual of exactly m vertices, settled by the check alone.
+    vertex with a blue neighbour (none on an all-red host); the star
+    harvest, one per vertex of blue degree m or more, and the red test
+    of the harvested star (``ColouredGraph.is_red_clique``); the sweep,
+    a walk over the residual.  The dense route's sparse hosts end on a
+    residual of exactly m vertices, settled by the check alone.
     """
     if m <= 0:
         raise ValueError("clique size must be positive")
@@ -332,9 +351,12 @@ def max_disjoint_red_cliques(
     residual = A
     # only a vertex of whole blue degree m or more can have a star of m
     heavy = [v for v, d in enumerate(G.blue_degrees()) if d >= m]
+    support = G.blue_support()
     while (size := residual.bit_count()) >= m:
-        # all-red fast path
-        if all(G.blue[v] & residual == 0 for v in iter_bits(residual)):
+        # all-red fast path: a vertex without a blue neighbour is red to all
+        if all(
+            G.blue[v] & residual == 0 for v in iter_bits(residual & support)
+        ):
             while residual.bit_count() >= m:
                 take = lowest_bits(residual, m)
                 cliques.append(tuple(bits_list(take)))
@@ -409,9 +431,8 @@ def max_balanced_biclique(
     # side red to the whole prefix (a planted block floats to the front);
     # each prefix is a biclique, and a first seed at the limit is final
     def prefix_seed(rows, row_adj, col_mask):
-        order = sorted(
-            rows, key=lambda u: (col_mask & ~row_adj[u]).bit_count()
-        )
+        # row_adj[u] lies inside col_mask, so more red is less blue-cross
+        order = sorted(rows, key=lambda u: -row_adj[u].bit_count())
         common = col_mask
         best_w, best_rows, best_common = 0, [], 0
         for idx, u in enumerate(order):
@@ -587,6 +608,11 @@ def verify_red_embedding(
     the whole cube is required.  Cube edges with both ends in the domain
     must land on red pairs of G.  A phi that misses part of the domain is
     a malformed input, not a failed verification, and raises ValueError.
+
+    Cost: O(2^n) dict and set work over the map; then n edge tests, each
+    one bit shift of an N-bit mask, only at a cube vertex whose image has
+    a blue neighbour or is shared with another cube vertex.  Any other
+    image is red to every other vertex, so its edges are passed over.
     """
     if domain is None:
         dom = list(range(1 << n))
@@ -600,6 +626,7 @@ def verify_red_embedding(
         )
     errors = []
     seen: dict[int, int] = {}
+    shared: set[int] = set()
     # an edge at an out-of-range image is reported with that image alone
     checkable: set[int] = set()
     for z in dom:
@@ -610,6 +637,7 @@ def verify_red_embedding(
         checkable.add(z)
         if v in seen:
             errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
+            shared.add(v)
         seen[v] = z
     blue = G.blue
     for z in dom:
@@ -617,6 +645,8 @@ def verify_red_embedding(
             continue
         a = phi[z]
         mask_a = blue[a]
+        if not mask_a and a not in shared:
+            continue
         for i in range(n):
             w = z ^ (1 << i)
             if w < z or w not in checkable:

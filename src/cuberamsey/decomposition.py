@@ -321,18 +321,24 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
 
         S_mask = mask_of(snake.vertex_set())
         clique_masks = [mask_of(c) for c in cliques]
-        lam_heavy = mask_of(
-            [v for v, d in enumerate(deg) if lam_num * d >= s * lam_den]
-        )
-        mu_heavy = mask_of([v for v, d in enumerate(deg) if mu_num * d > s * mu_den])
-        sparse_new = 0
-        for v in iter_bits(A & ~S_mask & lam_heavy):
+        # the degree masks are needed only when the snake leaves some
+        # vertex active
+        rest = A & ~S_mask
+        sparse_new = lam_heavy = mu_heavy = 0
+        if rest:
+            lam_heavy = mask_of(
+                [v for v, d in enumerate(deg) if lam_num * d >= s * lam_den]
+            )
+            mu_heavy = mask_of(
+                [v for v, d in enumerate(deg) if mu_num * d > s * mu_den]
+            )
+        for v in iter_bits(rest & lam_heavy):
             for ci in comp:
                 d = (G.blue[v] & clique_masks[ci]).bit_count()
                 if lam_num * d >= s * lam_den:
                     sparse_new |= bit(v)
                     break
-        A_next = A & ~S_mask & ~sparse_new
+        A_next = rest & ~sparse_new
 
         for v in iter_bits(A_next & mu_heavy):
             d = (G.blue[v] & S_mask).bit_count()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bits import bit, lowest_bits, mask_of
+from .bits import mask_of
 from .colored_graph import ColouredGraph, Verdict
 from .errors import StageFailure
 from .hypercube import bandwidth_bound, bandwidth_order
@@ -229,6 +229,14 @@ def snake_embed(
     batch on the witness side of the link about to be crossed.  Batch
     length t is the larger of s // 4k and the bandwidth bound, so that a
     full batch always separates the zones of distinct cliques.
+
+    Cost, beyond ``validate_snake`` and sorting the queue: per walk
+    position, one pass over the clique's vertex list and over its sides
+    still owed batches; per cube vertex, a cursor step over a sorted
+    pool list past the vertices already taken.  Only a cube vertex with
+    a forbidden mask pays more, one N-bit bit test per candidate it
+    passes, so a walk without forbidden masks does no N-bit mask
+    operation.
     """
     check = validate_snake(G, snake)
     if not check:
@@ -245,7 +253,7 @@ def snake_embed(
     t = max(s // (4 * k), bandwidth_bound(n))
 
     positions = closed_tree_walk(snake)
-    clique_masks = [mask_of(c) for c in snake.cliques]
+    clique_lists = [sorted(c) for c in snake.cliques]
 
     # tree edges are exactly the pairs stepped along by the walk; each of
     # their witness sides is owed two batches, one per traversal direction
@@ -253,38 +261,47 @@ def snake_embed(
         (min(a, b), max(a, b))
         for a, b in zip(positions, positions[1:])
     }
-    side_mask: dict[tuple[int, int, int], int] = {}
+    side_list: dict[tuple[int, int, int], list[int]] = {}
     owed: dict[tuple[int, int, int], int] = {}
     sides_in: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(k)}
     for pair in tree_pairs:
         w = snake.witness_for(*pair)
         for c in pair:
             key = (pair[0], pair[1], c)
-            side_mask[key] = mask_of(w.side_in(c))
+            side_list[key] = sorted(w.side_in(c))
             owed[key] = 2
             sides_in[c].append(key)
 
-    used = 0
     phi: dict[int, int] = {}
+    taken = bytearray(G.n_vertices)
     qi = 0
 
-    def place(z: int, pool: int) -> bool:
-        nonlocal used, qi
-        avail = pool & ~used & ~forb.get(z, 0)
-        if not avail:
-            return False
-        v = (avail & -avail).bit_length() - 1
-        phi[z] = v
-        used |= bit(v)
-        qi += 1
-        return True
+    def fill(free: list[int], limit: int):
+        # place queue vertices, in order, each on the lowest vertex of the
+        # sorted list that is neither taken nor forbidden to it; stop after
+        # `limit` of them or at the first that finds none.  The cursor
+        # only ever passes taken vertices, so it never skips a vertex
+        # that another cube vertex may still take.
+        nonlocal qi
+        cursor, end = 0, len(free)
+        stop = min(len(queue), qi + limit)
+        while qi < stop:
+            while cursor < end and taken[free[cursor]]:
+                cursor += 1
+            z = queue[qi]
+            i = cursor
+            d = forb.get(z)
+            if d:
+                while i < end and (taken[free[i]] or (d >> free[i]) & 1):
+                    i += 1
+            if i == end:
+                return
+            taken[free[i]] = 1
+            phi[z] = free[i]
+            qi += 1
 
     def run_batch(key: tuple[int, int, int]):
-        placed = 0
-        while qi < len(queue) and placed < t:
-            if not place(queue[qi], side_mask[key]):
-                break
-            placed += 1
+        fill(side_list[key], t)
         owed[key] -= 1
 
     for p, c in enumerate(positions):
@@ -297,20 +314,18 @@ def snake_embed(
         # for (t + delta) vertices per remaining batch, by reserving its
         # lowest `keep` free vertices.  The reservation is computed once per
         # position: it cannot change during the stretch.  `owed` is fixed
-        # here, and `place` takes a vertex outside `reserved`, so for each
-        # side that vertex is either outside the side, or above its lowest
-        # `keep` free vertices, which the side then has more than `keep` of
-        # (else all of them would be reserved); either way those lowest
-        # `keep` free vertices, and `keep` itself, stay the same.
-        reserved = 0
+        # here, and the stretch takes a vertex outside `reserved`, so for
+        # each side that vertex is either outside the side, or above its
+        # lowest `keep` free vertices, which the side then has more than
+        # `keep` of (else all of them would be reserved); either way those
+        # lowest `keep` free vertices, and `keep` itself, stay the same.
+        reserved: set[int] = set()
         for key in sides_in[c]:
             if owed[key] > 0:
-                free_side = side_mask[key] & ~used
-                keep = min((t + delta) * owed[key], free_side.bit_count())
-                reserved |= lowest_bits(free_side, keep)
-        pool = clique_masks[c] & ~reserved
-        while qi < len(queue) and place(queue[qi], pool):
-            pass
+                free_side = [v for v in side_list[key] if not taken[v]]
+                keep = (t + delta) * owed[key]
+                reserved.update(free_side[:keep])
+        fill([v for v in clique_lists[c] if v not in reserved], len(queue))
         if qi >= len(queue):
             break
         if p + 1 < len(positions):

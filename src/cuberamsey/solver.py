@@ -159,15 +159,19 @@ def _solve_snakes(
         if not assignment[j]:
             continue
         Q = [v for cell in assignment[j] for v in subcube_vertices(cell, n)]
-        forb: dict[int, int] = {}
+        in_Q = bytearray(1 << n)
         for x in Q:
-            D = 0
-            for p in range(n):
-                img = phi.get(x ^ (1 << p))
-                if img is not None:
-                    D |= G.blue[img] & snake_masks[j]
+            in_Q[x] = 1
+        # a placed image forbids its blue neighbours in the snake to each
+        # of its cube neighbours in Q; images without one forbid nothing
+        forb: dict[int, int] = {}
+        for y, img in phi.items():
+            D = G.blue[img] & snake_masks[j]
             if D:
-                forb[x] = D
+                for p in range(n):
+                    x = y ^ (1 << p)
+                    if in_Q[x]:
+                        forb[x] = forb.get(x, 0) | D
         phi.update(snake_embed(G, dec.snakes[j], Q, n, forbidden=forb))
     return phi
 

@@ -16,9 +16,11 @@ from cuberamsey.hypercube import (
     bandwidth_bound,
     bandwidth_order,
     subcube_distance,
+    subcube_vertices,
 )
 from cuberamsey.oracle import CubeSearchResult
-from cuberamsey.snake_embedding import closed_tree_walk
+from cuberamsey.snake_embedding import closed_tree_walk, snake_embed
+from cuberamsey.solver import assign_subcubes
 
 
 def all_red_graph(n_vertices: int) -> ColouredGraph:
@@ -267,6 +269,36 @@ def reference_snake_embed(snake, cube_vertices, n, forb, stats):
             f"next is {queue[qi]}",
             data={"remaining": len(queue) - qi, "next": queue[qi]},
         )
+    return phi
+
+
+def reference_solve_snakes(G: ColouredGraph, n: int, params, dec, stats):
+    """``solver._solve_snakes`` with each piece's forbidden masks built
+    per cube vertex of the piece, by a ``dict.get`` per cube neighbour.
+
+    Sets ``stats["forbidden"]`` to the number of cube vertices that were
+    given a non-empty forbidden mask.
+    """
+    sizes = [len(sn.vertex_set()) for sn in dec.snakes]
+    assignment = assign_subcubes(n, params.codim_split, sizes)
+    snake_masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
+    phi = {}
+    stats["forbidden"] = 0
+    for j in reversed(range(dec.r)):
+        if not assignment[j]:
+            continue
+        Q = [v for cell in assignment[j] for v in subcube_vertices(cell, n)]
+        forb = {}
+        for x in Q:
+            D = 0
+            for p in range(n):
+                img = phi.get(x ^ (1 << p))
+                if img is not None:
+                    D |= G.blue[img] & snake_masks[j]
+            if D:
+                forb[x] = D
+        stats["forbidden"] += len(forb)
+        phi.update(snake_embed(G, dec.snakes[j], Q, n, forbidden=forb))
     return phi
 
 

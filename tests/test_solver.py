@@ -5,7 +5,7 @@ from math import ceil
 
 import pytest
 
-from helpers import all_red_graph, two_clique_linked_graph
+from helpers import all_red_graph, reference_solve_snakes, two_clique_linked_graph
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_bipartite_blue,
@@ -15,6 +15,7 @@ from cuberamsey.colored_graph import (
 from cuberamsey.decomposition import Decomposition, DecompositionParams, decompose
 from cuberamsey.errors import HypothesisError, StageFailure
 from cuberamsey import solver
+from cuberamsey.snake_embedding import LinkWitness, Snake
 from cuberamsey.solver import SolverParams, assign_subcubes, choose_case, solve
 
 
@@ -98,6 +99,77 @@ def test_solve_sparse_random():
     assert choose_case(dec) == 1
     phi = solve(G, n, params)
     assert verify_red_embedding(G, n, phi).ok
+
+
+def _snake_family(rng, n, params):
+    """Two or three snakes of one or two cliques on shuffled labels, red
+    inside each snake and blue with probability p across snakes, sized
+    so that the cube pieces are spread over several of them."""
+    piece = 1 << (n - params.codim_split)
+    caps = [4]
+    while caps[0] >= 4 or sum(caps) < 4:
+        caps = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    # a snake of k cliques of m vertices hosts k * m // piece - 1 pieces
+    shapes = []
+    for cap in caps:
+        k = rng.randint(1, 2)
+        shapes.append((k, (cap + 1) * piece // k + rng.randrange(piece // k)))
+    N = sum(k * m for k, m in shapes) + rng.randint(0, 4)
+    labels = rng.sample(range(N), N)
+    snakes, owner, at = [], {}, 0
+    for j, (k, m) in enumerate(shapes):
+        cliques = []
+        for _ in range(k):
+            cliques.append(tuple(sorted(labels[at:at + m])))
+            at += m
+        s = rng.randint(1, m)
+        witnesses = ()
+        if k == 2:
+            X, Y = (tuple(sorted(rng.sample(c, s))) for c in cliques)
+            witnesses = (LinkWitness(0, 1, X, Y),)
+        snakes.append(Snake(tuple(cliques), witnesses, s))
+        for c in cliques:
+            for v in c:
+                owner[v] = j
+    p = rng.choice((0.05, 0.3, 0.9))
+    blue = [0] * N
+    for u in owner:
+        for v in owner:
+            if u < v and owner[u] != owner[v] and rng.random() < p:
+                blue[u] |= 1 << v
+                blue[v] |= 1 << u
+    G = ColouredGraph(N, blue)
+    s_values = tuple(sn.s for sn in snakes)
+    dec = Decomposition(N, params.decomp, (), tuple(snakes), s_values, ())
+    return G, dec
+
+
+def test_solve_snakes_matches_per_cube_vertex_forbidden_masks():
+    # at desk constants the first snake takes every piece and no mask is
+    # ever forbidden, so pieces are spread here over several snakes,
+    # walked with the blue neighbourhoods of earlier images forbidden
+    outcomes, forbidden = [], 0
+    for seed in range(40):
+        rng = random.Random(f"snakes/{seed}")
+        n = rng.choice((3, 4, 5))
+        params = SolverParams.desk(n)
+        G, dec = _snake_family(rng, n, params)
+        stats = {}
+        try:
+            want = ("map", reference_solve_snakes(G, n, params, dec, stats))
+        except StageFailure as e:
+            want = ("failure", e.stage, e.data)
+        try:
+            got = ("map", solver._solve_snakes(G, n, params, dec))
+        except StageFailure as e:
+            got = ("failure", e.stage, e.data)
+        assert got == want, f"seed {seed}"
+        if got[0] == "map":
+            assert verify_red_embedding(G, n, got[1]).ok, f"seed {seed}"
+        outcomes.append(got[0] if got[0] == "map" else got[1])
+        forbidden += stats.get("forbidden", 0)
+    assert forbidden > 0
+    assert set(outcomes) == {"map", "snake-walk"}
 
 
 def _solve_within_30_s(G, n):
