@@ -40,7 +40,8 @@ class ColouredGraph:
     Construction with ``validate=False`` skips that check; it is meant for
     internal constructions that are symmetric by shape.  The masks are
     not changed after construction: ``blue_degrees`` counts them once,
-    and ``blue_support`` masks the vertices with a blue neighbour once.
+    ``blue_support`` masks the vertices with a blue neighbour once, and
+    ``blue_classes`` groups equal masks into blue twin classes once.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -55,6 +56,7 @@ class ColouredGraph:
         self.full_mask = (1 << n_vertices) - 1
         self._blue_degrees: Optional[list[int]] = None
         self._blue_support: Optional[int] = None
+        self._blue_classes: Optional[tuple[list[int], list[int], list[int]]] = None
         if validate:
             self._validate()
 
@@ -112,17 +114,62 @@ class ColouredGraph:
     def blue_edge_count(self) -> int:
         return sum(self.blue_degrees()) // 2
 
-    def is_red_clique(self, vertices: Iterable[int]) -> bool:
-        """Whether the given vertices of G are pairwise red.
+    def blue_classes(self) -> tuple[list[int], list[int], list[int]]:
+        """The blue twin classes ``(class_of, reps, class_adj)``, built on
+        first use.  Vertices of blue degree 2 or more share a class exactly
+        when their masks are equal (twins are never blue-adjacent, so
+        blow-ups of a few red cliques have a handful of classes); classes
+        are numbered in order of their first vertex ``reps[c]``, and any
+        other vertex has class -1.  Bit b of ``class_adj[a]`` says classes
+        a and b are blue-adjacent.
 
-        Cost: building their mask, one read of the cached degree per
-        vertex, and one N-bit AND per vertex that has a blue neighbour; a
-        vertex without one is red to every other and needs no AND.
+        Cost: one pass over the N cached degrees, one dict lookup per
+        vertex of degree 2 or more, then per class one N-bit AND with the
+        mask of ``reps`` and a walk over what it leaves.
         """
+        if self._blue_classes is None:
+            index, reps, class_of = {}, [], [-1] * self.n_vertices
+            for v, d in enumerate(self.blue_degrees()):
+                if d < 2:
+                    continue
+                m = self.blue[v]
+                # CPython hashes an int modulo 2**61 - 1, so masks alike in
+                # their low 61 residues would share a hash without the length
+                c = index.setdefault((m.bit_length(), m), len(reps))
+                if c == len(reps):
+                    reps.append(v)
+                class_of[v] = c
+            # a twin of reps[b] is blue to reps[a] exactly when reps[b] is,
+            # so only the reps among a class's neighbours are walked
+            rep_mask = mask_of(reps)
+            class_adj = []
+            for r in reps:
+                a = 0
+                for w in iter_bits(self.blue[r] & rep_mask):
+                    a |= bit(class_of[w])
+                class_adj.append(a)
+            self._blue_classes = (class_of, reps, class_adj)
+        return self._blue_classes
+
+    def has_blue_into(self, vertices: Iterable[int], mask: int) -> bool:
+        """Whether some given vertex (each in range) has a blue neighbour
+        in the mask.  Cost: one N-bit AND per blue class among them (its
+        members share one mask) and per unclassed vertex of degree 1."""
+        class_of = self.blue_classes()[0]
+        seen: set[int] = set()
+        for v in vertices:
+            c = class_of[v]
+            if c < 0 or c not in seen:
+                if self.blue[v] & mask:
+                    return True
+                seen.add(c)
+        return False
+
+    def is_red_clique(self, vertices: Iterable[int]) -> bool:
+        """Whether the given vertices of G are pairwise red; costs their
+        mask and ``has_blue_into``."""
         vs = list(vertices)
-        m = mask_of(vs)
-        deg = self.blue_degrees()
-        return all(self.blue[v] & m == 0 for v in vs if deg[v])
+        return not self.has_blue_into(vs, mask_of(vs))
 
     # -- derived graphs -------------------------------------------------
 
@@ -199,54 +246,20 @@ class ColouredGraph:
 def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     """Decide whether the blue graph contains a triangle.
 
-    Vertices with identical blue masks can never be blue-adjacent (the
-    edge would force a self-loop via symmetry), so it is enough to look
-    for a triangle between distinct mask classes.  Colourings built from
-    a few large pieces collapse to a handful of classes.  A vertex of
-    blue degree below 2 lies on no triangle, and its whole class (one
-    mask, one degree) is left out, so on sparse hosts only the few
-    vertices of degree 2 or more are classed.
+    Twins are never blue-adjacent, so it is enough to look for a triangle
+    between the classes of ``G.blue_classes()``; a vertex of blue degree
+    below 2 lies on no triangle and is left unclassed.
 
-    Cost: one pass over the N cached blue degrees, one dict lookup per
-    vertex of degree 2 or more to build the k classes, then one k-bit
+    Cost: the class index (built once per graph), then one k-bit
     intersection per blue class edge, O(E * k / 64) word operations for
-    E blue edges.  The dict key leads with the mask's bit length:
-    CPython hashes an int modulo 2**61 - 1, so masks alike in their low
-    61 residues (every single bit 1 << k, for one) would share a hash
-    value.  Class pairs (a, b) with a < b are tried in order; the
-    witness is the first pair's lowest common neighbour class.  Leaving
-    out classes of degree below 2 keeps that witness: such a class has
-    at most one class neighbour, so it is never a or b of a pair with a
-    common neighbour, and never the common neighbour c of a, b.
+    E blue edges and k classes.  Class pairs (a, b) with a < b are tried
+    in order; the witness is the first pair's lowest common neighbour
+    class.  Leaving out vertices of degree below 2 keeps that witness:
+    one has at most one neighbour, so it is never a or b of a pair with
+    a common neighbour, nor the common neighbour c of a, b.
     """
-    class_index: dict[tuple[int, int], int] = {}
-    reps: list[int] = []
-    # -1: a vertex of blue degree below 2, left unclassed
-    vertex_class = [-1] * G.n_vertices
-    for v, d in enumerate(G.blue_degrees()):
-        if d < 2:
-            continue
-        m = G.blue[v]
-        key = (m.bit_length(), m)
-        i = class_index.get(key)
-        if i is None:
-            i = len(reps)
-            class_index[key] = i
-            reps.append(v)
-        vertex_class[v] = i
-
-    k = len(reps)
-    class_adj = [0] * k
-    for i, r in enumerate(reps):
-        m = 0
-        for w in iter_bits(G.blue[r]):
-            c = vertex_class[w]
-            if c >= 0:
-                m |= bit(c)
-        class_adj[i] = m
-
-    for a in range(k):
-        adj_a = class_adj[a]
+    _, reps, class_adj = G.blue_classes()
+    for a, adj_a in enumerate(class_adj):
         for b in iter_bits(adj_a >> (a + 1)):
             b += a + 1
             common = adj_a & class_adj[b]
@@ -338,25 +351,27 @@ def max_disjoint_red_cliques(
     (``find_red_clique``) picks up a clique that sparse blue noise leaves
     lying around, and the family ends when it finds none.
 
-    Cost per clique: the all-red check, one N-bit AND per residual
-    vertex with a blue neighbour (none on an all-red host); the star
-    harvest, one per vertex of blue degree m or more, and the red test
-    of the harvested star (``ColouredGraph.is_red_clique``); the sweep,
-    a walk over the residual.  The dense route's sparse hosts end on a
-    residual of exactly m vertices, settled by the check alone.
+    Cost per clique, in N-bit ANDs once per blue class and per unclassed
+    vertex of degree 1: the all-red check, over the residual vertices
+    with a blue neighbour (none on an all-red host); the star harvest,
+    over those of degree m or more, and the red test of the harvested
+    star; then the sweep, a walk over the residual.  The dense route's
+    sparse hosts end on a residual of exactly m, settled by the check.
     """
     if m <= 0:
         raise ValueError("clique size must be positive")
     cliques: list[tuple[int, ...]] = []
     residual = A
-    # only a vertex of whole blue degree m or more can have a star of m
-    heavy = [v for v, d in enumerate(G.blue_degrees()) if d >= m]
+    # only a vertex of whole blue degree m or more can have a star of m;
+    # a class shares one star, so its first vertex (reps are in vertex
+    # order) stands for it, and from m = 2 on every such vertex is classed
+    deg = G.blue_degrees()
+    heavy = G.blue_classes()[1] if m >= 2 else range(G.n_vertices)
+    heavy = [v for v in heavy if deg[v] >= m]
     support = G.blue_support()
     while (size := residual.bit_count()) >= m:
         # all-red fast path: a vertex without a blue neighbour is red to all
-        if all(
-            G.blue[v] & residual == 0 for v in iter_bits(residual & support)
-        ):
+        if not G.has_blue_into(iter_bits(residual & support), residual):
             while residual.bit_count() >= m:
                 take = lowest_bits(residual, m)
                 cliques.append(tuple(bits_list(take)))
@@ -398,6 +413,10 @@ def max_balanced_biclique(
     A prefix heuristic seeds the answer and is returned once it reaches
     the cap; otherwise a (t,t)-core reduction plus depth-first search
     settles each larger target up to the cap until one fails.
+
+    Cost, before the search: one N-bit row and popcount per blue class
+    on each side, per unclassed vertex of degree 1 and once for all the
+    vertices of degree 0, then the seeds' sorts and prefix walks.
     """
     side1 = sorted(set(M1))
     side2 = sorted(set(M2))
@@ -412,9 +431,24 @@ def max_balanced_biclique(
         side1, side2 = side2, side1
         m1, m2 = m2, m1
 
-    # the sides are disjoint, so no vertex meets itself across them
-    adj = {u: m2 & ~G.blue[u] for u in side1}
-    adj_back = {v: m1 & ~G.blue[v] for v in side2}
+    class_of = G.blue_classes()[0]
+
+    def red_rows(rows, col_mask):
+        # red view of the other side (disjoint, so no vertex meets itself)
+        # and popcount, one per class, key -1 for degree 0, -2 - u for 1
+        adj, shared = {}, {}
+        for u in rows:
+            b, c = G.blue[u], class_of[u]
+            key = c if c >= 0 or not b else -2 - u
+            if key not in shared:
+                row = col_mask & ~b
+                shared[key] = row, row.bit_count()
+            adj[u], red_size[u] = shared[key]
+        return adj
+
+    red_size: dict[int, int] = {}
+    adj = red_rows(side1, m2)
+    adj_back = red_rows(side2, m1)
 
     limit = min(len(side1), len(side2))
     if cap is not None:
@@ -432,7 +466,7 @@ def max_balanced_biclique(
     # each prefix is a biclique, and a first seed at the limit is final
     def prefix_seed(rows, row_adj, col_mask):
         # row_adj[u] lies inside col_mask, so more red is less blue-cross
-        order = sorted(rows, key=lambda u: -row_adj[u].bit_count())
+        order = sorted(rows, key=lambda u: -red_size[u])
         common = col_mask
         best_w, best_rows, best_common = 0, [], 0
         for idx, u in enumerate(order):

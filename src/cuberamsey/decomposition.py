@@ -29,7 +29,8 @@ from .colored_graph import (
 )
 from .errors import StageFailure
 from .rational import as_fraction
-from .snake_embedding import LinkWitness, Snake, link_components, validate_snake
+from .snake_embedding import LinkWitness, Snake, link_components
+from .snake_embedding import range_errors, validate_snake
 
 
 @dataclass(frozen=True)
@@ -425,9 +426,16 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     be only weakly blue-attached to every earlier snake.  Each round
     record must agree with its snake: weights (not re-searched) at most
     s, s the first grid point with a weight-free gap, and the snake the
-    link component of clique 0.
+    link component of clique 0.  A vertex outside G, in the sparse set
+    or in a snake, fails the certificate before any other test.
     """
     errors = []
+    if dec.sparse and (min(dec.sparse) < 0 or max(dec.sparse) >= G.n_vertices):
+        errors.append("the sparse set mentions out-of-range vertices")
+    for i, sn in enumerate(dec.snakes):
+        errors += [f"snake {i} invalid: {e}" for e in range_errors(G.n_vertices, sn)]
+    if errors:
+        return Verdict.failure(*errors)
     masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
     cm = dec.sparse_mask()
     total = cm

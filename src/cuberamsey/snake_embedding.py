@@ -110,17 +110,35 @@ def link_components(k: int, pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
     return comps
 
 
+def range_errors(N: int, snake: Snake) -> list[str]:
+    """One error per clique or witness side naming a vertex outside 0..N-1."""
+    parts = [(f"clique {i}", c) for i, c in enumerate(snake.cliques)]
+    for w in snake.witnesses:
+        parts += [(f"witness ({w.i}, {w.j}) X side", w.X)]
+        parts += [(f"witness ({w.i}, {w.j}) Y side", w.Y)]
+    return [
+        f"{p} mentions out-of-range vertices"
+        for p, vs in parts
+        if vs and (min(vs) < 0 or max(vs) >= N)
+    ]
+
+
 def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     """Check the snake's defining properties inside G.
 
     Cliques must be same-sized disjoint red cliques, every witness a red
-    K_{s,s} between its two cliques, and the link graph connected.
+    K_{s,s} between its two cliques, and the link graph connected; a
+    vertex outside G fails it first.  Cost: a mask per clique and side,
+    and one N-bit AND per blue class in a clique or witness X side.
     """
     errors = []
     if not snake.cliques:
         return Verdict.failure("a snake needs at least one clique")
     if snake.s < 1:
         errors.append(f"link strength s must be positive, got {snake.s}")
+    bad = range_errors(G.n_vertices, snake)
+    if bad:
+        return Verdict.failure(*errors, *bad)
     m = len(snake.cliques[0])
     masks = []
     for idx, c in enumerate(snake.cliques):
@@ -128,9 +146,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             errors.append(f"clique {idx} has {len(c)} vertices, expected {m}")
         if len(set(c)) != len(c):
             errors.append(f"clique {idx} repeats a vertex")
-        if not all(0 <= v < G.n_vertices for v in c):
-            errors.append(f"clique {idx} mentions out-of-range vertices")
-        elif not G.is_red_clique(c):
+        if not G.is_red_clique(c):
             errors.append(f"clique {idx} is not a red clique")
         masks.append(mask_of(c))
     for i in range(len(masks)):
@@ -154,7 +170,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             errors.append(f"witness ({w.i}, {w.j}) X side not inside clique {w.i}")
         if my & ~masks[w.j] or len(set(w.Y)) != len(w.Y):
             errors.append(f"witness ({w.i}, {w.j}) Y side not inside clique {w.j}")
-        if any(G.blue[x] & my for x in w.X):
+        if G.has_blue_into(w.X, my):
             errors.append(
                 f"witness ({w.i}, {w.j}) has a blue cross pair"
             )

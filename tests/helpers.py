@@ -3,8 +3,8 @@
 import random
 from math import comb
 
-from cuberamsey.bits import bit, iter_bits, mask_of
-from cuberamsey.colored_graph import ColouredGraph, red_components
+from cuberamsey.bits import bit, bits_list, iter_bits, lowest_bits, mask_of
+from cuberamsey.colored_graph import ColouredGraph, Verdict, red_components
 from cuberamsey.dense_embedding import (
     AssignmentEntry,
     PartialAssignment,
@@ -19,7 +19,7 @@ from cuberamsey.hypercube import (
     subcube_vertices,
 )
 from cuberamsey.oracle import CubeSearchResult
-from cuberamsey.snake_embedding import closed_tree_walk, snake_embed
+from cuberamsey.snake_embedding import closed_tree_walk, link_components, snake_embed
 from cuberamsey.solver import assign_subcubes
 
 
@@ -548,3 +548,159 @@ def reference_verify_errors(G: ColouredGraph, n: int, phi, domain=None) -> list[
                 if len(errors) >= 20:
                     return errors
     return errors
+
+
+def reference_is_red_clique(G: ColouredGraph, vertices) -> bool:
+    """``ColouredGraph.is_red_clique`` with one N-bit AND per vertex that
+    has a blue neighbour."""
+    vs = list(vertices)
+    m = mask_of(vs)
+    deg = G.blue_degrees()
+    return all(G.blue[v] & m == 0 for v in vs if deg[v])
+
+
+def reference_max_balanced_biclique(G: ColouredGraph, M1, M2, cap=None):
+    """``colored_graph.max_balanced_biclique`` with one N-bit row per
+    vertex and one popcount per vertex in the seeds' sort key."""
+    side1 = sorted(set(M1))
+    side2 = sorted(set(M2))
+    m1, m2 = mask_of(side1), mask_of(side2)
+    if m1 & m2:
+        raise ValueError("the two sides must be disjoint")
+    if not side1 or not side2:
+        return 0, (), ()
+    swapped = len(side1) > len(side2)
+    if swapped:
+        side1, side2 = side2, side1
+        m1, m2 = m2, m1
+    adj = {u: m2 & ~G.blue[u] for u in side1}
+    adj_back = {v: m1 & ~G.blue[v] for v in side2}
+    limit = min(len(side1), len(side2))
+    if cap is not None:
+        limit = min(limit, cap)
+    if all(adj[u] == m2 for u in side1):
+        X, Y = tuple(side1[:limit]), tuple(side2[:limit])
+        return (limit, Y, X) if swapped else (limit, X, Y)
+    if all(adj[u] == 0 for u in side1):
+        return 0, (), ()
+
+    def prefix_seed(rows, row_adj, col_mask):
+        order = sorted(rows, key=lambda u: -row_adj[u].bit_count())
+        common = col_mask
+        best_w, best_rows, best_common = 0, [], 0
+        for idx, u in enumerate(order):
+            common &= row_adj[u]
+            if not common:
+                break
+            w = min(idx + 1, common.bit_count())
+            if w > best_w:
+                best_w, best_rows, best_common = w, order[: idx + 1], common
+        return best_w, best_rows, best_common
+
+    w1, rows1, common1 = prefix_seed(side1, adj, m2)
+    w2, rows2, common2 = prefix_seed(side2, adj_back, m1) if w1 < limit else (0, [], 0)
+    if w1 >= w2:
+        best = w1
+        best_X = sorted(rows1)[:w1]
+        best_Y = bits_list(lowest_bits(common1, w1))
+    else:
+        best = w2
+        best_X = bits_list(lowest_bits(common2, w2))
+        best_Y = sorted(rows2)[:w2]
+    if best >= limit:
+        X, Y = tuple(best_X[:limit]), tuple(best_Y[:limit])
+        return (limit, Y, X) if swapped else (limit, X, Y)
+
+    def core(t):
+        px, py = m1, m2
+        changed = True
+        while changed:
+            changed = False
+            nx = mask_of(u for u in iter_bits(px) if (adj[u] & py).bit_count() >= t)
+            if nx != px:
+                px, changed = nx, True
+            ny = mask_of(v for v in iter_bits(py) if (adj_back[v] & px).bit_count() >= t)
+            if ny != py:
+                py, changed = ny, True
+        return px, py
+
+    def decision(t):
+        px, py = core(t)
+        if px.bit_count() < t or py.bit_count() < t:
+            return None
+        order = bits_list(px)
+        stack = [(0, 0, py, 0)]
+        while stack:
+            idx, size, common, chosen = stack.pop()
+            if size == t:
+                return chosen, lowest_bits(common, t)
+            for i in range(len(order) - 1, idx - 1, -1):
+                u = order[i]
+                if len(order) - i + size < t:
+                    continue
+                c2 = common & adj[u]
+                if c2.bit_count() < t:
+                    continue
+                stack.append((i + 1, size + 1, c2, chosen | bit(u)))
+        return None
+
+    t = best + 1
+    while t <= limit:
+        got = decision(t)
+        if got is None:
+            break
+        best, best_X, best_Y = t, bits_list(got[0]), bits_list(got[1])
+        t += 1
+    X, Y = tuple(best_X), tuple(best_Y)
+    return (best, Y, X) if swapped else (best, X, Y)
+
+
+def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
+    """``snake_embedding.validate_snake`` with one N-bit AND per vertex in
+    the red tests of cliques and witness sides; a vertex outside G may
+    raise instead of failing the snake."""
+    errors = []
+    if not snake.cliques:
+        return Verdict.failure("a snake needs at least one clique")
+    if snake.s < 1:
+        errors.append(f"link strength s must be positive, got {snake.s}")
+    m = len(snake.cliques[0])
+    masks = []
+    for idx, c in enumerate(snake.cliques):
+        if len(c) != m:
+            errors.append(f"clique {idx} has {len(c)} vertices, expected {m}")
+        if len(set(c)) != len(c):
+            errors.append(f"clique {idx} repeats a vertex")
+        if not all(0 <= v < G.n_vertices for v in c):
+            errors.append(f"clique {idx} mentions out-of-range vertices")
+        elif not reference_is_red_clique(G, c):
+            errors.append(f"clique {idx} is not a red clique")
+        masks.append(mask_of(c))
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if masks[i] & masks[j]:
+                errors.append(f"cliques {i} and {j} share vertices")
+    if errors:
+        return Verdict.failure(*errors)
+    for w in snake.witnesses:
+        if not (0 <= w.i < w.j < snake.k):
+            errors.append(f"witness names bad clique pair ({w.i}, {w.j})")
+            continue
+        if len(w.X) != snake.s or len(w.Y) != snake.s:
+            errors.append(
+                f"witness ({w.i}, {w.j}) has sides of size "
+                f"{len(w.X)}/{len(w.Y)}, expected {snake.s}"
+            )
+        mx, my = mask_of(w.X), mask_of(w.Y)
+        if mx & ~masks[w.i] or len(set(w.X)) != len(w.X):
+            errors.append(f"witness ({w.i}, {w.j}) X side not inside clique {w.i}")
+        if my & ~masks[w.j] or len(set(w.Y)) != len(w.Y):
+            errors.append(f"witness ({w.i}, {w.j}) Y side not inside clique {w.j}")
+        if any(G.blue[x] & my for x in w.X):
+            errors.append(f"witness ({w.i}, {w.j}) has a blue cross pair")
+    if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
+        errors.append("duplicate witness for a clique pair")
+    comps = link_components(snake.k, [w.pair() for w in snake.witnesses])
+    if len(comps) != 1:
+        errors.append(f"link graph is disconnected: {len(comps)} components")
+    return Verdict(not errors, errors)

@@ -252,6 +252,42 @@ def test_verify_rejects_tampering():
     assert not verify_decomposition(G, tampered).ok
 
 
+def _tampered_certificate(field: str, value: int):
+    """A certificate of a greedy host whose snake has three cliques and
+    three witnesses, with one vertex of the named part set to value
+    through the JSON form."""
+    G = random_triangle_free_greedy(64, 8, random.Random(1))
+    data = decompose(G, DecompositionParams.desk(3)).to_json_dict()
+    snake = data["snakes"][0]
+    if field == "sparse":
+        data["sparse"][0] = value
+    elif field == "clique":
+        snake["cliques"][1][0] = value
+    else:
+        snake["witnesses"][0][field][0] = value
+    return G, Decomposition.from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", [-1, 64, 99])
+@pytest.mark.parametrize("field", ["sparse", "clique", "X", "Y"])
+def test_verify_reports_out_of_range_vertices(field, value):
+    # a vertex outside the graph fails the certificate, naming the part,
+    # instead of raising from a shift or an index
+    G, dec = _tampered_certificate(field, value)
+    verdict = verify_decomposition(G, dec)
+    assert not verdict.ok
+    part = {
+        "sparse": "the sparse set",
+        "clique": "snake 0 invalid: clique 1",
+        "X": "snake 0 invalid: witness (0, 1) X side",
+        "Y": "snake 0 invalid: witness (0, 1) Y side",
+    }[field]
+    assert verdict.errors == [f"{part} mentions out-of-range vertices"]
+    if field != "sparse":
+        check = validate_snake(G, dec.snakes[0])
+        assert check.errors == [verdict.errors[0].removeprefix("snake 0 invalid: ")]
+
+
 def test_verify_checks_round_records():
     # one round, two cliques linked at exactly s; the records are claims
     # the verifier must hold against the snake and the gap rule

@@ -1,7 +1,9 @@
 """The bit-scanning loops of ``colored_graph`` against the loops they
 replaced, which shift a mask right one bit per pass, the red-clique
-extraction against the one that cleared a candidate mask per vertex, and
-the embedding verifier against its per-edge ``is_red`` loop."""
+extraction against the one that cleared a candidate mask per vertex, the
+embedding verifier against its per-edge ``is_red`` loop, the blue twin
+classes against the masks, and the passes that do their N-bit work once
+per class against their per-vertex loops."""
 
 import random
 
@@ -11,7 +13,10 @@ from hypothesis import given, settings, strategies as st
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
     reference_is_blue_triangle_free,
+    reference_is_red_clique,
+    reference_max_balanced_biclique,
     reference_max_disjoint_red_cliques,
+    reference_validate_snake,
     reference_validation_error,
     reference_verify_errors,
     two_clique_linked_shuffled,
@@ -19,11 +24,14 @@ from helpers import (
 from cuberamsey.colored_graph import (
     ColouredGraph,
     is_blue_triangle_free,
+    max_balanced_biclique,
     max_disjoint_red_cliques,
     random_bipartite_blue,
     random_triangle_free_greedy,
     verify_red_embedding,
 )
+from cuberamsey.decomposition import DecompositionParams, decompose
+from cuberamsey.snake_embedding import LinkWitness, Snake, validate_snake
 
 
 def _add_edge(blue, u, v):
@@ -286,3 +294,150 @@ def test_verify_red_embedding_matches_per_edge_loop(case):
     expected = reference_verify_errors(G, n, phi, domain)
     assert verdict.errors == expected
     assert verdict.ok is (not expected)
+
+
+def _assert_classes_match_masks(G: ColouredGraph):
+    class_of, reps, class_adj = G.blue_classes()
+    assert G.blue_classes() is G.blue_classes()
+    first = {}
+    for v, m in enumerate(G.blue):
+        if m.bit_count() < 2:
+            assert class_of[v] == -1
+        else:
+            # one class per mask, numbered in order of its first vertex
+            assert class_of[v] == first.setdefault(m, len(first))
+    assert reps == [class_of.index(c) for c in range(len(first))]
+    assert len(class_adj) == len(reps)
+    for u, c in enumerate(class_of):
+        if c >= 0:
+            want = 0
+            for w in range(G.n_vertices):
+                if G.is_blue(u, w) and class_of[w] >= 0:
+                    want |= 1 << class_of[w]
+            assert class_adj[c] == want
+
+
+@given(hosts())
+def test_blue_classes_group_exactly_the_equal_masks(host):
+    _assert_classes_match_masks(host[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blue_classes_on_sparse_greedy_hosts(seed):
+    G, _, _ = _clique_host("sparse-greedy", seed)
+    _assert_classes_match_masks(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts(), st.data())
+def test_is_red_clique_matches_per_vertex_loop(host, data):
+    G, _ = host
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    N = G.n_vertices
+    # random sets, blue stars (red when the host is triangle free) and
+    # stars with one more vertex, which may be blue to the rest
+    sets = [rng.sample(range(N), rng.randrange(N + 1)) for _ in range(5)]
+    for v in rng.sample(range(N), min(N, 8)):
+        star = [w for w in range(N) if G.is_blue(v, w)]
+        sets += [star, star + [v], star[: len(star) // 2]]
+    for vs in sets:
+        assert G.is_red_clique(vs) == reference_is_red_clique(G, vs)
+
+
+def _biclique_cases(G, rng):
+    """Clique pairs of the host's red clique family, searched up to a
+    small cap, and random disjoint sides of up to 24 vertices in all,
+    searched with and without one: the uncapped search is exponential."""
+    N = G.n_vertices
+    m = rng.randrange(2, max(3, N // 3))
+    family = max_disjoint_red_cliques(G, G.full_mask, m)
+    cases = [(family[i], family[i + 1], rng.randrange(1, 12)) for i in range(len(family) - 1)]
+    for _ in range(3):
+        vs = rng.sample(range(N), min(N, rng.randrange(25)))
+        cut = rng.randrange(len(vs) + 1)
+        cases += [(vs[:cut], vs[cut:], None), (vs[:cut], vs[cut:], rng.randrange(1, 8))]
+    return cases
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_balanced_biclique_matches_per_vertex_rows(kind):
+    for seed in range(12):
+        G, _, _ = _clique_host(kind, seed)
+        rng = random.Random(f"biclique/{kind}/{seed}")
+        for M1, M2, cap in _biclique_cases(G, rng):
+            assert max_balanced_biclique(G, M1, M2, cap) == (
+                reference_max_balanced_biclique(G, M1, M2, cap)
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts(), st.data())
+def test_max_balanced_biclique_matches_per_vertex_rows_on_blow_ups(host, data):
+    # blow-ups share rows among many vertices; planted triangles and
+    # sparse hosts leave vertices of blue degree 0 and 1 unclassed
+    G, _ = host
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for M1, M2, cap in _biclique_cases(G, rng):
+        assert max_balanced_biclique(G, M1, M2, cap) == (
+            reference_max_balanced_biclique(G, M1, M2, cap)
+        )
+
+
+def _tampered_snakes(G, snake, rng):
+    """The snake and in-range variants of it: a clique or witness vertex
+    swapped for another vertex of G, a side cut short, a witness moved."""
+    N = G.n_vertices
+    out = [snake]
+    for _ in range(6):
+        cliques = [list(c) for c in snake.cliques]
+        ws = [[w.i, w.j, list(w.X), list(w.Y)] for w in snake.witnesses]
+        what = rng.choice(["clique", "X", "Y", "short", "pair"])
+        if what == "clique" or not ws:
+            c = rng.choice(cliques)
+            c[rng.randrange(len(c))] = rng.randrange(N)
+        else:
+            w = rng.choice(ws)
+            side = w[2] if what in ("X", "short") else w[3]
+            if what == "short":
+                side.pop()
+            elif what == "pair":
+                w[1] = w[0]
+            else:
+                side[rng.randrange(len(side))] = rng.randrange(N)
+        out.append(
+            Snake(
+                tuple(tuple(c) for c in cliques),
+                tuple(LinkWitness(i, j, tuple(X), tuple(Y)) for i, j, X, Y in ws),
+                snake.s,
+            )
+        )
+    return out
+
+
+def _with_blue_edges(G, rng, count):
+    blue = list(G.blue)
+    for _ in range(count):
+        u, v = rng.sample(range(G.n_vertices), 2)
+        blue[u] |= 1 << v
+        blue[v] |= 1 << u
+    return ColouredGraph(G.n_vertices, blue)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_validate_snake_matches_per_vertex_loop(seed):
+    rng = random.Random(f"validate/{seed}")
+    n = rng.randrange(2, 5)
+    if seed % 2:
+        G = two_clique_linked_shuffled(n, rng, extra=rng.randrange(10))
+    else:
+        G = random_bipartite_blue(1 << (n + 2), rng.choice([0.02, 0.05]), rng)
+    dec = decompose(G, DecompositionParams.desk(n))
+    assert dec.snakes
+    # the same snakes on the host, and on copies with blue edges added
+    # at random, which can break cliques and witnesses
+    for H in (G, _with_blue_edges(G, rng, 3), _with_blue_edges(G, rng, 40)):
+        for snake in dec.snakes:
+            for sn in _tampered_snakes(H, snake, rng):
+                got = validate_snake(H, sn)
+                want = reference_validate_snake(H, sn)
+                assert (got.ok, got.errors) == (want.ok, want.errors)
