@@ -75,6 +75,22 @@ def bits_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
+def counted_bits(mask: int, k: int) -> list[int]:
+    """``bits_list`` of a non-negative mask known to have k set bits.
+
+    Cost: read from the top by ``int.bit_length``, O(1) for k = 1 and
+    one N-bit XOR per further bit; as ``bits_list`` once k * N > 2**20.
+    """
+    if k * mask.bit_length() > _PER_BIT_LIMIT:
+        return bits_list(mask)
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        out[i] = top = mask.bit_length() - 1
+        if i:
+            mask ^= 1 << top
+    return out
+
+
 def lowest_bits(mask: int, k: int) -> int:
     """Mask of the k lowest set bits of a non-negative mask (all of them
     if fewer than k)."""

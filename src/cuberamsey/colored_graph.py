@@ -10,10 +10,12 @@ an edge list.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
-from .bits import bit, bits_list, iter_bits, lowest_bits, mask_of
+from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
 from .errors import GraphParseError
 
 
@@ -40,8 +42,8 @@ class ColouredGraph:
     Construction with ``validate=False`` skips that check; it is meant for
     internal constructions that are symmetric by shape.  The masks are
     not changed after construction: ``blue_degrees`` counts them once,
-    ``blue_support`` masks the vertices with a blue neighbour once, and
-    ``blue_classes`` groups equal masks into blue twin classes once.
+    ``blue_at_least`` sorts the vertices with a blue neighbour by degree
+    once, and ``blue_classes`` groups equal masks into twin classes once.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -55,7 +57,7 @@ class ColouredGraph:
         self.blue = blue
         self.full_mask = (1 << n_vertices) - 1
         self._blue_degrees: Optional[list[int]] = None
-        self._blue_support: Optional[int] = None
+        self._by_degree: Optional[array] = None
         self._blue_classes: Optional[tuple[list[int], list[int], list[int]]] = None
         if validate:
             self._validate()
@@ -103,13 +105,22 @@ class ColouredGraph:
             self._blue_degrees = [m.bit_count() for m in self.blue]
         return self._blue_degrees
 
-    def blue_support(self) -> int:
-        """The mask of vertices with a blue neighbour, built on first use."""
-        if self._blue_support is None:
-            self._blue_support = mask_of(
-                [v for v, d in enumerate(self.blue_degrees()) if d]
-            )
-        return self._blue_support
+    def blue_at_least(self, t: int) -> int:
+        """The mask of vertices of blue degree t or more.
+
+        Cost: on first use a pass over the N cached degrees and a sort of
+        the vertices with a blue neighbour by degree, kept as 4 bytes each;
+        then a bisection and ``mask_of`` of the answer.
+        """
+        if t <= 0:
+            return self.full_mask
+        deg = self.blue_degrees()
+        if self._by_degree is None:
+            self._by_degree = array("i", sorted(
+                (v for v, d in enumerate(deg) if d), key=deg.__getitem__, reverse=True
+            ))
+        order = self._by_degree
+        return mask_of(order[: bisect_right(order, -t, key=lambda v: -deg[v])])
 
     def blue_edge_count(self) -> int:
         return sum(self.blue_degrees()) // 2
@@ -177,20 +188,34 @@ class ColouredGraph:
         """Induced colouring on the given vertices.
 
         Returns the subgraph together with the list mapping new indices to
-        old ones (new index i corresponds to old vertex ``order[i]``).
+        old ones (new index i corresponds to old vertex ``order[i]``).  The
+        subgraph's degrees are counted on the way and cached.
+
+        Cost: a sort and a dict over the vertices, then one dict lookup
+        and one shift per blue neighbour (``counted_bits`` with the cached
+        degree); a mask of degree above N/256 is first ANDed with the set.
         """
         order = sorted(set(vertices))
         pos = {v: i for i, v in enumerate(order)}
-        chosen = mask_of(order)
-        blue = []
+        deg, heavy, chosen = self.blue_degrees(), self.n_vertices >> 8, None
+        blue, sub_deg = [], []
         for v in order:
-            m = self.blue[v]
-            nm = 0
-            if m:
-                for w in iter_bits(m & chosen):
-                    nm |= bit(pos[w])
+            nm = k = 0
+            if deg[v] > heavy:
+                chosen = mask_of(order) if chosen is None else chosen
+                nbrs = iter_bits(self.blue[v] & chosen)
+            else:
+                nbrs = counted_bits(self.blue[v], deg[v]) if deg[v] else ()
+            for w in nbrs:
+                i = pos.get(w)
+                if i is not None:
+                    nm |= 1 << i
+                    k += 1
             blue.append(nm)
-        return ColouredGraph(len(order), blue, validate=False), order
+            sub_deg.append(k)
+        H = ColouredGraph(len(order), blue, validate=False)
+        H._blue_degrees = sub_deg
+        return H, order
 
     # -- text round trip ------------------------------------------------
 
@@ -305,9 +330,9 @@ def find_red_clique(G: ColouredGraph, pool: int, m: int) -> Optional[tuple[int, 
     m-clique may still lie in the pool.
 
     Cost: one walk over the pool marks the discarded vertices, at the
-    cost of each pick's blue degree; after a pick of degree above N/256,
-    clearing a candidate mask (one N-bit operation per pick) is the
-    cheaper way to go on.
+    cost of ``counted_bits`` per pick, O(1) at degree 1; after a pick of
+    degree above N/256, clearing a candidate mask (one N-bit operation
+    per pick) is the cheaper way to go on.
     """
     deg = G.blue_degrees()
     picks: list[int] = []
@@ -325,7 +350,7 @@ def find_red_clique(G: ColouredGraph, pool: int, m: int) -> Optional[tuple[int, 
                 cand &= ~G.blue[p]
             break
         if deg[v]:
-            for w in iter_bits(G.blue[v]):
+            for w in counted_bits(G.blue[v], deg[v]):
                 marked[w] = 1
     while cand and len(picks) < m:
         v = (cand & -cand).bit_length() - 1
@@ -368,7 +393,7 @@ def max_disjoint_red_cliques(
     deg = G.blue_degrees()
     heavy = G.blue_classes()[1] if m >= 2 else range(G.n_vertices)
     heavy = [v for v in heavy if deg[v] >= m]
-    support = G.blue_support()
+    support = G.blue_at_least(1)
     while (size := residual.bit_count()) >= m:
         # all-red fast path: a vertex without a blue neighbour is red to all
         if not G.has_blue_into(iter_bits(residual & support), residual):
@@ -414,9 +439,10 @@ def max_balanced_biclique(
     the cap; otherwise a (t,t)-core reduction plus depth-first search
     settles each larger target up to the cap until one fails.
 
-    Cost, before the search: one N-bit row and popcount per blue class
-    on each side, per unclassed vertex of degree 1 and once for all the
-    vertices of degree 0, then the seeds' sorts and prefix walks.
+    Cost, before the search: per side, one N-bit row per vertex, or, if
+    G has fewer blue classes than the side has vertices, one row and
+    popcount per class and per vertex of degree below 2; then the
+    seeds' sorts, by popcount, and prefix walks.
     """
     side1 = sorted(set(M1))
     side2 = sorted(set(M2))
@@ -431,24 +457,25 @@ def max_balanced_biclique(
         side1, side2 = side2, side1
         m1, m2 = m2, m1
 
-    class_of = G.blue_classes()[0]
+    class_of, reps, _ = G.blue_classes()
 
     def red_rows(rows, col_mask):
         # red view of the other side (disjoint, so no vertex meets itself)
-        # and popcount, one per class, key -1 for degree 0, -2 - u for 1
-        adj, shared = {}, {}
-        for u in rows:
-            b, c = G.blue[u], class_of[u]
-            key = c if c >= 0 or not b else -2 - u
-            if key not in shared:
-                row = col_mask & ~b
-                shared[key] = row, row.bit_count()
-            adj[u], red_size[u] = shared[key]
-        return adj
+        # and the seeds' sort key, fewer reds first; rows and popcounts are
+        # shared by each blue class when G has fewer classes than rows
+        shared = len(reps) < len(rows)
+        rows_c = [col_mask & ~G.blue[r] for r in reps] if shared else []
+        sizes_c = [-row.bit_count() for row in rows_c]
+        adj = {
+            u: rows_c[c] if shared and (c := class_of[u]) >= 0 else col_mask & ~G.blue[u]
+            for u in rows
+        }
+        return adj, lambda u: (
+            sizes_c[c] if shared and (c := class_of[u]) >= 0 else -adj[u].bit_count()
+        )
 
-    red_size: dict[int, int] = {}
-    adj = red_rows(side1, m2)
-    adj_back = red_rows(side2, m1)
+    adj, key1 = red_rows(side1, m2)
+    adj_back, key2 = red_rows(side2, m1)
 
     limit = min(len(side1), len(side2))
     if cap is not None:
@@ -464,9 +491,9 @@ def max_balanced_biclique(
     # seeds: walk a side in increasing blue-cross order, keeping the other
     # side red to the whole prefix (a planted block floats to the front);
     # each prefix is a biclique, and a first seed at the limit is final
-    def prefix_seed(rows, row_adj, col_mask):
+    def prefix_seed(rows, row_adj, col_mask, key):
         # row_adj[u] lies inside col_mask, so more red is less blue-cross
-        order = sorted(rows, key=lambda u: -red_size[u])
+        order = sorted(rows, key=key)
         common = col_mask
         best_w, best_rows, best_common = 0, [], 0
         for idx, u in enumerate(order):
@@ -480,8 +507,10 @@ def max_balanced_biclique(
                 best_common = common
         return best_w, best_rows, best_common
 
-    w1, rows1, common1 = prefix_seed(side1, adj, m2)
-    w2, rows2, common2 = prefix_seed(side2, adj_back, m1) if w1 < limit else (0, [], 0)
+    w1, rows1, common1 = prefix_seed(side1, adj, m2, key1)
+    w2, rows2, common2 = (
+        prefix_seed(side2, adj_back, m1, key2) if w1 < limit else (0, [], 0)
+    )
     if w1 >= w2:
         best = w1
         best_X = sorted(rows1)[:w1]

@@ -286,8 +286,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     mu_num, mu_den = params.mu.numerator, params.mu.denominator
     # a blue degree into a set is at most the whole blue degree, so each
     # degree test below walks only the vertices whose whole degree passes
-    deg = G.blue_degrees()
-    above_2m = mask_of([v for v, d in enumerate(deg) if d > 2 * params.m])
+    above_2m = G.blue_at_least(2 * params.m + 1)
 
     for round_index in range(1, G.n_vertices + 2):
         cliques = max_disjoint_red_cliques(G, A, params.m)
@@ -320,19 +319,15 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         )
         snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
 
-        S_mask = mask_of(snake.vertex_set())
         clique_masks = [mask_of(c) for c in cliques]
+        S_mask = sum(clique_masks[ci] for ci in comp)  # disjoint cliques
         # the degree masks are needed only when the snake leaves some
-        # vertex active
+        # vertex active; lam * d >= s and mu * d > s hold from these degrees
         rest = A & ~S_mask
         sparse_new = lam_heavy = mu_heavy = 0
         if rest:
-            lam_heavy = mask_of(
-                [v for v, d in enumerate(deg) if lam_num * d >= s * lam_den]
-            )
-            mu_heavy = mask_of(
-                [v for v, d in enumerate(deg) if mu_num * d > s * mu_den]
-            )
+            lam_heavy = G.blue_at_least(-(-s * lam_den // lam_num))
+            mu_heavy = G.blue_at_least(s * mu_den // mu_num + 1)
         for v in iter_bits(rest & lam_heavy):
             for ci in comp:
                 d = (G.blue[v] & clique_masks[ci]).bit_count()
@@ -396,9 +391,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     # the last clique family came back empty, which on a triangle-free
     # graph means no blue star of m is left: blue degrees inside the
     # remainder stay below m
-    for v, dv in enumerate(deg):
-        if dv < params.m:
-            continue
+    for v in iter_bits(G.blue_at_least(params.m)):
         d = (G.blue[v] & A).bit_count()
         if d >= params.m:
             raise AssertionError(
@@ -448,11 +441,8 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     if not len(dec.s_values) == len(dec.rounds) == len(dec.snakes):
         errors.append("one s value and one round record per snake is required")
 
-    blue_inside = 0
-    for v in iter_bits(cm):
-        if G.blue[v]:
-            blue_inside += (G.blue[v] & cm).bit_count()
-    blue_inside //= 2
+    support = iter_bits(cm & G.blue_at_least(1))
+    blue_inside = sum((G.blue[v] & cm).bit_count() for v in support) // 2
     if blue_inside > 2 * dec.params.m * len(dec.sparse):
         errors.append(
             f"sparse set has {blue_inside} blue edges, above "

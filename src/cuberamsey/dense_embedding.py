@@ -185,9 +185,8 @@ class Extended:
 
 @dataclass(frozen=True)
 class Cleaned:
-    """Cleaning outcome: the active set shrank to C."""
+    """Cleaning outcome: the active set shrank to the mask C."""
 
-    vertices: tuple[int, ...]
     mask: int
 
 
@@ -249,7 +248,6 @@ def extend_or_clean(
 
     # a blue degree into a set is at most the whole blue degree, so each
     # degree test below walks only the vertices whose whole degree passes
-    deg = H.blue_degrees()
     removed = 0
     for e in pa.entries:
         if subcube_distance(e.subcube, y) != 1:
@@ -257,9 +255,8 @@ def extend_or_clean(
         # d >= thr as d * thr.denominator >= thr.numerator, exactly
         thr = g * (1 << (n - e.codim)) / e.codim
         thr_num, thr_den = thr.numerator, thr.denominator
-        heavy = mask_of([v for v, d in enumerate(deg) if d * thr_den >= thr_num])
         mi = e.members_mask()
-        for v in iter_bits(A & heavy):
+        for v in iter_bits(A & H.blue_at_least(-(-thr_num // thr_den))):
             if (H.blue[v] & mi).bit_count() * thr_den >= thr_num:
                 removed |= bit(v)
     C = A & ~removed
@@ -275,15 +272,13 @@ def extend_or_clean(
 
     need = 1 << (n - b + 1)
     size = candidate_set_size(g, n, b)
-    for u, du in enumerate(deg):
-        if du < need:
-            continue
+    for u in iter_bits(H.blue_at_least(need)):
         nb = H.blue[u] & C
         if nb.bit_count() >= need:
             members = tuple(bits_list(lowest_bits(nb, size)))
             entry = AssignmentEntry(y, members)
             return Extended(pa.with_entry(entry), entry, u)
-    return Cleaned(tuple(bits_list(C)), C)
+    return Cleaned(C)
 
 
 @dataclass(frozen=True)
@@ -325,7 +320,7 @@ def dense_embed(
     the final cleaned set (``complete_greedily``).
 
     Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
-    cached degrees) and the passes of ``extend_or_clean``: the greedy
+    degree index) and the passes of ``extend_or_clean``: the greedy
     completion does N-bit work only for the blue masks in the way of a
     cube vertex, so on a sparse host it is O(2^n * n + N) plus one N-bit
     OR per such mask and one N-bit bit test per pool vertex with a blue
@@ -346,14 +341,14 @@ def dense_embed(
             f"host has {H.n_vertices} vertices, needs {need}",
         )
     cap = 1 << (n - schedule.b[0])
-    for v, d in enumerate(H.blue_degrees()):
-        if d > cap:
-            raise HypothesisError(
-                "max-degree",
-                f"vertex {v} has blue degree {d}, "
-                f"above 2^(n - b_0) = {cap}",
-                witness=v,
-            )
+    if over := H.blue_at_least(cap + 1):
+        v = (over & -over).bit_length() - 1
+        raise HypothesisError(
+            "max-degree",
+            f"vertex {v} has blue degree {H.blue_degrees()[v]}, "
+            f"above 2^(n - b_0) = {cap}",
+            witness=v,
+        )
     ok, tri = is_blue_triangle_free(H)
     if not ok:
         raise HypothesisError(

@@ -142,12 +142,12 @@ def partition_complement(family: SubcubeFamily, b: int) -> list[InitialSubcube]:
 
 
 def bandwidth_order(vertices: Iterable[int], n: int) -> list[int]:
-    """Order vertices by (number of set bits, word value).
+    """Order vertices by (number of set bits, word value), by two C sorts.
 
     Along this order every cube edge joins consecutive weight levels, so the
     index gap across an edge is at most the size of two adjacent levels.
     """
-    return sorted(vertices, key=lambda v: (v.bit_count(), v))
+    return sorted(sorted(vertices), key=int.bit_count)
 
 
 def bandwidth_bound(n: int) -> int:

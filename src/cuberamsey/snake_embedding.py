@@ -128,8 +128,8 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
 
     Cliques must be same-sized disjoint red cliques, every witness a red
     K_{s,s} between its two cliques, and the link graph connected; a
-    vertex outside G fails it first.  Cost: a mask per clique and side,
-    and one N-bit AND per blue class in a clique or witness X side.
+    vertex outside G fails it first.  Cost: one mask per clique and
+    side, and one N-bit AND per blue class in a clique or witness X side.
     """
     errors = []
     if not snake.cliques:
@@ -146,9 +146,9 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             errors.append(f"clique {idx} has {len(c)} vertices, expected {m}")
         if len(set(c)) != len(c):
             errors.append(f"clique {idx} repeats a vertex")
-        if not G.is_red_clique(c):
-            errors.append(f"clique {idx} is not a red clique")
         masks.append(mask_of(c))
+        if G.has_blue_into(c, masks[-1]):
+            errors.append(f"clique {idx} is not a red clique")
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if masks[i] & masks[j]:

@@ -704,3 +704,48 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
     if len(comps) != 1:
         errors.append(f"link graph is disconnected: {len(comps)} components")
     return Verdict(not errors, errors)
+
+
+def reference_find_red_clique(G: ColouredGraph, pool: int, m: int):
+    """``colored_graph.find_red_clique`` marking each pick's blue
+    neighbours by peeling the lowest bit of its mask."""
+    deg = G.blue_degrees()
+    picks = []
+    marked = bytearray(G.n_vertices)
+    cand = 0
+    for v in iter_bits(pool):
+        if marked[v]:
+            continue
+        picks.append(v)
+        if len(picks) == m:
+            break
+        if deg[v] << 8 > G.n_vertices:
+            cand = pool & ~((2 << v) - 1)
+            for p in picks:
+                cand &= ~G.blue[p]
+            break
+        if deg[v]:
+            for w in iter_bits(G.blue[v]):
+                marked[w] = 1
+    while cand and len(picks) < m:
+        v = (cand & -cand).bit_length() - 1
+        picks.append(v)
+        cand &= ~(bit(v) | G.blue[v])
+    return tuple(picks) if len(picks) == m else None
+
+
+def reference_induced(G: ColouredGraph, vertices):
+    """``ColouredGraph.induced`` with one N-bit AND per vertex that has a
+    blue neighbour, returning the masks and the vertex order."""
+    order = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(order)}
+    chosen = mask_of(order)
+    blue = []
+    for v in order:
+        m = G.blue[v]
+        nm = 0
+        if m:
+            for w in iter_bits(m & chosen):
+                nm |= bit(pos[w])
+        blue.append(nm)
+    return blue, order

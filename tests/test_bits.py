@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_iter_bits, reference_lowest_bits, reference_mask_of
-from cuberamsey.bits import bits_list, iter_bits, lowest_bits, mask_of
+from cuberamsey.bits import bits_list, counted_bits, iter_bits, lowest_bits, mask_of
 
 masks = st.one_of(
     st.just(0),
@@ -82,7 +82,15 @@ def test_wide_masks_match_per_bit_loops(mask, rng):
 )
 def test_both_sides_of_per_bit_limit(mask):
     assert bits_list(mask) == list(reference_iter_bits(mask))
+    assert counted_bits(mask, mask.bit_count()) == bits_list(mask)
     assert mask_of(bits_list(mask)) == mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_masks())
+def test_counted_bits_matches_bits_list(mask):
+    # read from the top up to k * N = 2**20, as bits_list beyond
+    assert counted_bits(mask, mask.bit_count()) == bits_list(mask)
 
 
 def test_iter_bits_rejects_negative_mask():

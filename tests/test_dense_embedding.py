@@ -8,7 +8,7 @@ from helpers import (
     random_valid_partial_assignment,
     reference_complete_greedily,
 )
-from cuberamsey.bits import mask_of
+from cuberamsey.bits import bit, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_triangle_free_greedy,
@@ -201,7 +201,7 @@ def test_cleaning_threshold_is_inclusive():
     pa = PartialAssignment((entry,), g)
     step = extend_or_clean(H, pa, mask_of([two, one]), 1, 1, n)
     assert isinstance(step, Cleaned)
-    assert step.vertices == (one,)
+    assert step.mask == bit(one)
 
 
 def test_dichotomy_outcomes_on_random_graphs():

@@ -2,8 +2,10 @@
 replaced, which shift a mask right one bit per pass, the red-clique
 extraction against the one that cleared a candidate mask per vertex, the
 embedding verifier against its per-edge ``is_red`` loop, the blue twin
-classes against the masks, and the passes that do their N-bit work once
-per class against their per-vertex loops."""
+classes against the masks, the passes that do their N-bit work once per
+class against their per-vertex loops, and the walks that read a blue
+neighbourhood from the top of its mask, or a degree threshold from the
+sorted degrees, against the N-bit passes they replaced."""
 
 import random
 
@@ -12,9 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
+    reference_find_red_clique,
+    reference_induced,
     reference_is_blue_triangle_free,
     reference_is_red_clique,
     reference_max_balanced_biclique,
+    reference_mask_of,
     reference_max_disjoint_red_cliques,
     reference_validate_snake,
     reference_validation_error,
@@ -23,6 +28,7 @@ from helpers import (
 )
 from cuberamsey.colored_graph import (
     ColouredGraph,
+    find_red_clique,
     is_blue_triangle_free,
     max_balanced_biclique,
     max_disjoint_red_cliques,
@@ -441,3 +447,72 @@ def test_validate_snake_matches_per_vertex_loop(seed):
                 got = validate_snake(H, sn)
                 want = reference_validate_snake(H, sn)
                 assert (got.ok, got.errors) == (want.ok, want.errors)
+
+
+def _hub_host(N: int, rng) -> ColouredGraph:
+    """A sparse greedy host of N vertices and N/8 blue edges, with hubs
+    of blue degree on both sides of the N/256 switch of
+    ``find_red_clique`` and of the walk limit of ``counted_bits``
+    (2**20 / N neighbours), each joined to random vertices."""
+    blue = list(random_triangle_free_greedy(N, N // 8, rng).blue)
+    limit = (1 << 20) // N
+    hubs: list[int] = []
+    for d in sorted({1, 2, N >> 8, (N >> 8) + 1, limit, limit + 1}):
+        if d >= N // 2:
+            continue
+        hub = rng.choice([v for v in range(N) if not blue[v]])
+        hubs.append(hub)
+        for w in rng.sample([w for w in range(N) if w not in hubs], d):
+            _add_edge(blue, hub, w)
+    G = ColouredGraph(N, blue)
+    assert {N >> 8, limit} & set(G.blue_degrees())
+    return G
+
+
+# the dense route's sparse greedy hosts, N = 2^(n+2) up to 2^15, then
+# hosts with hubs, whose picks and rows take both paths
+SPARSE_CASES = [("greedy", 1 << (n + 2), 0) for n in range(3, 14)] + [
+    ("hubs", N, seed) for N in (1024, 4096, 16384) for seed in range(2)
+]
+
+
+def _sparse_host(case) -> ColouredGraph:
+    kind, N, seed = case
+    rng = random.Random(f"{kind}/{N}/{seed}")
+    if kind == "greedy":
+        return random_triangle_free_greedy(N, N // 8, rng)
+    return _hub_host(N, rng)
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_find_red_clique_and_induced_match_peeling_copies(case):
+    G = _sparse_host(case)
+    N = G.n_vertices
+    rng = random.Random(f"walks/{case}")
+    pools = [G.full_mask, rng.getrandbits(N), G.full_mask & ~rng.getrandbits(N)]
+    for pool in pools:
+        for m in (2, N // 8, N // 4, N // 2):
+            assert find_red_clique(G, pool, m) == reference_find_red_clique(G, pool, m)
+    for vs in (range(N), rng.sample(range(N), N // 2), [v for v in range(N) if G.blue[v]]):
+        H, order = G.induced(vs)
+        assert (H.blue, order) == reference_induced(G, vs)
+        # the subgraph's degrees come cached from the walk
+        assert H.blue_degrees() == [m.bit_count() for m in H.blue]
+
+
+def _assert_threshold_index(G: ColouredGraph):
+    deg = [m.bit_count() for m in G.blue]
+    for t in range(max(deg, default=0) + 2):
+        assert G.blue_at_least(t) == reference_mask_of(
+            [v for v, d in enumerate(deg) if d >= t]
+        )
+
+
+@given(hosts())
+def test_blue_at_least_matches_degree_filter(host):
+    _assert_threshold_index(host[0])
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES[::2], ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_blue_at_least_on_sparse_and_hub_hosts(case):
+    _assert_threshold_index(_sparse_host(case))

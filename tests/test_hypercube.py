@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cuberamsey.hypercube import (
     InitialSubcube,
@@ -143,6 +144,21 @@ def test_partition_complement_rejects_too_deep_member():
 def test_bandwidth_order_ties_by_word():
     order = bandwidth_order(range(8), 3)
     assert order == [0, 1, 2, 4, 3, 5, 6, 7]
+
+
+@given(
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=300)
+        )
+    )
+)
+def test_bandwidth_order_matches_one_sort_by_weight_and_word(case):
+    # two stable sorts, by word and then by weight, give the one sort by
+    # (weight, word), whatever the input order
+    n, vs = case
+    assert bandwidth_order(vs, n) == sorted(vs, key=lambda v: (v.bit_count(), v))
+    assert bandwidth_order(iter(vs), n) == bandwidth_order(vs, n)
 
 
 def test_bandwidth_bound_small_dimensions():
