@@ -193,20 +193,17 @@ class ColouredGraph:
 
         Cost: a sort and a dict over the vertices, then one dict lookup
         and one shift per blue neighbour (``counted_bits`` with the cached
-        degree); a mask of degree above N/256 is first ANDed with the set.
+        degree).
         """
         order = sorted(set(vertices))
+        if order and (order[0] < 0 or order[-1] >= self.n_vertices):
+            raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
         pos = {v: i for i, v in enumerate(order)}
-        deg, heavy, chosen = self.blue_degrees(), self.n_vertices >> 8, None
+        deg = self.blue_degrees()
         blue, sub_deg = [], []
         for v in order:
             nm = k = 0
-            if deg[v] > heavy:
-                chosen = mask_of(order) if chosen is None else chosen
-                nbrs = iter_bits(self.blue[v] & chosen)
-            else:
-                nbrs = counted_bits(self.blue[v], deg[v]) if deg[v] else ()
-            for w in nbrs:
+            for w in counted_bits(self.blue[v], deg[v]) if deg[v] else ():
                 i = pos.get(w)
                 if i is not None:
                     nm |= 1 << i

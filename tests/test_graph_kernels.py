@@ -500,6 +500,18 @@ def test_find_red_clique_and_induced_match_peeling_copies(case):
         assert H.blue_degrees() == [m.bit_count() for m in H.blue]
 
 
+@pytest.mark.parametrize("vs", [[-1], [0, 5, -1], [8], [3, 8]])
+def test_induced_rejects_vertex_out_of_range(vs):
+    # a degree-0 vertex -1 would otherwise read vertex N-1's row as [-1]
+    G = ColouredGraph(8, [0] * 8)
+    with pytest.raises(ValueError):
+        G.induced(vs)
+    # and so must a vertex with blue neighbours
+    G = ColouredGraph(8, [0b10, 0b1] + [0] * 6)
+    with pytest.raises(ValueError):
+        G.induced(vs + [0, 1])
+
+
 def _assert_threshold_index(G: ColouredGraph):
     deg = [m.bit_count() for m in G.blue]
     for t in range(max(deg, default=0) + 2):
