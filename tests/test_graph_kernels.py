@@ -506,10 +506,10 @@ def test_induced_rejects_vertex_out_of_range(vs):
     G = ColouredGraph(8, [0] * 8)
     with pytest.raises(ValueError):
         G.induced(vs)
-    # and so must a vertex with blue neighbours
-    G = ColouredGraph(8, [0b10, 0b1] + [0] * 6)
+    # and so must it where vertex N-1, which -1 would read, has a blue edge
+    G = ColouredGraph(8, [1 << 7] + [0] * 6 + [1])
     with pytest.raises(ValueError):
-        G.induced(vs + [0, 1])
+        G.induced(vs + [0, 7])
 
 
 def _assert_threshold_index(G: ColouredGraph):
