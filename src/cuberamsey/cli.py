@@ -298,6 +298,15 @@ def _cmd_bandwidth_check(args) -> int:
     return EXIT_OK
 
 
+def _dimension(low: int):
+    """The argparse type of ``--n``: an int of at least ``low``, else misuse."""
+    def dimension(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return dimension
+
+
 class _Parser(argparse.ArgumentParser):
     # command line misuse is an input problem, same exit code as a bad file
     def error(self, message):
@@ -319,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
         "gen-lower-bound",
         help="two red cliques of size 2^n - 1 joined completely in blue",
     )
-    p.add_argument("--n", type=int, required=True, help="cube dimension")
+    p.add_argument("--n", type=_dimension(0), required=True, help="cube dimension")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen_lower_bound)
 
     p = sub.add_parser("gen-random", help="random triangle-free-blue colouring")
-    p.add_argument("--n", type=int, required=True, help="cube dimension")
+    p.add_argument("--n", type=_dimension(0), required=True, help="cube dimension")
     p.add_argument(
         "--vertices",
         type=int,
@@ -350,18 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="inspect a colouring, optionally an embedding")
     p.add_argument("--in", dest="infile", required=True, help="graph file, - for stdin")
     p.add_argument("--embedding", help="embedding file to verify against the graph")
-    p.add_argument("--n", type=int, help="cube dimension of the embedding")
+    p.add_argument("--n", type=_dimension(0), help="cube dimension of the embedding")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="split into a sparse part and snakes")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, required=True, help="cube dimension the parameters target")
+    p.add_argument("--n", type=_dimension(1), required=True, help="target cube dimension")
     p.add_argument("--cert-out", help="write the decomposition as JSON")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("solve", help="embed a red n-cube")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension(1), required=True)
     p.add_argument(
         "--embedding-out",
         help="write the embedding here; without it the lines go to stdout",
@@ -372,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = osub.add_parser("ramsey", help="sweep all colourings of K_N")
-    q.add_argument("--n", type=int, required=True, help="cube dimension")
+    q.add_argument("--n", type=_dimension(0), required=True, help="cube dimension")
     q.add_argument("--N", type=int, required=True, help="complete graph size")
     q.add_argument(
         "--mode", choices=["auto", "plain", "canonical"], default="auto"
@@ -381,14 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("contains-cube", help="search one graph for a red cube")
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_dimension(0), required=True)
     q.set_defaults(func=_cmd_oracle_contains_cube)
 
     p = sub.add_parser(
         "bandwidth-check",
         help="largest index gap across a cube edge in the embedding order",
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension(0), required=True)
     p.set_defaults(func=_cmd_bandwidth_check)
 
     return parser

@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import islice
 
 import pytest
@@ -91,6 +92,53 @@ def test_both_sides_of_per_bit_limit(mask):
 def test_counted_bits_matches_bits_list(mask):
     # read from the top up to k * N = 2**20, as bits_list beyond
     assert counted_bits(mask, mask.bit_count()) == bits_list(mask)
+
+
+def _mask_with(N, k, rng):
+    """A mask of bit length N with k set bits, the top one among them."""
+    return reference_mask_of([N - 1] + rng.sample(range(N - 1), k - 1))
+
+
+@pytest.mark.parametrize("N", [2048, 65536])
+@pytest.mark.parametrize("density", [2, 16], ids=["compress", "rfind"])
+def test_iter_bits_prefixes_across_peels_and_scan(N, density):
+    # iter_bits peels 2**20 // N bits before its scan; a consumer that stops
+    # early reads a prefix ending before, at or after that boundary
+    cap = (1 << 20) // N
+    mask = _mask_with(N, N // density, random.Random(N + density))
+    want = list(reference_iter_bits(mask))
+    for k in (0, 1, cap - 1, cap, cap + 1, cap + 50, len(want) - 1, len(want)):
+        assert list(islice(iter_bits(mask), k)) == want[:k]
+
+
+@pytest.mark.parametrize("N", [2048, 4097, 65536])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_at_the_compress_density(N, offset):
+    # bits_list switches at k * 8 >= N set bits; iter_bits at the same
+    # density of what is left after its peels
+    rng = random.Random(N * 3 + offset)
+    for k in (-(-N // 8) + offset, -(-N // 8) + (1 << 20) // N + offset):
+        mask = _mask_with(N, k, rng)
+        want = list(reference_iter_bits(mask))
+        assert bits_list(mask) == want
+        assert list(iter_bits(mask)) == want
+        # bin() of a negative mask reads "-0b...", whose "-" and "b" would
+        # pass for set bits
+        with pytest.raises(ValueError):
+            bits_list(-mask)
+
+
+def test_mask_of_array_slices_and_repeats():
+    # blue_at_least masks a slice of an array('i'); a long list with
+    # repeats, in any order, takes the one-byte-per-vertex path
+    rng = random.Random(11)
+    order = array("i", rng.sample(range(70000), 30000))
+    for cut in (0, 1, 35, 5000, 30000):
+        assert mask_of(order[:cut]) == reference_mask_of(order[:cut])
+    vertices = rng.choices(range(65536), k=40000) + [65535, 0, 65535]
+    rng.shuffle(vertices)
+    assert mask_of(vertices) == reference_mask_of(vertices)
+    assert mask_of(array("i", vertices)) == reference_mask_of(vertices)
 
 
 def test_iter_bits_rejects_negative_mask():

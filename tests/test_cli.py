@@ -264,6 +264,30 @@ def test_argparse_misuse_exits_with_parse_code(capsys):
     assert e.value.code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--in", "-", "--n", "0"],
+        ["decompose", "--in", "-", "--n", "0"],
+        ["gen-lower-bound", "--n", "-1"],
+        ["gen-random", "--n", "-1", "--blue-model", "bipartite", "--seed", "0"],
+        ["check", "--in", "-", "--n", "-1"],
+        ["oracle", "ramsey", "--n", "-1", "--N", "4"],
+        ["oracle", "contains-cube", "--in", "-", "--n", "-1"],
+        ["bandwidth-check", "--n", "-1"],
+        ["bandwidth-check", "--n", "two"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_dimension_is_misuse(argv, capsys):
+    # each command's smallest dimension less one is refused before any
+    # input is read, as misuse, not a traceback
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == EXIT_PARSE
+    assert "--n" in capsys.readouterr().err
+
+
 def test_removed_flags_are_misuse(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--threads", "2", "bandwidth-check", "--n", "2"])
