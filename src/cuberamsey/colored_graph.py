@@ -178,8 +178,10 @@ class ColouredGraph:
 
     def is_red_clique(self, vertices: Iterable[int]) -> bool:
         """Whether the given vertices of G are pairwise red; costs their
-        mask and ``has_blue_into``."""
+        mask and ``has_blue_into``.  A vertex outside 0..N-1 is an error."""
         vs = list(vertices)
+        if vs and (min(vs) < 0 or max(vs) >= self.n_vertices):
+            raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
         return not self.has_blue_into(vs, mask_of(vs))
 
     # -- derived graphs -------------------------------------------------

@@ -441,8 +441,14 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     if not len(dec.s_values) == len(dec.rounds) == len(dec.snakes):
         errors.append("one s value and one round record per snake is required")
 
-    support = iter_bits(cm & G.blue_at_least(1))
-    blue_inside = sum((G.blue[v] & cm).bit_count() for v in support) // 2
+    # C as one digit per vertex, where a vertex of blue degree 1 looks its
+    # one neighbour up instead of paying an N-bit AND
+    in_c, deg, blue = f"{cm:0{G.n_vertices}b}"[::-1], G.blue_degrees(), G.blue
+    blue_inside = sum(
+        in_c[blue[v].bit_length() - 1] == "1" if deg[v] == 1
+        else (blue[v] & cm).bit_count()
+        for v in iter_bits(cm & G.blue_at_least(1))
+    ) // 2
     if blue_inside > 2 * dec.params.m * len(dec.sparse):
         errors.append(
             f"sparse set has {blue_inside} blue edges, above "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 from typing import Optional, Union
 
@@ -20,9 +21,8 @@ from .colored_graph import ColouredGraph, is_blue_triangle_free
 from .errors import HypothesisError, StageFailure
 from .hypercube import (
     InitialSubcube,
-    SubcubeFamily,
     bandwidth_order,
-    partition_complement,
+    complement_cells,
     subcube_distance,
     subcube_vertices,
 )
@@ -45,8 +45,12 @@ class AssignmentEntry:
     def codim(self) -> int:
         return self.subcube.codim
 
-    def members_mask(self) -> int:
+    @cached_property
+    def _mask(self) -> int:
         return mask_of(self.members)
+
+    def members_mask(self) -> int:
+        return self._mask
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,15 @@ class PartialAssignment:
     def with_entry(self, entry: AssignmentEntry) -> "PartialAssignment":
         return PartialAssignment(self.entries + (entry,), self.gamma)
 
-    def used_mask(self) -> int:
+    @cached_property
+    def _used(self) -> int:
         m = 0
         for e in self.entries:
             m |= e.members_mask()
         return m
 
-    def family(self, n: int) -> SubcubeFamily:
-        return SubcubeFamily([e.subcube for e in self.entries], n)
+    def used_mask(self) -> int:
+        return self._used
 
 
 def check_partial_assignment(
@@ -208,6 +213,11 @@ def extend_or_clean(
     clique, since blue is triangle free) or returns the cleaned set.
     Violated hypotheses surface as structured errors naming the broken
     condition.
+
+    Cost: y is the first cell of ``complement_cells``.  Only assigned
+    vertices of whole blue degree above 2^(n-a), and vertices of A in the
+    blue masks of a touching candidate set, get a degree test, so a host
+    of small degrees pays per touching set, not per vertex of A.
     """
     if a < 1:
         raise HypothesisError("threshold-range", f"need a >= 1, got a={a}")
@@ -220,34 +230,36 @@ def extend_or_clean(
             "codimension-order",
             f"assigned codimension {pa.entries[-1].codim} exceeds b={b}",
         )
-    if A & pa.used_mask():
+    used = pa.used_mask()
+    if A & used:
         raise HypothesisError(
             "active-overlap",
             "the active set meets an assigned candidate set",
-            witness=(A & pa.used_mask() & -(A & pa.used_mask())).bit_length() - 1,
+            witness=(A & used & -(A & used)).bit_length() - 1,
         )
     g = pa.gamma
     cap = 1 << (n - a)
-    for e in pa.entries:
-        for v in e.members:
-            d = (H.blue[v] & A).bit_count()
-            if d > cap:
-                raise HypothesisError(
-                    "active-degree",
-                    f"assigned vertex {v} has blue degree {d} into the "
-                    f"active set, above 2^(n-a) = {cap}",
-                    witness=v,
-                )
+    # a blue degree into A is at most the whole blue degree, so only the
+    # assigned vertices whose whole degree is above the cap are tested
+    for v in iter_bits(used & H.blue_at_least(cap + 1)):
+        d = (H.blue[v] & A).bit_count()
+        if d > cap:
+            raise HypothesisError(
+                "active-degree",
+                f"assigned vertex {v} has blue degree {d} into the "
+                f"active set, above 2^(n-a) = {cap}",
+                witness=v,
+            )
 
-    cells = partition_complement(pa.family(n), b)
-    if not cells:
+    # the entries' subcubes are disjoint by construction
+    y = next(complement_cells([e.subcube for e in pa.entries], n, b), None)
+    if y is None:
         raise HypothesisError(
             "cube-covered", "the assigned subcubes already cover the cube"
         )
-    y = cells[0]
 
-    # a blue degree into a set is at most the whole blue degree, so each
-    # degree test below walks only the vertices whose whole degree passes
+    # a vertex blue to a candidate set lies in its members' blue masks, so
+    # each degree test below walks only those, not all of A
     removed = 0
     for e in pa.entries:
         if subcube_distance(e.subcube, y) != 1:
@@ -256,7 +268,10 @@ def extend_or_clean(
         thr = g * (1 << (n - e.codim)) / e.codim
         thr_num, thr_den = thr.numerator, thr.denominator
         mi = e.members_mask()
-        for v in iter_bits(A & H.blue_at_least(-(-thr_num // thr_den))):
+        reach = 0
+        for u in e.members:
+            reach |= H.blue[u]
+        for v in iter_bits(A & reach):
             if (H.blue[v] & mi).bit_count() * thr_den >= thr_num:
                 removed |= bit(v)
     C = A & ~removed
@@ -320,7 +335,8 @@ def dense_embed(
     the final cleaned set (``complete_greedily``).
 
     Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
-    degree index) and the passes of ``extend_or_clean``: the greedy
+    degree index) and one ``extend_or_clean`` per extension or cleaning,
+    whose N-bit work is per touching candidate set, not per entry: the greedy
     completion does N-bit work only for the blue masks in the way of a
     cube vertex, so on a sparse host it is O(2^n * n + N) plus one N-bit
     OR per such mask and one N-bit bit test per pool vertex with a blue

@@ -100,45 +100,47 @@ class SubcubeFamily:
         return len(self.members)
 
 
-def partition_complement(family: SubcubeFamily, b: int) -> list[InitialSubcube]:
-    """Partition the complement of the family into subcubes of codimension
-    exactly b, listed in increasing prefix order.
+def complement_cells(
+    members: Iterable[InitialSubcube], n: int, b: int
+) -> Iterator[InitialSubcube]:
+    """Partition the complement of pairwise-disjoint members into subcubes
+    of codimension exactly b, generated lazily in increasing prefix order.
 
-    Splits the cube recursively: a prefix disjoint from every member is
-    refined down to codimension b and emitted; a prefix containing a member
-    region splits on its next coordinate, 0-branch before 1-branch.  Members
-    of codimension > b must not intersect the complement pieces, which holds
-    whenever every member has codimension <= b; we require that.
+    A prefix disjoint from every member is refined down to codimension b
+    and yielded; a prefix inside a member is dropped; any other prefix
+    splits on its next coordinate, 0-branch first.  A bad b or a member of
+    codimension above b raises ValueError at the call.
+
+    Cost: each prefix keeps only the members that agree with it, so a
+    member costs a few tests per level down its own path, and the first
+    cell comes after O(b * len(members)) of them.
     """
-    n = family.n
     if not 0 <= b <= n:
         raise ValueError(f"target codimension {b} out of range for n={n}")
-    for x in family.members:
-        if x.codim > b:
-            raise ValueError(
-                f"member of codimension {x.codim} cannot be refined to {b}"
-            )
-    out: list[InitialSubcube] = []
+    prefixes = [x.prefix for x in members]
+    if deep := [p for p in prefixes if len(p) > b]:
+        raise ValueError(f"member of codimension {len(deep[0])} exceeds {b}")
 
-    def walk(prefix: tuple[int, ...]):
-        cell = InitialSubcube(prefix)
-        # Any member at distance 0 either contains the cell or is inside it.
-        containing = [x for x in family.members if subcube_distance(cell, x) == 0]
-        if any(x.codim <= len(prefix) for x in containing):
-            return  # cell lies inside an assigned subcube
-        if not containing:
-            if len(prefix) < b:
-                walk(prefix + (0,))
-                walk(prefix + (1,))
-            else:
-                out.append(cell)
-            return
-        # Some member strictly refines this cell; keep splitting.
-        walk(prefix + (0,))
-        walk(prefix + (1,))
+    def cells() -> Iterator[InitialSubcube]:
+        stack = [((), prefixes)]
+        while stack:
+            prefix, live = stack.pop()
+            d = len(prefix)
+            if not live and d == b:
+                yield InitialSubcube(prefix)
+            # a live member of codimension <= d contains the prefix
+            elif all(len(p) > d for p in live):
+                # the 0-branch goes on top, so it is walked first
+                stack.append((prefix + (1,), [p for p in live if p[d]]))
+                stack.append((prefix + (0,), [p for p in live if not p[d]]))
 
-    walk(())
-    return out
+    return cells()
+
+
+def partition_complement(family: SubcubeFamily, b: int) -> list[InitialSubcube]:
+    """``complement_cells`` of the family, read in full: the complement
+    as subcubes of codimension exactly b, in increasing prefix order."""
+    return list(complement_cells(family.members, family.n, b))
 
 
 def bandwidth_order(vertices: Iterable[int], n: int) -> list[int]:

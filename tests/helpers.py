@@ -749,3 +749,23 @@ def reference_induced(G: ColouredGraph, vertices):
                 nm |= bit(pos[w])
         blue.append(nm)
     return blue, order
+
+
+def reference_partition_complement(family, b: int) -> list:
+    """``hypercube.partition_complement`` as a recursive walk that tests
+    every cell against every member of the family."""
+    out = []
+
+    def walk(prefix):
+        cell = InitialSubcube(prefix)
+        containing = [x for x in family.members if subcube_distance(cell, x) == 0]
+        if any(x.codim <= len(prefix) for x in containing):
+            return
+        if not containing and len(prefix) == b:
+            out.append(cell)
+            return
+        walk(prefix + (0,))
+        walk(prefix + (1,))
+
+    walk(())
+    return out

@@ -326,6 +326,17 @@ def test_verify_catches_dense_sparse_set():
     assert not verify_decomposition(G, dec).ok
 
 
+def test_verify_counts_blue_edges_of_degree_one_vertices_exactly():
+    # a blue K8 with 28 edges, the matching edge 8-9 inside C and the edges
+    # 10-11 and 12-13 that leave it: 29 blue edges inside C, over 2m|C| = 24
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    G = ColouredGraph.from_blue_edges(14, edges + [(8, 9), (10, 11), (12, 13)])
+    params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
+    sparse = tuple(range(11)) + (12,)
+    verdict = verify_decomposition(G, Decomposition(14, params, sparse, (), (), ()))
+    assert any("sparse set has 29 blue edges" in e for e in verdict.errors)
+
+
 def test_json_round_trip():
     n = 4
     G = two_clique_linked_graph(n)

@@ -512,6 +512,14 @@ def test_induced_rejects_vertex_out_of_range(vs):
         G.induced(vs + [0, 7])
 
 
+@pytest.mark.parametrize("vs", [[0, 6], [0, 10**6], [6], [-1, 0]])
+def test_is_red_clique_rejects_vertex_out_of_range(vs):
+    # vertex 0 has a blue edge, so its class is looked up before vertex 6
+    G = ColouredGraph.from_blue_edges(6, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match=r"0\.\.5"):
+        G.is_red_clique(vs)
+
+
 def _assert_threshold_index(G: ColouredGraph):
     deg = [m.bit_count() for m in G.blue]
     for t in range(max(deg, default=0) + 2):

@@ -4,11 +4,13 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_partition_complement
 from cuberamsey.hypercube import (
     InitialSubcube,
     SubcubeFamily,
     bandwidth_bound,
     bandwidth_order,
+    complement_cells,
     cube_neighbours,
     partition_complement,
     subcube_distance,
@@ -139,6 +141,54 @@ def test_partition_complement_rejects_too_deep_member():
     fam = SubcubeFamily([InitialSubcube((0, 0, 0))], 4)
     with pytest.raises(ValueError):
         partition_complement(fam, 2)
+
+
+@st.composite
+def disjoint_families(draw):
+    """(n, b, members): disjoint initial subcubes of codimension at most b,
+    drawn as leaves of a random split of Q_n that a drawn share keeps."""
+    n = draw(st.integers(0, 7))
+    b = draw(st.integers(0, n))
+    leaves = []
+
+    def split(prefix):
+        if len(prefix) < b and draw(st.booleans()):
+            split(prefix + (0,))
+            split(prefix + (1,))
+        else:
+            leaves.append(InitialSubcube(prefix))
+
+    split(())
+    keep = draw(st.sampled_from(["none", "all", "some", "deepest"]))
+    if keep == "none":
+        members = []
+    elif keep == "all":
+        members = leaves
+    elif keep == "deepest":
+        members = [x for x in leaves if x.codim == b]
+    else:
+        members = [x for x in leaves if draw(st.booleans())]
+    return n, b, draw(st.permutations(members))
+
+
+@given(disjoint_families())
+def test_complement_cells_match_the_recursive_walk(case):
+    n, b, members = case
+    want = reference_partition_complement(SubcubeFamily(members, n), b)
+    assert list(complement_cells(members, n, b)) == want
+    assert partition_complement(SubcubeFamily(members, n), b) == want
+    # the first cell, as the assignment loop reads it
+    assert next(complement_cells(members, n, b), None) == (want[0] if want else None)
+
+
+def test_complement_cells_full_cover_and_bad_input():
+    cover = [InitialSubcube((0,)), InitialSubcube((1, 0)), InitialSubcube((1, 1))]
+    assert next(complement_cells(cover, 3, 2), None) is None
+    # a bad member or codimension fails at the call, before any cell
+    with pytest.raises(ValueError):
+        complement_cells([InitialSubcube((0, 0, 0))], 4, 2)
+    with pytest.raises(ValueError):
+        complement_cells([], 3, 4)
 
 
 def test_bandwidth_order_ties_by_word():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import signal
 from fractions import Fraction
@@ -263,3 +265,44 @@ def test_solve_dense_route_tiles_whole_cube():
     assert choose_case(decompose(G, params.decomp)) == 1
     phi = solve(G, n, params)
     assert verify_red_embedding(G, n, phi).ok
+
+
+# sha256 of the solve map (json of its sorted items) and of the decompose
+# certificate (``to_json``), recorded before the assignment loop read its
+# next subcube lazily; every greedy host here takes the dense route and
+# extends its partial assignment 10-29 times
+GOLDEN = {
+    (5, 0): ("b7abf0c80f34adb05284c2ee18599d848dcbfcc191a9fc3445aa9b234996e0e7",
+             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878"),
+    (5, 1): ("3281c9f258cda5b4ce2e4f77821be7578824b2d9447e759f5a27915750623bb5",
+             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878"),
+    (5, 2): ("a57b8daf20ffca25d56bfa76c953be1e12c330da7be143c5b0010eccd31a756b",
+             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878"),
+    (6, 0): ("41284422d2cab5a1a2e2275db3a016e729f6fc77932a945643b3f4c8c4bb42c2",
+             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15"),
+    (6, 1): ("3fabe1500e06942fe2d1bc42d8a88c207a96cdf56e9aaf45231117ab8ba3b72d",
+             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15"),
+    (6, 2): ("e3dd08078d5a0a02b90edd39fae3bcfb2a42cc33c673f09b4cdc993f5fc51bd1",
+             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15"),
+    (7, 0): ("e966d889da531260a1278447999530cf24f2d6a7914788e8694f54c01371b968",
+             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7"),
+    (7, 1): ("447d8478acf8f8171b547c830e03c585a11dbf1a1406a059c128e3c743438853",
+             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7"),
+    (7, 2): ("96ded2f3a57bfff962ad9c94477c6e29bc1e2733f11cbdf257d5385cada32616",
+             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7"),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(GOLDEN))
+def test_solve_maps_and_certificates_match_golden_hashes(n, seed):
+    # greedy hosts with N = 2^(n+2) vertices and 2N blue edges
+    N = 1 << (n + 2)
+    G = random_triangle_free_greedy(N, 2 * N, random.Random(f"golden/{n}/{seed}"))
+    params = SolverParams.desk(n)
+    phi = solve(G, n, params)
+    cert = decompose(G, params.decomp).to_json()
+    got = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (json.dumps(sorted(phi.items())), cert)
+    )
+    assert got == GOLDEN[n, seed]
