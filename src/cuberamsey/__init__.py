@@ -45,10 +45,8 @@ from .errors import (
 )
 from .hypercube import (
     InitialSubcube,
-    SubcubeFamily,
     bandwidth_bound,
     bandwidth_order,
-    cube_neighbours,
     partition_complement,
     subcube_distance,
     subcube_vertices,
@@ -101,10 +99,8 @@ __all__ = [
     "HypothesisError",
     "StageFailure",
     "InitialSubcube",
-    "SubcubeFamily",
     "bandwidth_bound",
     "bandwidth_order",
-    "cube_neighbours",
     "partition_complement",
     "subcube_distance",
     "subcube_vertices",

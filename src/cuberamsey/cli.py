@@ -84,6 +84,12 @@ def read_embedding(stream, n: int) -> dict[int, int]:
                 f"cube vertex {parts[0]} embedded twice", line=lineno
             )
         phi[z] = v
+    missing = [z for z in range(1 << n) if z not in phi]
+    if missing:
+        raise GraphParseError(
+            f"embedding misses {len(missing)} of the {1 << n} cube vertices, "
+            f"first {format_cube_vertex(missing[0], n)}"
+        )
     return phi
 
 
@@ -408,15 +414,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphParseError as e:
-        _emit({"status": "parse-error", "message": e.message, "line": e.line})
-        return EXIT_PARSE
-    except HypothesisError as e:
+    except CubeRamseyError as e:
         _emit(_failure_payload(e))
-        return EXIT_HYPOTHESIS
-    except StageFailure as e:
-        _emit(_failure_payload(e))
-        return EXIT_STAGE
+        return _exit_code(e)
     except OSError as e:
         _emit({"status": "io-error", "message": str(e)})
         return EXIT_PARSE

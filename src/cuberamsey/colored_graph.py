@@ -13,7 +13,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional, TextIO
 
 from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
 from .errors import GraphParseError
@@ -655,7 +655,51 @@ def random_triangle_free_greedy(
     return ColouredGraph(n_vertices, blue, validate=False)
 
 
-# -- embedding verification ----------------------------------------------
+# -- embedding: first-fit placement and verification ----------------------
+
+
+def first_fit(
+    G: ColouredGraph,
+    free: list[int],
+    order: Iterable[int],
+    image,
+    taken: bytearray,
+    blocked_of: Callable[[int], Optional[int]],
+) -> int:
+    """Place the cube vertices of ``order`` in turn, first fit.
+
+    Each cube vertex z takes the first vertex of the sorted list ``free``
+    that is neither set in ``taken`` nor in the mask ``blocked_of(z)``
+    (None or 0 blocks nothing); ``image[z]`` and ``taken`` are updated in
+    place.  Returns how many cube vertices were placed: the walk stops at
+    the first one that finds no vertex.  ``G`` is the host whose vertices
+    ``free``, ``taken`` and the masks name.
+
+    Cost: a cursor walks ``free`` past the taken vertices and never moves
+    back, so it only ever passes vertices no later cube vertex can take.
+    A cube vertex with no mask takes the vertex at the cursor; one with a
+    mask walks on from there past the taken and blocked vertices, one
+    N-bit bit test per vertex it meets.  A walk without masks does no
+    N-bit mask operation, and in all it costs O(len(order) + len(free))
+    plus those bit tests.
+    """
+    cursor, end = 0, len(free)
+    placed = 0
+    for z in order:
+        while cursor < end and taken[free[cursor]]:
+            cursor += 1
+        i = cursor
+        blocked = blocked_of(z)
+        if blocked:
+            while i < end and (taken[free[i]] or (blocked >> free[i]) & 1):
+                i += 1
+        if i == end:
+            break
+        v = free[i]
+        image[z] = v
+        taken[v] = 1
+        placed += 1
+    return placed
 
 
 def verify_red_embedding(

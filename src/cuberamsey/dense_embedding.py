@@ -17,7 +17,7 @@ from math import ceil
 from typing import Optional, Union
 
 from .bits import bit, bits_list, iter_bits, lowest_bits, mask_of
-from .colored_graph import ColouredGraph, is_blue_triangle_free
+from .colored_graph import ColouredGraph, first_fit, is_blue_triangle_free
 from .errors import HypothesisError, StageFailure
 from .hypercube import (
     InitialSubcube,
@@ -143,6 +143,23 @@ def check_partial_assignment(
     return True, None, None
 
 
+def _placed_blue(H: ColouredGraph, n: int, image: list[int]):
+    """``first_fit``'s ``blocked_of`` for a red cube: the OR of the blue
+    masks of z's cube neighbours placed so far in ``image`` (-1 where
+    unplaced)."""
+    blue = H.blue
+
+    def blocked_of(z: int) -> int:
+        blocked = 0
+        for p in range(n):
+            img = image[z ^ (1 << p)]
+            if img >= 0 and blue[img]:
+                blocked |= blue[img]
+        return blocked
+
+    return blocked_of
+
+
 def embed_partial_assignment(
     H: ColouredGraph, pa: PartialAssignment, n: int
 ) -> dict[int, int]:
@@ -151,31 +168,27 @@ def embed_partial_assignment(
     Subcubes are processed from last entry to first, vertices of each in
     increasing word order, and each cube vertex takes the lowest-index
     unused candidate that is red towards all already-embedded cube
-    neighbours.  On a valid assignment a candidate always exists: blue
-    blocking is at most gamma * 2^(n-d) and within-set blocking at most
-    2^(n-d) - 1, together below the candidate-set size.
+    neighbours (``first_fit``).  On a valid assignment a candidate always
+    exists: blue blocking is at most gamma * 2^(n-d) and within-set
+    blocking at most 2^(n-d) - 1, together below the candidate-set size.
     """
     phi: dict[int, int] = {}
+    image = [-1] * (1 << n)
+    taken = bytearray(H.n_vertices)
+    blocked_of = _placed_blue(H, n, image)
     for e in reversed(pa.entries):
-        pool = e.members_mask()
-        for z in subcube_vertices(e.subcube, n):
-            blocked = 0
-            for p in range(n):
-                w = z ^ (1 << p)
-                img = phi.get(w)
-                if img is not None:
-                    blocked |= H.blue[img]
-            avail = pool & ~blocked
-            if not avail:
-                raise StageFailure(
-                    "partial-embedding",
-                    f"no candidate left for cube vertex {z} in subcube "
-                    f"{e.subcube.prefix}",
-                    data={"cube_vertex": z, "entry": e},
-                )
-            v = (avail & -avail).bit_length() - 1
-            phi[z] = v
-            pool &= ~bit(v)
+        zs = subcube_vertices(e.subcube, n)
+        # read from the mask, so a negative member raises ValueError
+        free = bits_list(e.members_mask())
+        placed = first_fit(H, free, zs, image, taken, blocked_of)
+        if placed < len(zs):
+            raise StageFailure(
+                "partial-embedding",
+                f"no candidate left for cube vertex {zs[placed]} in subcube "
+                f"{e.subcube.prefix}",
+                data={"cube_vertex": zs[placed], "entry": e},
+            )
+        phi.update((z, image[z]) for z in zs)
     return phi
 
 
@@ -336,11 +349,11 @@ def dense_embed(
 
     Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
     degree index) and one ``extend_or_clean`` per extension or cleaning,
-    whose N-bit work is per touching candidate set, not per entry: the greedy
-    completion does N-bit work only for the blue masks in the way of a
-    cube vertex, so on a sparse host it is O(2^n * n + N) plus one N-bit
-    OR per such mask and one N-bit bit test per pool vertex with a blue
-    neighbour that the walk meets.
+    whose N-bit work is per touching candidate set, not per entry: the
+    placements do N-bit work only for the blue masks in the way of a
+    cube vertex, so on a sparse host they are O(2^n * n + N) plus one
+    N-bit OR per such mask and one N-bit bit test per vertex a walk of
+    ``first_fit`` meets while a mask is in the way.
     """
     g = as_fraction(gamma)
     if not 0 < g < 1:
@@ -415,56 +428,35 @@ def complete_greedily(
     finds no vertex is a ``StageFailure("greedy-completion")`` whose data
     carries it and the counting slack over A.
 
-    Cost: n list reads per cube vertex, and an OR of each nonzero mask
-    met.  The vertex is found by walking the pool list from a cursor
-    past the vertices taken; with a mask in the way the walk also passes
-    the blocked ones.  A candidate with no blue neighbour lies in no
-    blue mask and is taken at once, so only a candidate with one pays an
-    N-bit bit test, and a sparse host costs O(2^n * n + N) in all plus
-    one N-bit OR per mask met.
+    Cost: n list reads per cube vertex and an OR of each nonzero mask
+    met, plus the walk of ``first_fit`` over the pool list.
     """
-    blue = H.blue
     image = [-1] * (1 << n)
     for z, v in phi.items():
         image[z] = v
-    free = bits_list(pool)
-    end = len(free)
-    cursor = 0
-    taken = bytearray(H.n_vertices)
-    for z in order:
-        blocked = 0
-        for p in range(n):
-            img = image[z ^ (1 << p)]
-            if img >= 0 and blue[img]:
-                blocked |= blue[img]
-        while cursor < end and taken[free[cursor]]:
-            cursor += 1
-        i = cursor
-        if blocked:
-            while i < end and (
-                taken[free[i]] or (blue[free[i]] and (blocked >> free[i]) & 1)
-            ):
-                i += 1
-        v = free[i] if i < end else -1
-        if v < 0:
-            neigh = [phi[z ^ (1 << p)] for p in range(n) if z ^ (1 << p) in phi]
-            slack = (
-                A.bit_count()
-                - sum(1 for w in phi.values() if (A >> w) & 1)
-                - sum((blue[w] & A).bit_count() for w in neigh)
+    placed = first_fit(
+        H, bits_list(pool), order, image, bytearray(H.n_vertices),
+        _placed_blue(H, n, image),
+    )
+    for z in order[:placed]:
+        phi[z] = image[z]
+    if placed < len(order):
+        z = order[placed]
+        neigh = [phi[z ^ (1 << p)] for p in range(n) if z ^ (1 << p) in phi]
+        slack = (
+            A.bit_count()
+            - sum(1 for w in phi.values() if (A >> w) & 1)
+            - sum((H.blue[w] & A).bit_count() for w in neigh)
+        )
+        # exhaustion means the blocked sets cover the whole remaining
+        # pool, so the count can never come out positive
+        if slack > 0:
+            raise AssertionError(
+                "greedy exhaustion with positive counting slack"
             )
-            # exhaustion means the blocked sets cover the whole remaining
-            # pool, so the count can never come out positive
-            if slack > 0:
-                raise AssertionError(
-                    "greedy exhaustion with positive counting slack"
-                )
-            raise StageFailure(
-                "greedy-completion",
-                f"no red-compatible vertex left for cube vertex {z}",
-                data={"cube_vertex": z, "slack": slack},
-            )
-        phi[z] = v
-        image[z] = v
-        taken[v] = 1
+        raise StageFailure(
+            "greedy-completion",
+            f"no red-compatible vertex left for cube vertex {z}",
+            data={"cube_vertex": z, "slack": slack},
+        )
     return phi

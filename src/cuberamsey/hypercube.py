@@ -65,51 +65,17 @@ def subcube_vertices(x: InitialSubcube, n: int) -> list[int]:
     return [base | (t << x.codim) for t in range(1 << free)]
 
 
-def cube_neighbours(v: int, n: int) -> list[int]:
-    """Neighbours of v in Q_n, in increasing word order.
-
-    Flipping bit i-1 gives the neighbour across coordinate i; smaller
-    results come from flipping set bits.
-    """
-    out = [v ^ (1 << i) for i in range(n)]
-    out.sort()
-    return out
-
-
-class SubcubeFamily:
-    """A set of pairwise-disjoint initial subcubes of one cube Q_n."""
-
-    def __init__(self, members: Iterable[InitialSubcube], n: int):
-        members = list(members)
-        for x in members:
-            if x.codim > n:
-                raise ValueError(f"codimension {x.codim} exceeds dimension {n}")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if subcube_distance(members[i], members[j]) == 0:
-                    raise ValueError(
-                        f"subcubes {members[i].prefix} and {members[j].prefix} overlap"
-                    )
-        self.members = members
-        self.n = n
-
-    def __iter__(self) -> Iterator[InitialSubcube]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def complement_cells(
     members: Iterable[InitialSubcube], n: int, b: int
 ) -> Iterator[InitialSubcube]:
-    """Partition the complement of pairwise-disjoint members into subcubes
-    of codimension exactly b, generated lazily in increasing prefix order.
+    """Partition the complement of the members into subcubes of
+    codimension exactly b, generated lazily in increasing prefix order.
 
     A prefix disjoint from every member is refined down to codimension b
-    and yielded; a prefix inside a member is dropped; any other prefix
-    splits on its next coordinate, 0-branch first.  A bad b or a member of
-    codimension above b raises ValueError at the call.
+    and yielded; a prefix inside any member is dropped, so members may
+    overlap; any other prefix splits on its next coordinate, 0-branch
+    first.  A bad b or a member of codimension above b raises ValueError
+    at the call.
 
     Cost: each prefix keeps only the members that agree with it, so a
     member costs a few tests per level down its own path, and the first
@@ -137,10 +103,12 @@ def complement_cells(
     return cells()
 
 
-def partition_complement(family: SubcubeFamily, b: int) -> list[InitialSubcube]:
-    """``complement_cells`` of the family, read in full: the complement
+def partition_complement(
+    members: Iterable[InitialSubcube], n: int, b: int
+) -> list[InitialSubcube]:
+    """``complement_cells`` read in full: the complement of the members
     as subcubes of codimension exactly b, in increasing prefix order."""
-    return list(complement_cells(family.members, family.n, b))
+    return list(complement_cells(members, n, b))
 
 
 def bandwidth_order(vertices: Iterable[int], n: int) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bits import mask_of
-from .colored_graph import ColouredGraph, Verdict
+from .colored_graph import ColouredGraph, Verdict, first_fit
 from .errors import StageFailure
 from .hypercube import bandwidth_bound, bandwidth_order
 
@@ -248,10 +248,8 @@ def snake_embed(
 
     Cost, beyond ``validate_snake`` and sorting the queue: per walk
     position, one pass over the clique's vertex list and over its sides
-    still owed batches; per cube vertex, a cursor step over a sorted
-    pool list past the vertices already taken.  Only a cube vertex with
-    a forbidden mask pays more, one N-bit bit test per candidate it
-    passes, so a walk without forbidden masks does no N-bit mask
+    still owed batches, and a walk of ``first_fit`` whose masks are the
+    forbidden ones, so a walk without forbidden masks does no N-bit mask
     operation.
     """
     check = validate_snake(G, snake)
@@ -292,32 +290,9 @@ def snake_embed(
     taken = bytearray(G.n_vertices)
     qi = 0
 
-    def fill(free: list[int], limit: int):
-        # place queue vertices, in order, each on the lowest vertex of the
-        # sorted list that is neither taken nor forbidden to it; stop after
-        # `limit` of them or at the first that finds none.  The cursor
-        # only ever passes taken vertices, so it never skips a vertex
-        # that another cube vertex may still take.
-        nonlocal qi
-        cursor, end = 0, len(free)
-        stop = min(len(queue), qi + limit)
-        while qi < stop:
-            while cursor < end and taken[free[cursor]]:
-                cursor += 1
-            z = queue[qi]
-            i = cursor
-            d = forb.get(z)
-            if d:
-                while i < end and (taken[free[i]] or (d >> free[i]) & 1):
-                    i += 1
-            if i == end:
-                return
-            taken[free[i]] = 1
-            phi[z] = free[i]
-            qi += 1
-
     def run_batch(key: tuple[int, int, int]):
-        fill(side_list[key], t)
+        nonlocal qi
+        qi += first_fit(G, side_list[key], queue[qi:qi + t], phi, taken, forb.get)
         owed[key] -= 1
 
     for p, c in enumerate(positions):
@@ -341,7 +316,8 @@ def snake_embed(
                 free_side = [v for v in side_list[key] if not taken[v]]
                 keep = (t + delta) * owed[key]
                 reserved.update(free_side[:keep])
-        fill([v for v in clique_lists[c] if v not in reserved], len(queue))
+        stretch = [v for v in clique_lists[c] if v not in reserved]
+        qi += first_fit(G, stretch, queue[qi:], phi, taken, forb.get)
         if qi >= len(queue):
             break
         if p + 1 < len(positions):

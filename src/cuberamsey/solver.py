@@ -23,12 +23,7 @@ from .colored_graph import (
 from .decomposition import Decomposition, DecompositionParams, decompose
 from .dense_embedding import ThresholdSchedule, dense_embed
 from .errors import HypothesisError, StageFailure
-from .hypercube import (
-    InitialSubcube,
-    SubcubeFamily,
-    partition_complement,
-    subcube_vertices,
-)
+from .hypercube import InitialSubcube, partition_complement, subcube_vertices
 from .rational import as_fraction
 from .snake_embedding import snake_embed
 
@@ -38,10 +33,8 @@ class SolverParams:
     """Everything the end-to-end search needs besides the graph.
 
     ``epsilon`` sets the order requirement (1+epsilon) * 2^(n+1);
-    ``gamma`` and ``schedule`` drive the dense route;
-    ``high_degree_cutoff`` is the blue degree at which a sparse-part
-    vertex is discarded before dense embedding; ``codim_split`` is the
-    codimension at which the cube is cut into pieces for the snakes.
+    ``gamma`` and ``schedule`` drive the dense route; ``codim_split`` is
+    the codimension at which the cube is cut into pieces for the snakes.
     """
 
     epsilon: Fraction
@@ -49,7 +42,6 @@ class SolverParams:
     schedule: ThresholdSchedule
     decomp: DecompositionParams
     codim_split: int
-    high_degree_cutoff: int
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
@@ -60,8 +52,6 @@ class SolverParams:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.codim_split < 1:
             raise ValueError("the cube must be split at codimension >= 1")
-        if self.high_degree_cutoff < 1:
-            raise ValueError("the degree cutoff must be positive")
 
     @classmethod
     def desk(cls, n: int) -> "SolverParams":
@@ -79,7 +69,6 @@ class SolverParams:
             schedule=schedule,
             decomp=DecompositionParams.desk(n),
             codim_split=2 if n >= 2 else 1,
-            high_degree_cutoff=1 << (n - b[0]),
         )
 
 
@@ -100,7 +89,7 @@ def assign_subcubes(
     """
     if not 1 <= codim <= n:
         raise ValueError(f"split codimension {codim} out of range for n={n}")
-    cells = partition_complement(SubcubeFamily([], n), codim)
+    cells = partition_complement([], n, codim)
     piece = 1 << (n - codim)
     caps = [size // piece - 1 for size in snake_sizes]
     total = sum(caps)
@@ -124,7 +113,8 @@ def _solve_dense(
     G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
 ) -> dict[int, int]:
     C_mask = dec.sparse_mask()
-    cutoff, deg = params.high_degree_cutoff, G.blue_degrees()
+    # dense_embed's max-degree cap, 2^(n - b_0), cuts a vertex reaching it
+    cutoff, deg = 1 << (n - params.schedule.b[0]), G.blue_degrees()
     # a vertex of whole blue degree below the cutoff stays below it in C
     keep = [
         v

@@ -491,6 +491,48 @@ def reference_canonical_triangle_free_graphs(N: int) -> list[list[int]]:
     return level
 
 
+def reference_embed_partial_assignment(H: ColouredGraph, pa, n: int) -> dict[int, int]:
+    """``dense_embedding.embed_partial_assignment`` as it was before the
+    cube placements shared one first-fit walk: a ``dict.get`` per cube
+    neighbour, and the entry's member mask cleared of each vertex taken."""
+    phi: dict[int, int] = {}
+    for e in reversed(pa.entries):
+        pool = e.members_mask()
+        for z in subcube_vertices(e.subcube, n):
+            blocked = 0
+            for p in range(n):
+                img = phi.get(z ^ (1 << p))
+                if img is not None:
+                    blocked |= H.blue[img]
+            avail = pool & ~blocked
+            if not avail:
+                raise StageFailure(
+                    "partial-embedding",
+                    f"no candidate left for cube vertex {z} in subcube "
+                    f"{e.subcube.prefix}",
+                    data={"cube_vertex": z, "entry": e},
+                )
+            v = (avail & -avail).bit_length() - 1
+            phi[z] = v
+            pool &= ~bit(v)
+    return phi
+
+
+def reference_first_fit(free, order, image, taken, blocked_of) -> int:
+    """``colored_graph.first_fit`` as a scan of the whole list per cube
+    vertex, testing every vertex against ``taken`` and the mask."""
+    placed = 0
+    for z in order:
+        blocked = blocked_of(z) or 0
+        fits = [v for v in free if not taken[v] and not (blocked >> v) & 1]
+        if not fits:
+            break
+        image[z] = fits[0]
+        taken[fits[0]] = 1
+        placed += 1
+    return placed
+
+
 def reference_complete_greedily(H: ColouredGraph, n: int, phi, A: int, pool: int, order):
     """``dense_embedding.complete_greedily`` as the completion loop of
     ``dense_embed`` was: a ``dict.get`` per cube neighbour, every mask
@@ -751,14 +793,14 @@ def reference_induced(G: ColouredGraph, vertices):
     return blue, order
 
 
-def reference_partition_complement(family, b: int) -> list:
+def reference_partition_complement(members, b: int) -> list:
     """``hypercube.partition_complement`` as a recursive walk that tests
-    every cell against every member of the family."""
+    every cell against every member."""
     out = []
 
     def walk(prefix):
         cell = InitialSubcube(prefix)
-        containing = [x for x in family.members if subcube_distance(cell, x) == 0]
+        containing = [x for x in members if subcube_distance(cell, x) == 0]
         if any(x.codim <= len(prefix) for x in containing):
             return
         if not containing and len(prefix) == b:

@@ -308,7 +308,9 @@ def test_read_embedding_rejections():
         read_embedding(io.StringIO("01 3\n"), 3)
     with pytest.raises(Exception):
         read_embedding(io.StringIO("01 3\n01 4\n"), 2)
-    assert read_embedding(io.StringIO("# note\n\n10 5\n"), 2) == {1: 5}
+    assert read_embedding(io.StringIO("# note\n\n10 5\n00 0\n01 6\n11 7\n"), 2) == {
+        1: 5, 0: 0, 2: 6, 3: 7
+    }
 
 
 def test_check_embedding_out_of_range_image(tmp_path, capsys):
@@ -322,3 +324,21 @@ def test_check_embedding_out_of_range_image(tmp_path, capsys):
     payload = _last_json(out)
     assert payload["embedding_valid"] is False
     assert any("out-of-range" in e for e in payload["embedding_errors"])
+
+
+def test_check_embedding_missing_cube_vertices(tmp_path, capsys):
+    # a map of 2 of the 4 vertices of Q_2 is unreadable input, not a
+    # traceback out of the verifier
+    g = tmp_path / "g.txt"
+    emb = tmp_path / "e.txt"
+    code, _ = _run(capsys, "gen-lower-bound", "--n", "2", "--out", str(g))
+    assert code == EXIT_OK
+    emb.write_text("00 0\n01 1\n")
+    code, out = _run(capsys, "check", "--in", str(g), "--n", "2",
+                     "--embedding", str(emb))
+    assert code == EXIT_PARSE
+    assert _last_json(out) == {
+        "status": "parse-error",
+        "message": "embedding misses 2 of the 4 cube vertices, first 10",
+        "line": None,
+    }

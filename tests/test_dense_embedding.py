@@ -7,6 +7,7 @@ from helpers import (
     all_red_graph,
     random_valid_partial_assignment,
     reference_complete_greedily,
+    reference_embed_partial_assignment,
 )
 from cuberamsey.bits import bit, mask_of
 from cuberamsey.colored_graph import (
@@ -28,7 +29,12 @@ from cuberamsey.dense_embedding import (
     extend_or_clean,
 )
 from cuberamsey.errors import HypothesisError, StageFailure
-from cuberamsey.hypercube import InitialSubcube, bandwidth_order, subcube_vertices
+from cuberamsey.hypercube import (
+    InitialSubcube,
+    bandwidth_order,
+    subcube_distance,
+    subcube_vertices,
+)
 from cuberamsey.solver import SolverParams, solve
 
 
@@ -142,6 +148,58 @@ def test_randomized_valid_assignments_embed_and_verify():
                 assert phi[z] in mm
         done += 1
     assert done == 40
+
+
+def _cross_blue(H, pa, rng):
+    """H plus blue edges, each with one drawn probability, between the
+    candidate sets of every cube-adjacent pair of entries: clause 2.1
+    may break, and then an entry can run out of candidates."""
+    blue = list(H.blue)
+    q = rng.choice([0.3, 0.6, 1.0])
+    es = pa.entries
+    for i in range(len(es)):
+        for j in range(i + 1, len(es)):
+            if subcube_distance(es[i].subcube, es[j].subcube) != 1:
+                continue
+            for u in es[i].members:
+                for v in es[j].members:
+                    if rng.random() < q:
+                        blue[u] |= bit(v)
+                        blue[v] |= bit(u)
+    return ColouredGraph(H.n_vertices, blue)
+
+
+def _partial_embedding(embed, H, pa, n):
+    try:
+        return list(embed(H, pa, n).items())
+    except StageFailure as e:
+        return e.stage, str(e), e.data
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_embed_partial_assignment_matches_mask_clearing_loop(broken):
+    rng = random.Random(f"partial-embedding/{broken}")
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randrange(3, 7)
+        gamma = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
+        H, pa = random_valid_partial_assignment(n, gamma, rng)
+        if broken:
+            H = _cross_blue(H, pa, rng)
+        got = _partial_embedding(embed_partial_assignment, H, pa, n)
+        assert got == _partial_embedding(reference_embed_partial_assignment, H, pa, n)
+        outcomes.add(type(got))
+    # a valid assignment always embeds; broken ones both embed and fail
+    assert outcomes == ({list, tuple} if broken else {list})
+
+
+def test_embed_partial_assignment_rejects_negative_member():
+    # a negative member would index the host from its top end
+    g, n = Fraction(1, 4), 3
+    members = tuple(range(-1, candidate_set_size(g, n, 1) - 1))
+    pa = PartialAssignment((AssignmentEntry(InitialSubcube((0,)), members),), g)
+    with pytest.raises(ValueError):
+        embed_partial_assignment(all_red_graph(32), pa, n)
 
 
 def test_extend_or_clean_precondition_errors():

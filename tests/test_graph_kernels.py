@@ -5,7 +5,8 @@ embedding verifier against its per-edge ``is_red`` loop, the blue twin
 classes against the masks, the passes that do their N-bit work once per
 class against their per-vertex loops, and the walks that read a blue
 neighbourhood from the top of its mask, or a degree threshold from the
-sorted degrees, against the N-bit passes they replaced."""
+sorted degrees, against the N-bit passes they replaced, and the first-fit
+walk against a scan of its whole list per cube vertex."""
 
 import random
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
     reference_find_red_clique,
+    reference_first_fit,
     reference_induced,
     reference_is_blue_triangle_free,
     reference_is_red_clique,
@@ -26,9 +28,11 @@ from helpers import (
     reference_verify_errors,
     two_clique_linked_shuffled,
 )
+from cuberamsey.bits import mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     find_red_clique,
+    first_fit,
     is_blue_triangle_free,
     max_balanced_biclique,
     max_disjoint_red_cliques,
@@ -536,3 +540,51 @@ def test_blue_at_least_matches_degree_filter(host):
 @pytest.mark.parametrize("case", SPARSE_CASES[::2], ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
 def test_blue_at_least_on_sparse_and_hub_hosts(case):
     _assert_threshold_index(_sparse_host(case))
+
+
+@st.composite
+def first_fit_cases(draw):
+    """A host, a sorted free list, the vertices already taken, an order
+    of cube vertices of Q_6, and masks for some of them.  A mask is any
+    set of vertices, so it also blocks vertices with no blue neighbour;
+    some masks are 0 and block nothing."""
+    N = draw(st.integers(1, 40))
+    blue = [0] * N
+    vertex = st.integers(0, N - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * N)):
+        if u != v:
+            _add_edge(blue, u, v)
+    vertices = st.sets(vertex)
+    free = sorted(draw(vertices))
+    taken = draw(vertices)
+    order = draw(st.lists(st.integers(0, 63), unique=True, max_size=40))
+    masks = {z: mask_of(sorted(draw(vertices))) for z in order if draw(st.booleans())}
+    return ColouredGraph(N, blue), free, taken, order, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(first_fit_cases(), st.booleans())
+def test_first_fit_matches_per_vertex_scan(case, image_is_list):
+    G, free, taken, order, masks = case
+    outcomes = []
+    for fit in (lambda *args: first_fit(G, *args), reference_first_fit):
+        image = [-1] * 64 if image_is_list else {}
+        took = bytearray(G.n_vertices)
+        for v in taken:
+            took[v] = 1
+        placed = fit(free, order, image, took, masks.get)
+        if isinstance(image, dict):
+            image = list(image.items())
+        outcomes.append((placed, image, took))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_first_fit_mask_blocks_vertices_without_blue_neighbours():
+    # an all-red host: only the masks block, and the walk stops at cube
+    # vertex 7, whose mask covers the one vertex left
+    G = ColouredGraph(3, [0, 0, 0])
+    image, taken = {}, bytearray(3)
+    masks = {5: 0b011, 7: 0b010}
+    assert first_fit(G, [0, 1, 2], [5, 6, 7, 8], image, taken, masks.get) == 2
+    assert image == {5: 2, 6: 0}
+    assert taken == bytearray([1, 0, 1])

@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from helpers import reference_partition_complement
 from cuberamsey.hypercube import (
     InitialSubcube,
-    SubcubeFamily,
     bandwidth_bound,
     bandwidth_order,
     complement_cells,
-    cube_neighbours,
     partition_complement,
     subcube_distance,
     subcube_vertices,
@@ -85,22 +83,6 @@ def test_subcube_distance_meaning_on_vertices():
             assert edges == (d == 1)
 
 
-def test_cube_neighbours():
-    assert cube_neighbours(0, 3) == [1, 2, 4]
-    assert cube_neighbours(5, 3) == [1, 4, 7]
-    for v in range(8):
-        for w in cube_neighbours(v, 3):
-            assert bin(v ^ w).count("1") == 1
-
-
-def test_family_rejects_overlap():
-    with pytest.raises(ValueError):
-        SubcubeFamily([InitialSubcube((0,)), InitialSubcube((0, 1))], 3)
-    fam = SubcubeFamily([InitialSubcube((0,)), InitialSubcube((1, 0))], 3)
-    assert len(fam) == 2
-    assert sum(len(subcube_vertices(x, 3)) for x in fam) == 4 + 2
-
-
 def test_partition_complement_is_a_partition():
     rng = random.Random(23)
     for n in range(2, 7):
@@ -118,8 +100,7 @@ def test_partition_complement_is_a_partition():
                     continue
                 members.append(cand)
                 taken |= vs
-            fam = SubcubeFamily(members, n)
-            cells = partition_complement(fam, b)
+            cells = partition_complement(members, n, b)
             assert all(c.codim == b for c in cells)
             covered = set()
             for c in cells:
@@ -133,14 +114,21 @@ def test_partition_complement_is_a_partition():
 
 
 def test_partition_complement_full_split():
-    cells = partition_complement(SubcubeFamily([], 4), 2)
+    cells = partition_complement([], 4, 2)
     assert [c.prefix for c in cells] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_partition_complement_of_overlapping_members():
+    # a prefix inside any member is dropped, so (0, 1) inside (0,) adds
+    # nothing to the covered half
+    members = [InitialSubcube((0, 1)), InitialSubcube((0,))]
+    cells = partition_complement(members, 3, 2)
+    assert [c.prefix for c in cells] == [(1, 0), (1, 1)]
+
+
 def test_partition_complement_rejects_too_deep_member():
-    fam = SubcubeFamily([InitialSubcube((0, 0, 0))], 4)
     with pytest.raises(ValueError):
-        partition_complement(fam, 2)
+        partition_complement([InitialSubcube((0, 0, 0))], 4, 2)
 
 
 @st.composite
@@ -174,9 +162,9 @@ def disjoint_families(draw):
 @given(disjoint_families())
 def test_complement_cells_match_the_recursive_walk(case):
     n, b, members = case
-    want = reference_partition_complement(SubcubeFamily(members, n), b)
+    want = reference_partition_complement(members, b)
     assert list(complement_cells(members, n, b)) == want
-    assert partition_complement(SubcubeFamily(members, n), b) == want
+    assert partition_complement(members, n, b) == want
     # the first cell, as the assignment loop reads it
     assert next(complement_cells(members, n, b), None) == (want[0] if want else None)
 

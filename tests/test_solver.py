@@ -32,7 +32,6 @@ def test_desk_params():
         assert p.schedule.b == sched
         assert p.epsilon == Fraction(1, 4) and p.gamma == Fraction(1, 4)
         assert p.codim_split == (1 if n == 1 else 2)
-        assert p.high_degree_cutoff == 1 << (n - sched[0])
         assert p.decomp == DecompositionParams.desk(n)
 
 
@@ -96,7 +95,7 @@ def test_solve_sparse_random():
     rng = random.Random(99)
     N = 1 << (n + 2)
     G = random_triangle_free_greedy(N, N // 8, rng)
-    assert max(m.bit_count() for m in G.blue) <= params.high_degree_cutoff
+    assert max(m.bit_count() for m in G.blue) <= 1 << (n - params.schedule.b[0])
     dec = decompose(G, params.decomp)
     assert choose_case(dec) == 1
     phi = solve(G, n, params)
@@ -245,7 +244,7 @@ def test_solve_dense_cuts_vertices_at_the_degree_cutoff(monkeypatch):
     # and is cut; vertex 1, one neighbour short, is kept
     n = 5
     params = SolverParams.desk(n)
-    cut = params.high_degree_cutoff
+    cut = 1 << (n - params.schedule.b[0])  # dense_embed's max-degree cap
     edges = [(0, 10 + i) for i in range(cut)] + [(1, 30 + i) for i in range(cut - 1)]
     G = ColouredGraph.from_blue_edges(64, edges)
     dec = Decomposition(64, params.decomp, tuple(range(64)), (), (), ())
