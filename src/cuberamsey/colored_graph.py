@@ -44,6 +44,9 @@ class ColouredGraph:
     not changed after construction: ``blue_degrees`` counts them once,
     ``blue_at_least`` sorts the vertices with a blue neighbour by degree
     once, and ``blue_classes`` groups equal masks into twin classes once.
+    Whichever of ``blue_degrees`` and ``blue_classes`` runs first reads
+    every mask; the class index then reads only the cached degrees and
+    the masks of degree 2 or more, and it caches the degrees it counts.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -100,7 +103,9 @@ class ColouredGraph:
         return self.full_mask & ~self.blue[v] & ~bit(v)
 
     def blue_degrees(self) -> list[int]:
-        """The blue degree of every vertex, counted on first use."""
+        """The blue degree of every vertex, counted on first use: one
+        popcount per N-bit mask, unless ``blue_classes`` ran first and
+        counted them on its way."""
         if self._blue_degrees is None:
             self._blue_degrees = [m.bit_count() for m in self.blue]
         return self._blue_degrees
@@ -134,22 +139,51 @@ class ColouredGraph:
         other vertex has class -1.  Bit b of ``class_adj[a]`` says classes
         a and b are blue-adjacent.
 
-        Cost: one pass over the N cached degrees, one dict lookup per
-        vertex of degree 2 or more, then per class one N-bit AND with the
-        mask of ``reps`` and a walk over what it leaves.
+        Cost: one pass over the vertices.  Each mask read gets an O(1)
+        fingerprint, its length and its low and top 64 bits.  With the
+        degrees cached, a vertex of degree below 2 is passed over unread;
+        without them, a zero mask is, and the degrees are counted on the
+        way and cached.  The first vertex to show a fingerprint pays a
+        popcount (a one-bit mask a compare, at half the cost); a later
+        one compares its mask with that vertex's and, if equal, takes its
+        class and degree, so a blow-up pays one compare per vertex, cut
+        short when twins share one int object.  Only masks that differ
+        behind a shared fingerprint are hashed whole.  Then per class one
+        N-bit AND with the mask of ``reps`` and a walk over what it leaves.
         """
         if self._blue_classes is None:
-            index, reps, class_of = {}, [], [-1] * self.n_vertices
-            for v, d in enumerate(self.blue_degrees()):
-                if d < 2:
+            blue, deg = self.blue, self._blue_degrees
+            counted = deg is not None
+            if not counted:
+                deg = [0] * self.n_vertices
+            # the first vertex of each fingerprint, and of each whole mask
+            # that differs from another behind a shared fingerprint; the
+            # length keeps one-bit masks apart, since CPython hashes an int
+            # modulo 2**61 - 1, so 1 << k alone would hash as 1 << (k % 61)
+            first: dict[tuple[int, int, int], int] = {}
+            by_mask: dict[int, int] = {}
+            reps, class_of = [], [-1] * self.n_vertices
+            for v, m in enumerate(blue):
+                if (deg[v] < 2) if counted else not m:
                     continue
-                m = self.blue[v]
-                # CPython hashes an int modulo 2**61 - 1, so masks alike in
-                # their low 61 residues would share a hash without the length
-                c = index.setdefault((m.bit_length(), m), len(reps))
-                if c == len(reps):
+                length = m.bit_length()
+                top = m >> (length - 64) if length > 64 else m << (64 - length)
+                u = first.setdefault((length, m & 0xFFFFFFFFFFFFFFFF, top), v)
+                if u != v and m != blue[u]:
+                    u = by_mask.setdefault(m, v)
+                if u != v:
+                    class_of[v] = class_of[u]
+                    deg[v] = deg[u]
+                    continue
+                if not counted:
+                    # most masks of a sparse host are one bit, told by a
+                    # compare at half the cost of a popcount
+                    one = top == 1 << 63 and m == 1 << (length - 1)
+                    deg[v] = 1 if one else m.bit_count()
+                if deg[v] >= 2:
+                    class_of[v] = len(reps)
                     reps.append(v)
-                class_of[v] = c
+            self._blue_degrees = deg
             # a twin of reps[b] is blue to reps[a] exactly when reps[b] is,
             # so only the reps among a class's neighbours are walked
             rep_mask = mask_of(reps)
@@ -274,9 +308,13 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     between the classes of ``G.blue_classes()``; a vertex of blue degree
     below 2 lies on no triangle and is left unclassed.
 
-    Cost: the class index (built once per graph), then one k-bit
+    Cost: the class index (built once per graph, one O(1) fingerprint
+    and one compare or popcount per vertex read), then one k-bit
     intersection per blue class edge, O(E * k / 64) word operations for
-    E blue edges and k classes.  Class pairs (a, b) with a < b are tried
+    E blue edges and k classes.  A blow-up of a few red cliques has a
+    handful of classes; on a twin-free host k is the number of vertices
+    of degree 2 or more, and building ``class_adj`` (one step per blue
+    edge between classed vertices) and this loop dominate.  Class pairs (a, b) with a < b are tried
     in order; the witness is the first pair's lowest common neighbour
     class.  Leaving out vertices of degree below 2 keeps that witness:
     one has at most one neighbour, so it is never a or b of a pair with
@@ -715,10 +753,13 @@ def verify_red_embedding(
     must land on red pairs of G.  A phi that misses part of the domain is
     a malformed input, not a failed verification, and raises ValueError.
 
-    Cost: O(2^n) dict and set work over the map; then n edge tests, each
-    one bit shift of an N-bit mask, only at a cube vertex whose image has
-    a blue neighbour or is shared with another cube vertex.  Any other
-    image is red to every other vertex, so its edges are passed over.
+    Cost: O(2^n) dict and set work over the map, and the class index of
+    ``G.blue_classes()`` (built once per graph); then n edge tests only
+    at a cube vertex whose image has a blue neighbour or is shared with
+    another cube vertex.  Any other image is red to every other vertex,
+    so its edges are passed over.  An edge between two classed images is
+    one bit of a k-bit class mask for k blue classes, since twins share
+    their neighbours; any other edge costs one bit shift of an N-bit mask.
     """
     if domain is None:
         dom = list(range(1 << n))
@@ -746,6 +787,7 @@ def verify_red_embedding(
             shared.add(v)
         seen[v] = z
     blue = G.blue
+    class_of, _, class_adj = G.blue_classes()
     for z in dom:
         if z not in checkable:
             continue
@@ -753,14 +795,24 @@ def verify_red_embedding(
         mask_a = blue[a]
         if not mask_a and a not in shared:
             continue
+        ca = class_of[a]
+        adj_a = class_adj[ca] if ca >= 0 else 0
         for i in range(n):
             w = z ^ (1 << i)
             if w < z or w not in checkable:
                 continue
             b = phi[w]
-            # a vertex with a zero mask is red to every other: no shift
-            if a != b and not (mask_a and (mask_a >> b) & 1):
-                continue
+            if a != b:
+                # twins share their neighbours, so two classed images are
+                # blue exactly when their classes are; a vertex with a zero
+                # mask is red to every other: no shift
+                cb = class_of[b]
+                if ca >= 0 and cb >= 0:
+                    blue_ab = (adj_a >> cb) & 1
+                else:
+                    blue_ab = mask_a and (mask_a >> b) & 1
+                if not blue_ab:
+                    continue
             errors.append(f"cube edge {z}-{w} lands on non-red pair {a}-{b}")
             if len(errors) >= 20:
                 return Verdict.failure(*errors)

@@ -180,6 +180,8 @@ def embed_partial_assignment(
         zs = subcube_vertices(e.subcube, n)
         # read from the mask, so a negative member raises ValueError
         free = bits_list(e.members_mask())
+        if free and free[-1] >= H.n_vertices:
+            raise ValueError(f"vertices must lie in 0..{H.n_vertices - 1}")
         placed = first_fit(H, free, zs, image, taken, blocked_of)
         if placed < len(zs):
             raise StageFailure(

@@ -202,6 +202,17 @@ def test_embed_partial_assignment_rejects_negative_member():
         embed_partial_assignment(all_red_graph(32), pa, n)
 
 
+def test_embed_partial_assignment_rejects_member_above_host():
+    # members 30..39 on a 32-vertex host: the range error that
+    # ``induced`` and ``is_red_clique`` raise, not an IndexError
+    g, n = Fraction(1, 4), 3
+    members = tuple(range(30, 30 + candidate_set_size(g, n, 1)))
+    assert members[-1] >= 32
+    pa = PartialAssignment((AssignmentEntry(InitialSubcube((0,)), members),), g)
+    with pytest.raises(ValueError, match=r"vertices must lie in 0\.\.31"):
+        embed_partial_assignment(all_red_graph(32), pa, n)
+
+
 def test_extend_or_clean_precondition_errors():
     g = Fraction(1, 4)
     n = 4

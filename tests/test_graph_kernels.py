@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import cuberamsey.colored_graph as colored_graph
 from helpers import (
+    reference_blue_classes,
     reference_find_red_clique,
     reference_first_fit,
     reference_induced,
@@ -272,19 +273,41 @@ def test_exactly_m_residual_is_settled_without_a_search(monkeypatch):
 
 @st.composite
 def embedding_maps(draw):
-    """A sparse host of up to 64 vertices, a dimension n <= 5, and a map
-    of Q_n (or of a drawn part of it) whose images mix vertices with zero
-    masks, blue-adjacent vertices, repeats and out-of-range values."""
-    N = draw(st.integers(2, 64))
+    """A host, a dimension n <= 5, and a map of Q_n (or of a drawn part
+    of it) whose images mix vertices with zero masks, vertices of blue
+    degree 1, blue-adjacent vertices, repeats and out-of-range values.
+    The host is sparse greedy on up to 64 vertices, or twin rich, so that
+    most images are classed: a shuffled two-clique host or a complete
+    bipartite blow-up, with up to four pendant vertices blue to one
+    vertex each."""
+    shape = draw(st.sampled_from(["greedy", "two-clique", "bipartite"]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    G = random_triangle_free_greedy(N, draw(st.integers(0, 2 * N)), rng)
+    if shape == "greedy":
+        N = draw(st.integers(2, 64))
+        blue = random_triangle_free_greedy(N, draw(st.integers(0, 2 * N)), rng).blue
+    else:
+        if shape == "two-clique":
+            extra = draw(st.integers(0, 3))
+            base = two_clique_linked_shuffled(draw(st.integers(1, 3)), rng, extra)
+        else:
+            base = random_bipartite_blue(draw(st.integers(2, 48)), 1.0, rng)
+        blue = list(base.blue)
+        for _ in range(draw(st.integers(0, 4))):
+            u = rng.randrange(len(blue))
+            blue[u] |= 1 << len(blue)
+            blue.append(1 << u)
+        N = len(blue)
+    G = ColouredGraph(N, blue)
     n = draw(st.integers(1, 5))
     zero = [v for v in range(N) if not G.blue[v]] or [0]
+    one = [v for v in range(N) if G.blue[v].bit_count() == 1] or zero
     phi = {}
     for z in range(1 << n):
-        kind = draw(st.sampled_from(["zero", "any", "repeat", "out"]))
+        kind = draw(st.sampled_from(["zero", "one", "any", "repeat", "out"]))
         if kind == "zero":
             phi[z] = rng.choice(zero)
+        elif kind == "one":
+            phi[z] = rng.choice(one)
         elif kind == "repeat" and phi:
             phi[z] = phi[rng.choice(list(phi))]
         elif kind == "out":
@@ -306,36 +329,61 @@ def test_verify_red_embedding_matches_per_edge_loop(case):
     assert verdict.ok is (not expected)
 
 
-def _assert_classes_match_masks(G: ColouredGraph):
-    class_of, reps, class_adj = G.blue_classes()
+def _assert_classes_match_masks(G: ColouredGraph, degrees_first: bool = False):
+    # the index reads the cached degrees when there are any, and counts
+    # and caches them itself when there are none
+    if degrees_first:
+        G.blue_degrees()
+    assert G.blue_classes() == reference_blue_classes(G)
     assert G.blue_classes() is G.blue_classes()
-    first = {}
-    for v, m in enumerate(G.blue):
-        if m.bit_count() < 2:
-            assert class_of[v] == -1
-        else:
-            # one class per mask, numbered in order of its first vertex
-            assert class_of[v] == first.setdefault(m, len(first))
-    assert reps == [class_of.index(c) for c in range(len(first))]
-    assert len(class_adj) == len(reps)
-    for u, c in enumerate(class_of):
-        if c >= 0:
-            want = 0
-            for w in range(G.n_vertices):
-                if G.is_blue(u, w) and class_of[w] >= 0:
-                    want |= 1 << class_of[w]
-            assert class_adj[c] == want
+    assert G.blue_degrees() == [m.bit_count() for m in G.blue]
 
 
-@given(hosts())
-def test_blue_classes_group_exactly_the_equal_masks(host):
-    _assert_classes_match_masks(host[0])
+@given(hosts(), st.booleans())
+def test_blue_classes_group_exactly_the_equal_masks(host, degrees_first):
+    _assert_classes_match_masks(host[0], degrees_first)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_blue_classes_on_sparse_greedy_hosts(seed):
-    G, _, _ = _clique_host("sparse-greedy", seed)
-    _assert_classes_match_masks(G)
+    for degrees_first in (False, True):
+        G, _, _ = _clique_host("sparse-greedy", seed)
+        _assert_classes_match_masks(G, degrees_first)
+
+
+def _fingerprint_twins_host(N: int, shared: bool) -> ColouredGraph:
+    """A bipartite host in which most leaves are blue to hubs 0, 1 and
+    N - 1 and to one of seven middle hubs, so leaves 70 and 71 have masks
+    of one length and equal low and top 64 bits that differ in the
+    middle, while leaves 70 and 77 are twins, held as one int object
+    (``shared``) or as equal distinct ones.  Every fifth leaf instead is
+    blue to hub N - 2 alone, to N - 1 and 40, or to N - 1 and a middle
+    hub: masks whose top 64 bits hold one bit."""
+    middles = range(N // 2 - 8, N // 2 + 8)
+    leaves = [v for v in range(70, N - 70) if v not in middles]
+    odd = {4: [N - 2], 9: [N - 1, 40], 14: [N - 1, middles[0]]}
+    blue = [0] * N
+    first = {}
+    for i, x in enumerate(leaves):
+        m = 0
+        for h in odd.get(i % 15, [0, 1, N - 1, middles[i % 7]]):
+            m |= 1 << h
+            blue[h] |= 1 << x
+        blue[x] = first.setdefault(m, m) if shared else m
+    return ColouredGraph(N, blue)
+
+
+@pytest.mark.parametrize("degrees_first", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("N", [200, 1000])
+def test_blue_classes_past_shared_fingerprints(N, shared, degrees_first):
+    G = _fingerprint_twins_host(N, shared)
+    a, b, twin = G.blue[70], G.blue[71], G.blue[77]
+    assert a != b and a.bit_length() == b.bit_length()
+    assert (a ^ b) & ((1 << 64) - 1) == 0 and (a ^ b) >> (a.bit_length() - 64) == 0
+    assert twin == a and (twin is a) == shared
+    _assert_classes_match_masks(G, degrees_first)
+    assert is_blue_triangle_free(G) == reference_is_blue_triangle_free(G) == (True, None)
 
 
 @settings(max_examples=60, deadline=None)
