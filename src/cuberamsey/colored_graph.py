@@ -139,17 +139,18 @@ class ColouredGraph:
         other vertex has class -1.  Bit b of ``class_adj[a]`` says classes
         a and b are blue-adjacent.
 
-        Cost: one pass over the vertices.  Each mask read gets an O(1)
-        fingerprint, its length and its low and top 64 bits.  With the
-        degrees cached, a vertex of degree below 2 is passed over unread;
-        without them, a zero mask is, and the degrees are counted on the
-        way and cached.  The first vertex to show a fingerprint pays a
-        popcount (a one-bit mask a compare, at half the cost); a later
-        one compares its mask with that vertex's and, if equal, takes its
-        class and degree, so a blow-up pays one compare per vertex, cut
-        short when twins share one int object.  Only masks that differ
-        behind a shared fingerprint are hashed whole.  Then per class one
-        N-bit AND with the mask of ``reps`` and a walk over what it leaves.
+        Cost: one pass over the vertices.  With the degrees cached, a
+        vertex of degree below 2 is passed over unread; without them, a
+        zero mask is, a one-bit mask is told by a compare at half the cost
+        of a popcount, and the degrees are counted on the way and cached.
+        Every other mask read gets an O(1) fingerprint, its length and its
+        low and top 64 bits.  The first vertex to show a fingerprint pays
+        a popcount; a later one compares its mask with that vertex's and,
+        if equal, takes its class and degree, so a blow-up pays one
+        compare per vertex, cut short when twins share one int object.
+        Only masks that differ behind a shared fingerprint are hashed
+        whole.  Then per class one N-bit AND with the mask of ``reps`` and
+        a walk over what it leaves.
         """
         if self._blue_classes is None:
             blue, deg = self.blue, self._blue_degrees
@@ -168,6 +169,12 @@ class ColouredGraph:
                     continue
                 length = m.bit_length()
                 top = m >> (length - 64) if length > 64 else m << (64 - length)
+                if not counted and top == 1 << 63 and m == 1 << (length - 1):
+                    # most masks of a sparse host are one bit, told by a
+                    # compare at half the cost of a popcount; such a vertex
+                    # is never classed, so its fingerprint is not kept
+                    deg[v] = 1
+                    continue
                 u = first.setdefault((length, m & 0xFFFFFFFFFFFFFFFF, top), v)
                 if u != v and m != blue[u]:
                     u = by_mask.setdefault(m, v)
@@ -176,10 +183,7 @@ class ColouredGraph:
                     deg[v] = deg[u]
                     continue
                 if not counted:
-                    # most masks of a sparse host are one bit, told by a
-                    # compare at half the cost of a popcount
-                    one = top == 1 << 63 and m == 1 << (length - 1)
-                    deg[v] = 1 if one else m.bit_count()
+                    deg[v] = m.bit_count()
                 if deg[v] >= 2:
                     class_of[v] = len(reps)
                     reps.append(v)
@@ -667,18 +671,15 @@ def random_triangle_free_greedy(
     n_vertices: int,
     target_blue_edges: int,
     rng: random.Random,
-    max_attempts: Optional[int] = None,
 ) -> ColouredGraph:
     """Insert random blue edges, skipping any that would close a triangle.
 
-    Stops after reaching the target count or exhausting the attempt
-    budget, whichever comes first.
+    Stops after reaching the target count or after 60 attempts per
+    target edge, whichever comes first.
     """
-    if max_attempts is None:
-        max_attempts = 60 * max(target_blue_edges, 1)
     blue = [0] * n_vertices
     added = 0
-    for _ in range(max_attempts):
+    for _ in range(60 * max(target_blue_edges, 1)):
         if added >= target_blue_edges:
             break
         u = rng.randrange(n_vertices)

@@ -11,12 +11,18 @@ as min(w, s).  The component of the first clique becomes a snake and
 leaves the active set, together with the vertices blue-attached to it.
 What survives every round is sparse in blue, and that is the point of
 the whole exercise.
+
+The certificate stores each round and nothing else: its cliques, pair
+weights, s, the witnesses of its snake's links and the vertices it
+attached.  The snakes, the sparse set and the s values are read off the
+rounds.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, comb
 
@@ -114,125 +120,122 @@ def select_gap_threshold(weights, params: DecompositionParams) -> int:
     )
 
 
+def _snake_component(k: int, weights, s: int) -> tuple[int, ...]:
+    """A round's snake among its k cliques: the link component of clique
+    0, sorted, where the pairs (i, j, w) of weight w >= s are linked."""
+    linked = [(i, j) for i, j, w in weights if w >= s]
+    return tuple(sorted(link_components(k, linked)[0]))
+
+
 @dataclass(frozen=True)
 class RoundRecord:
-    """Audit entry for one removal round."""
+    """One removal round: its red cliques, the weight min(w, s) of every
+    clique pair, the threshold s, a red K_{s,s} witness per linked pair
+    (indices into the round's snake), and the vertices attached to the
+    snake."""
 
-    index: int
-    active_before: int
     cliques: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[int, int, int], ...]
     s: int
-    snake_indices: tuple[int, ...]
+    witnesses: tuple[LinkWitness, ...]
     sparse_added: tuple[int, ...]
-    active_after: int
+
+    @cached_property
+    def snake_indices(self) -> tuple[int, ...]:
+        return _snake_component(len(self.cliques), self.weights, self.s)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The finished partition: sparse set C plus snakes S_1..S_r."""
+    """The rounds of a partition into a sparse set C and snakes S_1..S_r.
+
+    Only the rounds are stored.  Snake i is read off round i (its
+    snake's cliques, witnesses and s), and C is every vertex in no snake.
+    """
 
     n_vertices: int
     params: DecompositionParams
-    sparse: tuple[int, ...]
-    snakes: tuple[Snake, ...]
-    s_values: tuple[int, ...]
     rounds: tuple[RoundRecord, ...]
+
+    @cached_property
+    def snakes(self) -> tuple[Snake, ...]:
+        return tuple(
+            Snake(tuple(r.cliques[c] for c in r.snake_indices), r.witnesses, r.s)
+            for r in self.rounds
+        )
+
+    @cached_property
+    def s_values(self) -> tuple[int, ...]:
+        return tuple(r.s for r in self.rounds)
 
     @property
     def r(self) -> int:
-        return len(self.snakes)
+        return len(self.rounds)
 
+    @cached_property
     def sparse_mask(self) -> int:
-        return mask_of(self.sparse)
+        covered = 0
+        for sn in self.snakes:
+            for c in sn.cliques:
+                covered |= mask_of(c)
+        return ((1 << self.n_vertices) - 1) & ~covered
 
-    def to_json_dict(self) -> dict:
-        return {
+    @cached_property
+    def sparse(self) -> tuple[int, ...]:
+        return tuple(bits_list(self.sparse_mask))
+
+    def to_json(self) -> str:
+        # json writes a tuple as an array
+        p = self.params
+        return json.dumps({
             "n_vertices": self.n_vertices,
             "params": {
-                "m": self.params.m,
-                "s_lo": self.params.s_lo,
-                "s_hi": self.params.s_hi,
-                "lam": [self.params.lam.numerator, self.params.lam.denominator],
-                "mu": [self.params.mu.numerator, self.params.mu.denominator],
+                "m": p.m,
+                "s_lo": p.s_lo,
+                "s_hi": p.s_hi,
+                "lam": [p.lam.numerator, p.lam.denominator],
+                "mu": [p.mu.numerator, p.mu.denominator],
             },
-            "sparse": list(self.sparse),
-            "snakes": [
-                {
-                    "s": sn.s,
-                    "cliques": [list(c) for c in sn.cliques],
-                    "witnesses": [
-                        {"i": w.i, "j": w.j, "X": list(w.X), "Y": list(w.Y)}
-                        for w in sn.witnesses
-                    ],
-                }
-                for sn in self.snakes
-            ],
-            "s_values": list(self.s_values),
             "rounds": [
                 {
-                    "index": r.index,
-                    "active_before": r.active_before,
-                    "cliques": [list(c) for c in r.cliques],
-                    "weights": [list(w) for w in r.weights],
+                    "cliques": r.cliques,
+                    "weights": r.weights,
                     "s": r.s,
-                    "snake_indices": list(r.snake_indices),
-                    "sparse_added": list(r.sparse_added),
-                    "active_after": r.active_after,
+                    "witnesses": [
+                        {"i": w.i, "j": w.j, "X": w.X, "Y": w.Y}
+                        for w in r.witnesses
+                    ],
+                    "sparse_added": r.sparse_added,
                 }
                 for r in self.rounds
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Decomposition":
+    def from_json(cls, text: str) -> "Decomposition":
+        data = json.loads(text)
         p = data["params"]
         params = DecompositionParams(
             m=p["m"],
             s_lo=p["s_lo"],
             s_hi=p["s_hi"],
-            lam=Fraction(p["lam"][0], p["lam"][1]),
-            mu=Fraction(p["mu"][0], p["mu"][1]),
-        )
-        snakes = tuple(
-            Snake(
-                cliques=tuple(tuple(c) for c in sn["cliques"]),
-                witnesses=tuple(
-                    LinkWitness(w["i"], w["j"], tuple(w["X"]), tuple(w["Y"]))
-                    for w in sn["witnesses"]
-                ),
-                s=sn["s"],
-            )
-            for sn in data["snakes"]
+            lam=Fraction(*p["lam"]),
+            mu=Fraction(*p["mu"]),
         )
         rounds = tuple(
             RoundRecord(
-                index=r["index"],
-                active_before=r["active_before"],
                 cliques=tuple(tuple(c) for c in r["cliques"]),
                 weights=tuple(tuple(w) for w in r["weights"]),
                 s=r["s"],
-                snake_indices=tuple(r["snake_indices"]),
+                witnesses=tuple(
+                    LinkWitness(w["i"], w["j"], tuple(w["X"]), tuple(w["Y"]))
+                    for w in r["witnesses"]
+                ),
                 sparse_added=tuple(r["sparse_added"]),
-                active_after=r["active_after"],
             )
             for r in data["rounds"]
         )
-        return cls(
-            n_vertices=data["n_vertices"],
-            params=params,
-            sparse=tuple(data["sparse"]),
-            snakes=snakes,
-            s_values=tuple(data["s_values"]),
-            rounds=rounds,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Decomposition":
-        return cls.from_json_dict(json.loads(text))
+        return cls(data["n_vertices"], params, rounds)
 
 
 def _pair_weights(
@@ -276,9 +279,6 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     it walks and ``verify_decomposition`` re-checks the certificate.
     """
     A = G.full_mask
-    sparse_acc = 0
-    snakes: list[Snake] = []
-    s_values: list[int] = []
     rounds: list[RoundRecord] = []
     memo: dict = {}
     # lam * d >= s and mu * d > s, cross-multiplied into integers
@@ -307,17 +307,16 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
             if s <= cap:
                 break
             cap = s
-        linked = [(i, j) for (i, j), (w, _, _) in weights.items() if w >= s]
-        comp = sorted(link_components(len(cliques), linked)[0])
+        # _pair_weights yields the pairs in sorted order
+        recorded = tuple((i, j, w) for (i, j), (w, _, _) in weights.items())
+        comp = _snake_component(len(cliques), recorded, s)
         pos = {ci: idx for idx, ci in enumerate(comp)}
-
         # comp is sorted, so pos keeps the order of each linked pair
         witnesses = tuple(
-            LinkWitness(pos[i], pos[j], *weights[(i, j)][1:])
-            for i, j in linked
-            if i in pos
+            LinkWitness(pos[i], pos[j], X, Y)
+            for (i, j), (w, X, Y) in weights.items()
+            if w >= s and i in pos
         )
-        snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
 
         clique_masks = [mask_of(c) for c in cliques]
         S_mask = sum(clique_masks[ci] for ci in comp)  # disjoint cliques
@@ -367,23 +366,9 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
                         f"vertex {v} attached to out-of-snake clique {ci}"
                     )
 
-        rounds.append(
-            RoundRecord(
-                index=round_index,
-                active_before=A.bit_count(),
-                cliques=tuple(cliques),
-                weights=tuple(
-                    (i, j, w) for (i, j), (w, _, _) in sorted(weights.items())
-                ),
-                s=s,
-                snake_indices=tuple(comp),
-                sparse_added=tuple(bits_list(sparse_new)),
-                active_after=A_next.bit_count(),
-            )
-        )
-        snakes.append(snake)
-        s_values.append(s)
-        sparse_acc |= sparse_new
+        rounds.append(RoundRecord(
+            tuple(cliques), recorded, s, witnesses, tuple(bits_list(sparse_new))
+        ))
         A = A_next
     else:
         raise AssertionError("decomposition failed to terminate")
@@ -398,92 +383,74 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
                 f"vertex {v} keeps {d} blue neighbours in the sparse "
                 f"remainder, not below m = {params.m}"
             )
-
-    sparse_acc |= A
-    return Decomposition(
-        n_vertices=G.n_vertices,
-        params=params,
-        sparse=tuple(bits_list(sparse_acc)),
-        snakes=tuple(snakes),
-        s_values=tuple(s_values),
-        rounds=tuple(rounds),
-    )
+    return Decomposition(G.n_vertices, params, tuple(rounds))
 
 
 def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     """Re-check a decomposition from scratch against its graph.
 
-    The sparse set and the snake vertex sets must partition the graph,
-    blue inside the sparse set must stay under 2m edges per vertex on
-    average, each snake must validate, and vertices of later snakes must
-    be only weakly blue-attached to every earlier snake.  Each round
-    record must agree with its snake: weights (not re-searched) at most
-    s, s the first grid point with a weight-free gap, and the snake the
-    link component of clique 0.  A vertex outside G, in the sparse set
-    or in a snake, fails the certificate before any other test.
+    Each round must record one weight (not re-searched) per pair of its
+    cliques, none above s, with s the first grid point whose gap is
+    weight-free.  Its snake, the link component of clique 0, must
+    validate with the round's witnesses; snakes must be disjoint, and
+    vertices of later snakes only weakly blue-attached to every earlier
+    snake.  Blue inside the sparse set, the vertices in no snake, must
+    stay under 2m edges per vertex on average.  A round that lacks a
+    weight for some clique pair, or a snake vertex outside G, fails the
+    certificate before any other test.
     """
     errors = []
-    if dec.sparse and (min(dec.sparse) < 0 or max(dec.sparse) >= G.n_vertices):
-        errors.append("the sparse set mentions out-of-range vertices")
+    if dec.n_vertices != G.n_vertices:
+        errors.append(
+            f"the certificate is for {dec.n_vertices} vertices, not {G.n_vertices}"
+        )
+    for i, rec in enumerate(dec.rounds):
+        k = len(rec.cliques)
+        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        if k == 0 or sorted(tuple(w[:2]) for w in rec.weights) != pairs:
+            errors.append(f"round {i} does not record one weight per clique pair")
+    if errors:
+        return Verdict.failure(*errors)
     for i, sn in enumerate(dec.snakes):
         errors += [f"snake {i} invalid: {e}" for e in range_errors(G.n_vertices, sn)]
     if errors:
         return Verdict.failure(*errors)
     masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
-    cm = dec.sparse_mask()
-    total = cm
+    total = 0
     for i, m in enumerate(masks):
         if total & m:
-            errors.append(f"snake {i} overlaps earlier parts")
+            errors.append(f"snake {i} overlaps earlier snakes")
         total |= m
-    if total != G.full_mask:
-        errors.append("the parts do not cover the vertex set")
-    if not len(dec.s_values) == len(dec.rounds) == len(dec.snakes):
-        errors.append("one s value and one round record per snake is required")
 
     # C as one digit per vertex, where a vertex of blue degree 1 looks its
     # one neighbour up instead of paying an N-bit AND
+    cm = dec.sparse_mask
     in_c, deg, blue = f"{cm:0{G.n_vertices}b}"[::-1], G.blue_degrees(), G.blue
     blue_inside = sum(
         in_c[blue[v].bit_length() - 1] == "1" if deg[v] == 1
         else (blue[v] & cm).bit_count()
         for v in iter_bits(cm & G.blue_at_least(1))
     ) // 2
-    if blue_inside > 2 * dec.params.m * len(dec.sparse):
-        errors.append(
-            f"sparse set has {blue_inside} blue edges, above "
-            f"2m|C| = {2 * dec.params.m * len(dec.sparse)}"
-        )
+    bound = 2 * dec.params.m * cm.bit_count()
+    if blue_inside > bound:
+        errors.append(f"sparse set has {blue_inside} blue edges, above 2m|C| = {bound}")
 
     for i, sn in enumerate(dec.snakes):
         check = validate_snake(G, sn)
         if not check:
             errors.append(f"snake {i} invalid: " + "; ".join(check.errors))
-        if sn.s != dec.s_values[i]:
-            errors.append(f"snake {i} carries s={sn.s}, recorded {dec.s_values[i]}")
 
-    for i, (rec, sn) in enumerate(zip(dec.rounds, dec.snakes)):
-        k, ws = len(rec.cliques), [w for _, _, w in rec.weights]
+    for i, rec in enumerate(dec.rounds):
+        ws = [w for _, _, w in rec.weights]
         try:
             chosen = select_gap_threshold(ws, dec.params)
         except StageFailure:
             chosen = None
-        if rec.s != dec.s_values[i] or chosen != rec.s or max(ws, default=0) > rec.s:
+        if chosen != rec.s or max(ws, default=0) > rec.s:
             errors.append(f"round {i} records s={rec.s} against its weights {ws}")
-        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        if k == 0 or sorted(tuple(w[:2]) for w in rec.weights) != pairs:
-            errors.append(f"round {i} does not record one weight per clique pair")
-            continue
-        linked = [(a, b) for a, b, w in rec.weights if w >= rec.s]
-        comp = sorted(link_components(k, linked)[0])
-        if list(rec.snake_indices) != comp or sn.cliques != tuple(
-            rec.cliques[c] for c in comp
-        ):
-            errors.append(f"round {i}: snake {i} is not the link component of clique 0")
 
-    for i in range(len(dec.snakes)):
-        si = dec.s_values[i]
-        for j in range(i + 1, len(dec.snakes)):
+    for i, si in enumerate(dec.s_values):
+        for j in range(i + 1, dec.r):
             for v in sorted(dec.snakes[j].vertex_set()):
                 d = (G.blue[v] & masks[i]).bit_count()
                 if dec.params.mu * d > si:

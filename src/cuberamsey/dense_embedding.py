@@ -200,7 +200,6 @@ class Extended:
 
     assignment: PartialAssignment
     entry: AssignmentEntry
-    centre: int
 
 
 @dataclass(frozen=True)
@@ -307,7 +306,7 @@ def extend_or_clean(
         if nb.bit_count() >= need:
             members = tuple(bits_list(lowest_bits(nb, size)))
             entry = AssignmentEntry(y, members)
-            return Extended(pa.with_entry(entry), entry, u)
+            return Extended(pa.with_entry(entry), entry)
     return Cleaned(C)
 
 

@@ -156,10 +156,12 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     if errors:
         return Verdict.failure(*errors)
 
+    pairs = []
     for w in snake.witnesses:
         if not (0 <= w.i < w.j < snake.k):
             errors.append(f"witness names bad clique pair ({w.i}, {w.j})")
             continue
+        pairs.append(w.pair())
         if len(w.X) != snake.s or len(w.Y) != snake.s:
             errors.append(
                 f"witness ({w.i}, {w.j}) has sides of size "
@@ -176,7 +178,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             )
     if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
         errors.append("duplicate witness for a clique pair")
-    comps = link_components(snake.k, [w.pair() for w in snake.witnesses])
+    comps = link_components(snake.k, pairs)
     if len(comps) != 1:
         errors.append(f"link graph is disconnected: {len(comps)} components")
     return Verdict(not errors, errors)

@@ -112,7 +112,7 @@ def assign_subcubes(
 def _solve_dense(
     G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
 ) -> dict[int, int]:
-    C_mask = dec.sparse_mask()
+    C_mask = dec.sparse_mask
     # dense_embed's max-degree cap, 2^(n - b_0), cuts a vertex reaching it
     cutoff, deg = 1 << (n - params.schedule.b[0]), G.blue_degrees()
     # a vertex of whole blue degree below the cutoff stays below it in C

@@ -1,10 +1,12 @@
 """Shared instance builders for the test suite."""
 
+import json
 import random
 from math import comb
 
 from cuberamsey.bits import bit, bits_list, iter_bits, lowest_bits, mask_of
 from cuberamsey.colored_graph import ColouredGraph, Verdict, red_components
+from cuberamsey.decomposition import Decomposition, RoundRecord
 from cuberamsey.dense_embedding import (
     AssignmentEntry,
     PartialAssignment,
@@ -146,6 +148,66 @@ def gap_consequence_holds(G: ColouredGraph, dec) -> bool:
                 if lam * deg >= rec.s:
                     return False
     return True
+
+
+def decomposition_of(n_vertices: int, params, *snakes) -> Decomposition:
+    """A certificate with one round per snake: the snake's cliques, weight
+    s on each witnessed pair and 0 on every other, and no attached
+    vertex; every vertex in no snake is sparse."""
+    rounds = []
+    for sn in snakes:
+        linked = sn.link_pairs()
+        weights = tuple(
+            (i, j, sn.s if (i, j) in linked else 0)
+            for i in range(sn.k) for j in range(i + 1, sn.k)
+        )
+        rounds.append(RoundRecord(sn.cliques, weights, sn.s, sn.witnesses, ()))
+    return Decomposition(n_vertices, params, tuple(rounds))
+
+
+def legacy_certificate_json(dec: Decomposition) -> str:
+    """The certificate in the layout that also stored the sparse set, the
+    snakes, the s values and, per round, its index, snake indices and
+    active counts before and after, rebuilt from the round records."""
+    p = dec.params
+    rounds, active = [], dec.n_vertices
+    for i, (r, sn) in enumerate(zip(dec.rounds, dec.snakes)):
+        after = active - len(sn.vertex_set()) - len(r.sparse_added)
+        rounds.append({
+            "index": i + 1,
+            "active_before": active,
+            "cliques": [list(c) for c in r.cliques],
+            "weights": [list(w) for w in r.weights],
+            "s": r.s,
+            "snake_indices": list(r.snake_indices),
+            "sparse_added": list(r.sparse_added),
+            "active_after": after,
+        })
+        active = after
+    return json.dumps({
+        "n_vertices": dec.n_vertices,
+        "params": {
+            "m": p.m,
+            "s_lo": p.s_lo,
+            "s_hi": p.s_hi,
+            "lam": [p.lam.numerator, p.lam.denominator],
+            "mu": [p.mu.numerator, p.mu.denominator],
+        },
+        "sparse": list(dec.sparse),
+        "snakes": [
+            {
+                "s": sn.s,
+                "cliques": [list(c) for c in sn.cliques],
+                "witnesses": [
+                    {"i": w.i, "j": w.j, "X": list(w.X), "Y": list(w.Y)}
+                    for w in sn.witnesses
+                ],
+            }
+            for sn in dec.snakes
+        ],
+        "s_values": list(dec.s_values),
+        "rounds": rounds,
+    })
 
 
 def two_clique_linked_shuffled(n: int, rng: random.Random, extra: int = 0):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -5,7 +7,14 @@ from math import comb
 
 import pytest
 
-from helpers import all_red_graph, gap_consequence_holds, two_clique_linked_graph
+from helpers import (
+    all_red_graph,
+    decomposition_of,
+    gap_consequence_holds,
+    legacy_certificate_json,
+    two_clique_linked_graph,
+    two_clique_linked_shuffled,
+)
 from cuberamsey.bits import mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -208,7 +217,7 @@ def test_round_weights_are_exact_weights_clipped_at_s():
         for rec in dec.rounds:
             for i, j, w in rec.weights:
                 bw = brute_biclique_weight(G, rec.cliques[i], rec.cliques[j])
-                assert w == min(bw, rec.s), (rec.index, i, j, w, bw, rec.s)
+                assert w == min(bw, rec.s), (i, j, w, bw, rec.s)
                 counts["pairs"] += 1
                 counts["below"] += bw < rec.s
                 counts["clipped"] += bw > rec.s
@@ -229,68 +238,72 @@ def test_verify_rejects_tampering():
     dec = decompose(G, DecompositionParams.desk(n))
     assert verify_decomposition(G, dec).ok
 
-    missing = Decomposition(
-        dec.n_vertices, dec.params, dec.sparse[:-1] if dec.sparse else (),
-        dec.snakes[:0], dec.s_values[:0], dec.rounds,
-    )
-    assert not verify_decomposition(G, missing).ok
-
-    wrong_s = Decomposition(
-        dec.n_vertices, dec.params, dec.sparse, dec.snakes,
-        tuple(s + 1 for s in dec.s_values), dec.rounds,
-    )
-    assert not verify_decomposition(G, wrong_s).ok
-
+    # a witness whose Y side is not red to its X side
+    rec = dec.rounds[0]
     sn = dec.snakes[0]
-    w = sn.witnesses[0]
+    w = rec.witnesses[0]
     bad_witness = LinkWitness(w.i, w.j, w.X, tuple(sorted(sn.cliques[w.j])[-len(w.Y):]))
-    bad_snake = Snake(sn.cliques, (bad_witness,) + sn.witnesses[1:], sn.s)
-    tampered = Decomposition(
-        dec.n_vertices, dec.params, dec.sparse,
-        (bad_snake,) + dec.snakes[1:], dec.s_values, dec.rounds,
+    tampered = replace(
+        dec, rounds=(replace(rec, witnesses=(bad_witness,) + rec.witnesses[1:]),)
     )
-    assert not verify_decomposition(G, tampered).ok
+    verdict = verify_decomposition(G, tampered)
+    assert not verdict.ok
+    assert any("witness (0, 1) has a blue cross pair" in e for e in verdict.errors)
+
+    # one vertex more would be one more sparse vertex, outside G
+    verdict = verify_decomposition(G, replace(dec, n_vertices=G.n_vertices + 1))
+    assert verdict.errors == ["the certificate is for 33 vertices, not 32"]
+
+
+def test_verify_rejects_a_dropped_round():
+    # a blue K_{5,5} with m = 1: two one-vertex snakes leave a K_{4,4} with
+    # 16 = 2m|C| blue edges in C; without either round C holds a K_{4,5}
+    # with 20 > 18
+    G = ColouredGraph.from_blue_edges(10, [(u, v) for u in range(5) for v in range(5, 10)])
+    params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
+    dec = decomposition_of(10, params, Snake(((0,),), (), 1), Snake(((5,),), (), 1))
+    assert verify_decomposition(G, dec).ok
+    for kept in (dec.rounds[:1], dec.rounds[1:]):
+        verdict = verify_decomposition(G, replace(dec, rounds=kept))
+        assert verdict.errors == ["sparse set has 20 blue edges, above 2m|C| = 18"]
 
 
 def _tampered_certificate(field: str, value: int):
-    """A certificate of a greedy host whose snake has three cliques and
-    three witnesses, with one vertex of the named part set to value
-    through the JSON form."""
+    """A certificate of a greedy host whose one round has three cliques,
+    all in its snake, and three witnesses, with one vertex of the named
+    part set to value through the JSON form."""
     G = random_triangle_free_greedy(64, 8, random.Random(1))
-    data = decompose(G, DecompositionParams.desk(3)).to_json_dict()
-    snake = data["snakes"][0]
-    if field == "sparse":
-        data["sparse"][0] = value
-    elif field == "clique":
-        snake["cliques"][1][0] = value
+    data = json.loads(decompose(G, DecompositionParams.desk(3)).to_json())
+    rec = data["rounds"][0]
+    if field == "clique":
+        rec["cliques"][1][0] = value
     else:
-        snake["witnesses"][0][field][0] = value
-    return G, Decomposition.from_json_dict(data)
+        rec["witnesses"][0][field][0] = value
+    return G, Decomposition.from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("value", [-1, 64, 99])
-@pytest.mark.parametrize("field", ["sparse", "clique", "X", "Y"])
+@pytest.mark.parametrize("field", ["clique", "X", "Y"])
 def test_verify_reports_out_of_range_vertices(field, value):
     # a vertex outside the graph fails the certificate, naming the part,
     # instead of raising from a shift or an index
     G, dec = _tampered_certificate(field, value)
+    assert dec.rounds[0].snake_indices == (0, 1, 2)
     verdict = verify_decomposition(G, dec)
     assert not verdict.ok
     part = {
-        "sparse": "the sparse set",
         "clique": "snake 0 invalid: clique 1",
         "X": "snake 0 invalid: witness (0, 1) X side",
         "Y": "snake 0 invalid: witness (0, 1) Y side",
     }[field]
     assert verdict.errors == [f"{part} mentions out-of-range vertices"]
-    if field != "sparse":
-        check = validate_snake(G, dec.snakes[0])
-        assert check.errors == [verdict.errors[0].removeprefix("snake 0 invalid: ")]
+    check = validate_snake(G, dec.snakes[0])
+    assert check.errors == [verdict.errors[0].removeprefix("snake 0 invalid: ")]
 
 
 def test_verify_checks_round_records():
     # one round, two cliques linked at exactly s; the records are claims
-    # the verifier must hold against the snake and the gap rule
+    # the verifier must hold against the gap rule
     n = 3
     G = two_clique_linked_graph(n)
     dec = decompose(G, DecompositionParams.desk(n))
@@ -304,10 +317,41 @@ def test_verify_checks_round_records():
     assert verify_decomposition(G, with_round()).ok
     in_gap = with_round(weights=((0, 1, s - 1),))  # lambda = 2: s/2 <= s-1 < s
     above_s = with_round(weights=((0, 1, s + 1),))
-    dropped = with_round(snake_indices=(0,))
-    for bad in (in_gap, above_s, dropped):
-        assert not verify_decomposition(G, bad).ok
-    assert not verify_decomposition(G, replace(dec, rounds=())).ok
+    for bad in (in_gap, above_s):
+        verdict = verify_decomposition(G, bad)
+        assert any(e.startswith("round 0 records s=") for e in verdict.errors)
+
+
+@pytest.mark.parametrize("changes", [
+    {"weights": ((0, 2, 6),)},
+    {"weights": ((0, 1, 6), (1, 2, 6))},
+    {"cliques": (), "weights": (), "witnesses": ()},
+], ids=["pair-beyond-k", "extra-pair", "no-cliques"])
+def test_verify_rejects_malformed_weight_pairs(changes):
+    # the weight pairs are checked before a round's snake is derived from
+    # them, so a pair naming a clique that is not there fails the
+    # certificate instead of raising
+    n = 3
+    G = two_clique_linked_graph(n)
+    dec = decompose(G, DecompositionParams.desk(n))
+    assert dec.rounds[0].s == 6
+    bad = replace(dec, rounds=(replace(dec.rounds[0], **changes),))
+    verdict = verify_decomposition(G, bad)
+    assert verdict.errors == ["round 0 does not record one weight per clique pair"]
+
+
+def test_verify_rejects_a_witness_outside_its_snake():
+    # the complete bipartite host's snake is clique 0 alone, so a witness
+    # between its two cliques names a pair the snake does not have
+    n = 4
+    G = random_bipartite_blue(1 << (n + 2), 1.0, random.Random(0))
+    dec = decompose(G, DecompositionParams.desk(n))
+    rec = dec.rounds[0]
+    assert rec.snake_indices == (0,) and rec.witnesses == ()
+    half = rec.s
+    w = LinkWitness(0, 1, rec.cliques[0][:half], rec.cliques[1][:half])
+    verdict = verify_decomposition(G, replace(dec, rounds=(replace(rec, witnesses=(w,)),)))
+    assert verdict.errors == ["snake 0 invalid: witness names bad clique pair (0, 1)"]
 
 
 def test_verify_catches_dense_sparse_set():
@@ -322,8 +366,7 @@ def test_verify_catches_dense_sparse_set():
         blue[v] |= 1 << u
     G = ColouredGraph(N, blue, validate=False)
     params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
-    dec = Decomposition(N, params, tuple(range(N)), (), (), ())
-    assert not verify_decomposition(G, dec).ok
+    assert not verify_decomposition(G, Decomposition(N, params, ())).ok
 
 
 def test_verify_counts_blue_edges_of_degree_one_vertices_exactly():
@@ -332,8 +375,9 @@ def test_verify_counts_blue_edges_of_degree_one_vertices_exactly():
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
     G = ColouredGraph.from_blue_edges(14, edges + [(8, 9), (10, 11), (12, 13)])
     params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
-    sparse = tuple(range(11)) + (12,)
-    verdict = verify_decomposition(G, Decomposition(14, params, sparse, (), (), ()))
+    dec = decomposition_of(14, params, Snake(((11,),), (), 1), Snake(((13,),), (), 1))
+    assert dec.sparse == tuple(range(11)) + (12,)
+    verdict = verify_decomposition(G, dec)
     assert any("sparse set has 29 blue edges" in e for e in verdict.errors)
 
 
@@ -341,6 +385,42 @@ def test_json_round_trip():
     n = 4
     G = two_clique_linked_graph(n)
     dec = decompose(G, DecompositionParams.desk(n))
-    again = Decomposition.from_json(dec.to_json())
+    text = dec.to_json()
+    again = Decomposition.from_json(text)
     assert again == dec
     assert verify_decomposition(G, again).ok
+    data = json.loads(text)
+    assert list(data) == ["n_vertices", "params", "rounds"]
+    assert [list(r) for r in data["rounds"]] == [
+        ["cliques", "weights", "s", "witnesses", "sparse_added"]
+    ]
+
+
+# sha256 of certificates in the layout that also stored the snakes, the
+# sparse set and the s values, as written when that layout was current:
+# a greedy host, two shuffled two-clique hosts whose round attaches
+# vertices, and a bipartite host of two rounds, one with a clique left out
+# of its snake
+LEGACY = {
+    1: "031f7738fb08600af506c429c2e112de795c380314f34c6f89010716a0ebee94",
+    2: "e2457eeb0ac73ec58b9f991c3eacf4f049e9c35ec03c9db205b554ee36724e6e",
+    3: "32c5e6704e3dfb9948e0bbf4160e01b281e4854cb255036d56e579649f8b02d5",
+    80: "6f460503742139ce3b2b7bed53341e17859d888f36bf282e5fd0695f91686bb4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LEGACY))
+def test_round_records_rebuild_the_legacy_certificate(seed):
+    rng = random.Random(f"legacy/{seed}")
+    n = rng.choice([3, 4])
+    N = 1 << (n + 2)
+    if seed % 3 == 0:
+        G = random_bipartite_blue(N, rng.choice([0.02, 0.05, 0.1, 0.2]), rng)
+    elif seed % 3 == 1:
+        G = random_triangle_free_greedy(N, N // 8, rng)
+    else:
+        G = two_clique_linked_shuffled(n, rng, extra=rng.randint(0, 8))
+    dec = decompose(G, DecompositionParams.desk(n))
+    text = legacy_certificate_json(dec)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEGACY[seed]
+    assert verify_decomposition(G, Decomposition.from_json(dec.to_json())).ok

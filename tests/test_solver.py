@@ -7,14 +7,20 @@ from math import ceil
 
 import pytest
 
-from helpers import all_red_graph, reference_solve_snakes, two_clique_linked_graph
+from helpers import (
+    all_red_graph,
+    decomposition_of,
+    legacy_certificate_json,
+    reference_solve_snakes,
+    two_clique_linked_graph,
+)
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_bipartite_blue,
     random_triangle_free_greedy,
     verify_red_embedding,
 )
-from cuberamsey.decomposition import Decomposition, DecompositionParams, decompose
+from cuberamsey.decomposition import DecompositionParams, decompose
 from cuberamsey.errors import HypothesisError, StageFailure
 from cuberamsey import solver
 from cuberamsey.snake_embedding import LinkWitness, Snake
@@ -61,10 +67,10 @@ def test_assign_subcubes_hand_cases():
 
 def test_choose_case_tie_goes_dense():
     params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
-    half = Decomposition(4, params, (0, 1), (), (), ())
-    assert choose_case(half) == 1
-    minority = Decomposition(4, params, (0,), (), (), ())
-    assert choose_case(minority) == 2
+    half = decomposition_of(4, params, Snake(((2, 3),), (), 1))
+    assert half.sparse == (0, 1) and choose_case(half) == 1
+    minority = decomposition_of(4, params, Snake(((1, 2, 3),), (), 1))
+    assert minority.sparse == (0,) and choose_case(minority) == 2
 
 
 def test_solve_all_red():
@@ -140,8 +146,8 @@ def _snake_family(rng, n, params):
                 blue[u] |= 1 << v
                 blue[v] |= 1 << u
     G = ColouredGraph(N, blue)
-    s_values = tuple(sn.s for sn in snakes)
-    dec = Decomposition(N, params.decomp, (), tuple(snakes), s_values, ())
+    dec = decomposition_of(N, params.decomp, *snakes)
+    assert dec.snakes == tuple(snakes)
     return G, dec
 
 
@@ -247,7 +253,7 @@ def test_solve_dense_cuts_vertices_at_the_degree_cutoff(monkeypatch):
     cut = 1 << (n - params.schedule.b[0])  # dense_embed's max-degree cap
     edges = [(0, 10 + i) for i in range(cut)] + [(1, 30 + i) for i in range(cut - 1)]
     G = ColouredGraph.from_blue_edges(64, edges)
-    dec = Decomposition(64, params.decomp, tuple(range(64)), (), (), ())
+    dec = decomposition_of(64, params.decomp)
     # an identity embedding of the induced subgraph reads back its order
     monkeypatch.setattr(
         solver, "dense_embed", lambda H, *args: {w: w for w in range(H.n_vertices)}
@@ -266,29 +272,40 @@ def test_solve_dense_route_tiles_whole_cube():
     assert verify_red_embedding(G, n, phi).ok
 
 
-# sha256 of the solve map (json of its sorted items) and of the decompose
-# certificate (``to_json``), recorded before the assignment loop read its
-# next subcube lazily; every greedy host here takes the dense route and
-# extends its partial assignment 10-29 times
+# sha256 of the solve map (json of its sorted items), of the decompose
+# certificate in the layout that also stored the snakes, the sparse set
+# and the s values (``legacy_certificate_json``), both recorded before the
+# assignment loop read its next subcube lazily, and of the certificate as
+# ``to_json`` writes it, rounds only; every greedy host here takes the
+# dense route and extends its partial assignment 10-29 times
 GOLDEN = {
     (5, 0): ("b7abf0c80f34adb05284c2ee18599d848dcbfcc191a9fc3445aa9b234996e0e7",
-             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878"),
+             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878",
+             "cbe869eae244cd73f1ad0007d31ff079278c6cb12f20f5237dd88d200771a677"),
     (5, 1): ("3281c9f258cda5b4ce2e4f77821be7578824b2d9447e759f5a27915750623bb5",
-             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878"),
+             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878",
+             "cbe869eae244cd73f1ad0007d31ff079278c6cb12f20f5237dd88d200771a677"),
     (5, 2): ("a57b8daf20ffca25d56bfa76c953be1e12c330da7be143c5b0010eccd31a756b",
-             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878"),
+             "6438ac01aa88ffb2566450b57a2ec48b49f31d05e2d89f10b114f3fc267d1878",
+             "cbe869eae244cd73f1ad0007d31ff079278c6cb12f20f5237dd88d200771a677"),
     (6, 0): ("41284422d2cab5a1a2e2275db3a016e729f6fc77932a945643b3f4c8c4bb42c2",
-             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15"),
+             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15",
+             "cfb153deeac7af806608452bda393004a59c1a3298c71e04291e59af6b5da255"),
     (6, 1): ("3fabe1500e06942fe2d1bc42d8a88c207a96cdf56e9aaf45231117ab8ba3b72d",
-             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15"),
+             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15",
+             "cfb153deeac7af806608452bda393004a59c1a3298c71e04291e59af6b5da255"),
     (6, 2): ("e3dd08078d5a0a02b90edd39fae3bcfb2a42cc33c673f09b4cdc993f5fc51bd1",
-             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15"),
+             "4c8ef7876baf40e1bea08f6af1827496a6d4e3350adb839b2023ab8e8ece1b15",
+             "cfb153deeac7af806608452bda393004a59c1a3298c71e04291e59af6b5da255"),
     (7, 0): ("e966d889da531260a1278447999530cf24f2d6a7914788e8694f54c01371b968",
-             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7"),
+             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7",
+             "7aef06a190236962864d41392d16c09e4be7bd03f22b50bf4a5c6d7e97dff112"),
     (7, 1): ("447d8478acf8f8171b547c830e03c585a11dbf1a1406a059c128e3c743438853",
-             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7"),
+             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7",
+             "7aef06a190236962864d41392d16c09e4be7bd03f22b50bf4a5c6d7e97dff112"),
     (7, 2): ("96ded2f3a57bfff962ad9c94477c6e29bc1e2733f11cbdf257d5385cada32616",
-             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7"),
+             "5e3a3003fb8dacbce04b97e84107a31f3c389a897f037e7a6d17e8e6c74616a7",
+             "7aef06a190236962864d41392d16c09e4be7bd03f22b50bf4a5c6d7e97dff112"),
 }
 
 
@@ -299,9 +316,9 @@ def test_solve_maps_and_certificates_match_golden_hashes(n, seed):
     G = random_triangle_free_greedy(N, 2 * N, random.Random(f"golden/{n}/{seed}"))
     params = SolverParams.desk(n)
     phi = solve(G, n, params)
-    cert = decompose(G, params.decomp).to_json()
+    dec = decompose(G, params.decomp)
     got = tuple(
         hashlib.sha256(text.encode()).hexdigest()
-        for text in (json.dumps(sorted(phi.items())), cert)
+        for text in (json.dumps(sorted(phi.items())), legacy_certificate_json(dec), dec.to_json())
     )
     assert got == GOLDEN[n, seed]
