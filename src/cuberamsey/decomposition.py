@@ -3,12 +3,16 @@
 The blue graph must be triangle free.  Round by round, a family of
 disjoint red m-cliques is pulled out of the active set, taken until no
 blue star of m is left in what remains of it, and a threshold s is
-chosen inside a gap of the pair link weights (largest balanced red
-bicliques), so that links are unambiguous: every pair is either strongly
-linked (weight at least s) or clearly not (weight below s divided by
-lambda).  Only that side is read, so a weight is searched and recorded
-as min(w, s).  The component of the first clique becomes a snake and
-leaves the active set, together with the vertices blue-attached to it.
+chosen inside a gap of the pair link weights, so that every pair is
+either strongly linked (weight at least s) or clearly not (weight below
+s divided by lambda).  A weight is the side of a balanced red biclique
+that two prefix walks find, recorded as min(w, s): a linked pair is
+proved by its red K_{s,s} witness, and an unlinked weight is only a
+lower bound on the largest such biclique.  The component of the first
+clique becomes a snake and leaves the active set, together with the
+vertices blue-attached to it.  The one consequence of the gap that later
+stages read, that no attached vertex is also attached to a clique
+outside the snake, is checked vertex by vertex.
 What survives every round is sparse in blue, and that is the point of
 the whole exercise.
 
@@ -246,8 +250,9 @@ def _pair_weights(
 ) -> dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Balanced biclique weights min(w, cap), with red witnesses of that
     size, for every clique pair.  The memo keeps the cap each pair was
-    searched at: a weight below it is exact, one at it is only a lower
-    bound, so a larger cap searches the pair again.
+    walked at: a weight below it is final, since a larger cap returns the
+    same one, while one at it may grow, so a larger cap walks the pair
+    again.
     """
     out = {}
     for i in range(len(cliques)):
@@ -271,10 +276,11 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
 
     Each round removes the snake through the first extracted clique and
     the vertices blue-attached to any of its cliques beyond s/lambda.
-    Two conditions are enforced as the rounds go: surviving active
-    vertices have blue degree at most s/mu into the removed snake, and
-    each removed attached vertex keeps blue degree at most 2m into what
-    survives.  Violations are structured failures, not silent repairs.
+    Three conditions are enforced as the rounds go: surviving active
+    vertices have blue degree at most s/mu into the removed snake, each
+    removed attached vertex keeps blue degree at most 2m into what
+    survives, and none is attached to a clique outside the snake.
+    Violations are structured failures, not silent repairs.
     The snakes are not validated here: ``snake_embed`` validates each one
     it walks and ``verify_decomposition`` re-checks the certificate.
     """
@@ -293,7 +299,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         if not cliques:
             break
         # clip weights at the grid point under test: those below it are
-        # exact, settle every point up to it and lie in no later gap, so
+        # final, settle every point up to it and lie in no later gap, so
         # the selection returns the cap or the next grid point to try
         cap = params.s_lo
         while True:
@@ -354,16 +360,22 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
                     f"surviving vertices, above 2m = {2 * params.m}",
                     data={"round": round_index, "vertex": v, "degree": d},
                 )
-        # a vertex attached to the snake cannot also be attached to an
-        # outside clique: the two blue stars would witness a red biclique
-        # heavy enough to fall inside the chosen gap
+        # a vertex attached to the snake and to an outside clique has blue
+        # stars in both, a red biclique of side at least s/lambda between
+        # the two cliques; the gap puts that pair's weight below s/lambda,
+        # but a recorded weight below s is only a lower bound
         out = [ci for ci in range(len(cliques)) if ci not in pos]
         for v in iter_bits(sparse_new):
             for ci in out:
                 d = (G.blue[v] & clique_masks[ci]).bit_count()
                 if lam_num * d >= s * lam_den:
-                    raise AssertionError(
-                        f"vertex {v} attached to out-of-snake clique {ci}"
+                    raise StageFailure(
+                        "outside-attachment",
+                        f"attached vertex {v} has blue degree {d} into "
+                        f"clique {ci}, outside the snake, at least "
+                        f"s/lambda = {Fraction(s) / params.lam}",
+                        data={"round": round_index, "vertex": v,
+                              "clique": ci, "degree": d},
                     )
 
         rounds.append(RoundRecord(

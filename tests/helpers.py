@@ -687,30 +687,22 @@ def reference_is_red_clique(G: ColouredGraph, vertices) -> bool:
 
 def reference_max_balanced_biclique(G: ColouredGraph, M1, M2, cap=None):
     """``colored_graph.max_balanced_biclique`` with one N-bit row per
-    vertex and one popcount per vertex in the seeds' sort key."""
+    vertex and one popcount per vertex in the walks' sort key."""
     side1 = sorted(set(M1))
     side2 = sorted(set(M2))
     m1, m2 = mask_of(side1), mask_of(side2)
     if m1 & m2:
         raise ValueError("the two sides must be disjoint")
-    if not side1 or not side2:
-        return 0, (), ()
     swapped = len(side1) > len(side2)
     if swapped:
         side1, side2 = side2, side1
         m1, m2 = m2, m1
-    adj = {u: m2 & ~G.blue[u] for u in side1}
-    adj_back = {v: m1 & ~G.blue[v] for v in side2}
     limit = min(len(side1), len(side2))
     if cap is not None:
         limit = min(limit, cap)
-    if all(adj[u] == m2 for u in side1):
-        X, Y = tuple(side1[:limit]), tuple(side2[:limit])
-        return (limit, Y, X) if swapped else (limit, X, Y)
-    if all(adj[u] == 0 for u in side1):
-        return 0, (), ()
 
-    def prefix_seed(rows, row_adj, col_mask):
+    def prefix_walk(rows, col_mask):
+        row_adj = {u: col_mask & ~G.blue[u] for u in rows}
         order = sorted(rows, key=lambda u: -row_adj[u].bit_count())
         common = col_mask
         best_w, best_rows, best_common = 0, [], 0
@@ -723,62 +715,15 @@ def reference_max_balanced_biclique(G: ColouredGraph, M1, M2, cap=None):
                 best_w, best_rows, best_common = w, order[: idx + 1], common
         return best_w, best_rows, best_common
 
-    w1, rows1, common1 = prefix_seed(side1, adj, m2)
-    w2, rows2, common2 = prefix_seed(side2, adj_back, m1) if w1 < limit else (0, [], 0)
-    if w1 >= w2:
-        best = w1
-        best_X = sorted(rows1)[:w1]
-        best_Y = bits_list(lowest_bits(common1, w1))
-    else:
-        best = w2
-        best_X = bits_list(lowest_bits(common2, w2))
-        best_Y = sorted(rows2)[:w2]
-    if best >= limit:
-        X, Y = tuple(best_X[:limit]), tuple(best_Y[:limit])
-        return (limit, Y, X) if swapped else (limit, X, Y)
-
-    def core(t):
-        px, py = m1, m2
-        changed = True
-        while changed:
-            changed = False
-            nx = mask_of(u for u in iter_bits(px) if (adj[u] & py).bit_count() >= t)
-            if nx != px:
-                px, changed = nx, True
-            ny = mask_of(v for v in iter_bits(py) if (adj_back[v] & px).bit_count() >= t)
-            if ny != py:
-                py, changed = ny, True
-        return px, py
-
-    def decision(t):
-        px, py = core(t)
-        if px.bit_count() < t or py.bit_count() < t:
-            return None
-        order = bits_list(px)
-        stack = [(0, 0, py, 0)]
-        while stack:
-            idx, size, common, chosen = stack.pop()
-            if size == t:
-                return chosen, lowest_bits(common, t)
-            for i in range(len(order) - 1, idx - 1, -1):
-                u = order[i]
-                if len(order) - i + size < t:
-                    continue
-                c2 = common & adj[u]
-                if c2.bit_count() < t:
-                    continue
-                stack.append((i + 1, size + 1, c2, chosen | bit(u)))
-        return None
-
-    t = best + 1
-    while t <= limit:
-        got = decision(t)
-        if got is None:
-            break
-        best, best_X, best_Y = t, bits_list(got[0]), bits_list(got[1])
-        t += 1
-    X, Y = tuple(best_X), tuple(best_Y)
-    return (best, Y, X) if swapped else (best, X, Y)
+    w, rows, common = prefix_walk(side1, m2)
+    flip = swapped
+    if w < limit:
+        w2, rows2, common2 = prefix_walk(side2, m1)
+        if w2 > w:
+            w, rows, common, flip = w2, rows2, common2, not swapped
+    w = min(w, limit)
+    X, Y = tuple(sorted(rows)[:w]), tuple(bits_list(lowest_bits(common, w)))
+    return (w, Y, X) if flip else (w, X, Y)
 
 
 def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:

@@ -205,10 +205,14 @@ def test_max_balanced_biclique_against_subset_enumeration():
         side2 = list(range(n1, n1 + n2))
         G = random_colouring(n1 + n2, rng.choice([0.2, 0.5, 0.8]), rng)
         bw, _, _ = brute_max_balanced_biclique(G, side1, side2)
-        # cap=None is the exact search; a cap clips it, witness included
+        # a lower bound on the exact weight; a cap clips it, witness
+        # included, and a weight below the cap is the uncapped one
+        uncapped = max_balanced_biclique(G, side1, side2)
         for cap in [None] + list(range(min(n1, n2) + 2)):
             w, X, Y = max_balanced_biclique(G, side1, side2, cap)
-            assert w == (bw if cap is None else min(bw, cap))
+            assert w <= (bw if cap is None else min(bw, cap))
+            if cap is None or w < cap:
+                assert (w, X, Y) == uncapped
             assert len(X) == len(Y) == w
             assert set(X) <= set(side1) and set(Y) <= set(side2)
             assert all(G.is_red(x, y) for x in X for y in Y)

@@ -403,9 +403,9 @@ def test_is_red_clique_matches_per_vertex_loop(host, data):
 
 
 def _biclique_cases(G, rng):
-    """Clique pairs of the host's red clique family, searched up to a
-    small cap, and random disjoint sides of up to 24 vertices in all,
-    searched with and without one: the uncapped search is exponential."""
+    """Clique pairs of the host's red clique family, walked up to a small
+    cap, and random disjoint sides of up to 24 vertices in all, walked
+    with and without one."""
     N = G.n_vertices
     m = rng.randrange(2, max(3, N // 3))
     family = max_disjoint_red_cliques(G, G.full_mask, m)

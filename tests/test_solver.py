@@ -20,7 +20,7 @@ from cuberamsey.colored_graph import (
     random_triangle_free_greedy,
     verify_red_embedding,
 )
-from cuberamsey.decomposition import DecompositionParams, decompose
+from cuberamsey.decomposition import DecompositionParams, decompose, verify_decomposition
 from cuberamsey.errors import HypothesisError, StageFailure
 from cuberamsey import solver
 from cuberamsey.snake_embedding import LinkWitness, Snake
@@ -195,11 +195,23 @@ def _solve_within_30_s(G, n):
 
 def test_solve_bipartite_n5_decides_the_gap_from_the_seed():
     # the n=5 bipartite host of the exact-search benchmark: its clique
-    # pair's prefix seed already clears s, and an exact biclique search
-    # there runs for minutes
+    # pair's prefix seed already clears s, so the pair is linked by its
+    # witness
     G = random_bipartite_blue(128, 0.05, random.Random("exact-search/0/bip5"))
     phi = _solve_within_30_s(G, 5)
     assert verify_red_embedding(G, 5, phi).ok
+
+
+@pytest.mark.parametrize("n, p", [(6, 0.05), (6, 0.5), (8, 0.2)])
+def test_solve_bipartite_hosts_without_a_biclique_search(n, p):
+    # two red halves of 2^(n+1) vertices: a search for the largest
+    # balanced red biclique between them ran past the alarm on two of
+    # these hosts and for 21 s on the third, while the prefix walks
+    # settle the pair's weight at once
+    G = random_bipartite_blue(1 << (n + 2), p, random.Random(0))
+    phi = _solve_within_30_s(G, n)
+    assert verify_red_embedding(G, n, phi).ok
+    assert verify_decomposition(G, decompose(G, DecompositionParams.desk(n))).ok
 
 
 @pytest.mark.parametrize("n", [6, 7])
