@@ -7,9 +7,9 @@ Graphs travel as text: first line the vertex count, then one blue edge
 the cube vertex written as its coordinates y_1..y_n left to right and v
 is the graph vertex.
 
-Exit codes: 0 success, 2 a hypothesis of the method fails to hold,
-3 a stage of the construction failed, 4 unreadable input.  Failures
-print a single JSON line on stdout describing what went wrong.
+Exit codes: 0 success, 1 ``check`` rejects the embedding, 2 a hypothesis
+of the method fails, 3 a stage of the construction failed, 4 unreadable
+input.  Failures print a single JSON line on stdout describing them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .oracle import contains_red_cube, exhaustive_ramsey
 from .solver import SolverParams, solve
 
 EXIT_OK = 0
+EXIT_REJECTED = 1
 EXIT_HYPOTHESIS = 2
 EXIT_STAGE = 3
 EXIT_PARSE = 4
@@ -190,7 +191,7 @@ def _cmd_check(args) -> int:
         if not verdict.ok:
             payload["embedding_errors"] = verdict.errors[:10]
     _emit(payload)
-    return EXIT_OK
+    return EXIT_OK if payload.get("embedding_valid", True) else EXIT_REJECTED
 
 
 def _cmd_decompose(args) -> int:

@@ -400,6 +400,23 @@ def find_red_clique(G: ColouredGraph, pool: int, m: int) -> Optional[tuple[int, 
     return tuple(picks) if len(picks) == m else None
 
 
+def heaviest_blue_star(G: ColouredGraph, pool: int, t: int) -> Optional[tuple[int, int]]:
+    """The first vertex of G with the most blue neighbours in the pool,
+    and that count, if it is t or more; else None.  From t = 2 on only
+    class representatives are read: a class shares one mask, and every
+    vertex of degree 2 or more is classed.  Cost: one N-bit AND per read
+    vertex whose whole blue degree beats the best count so far.
+    """
+    deg = G.blue_degrees()
+    best_v, best_d = -1, t - 1
+    for v in G.blue_classes()[1] if t >= 2 else range(G.n_vertices):
+        if deg[v] > best_d:
+            d = (G.blue[v] & pool).bit_count()
+            if d > best_d:
+                best_v, best_d = v, d
+    return (best_v, best_d) if best_v >= 0 else None
+
+
 def max_disjoint_red_cliques(
     G: ColouredGraph, A: int, m: int
 ) -> list[tuple[int, ...]]:
@@ -408,32 +425,27 @@ def max_disjoint_red_cliques(
     The family is not maximal: the leftover may still hold a red
     m-clique.  What it promises, when the blue graph is triangle free, is
     that no vertex of G has m blue neighbours in the leftover, since in
-    such a graph every blue neighbourhood is a red clique; that is all
-    ``decompose`` reads.  The passes, per clique: if the residual is all
-    red, cliques are cut off its low end; if it is not and holds exactly
-    m vertices, it is no vertex's blue star, and the family ends; a blue
-    star of m or more vertices in the residual is harvested, and once
-    there is none the promise holds; then a greedy sweep
-    (``find_red_clique``) picks up a clique that sparse blue noise leaves
-    lying around, and the family ends when it finds none.
+    such a graph every blue neighbourhood is a red clique;
+    ``verify_decomposition`` checks it on the final remainder.  The
+    passes, per clique: if the residual is all red, cliques are cut off
+    its low end; if it is not and holds exactly m vertices, it is no
+    vertex's blue star, and the family ends; the heaviest blue star of m
+    or more vertices in the residual is harvested, and once there is
+    none the promise holds; then a greedy sweep (``find_red_clique``)
+    picks up a clique that sparse blue noise leaves lying around, and
+    the family ends when it finds none.
 
     Cost per clique, in N-bit ANDs once per blue class and per unclassed
     vertex of degree 1: the all-red check, over the residual vertices
-    with a blue neighbour (none on an all-red host); the star harvest,
-    over those of degree m or more, and the red test of the harvested
-    star; then the sweep, a walk over the residual.  The dense route's
-    sparse hosts end on a residual of exactly m, settled by the check.
+    with a blue neighbour (none on an all-red host); the star harvest
+    (``heaviest_blue_star``) and the red test of the harvested star;
+    then the sweep, a walk over the residual.  The dense route's sparse
+    hosts end on a residual of exactly m, settled by the check.
     """
     if m <= 0:
         raise ValueError("clique size must be positive")
     cliques: list[tuple[int, ...]] = []
     residual = A
-    # only a vertex of whole blue degree m or more can have a star of m;
-    # a class shares one star, so its first vertex (reps are in vertex
-    # order) stands for it, and from m = 2 on every such vertex is classed
-    deg = G.blue_degrees()
-    heavy = G.blue_classes()[1] if m >= 2 else range(G.n_vertices)
-    heavy = [v for v in heavy if deg[v] >= m]
     support = G.blue_at_least(1)
     while (size := residual.bit_count()) >= m:
         # all-red fast path: a vertex without a blue neighbour is red to all
@@ -447,20 +459,15 @@ def max_disjoint_red_cliques(
             # the only m-set is the residual itself, and it is not red
             break
         # blue-star harvest: the blue neighbourhood of any vertex is red
-        best_v, best_d = -1, m - 1
-        for v in heavy:
-            d = (G.blue[v] & residual).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-        if best_v >= 0:
-            take = lowest_bits(G.blue[best_v] & residual, m)
+        if star := heaviest_blue_star(G, residual, m):
+            take = lowest_bits(G.blue[star[0]] & residual, m)
             took = bits_list(take)
             if G.is_red_clique(took):
                 cliques.append(tuple(took))
                 residual &= ~take
                 continue
             # the star was not red after all: the blue graph has a triangle
-            # through best_v, and the promise is void; sweep all the same
+            # through its centre, and the promise is void; sweep all the same
         got = find_red_clique(G, residual, m)
         if got is None:
             break

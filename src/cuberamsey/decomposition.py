@@ -13,8 +13,8 @@ clique becomes a snake and leaves the active set, together with the
 vertices blue-attached to it.  The one consequence of the gap that later
 stages read, that no attached vertex is also attached to a clique
 outside the snake, is checked vertex by vertex.
-What survives every round is sparse in blue, and that is the point of
-the whole exercise.
+What survives every round is sparse in blue: no vertex has m blue
+neighbours in it, and that is the point of the whole exercise.
 
 The certificate stores each round and nothing else: its cliques, pair
 weights, s, the witnesses of its snake's links and the vertices it
@@ -34,6 +34,7 @@ from .bits import bit, bits_list, iter_bits, mask_of
 from .colored_graph import (
     ColouredGraph,
     Verdict,
+    heaviest_blue_star,
     max_balanced_biclique,
     max_disjoint_red_cliques,
 )
@@ -104,12 +105,8 @@ def select_gap_threshold(weights, params: DecompositionParams) -> int:
     """
     ws = sorted(set(int(w) for w in weights))
     lam = params.lam
-    grid = []
-    i = 0
-    while True:
-        x = ceil(params.s_lo * lam**i)
-        if x > params.s_hi:
-            break
+    grid, i = [], 0
+    while (x := ceil(params.s_lo * lam**i)) <= params.s_hi:
         if not grid or x > grid[-1]:
             grid.append(x)
         i += 1
@@ -178,10 +175,7 @@ class Decomposition:
 
     @cached_property
     def sparse_mask(self) -> int:
-        covered = 0
-        for sn in self.snakes:
-            for c in sn.cliques:
-                covered |= mask_of(c)
+        covered = mask_of([v for sn in self.snakes for c in sn.cliques for v in c])
         return ((1 << self.n_vertices) - 1) & ~covered
 
     @cached_property
@@ -220,11 +214,7 @@ class Decomposition:
         data = json.loads(text)
         p = data["params"]
         params = DecompositionParams(
-            m=p["m"],
-            s_lo=p["s_lo"],
-            s_hi=p["s_hi"],
-            lam=Fraction(*p["lam"]),
-            mu=Fraction(*p["mu"]),
+            p["m"], p["s_lo"], p["s_hi"], Fraction(*p["lam"]), Fraction(*p["mu"])
         )
         rounds = tuple(
             RoundRecord(
@@ -243,27 +233,26 @@ class Decomposition:
 
 
 def _pair_weights(
-    G: ColouredGraph,
-    cliques: list[tuple[int, ...]],
-    cap: int,
-    memo: dict,
+    G: ColouredGraph, cliques: list[tuple[int, ...]], cap: int
 ) -> dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Balanced biclique weights min(w, cap), with red witnesses of that
-    size, for every clique pair.  The memo keeps the cap each pair was
-    walked at: a weight below it is final, since a larger cap returns the
-    same one, while one at it may grow, so a larger cap walks the pair
-    again.
-    """
-    out = {}
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            key = (cliques[i], cliques[j])
-            got = memo.get(key)
-            if got is None or got[1][0] == got[0] < cap:
-                got = memo[key] = (cap, max_balanced_biclique(G, *key, cap))
-            w, X, Y = got[1]
-            out[(i, j)] = (min(w, cap), X[:cap], Y[:cap])
-    return out
+    size, for every clique pair, in sorted pair order.  A weight below
+    the cap is final: a larger cap returns the same one."""
+    k = len(cliques)
+    return {
+        (i, j): max_balanced_biclique(G, cliques[i], cliques[j], cap)
+        for i in range(k) for j in range(i + 1, k)
+    }
+
+
+def _attached_clique(G: ColouredGraph, v: int, masks, s: int, lam: Fraction):
+    """The first (i, d) of the (i, clique mask) pairs in masks such that
+    v has blue degree d into the clique with lam * d >= s, or None."""
+    for i, mask in masks:
+        d = (G.blue[v] & mask).bit_count()
+        if lam.numerator * d >= s * lam.denominator:
+            return i, d
+    return None
 
 
 def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
@@ -282,13 +271,11 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     survives, and none is attached to a clique outside the snake.
     Violations are structured failures, not silent repairs.
     The snakes are not validated here: ``snake_embed`` validates each one
-    it walks and ``verify_decomposition`` re-checks the certificate.
+    it walks; ``verify_decomposition`` re-checks all but the 2m rule.
     """
     A = G.full_mask
     rounds: list[RoundRecord] = []
-    memo: dict = {}
-    # lam * d >= s and mu * d > s, cross-multiplied into integers
-    lam_num, lam_den = params.lam.numerator, params.lam.denominator
+    # mu * d > s, cross-multiplied into integers
     mu_num, mu_den = params.mu.numerator, params.mu.denominator
     # a blue degree into a set is at most the whole blue degree, so each
     # degree test below walks only the vertices whose whole degree passes
@@ -303,7 +290,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         # the selection returns the cap or the next grid point to try
         cap = params.s_lo
         while True:
-            weights = _pair_weights(G, cliques, cap, memo)
+            weights = _pair_weights(G, cliques, cap)
             ws = [w for w, _, _ in weights.values()]
             try:
                 s = select_gap_threshold([w for w in ws if w < cap], params)
@@ -324,21 +311,19 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
             if w >= s and i in pos
         )
 
-        clique_masks = [mask_of(c) for c in cliques]
-        S_mask = sum(clique_masks[ci] for ci in comp)  # disjoint cliques
+        clique_masks = [(ci, mask_of(c)) for ci, c in enumerate(cliques)]
+        snake_masks = [clique_masks[ci] for ci in comp]
+        S_mask = sum(mask for _, mask in snake_masks)  # disjoint cliques
         # the degree masks are needed only when the snake leaves some
         # vertex active; lam * d >= s and mu * d > s hold from these degrees
         rest = A & ~S_mask
         sparse_new = lam_heavy = mu_heavy = 0
         if rest:
-            lam_heavy = G.blue_at_least(-(-s * lam_den // lam_num))
+            lam_heavy = G.blue_at_least(ceil(s / params.lam))
             mu_heavy = G.blue_at_least(s * mu_den // mu_num + 1)
         for v in iter_bits(rest & lam_heavy):
-            for ci in comp:
-                d = (G.blue[v] & clique_masks[ci]).bit_count()
-                if lam_num * d >= s * lam_den:
-                    sparse_new |= bit(v)
-                    break
+            if _attached_clique(G, v, snake_masks, s, params.lam):
+                sparse_new |= bit(v)
         A_next = rest & ~sparse_new
 
         for v in iter_bits(A_next & mu_heavy):
@@ -364,19 +349,18 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         # stars in both, a red biclique of side at least s/lambda between
         # the two cliques; the gap puts that pair's weight below s/lambda,
         # but a recorded weight below s is only a lower bound
-        out = [ci for ci in range(len(cliques)) if ci not in pos]
+        out = [cm for cm in clique_masks if cm[0] not in pos]
         for v in iter_bits(sparse_new):
-            for ci in out:
-                d = (G.blue[v] & clique_masks[ci]).bit_count()
-                if lam_num * d >= s * lam_den:
-                    raise StageFailure(
-                        "outside-attachment",
-                        f"attached vertex {v} has blue degree {d} into "
-                        f"clique {ci}, outside the snake, at least "
-                        f"s/lambda = {Fraction(s) / params.lam}",
-                        data={"round": round_index, "vertex": v,
-                              "clique": ci, "degree": d},
-                    )
+            if hit := _attached_clique(G, v, out, s, params.lam):
+                ci, d = hit
+                raise StageFailure(
+                    "outside-attachment",
+                    f"attached vertex {v} has blue degree {d} into "
+                    f"clique {ci}, outside the snake, at least "
+                    f"s/lambda = {Fraction(s) / params.lam}",
+                    data={"round": round_index, "vertex": v,
+                          "clique": ci, "degree": d},
+                )
 
         rounds.append(RoundRecord(
             tuple(cliques), recorded, s, witnesses, tuple(bits_list(sparse_new))
@@ -386,15 +370,12 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         raise AssertionError("decomposition failed to terminate")
 
     # the last clique family came back empty, which on a triangle-free
-    # graph means no blue star of m is left: blue degrees inside the
-    # remainder stay below m
-    for v in iter_bits(G.blue_at_least(params.m)):
-        d = (G.blue[v] & A).bit_count()
-        if d >= params.m:
-            raise AssertionError(
-                f"vertex {v} keeps {d} blue neighbours in the sparse "
-                f"remainder, not below m = {params.m}"
-            )
+    # graph means no blue star of m is left in the remainder
+    if star := heaviest_blue_star(G, A, params.m):
+        raise AssertionError(
+            f"vertex {star[0]} keeps {star[1]} blue neighbours in the "
+            f"sparse remainder, not below m = {params.m}"
+        )
     return Decomposition(G.n_vertices, params, tuple(rounds))
 
 
@@ -406,10 +387,12 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     weight-free.  Its snake, the link component of clique 0, must
     validate with the round's witnesses; snakes must be disjoint, and
     vertices of later snakes only weakly blue-attached to every earlier
-    snake.  Blue inside the sparse set, the vertices in no snake, must
-    stay under 2m edges per vertex on average.  A round that lacks a
-    weight for some clique pair, or a snake vertex outside G, fails the
-    certificate before any other test.
+    snake.  Each vertex a round attaches must lie in G, in no snake, and
+    be lambda-attached to a clique of that round's snake; no vertex may
+    have m blue neighbours in the remainder, the vertices in no snake
+    less the attached ones (the 2m rule is trusted to ``decompose``).
+    A round that lacks a weight for some clique pair, or a snake vertex
+    outside G, fails the certificate before any other test.
     """
     errors = []
     if dec.n_vertices != G.n_vertices:
@@ -434,18 +417,25 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
             errors.append(f"snake {i} overlaps earlier snakes")
         total |= m
 
-    # C as one digit per vertex, where a vertex of blue degree 1 looks its
-    # one neighbour up instead of paying an N-bit AND
-    cm = dec.sparse_mask
-    in_c, deg, blue = f"{cm:0{G.n_vertices}b}"[::-1], G.blue_degrees(), G.blue
-    blue_inside = sum(
-        in_c[blue[v].bit_length() - 1] == "1" if deg[v] == 1
-        else (blue[v] & cm).bit_count()
-        for v in iter_bits(cm & G.blue_at_least(1))
-    ) // 2
-    bound = 2 * dec.params.m * cm.bit_count()
-    if blue_inside > bound:
-        errors.append(f"sparse set has {blue_inside} blue edges, above 2m|C| = {bound}")
+    C = remainder = G.full_mask & ~total  # the vertices in no snake
+    for i, rec in enumerate(dec.rounds):
+        if not rec.sparse_added:
+            continue  # clique masks only for the rounds that attach a vertex
+        snake = [(c, mask_of(rec.cliques[c])) for c in rec.snake_indices]
+        for v in rec.sparse_added:
+            if not 0 <= v < G.n_vertices:
+                why = "outside the graph"
+            elif not (C >> v) & 1:
+                why = "which lies in a snake"
+            elif not _attached_clique(G, v, snake, rec.s, dec.params.lam):
+                why = "not lambda-attached to its snake"
+            else:
+                remainder &= ~bit(v)
+                continue
+            errors.append(f"round {i} attaches vertex {v}, {why}")
+    if star := heaviest_blue_star(G, remainder, dec.params.m):
+        errors.append("vertex {} has {} blue neighbours in the sparse remainder, "
+                      "not below m = {}".format(*star, dec.params.m))
 
     for i, sn in enumerate(dec.snakes):
         check = validate_snake(G, sn)

@@ -9,6 +9,7 @@ from cuberamsey.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_REJECTED,
     EXIT_STAGE,
     format_cube_vertex,
     main,
@@ -320,7 +321,7 @@ def test_check_embedding_out_of_range_image(tmp_path, capsys):
     emb.write_text("00 99\n10 1\n01 2\n11 3\n")
     code, out = _run(capsys, "check", "--in", str(g), "--n", "2",
                      "--embedding", str(emb))
-    assert code == EXIT_OK
+    assert code == EXIT_REJECTED == 1
     payload = _last_json(out)
     assert payload["embedding_valid"] is False
     assert any("out-of-range" in e for e in payload["embedding_errors"])

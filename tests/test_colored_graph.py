@@ -9,6 +9,7 @@ from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     find_red_clique,
+    heaviest_blue_star,
     is_blue_triangle_free,
     lower_bound_coloring,
     max_balanced_biclique,
@@ -175,6 +176,17 @@ def test_max_disjoint_red_cliques_family_properties():
             assert all((b & left).bit_count() < m for b in G.blue)
             promised += 1
     assert promised >= 80
+
+
+def test_heaviest_blue_star_against_every_vertex():
+    # reads class representatives from t = 2 on, and still picks the
+    # first vertex of G with the most blue neighbours in the pool
+    for G, A, _ in _clique_family_hosts():
+        counts = [(b & A).bit_count() for b in G.blue]
+        top = max(counts)
+        for t in range(0, 5):
+            want = (counts.index(top), top) if top >= t else None
+            assert heaviest_blue_star(G, A, t) == want
 
 
 def brute_max_balanced_biclique(G, side1, side2):

@@ -9,7 +9,6 @@ import pytest
 
 from helpers import (
     all_red_graph,
-    decomposition_of,
     gap_consequence_holds,
     legacy_certificate_json,
     two_clique_linked_graph,
@@ -30,7 +29,7 @@ from cuberamsey.decomposition import (
     verify_decomposition,
 )
 from cuberamsey.errors import StageFailure
-from cuberamsey.snake_embedding import LinkWitness, Snake, validate_snake
+from cuberamsey.snake_embedding import LinkWitness, validate_snake
 
 
 def test_params_validation():
@@ -114,6 +113,11 @@ def test_decompose_complete_bipartite():
     rec = dec.rounds[0]
     assert len(rec.cliques) == 2 and rec.snake_indices == (0,)
     assert len(rec.sparse_added) == N // 2
+    # the sparse bound holds in the remainder, not in C: without the
+    # attached half, a snake vertex keeps a blue star of m in C
+    verdict = verify_decomposition(G, replace(dec, rounds=(replace(rec, sparse_added=()),)))
+    assert len(verdict.errors) == 1
+    assert "blue neighbours in the sparse remainder, not below m = 32" in verdict.errors[0]
 
 
 def test_decompose_two_clique_linked():
@@ -283,16 +287,34 @@ def test_verify_rejects_tampering():
 
 
 def test_verify_rejects_a_dropped_round():
-    # a blue K_{5,5} with m = 1: two one-vertex snakes leave a K_{4,4} with
-    # 16 = 2m|C| blue edges in C; without either round C holds a K_{4,5}
-    # with 20 > 18
-    G = ColouredGraph.from_blue_edges(10, [(u, v) for u in range(5) for v in range(5, 10)])
-    params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
-    dec = decomposition_of(10, params, Snake(((0,),), (), 1), Snake(((5,),), (), 1))
-    assert verify_decomposition(G, dec).ok
-    for kept in (dec.rounds[:1], dec.rounds[1:]):
-        verdict = verify_decomposition(G, replace(dec, rounds=kept))
-        assert verdict.errors == ["sparse set has 20 blue edges, above 2m|C| = 18"]
+    # at desk constants each unplanted vertex of a two-clique host is blue
+    # to the whole other clique, a blue star of m: once the round that
+    # took both cliques is dropped, that star lies in the remainder
+    for n in range(3, 9):
+        for G in (two_clique_linked_graph(n), two_clique_linked_shuffled(n, random.Random(n))):
+            dec = decompose(G, DecompositionParams.desk(n))
+            assert dec.r == 1 and verify_decomposition(G, dec).ok
+            verdict = verify_decomposition(G, replace(dec, rounds=()))
+            assert len(verdict.errors) == 1
+            assert f"in the sparse remainder, not below m = {1 << (n + 1)}" in verdict.errors[0]
+
+
+@pytest.mark.parametrize("added, error", [
+    ((34,), "round 0 attaches vertex 34, outside the graph"),
+    ((-1,), "round 0 attaches vertex -1, outside the graph"),
+    ((0,), "round 0 attaches vertex 0, which lies in a snake"),
+    ((32,), "round 0 attaches vertex 32, not lambda-attached to its snake"),
+], ids=["beyond-n", "negative", "in-snake", "not-attached"])
+def test_verify_checks_attached_vertices(added, error):
+    # two linked cliques make one snake, and the two isolated vertices
+    # 32 and 33 stay in C unattached; a listed vertex leaves the
+    # remainder, so verify must check each one it is given
+    G = two_clique_linked_graph(3, extra=2)
+    dec = decompose(G, DecompositionParams.desk(3))
+    rec = dec.rounds[0]
+    assert dec.r == 1 and dec.sparse == (32, 33) and rec.sparse_added == ()
+    verdict = verify_decomposition(G, replace(dec, rounds=(replace(rec, sparse_added=added),)))
+    assert verdict.errors == [error]
 
 
 def _tampered_certificate(field: str, value: int):
@@ -382,30 +404,15 @@ def test_verify_rejects_a_witness_outside_its_snake():
 
 
 def test_verify_catches_dense_sparse_set():
-    # a "sparse" set carrying a blue clique on 8 vertices breaks the
-    # average-degree bound when 2m|C| is small
+    # a "sparse" set carrying a blue clique on 8 vertices leaves each of
+    # them a blue star of 7 in the remainder, not below m = 1
     N = 8
-    edges = [(u, v) for u in range(N) for v in range(u + 1, N)]
-    G = ColouredGraph(N, [0] * N, validate=False)
-    blue = [0] * N
-    for u, v in edges:
-        blue[u] |= 1 << v
-        blue[v] |= 1 << u
-    G = ColouredGraph(N, blue, validate=False)
+    G = ColouredGraph.from_blue_edges(N, [(u, v) for u in range(N) for v in range(u + 1, N)])
     params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
-    assert not verify_decomposition(G, Decomposition(N, params, ())).ok
-
-
-def test_verify_counts_blue_edges_of_degree_one_vertices_exactly():
-    # a blue K8 with 28 edges, the matching edge 8-9 inside C and the edges
-    # 10-11 and 12-13 that leave it: 29 blue edges inside C, over 2m|C| = 24
-    edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
-    G = ColouredGraph.from_blue_edges(14, edges + [(8, 9), (10, 11), (12, 13)])
-    params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
-    dec = decomposition_of(14, params, Snake(((11,),), (), 1), Snake(((13,),), (), 1))
-    assert dec.sparse == tuple(range(11)) + (12,)
-    verdict = verify_decomposition(G, dec)
-    assert any("sparse set has 29 blue edges" in e for e in verdict.errors)
+    verdict = verify_decomposition(G, Decomposition(N, params, ()))
+    assert verdict.errors == [
+        "vertex 0 has 7 blue neighbours in the sparse remainder, not below m = 1"
+    ]
 
 
 def test_json_round_trip():
