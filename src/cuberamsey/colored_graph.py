@@ -61,7 +61,7 @@ class ColouredGraph:
         self.full_mask = (1 << n_vertices) - 1
         self._blue_degrees: Optional[list[int]] = None
         self._by_degree: Optional[array] = None
-        self._blue_classes: Optional[tuple[list[int], list[int], list[int]]] = None
+        self._blue_classes: Optional[tuple[list[int], list[int]]] = None
         if validate:
             self._validate()
 
@@ -130,14 +130,14 @@ class ColouredGraph:
     def blue_edge_count(self) -> int:
         return sum(self.blue_degrees()) // 2
 
-    def blue_classes(self) -> tuple[list[int], list[int], list[int]]:
-        """The blue twin classes ``(class_of, reps, class_adj)``, built on
-        first use.  Vertices of blue degree 2 or more share a class exactly
-        when their masks are equal (twins are never blue-adjacent, so
-        blow-ups of a few red cliques have a handful of classes); classes
-        are numbered in order of their first vertex ``reps[c]``, and any
-        other vertex has class -1.  Bit b of ``class_adj[a]`` says classes
-        a and b are blue-adjacent.
+    def blue_classes(self) -> tuple[list[int], list[int]]:
+        """The blue twin classes ``(class_of, reps)``, built on first use.
+        Vertices of blue degree 2 or more share a class exactly when their
+        masks are equal (twins are never blue-adjacent, so blow-ups of a
+        few red cliques have a handful of classes); classes are numbered
+        in order of their first vertex ``reps[c]``, and any other vertex
+        has class -1.  Classes a and b are blue-adjacent exactly when
+        ``reps[a]`` and ``reps[b]`` are.
 
         Cost: one pass over the vertices.  With the degrees cached, a
         vertex of degree below 2 is passed over unread; without them, a
@@ -149,8 +149,7 @@ class ColouredGraph:
         if equal, takes its class and degree, so a blow-up pays one
         compare per vertex, cut short when twins share one int object.
         Only masks that differ behind a shared fingerprint are hashed
-        whole.  Then per class one N-bit AND with the mask of ``reps`` and
-        a walk over what it leaves.
+        whole.
         """
         if self._blue_classes is None:
             blue, deg = self.blue, self._blue_degrees
@@ -188,16 +187,7 @@ class ColouredGraph:
                     class_of[v] = len(reps)
                     reps.append(v)
             self._blue_degrees = deg
-            # a twin of reps[b] is blue to reps[a] exactly when reps[b] is,
-            # so only the reps among a class's neighbours are walked
-            rep_mask = mask_of(reps)
-            class_adj = []
-            for r in reps:
-                a = 0
-                for w in iter_bits(self.blue[r] & rep_mask):
-                    a |= bit(class_of[w])
-                class_adj.append(a)
-            self._blue_classes = (class_of, reps, class_adj)
+            self._blue_classes = (class_of, reps)
         return self._blue_classes
 
     def has_blue_into(self, vertices: Iterable[int], mask: int) -> bool:
@@ -308,30 +298,33 @@ class ColouredGraph:
 def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     """Decide whether the blue graph contains a triangle.
 
-    Twins are never blue-adjacent, so it is enough to look for a triangle
-    between the classes of ``G.blue_classes()``; a vertex of blue degree
-    below 2 lies on no triangle and is left unclassed.
+    Twins are never blue-adjacent and share their neighbours, so it is
+    enough to look for a triangle between the representatives of
+    ``G.blue_classes()``; a vertex of blue degree below 2 lies on no
+    triangle and is left unclassed.  Leaving it out keeps the witness: it
+    has at most one neighbour, so it is never a or b of an edge with a
+    common neighbour, nor the common neighbour c of a, b.
 
     Cost: the class index (built once per graph, one O(1) fingerprint
-    and one compare or popcount per vertex read), then one k-bit
-    intersection per blue class edge, O(E * k / 64) word operations for
-    E blue edges and k classes.  A blow-up of a few red cliques has a
-    handful of classes; on a twin-free host k is the number of vertices
-    of degree 2 or more, and building ``class_adj`` (one step per blue
-    edge between classed vertices) and this loop dominate.  Class pairs (a, b) with a < b are tried
-    in order; the witness is the first pair's lowest common neighbour
-    class.  Leaving out vertices of degree below 2 keeps that witness:
-    one has at most one neighbour, so it is never a or b of a pair with
-    a common neighbour, nor the common neighbour c of a, b.
+    and one compare or popcount per vertex read), then one N-bit AND per
+    representative and one per blue edge between representatives,
+    O(E * N / 64) word operations for E such edges.  A blow-up of a few
+    red cliques has a handful of representatives; on a twin-free host
+    every vertex of degree 2 or more is one.  The representatives a are
+    tried in order, then their neighbours b > a among them in order; the
+    witness is the first such edge's lowest common representative.
+    Classes are numbered by their first vertex, so this is the first
+    triangle of the class graph in class order.
     """
-    _, reps, class_adj = G.blue_classes()
-    for a, adj_a in enumerate(class_adj):
+    reps = G.blue_classes()[1]
+    blue, rep_mask = G.blue, mask_of(reps)
+    for a in reps:
+        adj_a = blue[a] & rep_mask
         for b in iter_bits(adj_a >> (a + 1)):
             b += a + 1
-            common = adj_a & class_adj[b]
+            common = adj_a & blue[b]
             if common:
-                c = (common & -common).bit_length() - 1
-                return False, (reps[a], reps[b], reps[c])
+                return False, (a, b, (common & -common).bit_length() - 1)
     return True, None
 
 
@@ -510,7 +503,7 @@ def max_balanced_biclique(
     if cap is not None:
         limit = min(limit, cap)
 
-    class_of, reps, _ = G.blue_classes()
+    class_of, reps = G.blue_classes()
 
     def prefix_walk(rows, col_mask):
         # walk rows in increasing blue-cross order, keeping col_mask red to
@@ -634,7 +627,6 @@ def random_triangle_free_greedy(
 
 
 def first_fit(
-    G: ColouredGraph,
     free: list[int],
     order: Iterable[int],
     image,
@@ -647,8 +639,7 @@ def first_fit(
     that is neither set in ``taken`` nor in the mask ``blocked_of(z)``
     (None or 0 blocks nothing); ``image[z]`` and ``taken`` are updated in
     place.  Returns how many cube vertices were placed: the walk stops at
-    the first one that finds no vertex.  ``G`` is the host whose vertices
-    ``free``, ``taken`` and the masks name.
+    the first one that finds no vertex.
 
     Cost: a cursor walks ``free`` past the taken vertices and never moves
     back, so it only ever passes vertices no later cube vertex can take.
@@ -677,35 +668,26 @@ def first_fit(
     return placed
 
 
-def verify_red_embedding(
-    G: ColouredGraph,
-    n: int,
-    phi: dict[int, int],
-    domain: Optional[Iterable[int]] = None,
-) -> Verdict:
-    """Check that phi maps cube vertices injectively onto red edges.
+def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdict:
+    """Check that phi maps the cube vertices injectively onto red edges.
 
-    ``domain`` restricts which cube vertices must be present; by default
-    the whole cube is required.  Cube edges with both ends in the domain
-    must land on red pairs of G.  A phi that misses part of the domain is
-    a malformed input, not a failed verification, and raises ValueError.
+    Every cube vertex must be in phi, and every cube edge must land on a
+    red pair of G.  A phi that misses a cube vertex is a malformed input,
+    not a failed verification, and raises ValueError.
 
-    Cost: O(2^n) dict and set work over the map, and the class index of
-    ``G.blue_classes()`` (built once per graph); then n edge tests only
-    at a cube vertex whose image has a blue neighbour or is shared with
-    another cube vertex.  Any other image is red to every other vertex,
-    so its edges are passed over.  An edge between two classed images is
-    one bit of a k-bit class mask for k blue classes, since twins share
-    their neighbours; any other edge costs one bit shift of an N-bit mask.
+    Cost: O(2^n) dict and set work over the map and ``mask_of`` of its
+    in-range images; then per cube vertex one AND of its image's blue
+    mask with that mask (N bits where the image has a blue neighbour),
+    and n edge tests only where the AND leaves a bit or the image is
+    shared with another cube vertex.  Any other image is red to every
+    other image, so its edges are passed over.  An edge test is one bit
+    of the AND, an N-bit shift: a map whose images are blue to many
+    images off the cube edges pays one per cube edge at those images.
     """
-    if domain is None:
-        dom = list(range(1 << n))
-    else:
-        dom = sorted(set(domain))
-    missing = [z for z in dom if z not in phi]
+    missing = [z for z in range(1 << n) if z not in phi]
     if missing:
         raise ValueError(
-            f"phi is only partially defined: {len(missing)} domain vertices "
+            f"phi is only partially defined: {len(missing)} cube vertices "
             f"missing, first {missing[0]}"
         )
     errors = []
@@ -713,7 +695,7 @@ def verify_red_embedding(
     shared: set[int] = set()
     # an edge at an out-of-range image is reported with that image alone
     checkable: set[int] = set()
-    for z in dom:
+    for z in range(1 << n):
         v = phi[z]
         if not (0 <= v < G.n_vertices):
             errors.append(f"cube vertex {z} maps to out-of-range vertex {v}")
@@ -723,33 +705,23 @@ def verify_red_embedding(
             errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
             shared.add(v)
         seen[v] = z
-    blue = G.blue
-    class_of, _, class_adj = G.blue_classes()
-    for z in dom:
+    blue, images = G.blue, mask_of(seen)
+    for z in range(1 << n):
         if z not in checkable:
             continue
         a = phi[z]
-        mask_a = blue[a]
-        if not mask_a and a not in shared:
+        # an image red to every other image is red to those of z's
+        # neighbours: no edge test
+        hits = blue[a] & images
+        if not hits and a not in shared:
             continue
-        ca = class_of[a]
-        adj_a = class_adj[ca] if ca >= 0 else 0
         for i in range(n):
             w = z ^ (1 << i)
             if w < z or w not in checkable:
                 continue
             b = phi[w]
-            if a != b:
-                # twins share their neighbours, so two classed images are
-                # blue exactly when their classes are; a vertex with a zero
-                # mask is red to every other: no shift
-                cb = class_of[b]
-                if ca >= 0 and cb >= 0:
-                    blue_ab = (adj_a >> cb) & 1
-                else:
-                    blue_ab = mask_a and (mask_a >> b) & 1
-                if not blue_ab:
-                    continue
+            if a != b and not (hits >> b) & 1:
+                continue
             errors.append(f"cube edge {z}-{w} lands on non-red pair {a}-{b}")
             if len(errors) >= 20:
                 return Verdict.failure(*errors)

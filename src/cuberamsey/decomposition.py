@@ -211,25 +211,43 @@ class Decomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "Decomposition":
+        """The certificate written by ``to_json``.  A vertex, index,
+        weight, s or vertex count that is not a JSON integer (true and
+        false included) raises ValueError naming its round and field."""
         data = json.loads(text)
         p = data["params"]
         params = DecompositionParams(
             p["m"], p["s_lo"], p["s_hi"], Fraction(*p["lam"]), Fraction(*p["mu"])
         )
-        rounds = tuple(
-            RoundRecord(
-                cliques=tuple(tuple(c) for c in r["cliques"]),
-                weights=tuple(tuple(w) for w in r["weights"]),
-                s=r["s"],
+        rounds = []
+        for i, r in enumerate(data["rounds"]):
+            at = f"round {i}"
+            rounds.append(RoundRecord(
+                cliques=tuple(_ints(c, f"{at} clique") for c in r["cliques"]),
+                weights=tuple(_ints(w, f"{at} weight") for w in r["weights"]),
+                s=_ints([r["s"]], f"{at} s")[0],
                 witnesses=tuple(
-                    LinkWitness(w["i"], w["j"], tuple(w["X"]), tuple(w["Y"]))
+                    LinkWitness(
+                        *_ints([w["i"], w["j"]], f"{at} witness index"),
+                        _ints(w["X"], f"{at} witness X"),
+                        _ints(w["Y"], f"{at} witness Y"),
+                    )
                     for w in r["witnesses"]
                 ),
-                sparse_added=tuple(r["sparse_added"]),
-            )
-            for r in data["rounds"]
-        )
-        return cls(data["n_vertices"], params, rounds)
+                sparse_added=_ints(r["sparse_added"], f"{at} sparse_added"),
+            ))
+        n_vertices = _ints([data["n_vertices"]], "n_vertices")[0]
+        return cls(n_vertices, params, tuple(rounds))
+
+
+def _ints(values, field: str) -> tuple[int, ...]:
+    """The values as a tuple, each an int and not a bool, else a
+    ValueError naming the field."""
+    vs = tuple(values)
+    for x in vs:
+        if type(x) is not int:
+            raise ValueError(f"{field}: {x!r} is not an integer")
+    return vs
 
 
 def _pair_weights(

@@ -182,7 +182,7 @@ def embed_partial_assignment(
         free = bits_list(e.members_mask())
         if free and free[-1] >= H.n_vertices:
             raise ValueError(f"vertices must lie in 0..{H.n_vertices - 1}")
-        placed = first_fit(H, free, zs, image, taken, blocked_of)
+        placed = first_fit(free, zs, image, taken, blocked_of)
         if placed < len(zs):
             raise StageFailure(
                 "partial-embedding",
@@ -436,7 +436,7 @@ def complete_greedily(
     for z, v in phi.items():
         image[z] = v
     placed = first_fit(
-        H, bits_list(pool), order, image, bytearray(H.n_vertices),
+        bits_list(pool), order, image, bytearray(H.n_vertices),
         _placed_blue(H, n, image),
     )
     for z in order[:placed]:

@@ -294,7 +294,7 @@ def snake_embed(
 
     def run_batch(key: tuple[int, int, int]):
         nonlocal qi
-        qi += first_fit(G, side_list[key], queue[qi:qi + t], phi, taken, forb.get)
+        qi += first_fit(side_list[key], queue[qi:qi + t], phi, taken, forb.get)
         owed[key] -= 1
 
     for p, c in enumerate(positions):
@@ -319,7 +319,7 @@ def snake_embed(
                 keep = (t + delta) * owed[key]
                 reserved.update(free_side[:keep])
         stretch = [v for v in clique_lists[c] if v not in reserved]
-        qi += first_fit(G, stretch, queue[qi:], phi, taken, forb.get)
+        qi += first_fit(stretch, queue[qi:], phi, taken, forb.get)
         if qi >= len(queue):
             break
         if p + 1 < len(positions):

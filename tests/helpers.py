@@ -392,8 +392,7 @@ def reference_is_blue_triangle_free(G: ColouredGraph):
 
 def reference_blue_classes(G: ColouredGraph):
     """``ColouredGraph.blue_classes`` by a plain dict keyed by the whole
-    mask, with every mask popcounted, and ``class_adj`` read off every
-    classed vertex's classed neighbours."""
+    mask, with every mask popcounted."""
     index, reps, class_of = {}, [], []
     for v, m in enumerate(G.blue):
         if m.bit_count() < 2:
@@ -403,13 +402,7 @@ def reference_blue_classes(G: ColouredGraph):
         if c == len(reps):
             reps.append(v)
         class_of.append(c)
-    class_adj = [0] * len(reps)
-    for u, c in enumerate(class_of):
-        if c >= 0:
-            for w in iter_bits(G.blue[u]):
-                if class_of[w] >= 0:
-                    class_adj[c] |= 1 << class_of[w]
-    return class_of, reps, class_adj
+    return class_of, reps
 
 
 def reference_validation_error(n_vertices: int, blue: list[int]):

@@ -13,6 +13,7 @@ from helpers import (
     all_red_graph,
     gap_consequence_holds,
     random_valid_partial_assignment,
+    reference_verify_errors,
     two_clique_linked_graph,
     two_clique_linked_shuffled,
 )
@@ -161,7 +162,7 @@ def test_criterion_5_partial_assignment_embedding():
             problems.append(f"instance {i}: {e}")
             continue
         covered = [z for e in pa.entries for z in subcube_vertices(e.subcube, n)]
-        if not verify_red_embedding(G, n, phi, domain=covered).ok:
+        if reference_verify_errors(G, n, phi, covered):
             problems.append(f"instance {i}: verifier rejected the output")
             continue
         successes += 1

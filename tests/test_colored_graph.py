@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_colouring
+from helpers import random_colouring, reference_verify_errors, two_clique_linked_graph
 from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -315,8 +315,6 @@ def test_verify_red_embedding():
     # missing cube vertices are a caller bug, not a verdict
     with pytest.raises(ValueError):
         verify_red_embedding(G, 2, {0: 0, 1: 1})
-    # restricted domain is fine
-    assert verify_red_embedding(G, 2, {0: 0, 1: 1}, domain=[0, 1]).ok
     # blue cube edge caught
     H = ColouredGraph.from_blue_edges(6, [(0, 1)])
     v = verify_red_embedding(H, 2, phi)
@@ -324,6 +322,21 @@ def test_verify_red_embedding():
     assert any("non-red" in e for e in v.errors)
     # out-of-range image
     assert not verify_red_embedding(G, 2, {0: 0, 1: 1, 2: 2, 3: 9}).ok
+
+
+def test_verify_red_embedding_on_two_clique_host():
+    # cliques 0..3 and 4..7, blue across but for the red pairs {0,1}x{4,5};
+    # every vertex has blue degree 2 or more, so every image is classed
+    G = two_clique_linked_graph(1)
+    # images 0 and 6 are blue, but cube vertices 0 and 3 are not adjacent
+    apart = {0: 0, 1: 4, 2: 5, 3: 6}
+    assert G.is_blue(0, 6)
+    assert verify_red_embedding(G, 2, apart).ok
+    # one cube edge, 2-3, lands on the blue pair 2-5
+    bad = {0: 0, 1: 4, 2: 2, 3: 5}
+    v = verify_red_embedding(G, 2, bad)
+    assert v.errors == ["cube edge 2-3 lands on non-red pair 2-5"]
+    assert v.errors == reference_verify_errors(G, 2, bad)
 
 
 @pytest.mark.parametrize("image", [99, -1])

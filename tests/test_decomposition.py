@@ -317,6 +317,23 @@ def test_verify_checks_attached_vertices(added, error):
     assert verdict.errors == [error]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sparse_added", 3.5), ("sparse_added", "7"), ("clique", 2.0), ("clique", True),
+], ids=["float-added", "string-added", "float-clique", "bool-clique"])
+def test_from_json_rejects_non_integer_vertices(field, value):
+    # a vertex that is not a JSON integer is refused on reading, with its
+    # round and field, not met later as a TypeError or read as vertex 1
+    G = two_clique_linked_graph(3, extra=2)
+    data = json.loads(decompose(G, DecompositionParams.desk(3)).to_json())
+    rec = data["rounds"][0]
+    if field == "clique":
+        rec["cliques"][0][1] = value
+    else:
+        rec["sparse_added"] = [value]
+    with pytest.raises(ValueError, match=f"^round 0 {field}: {value!r} is not an integer$"):
+        Decomposition.from_json(json.dumps(data))
+
+
 def _tampered_certificate(field: str, value: int):
     """A certificate of a greedy host whose one round has three cliques,
     all in its snake, and three witnesses, with one vertex of the named

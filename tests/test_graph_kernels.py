@@ -314,17 +314,14 @@ def embedding_maps(draw):
             phi[z] = rng.choice([-1 - rng.randrange(3), N + rng.randrange(3)])
         else:
             phi[z] = rng.randrange(N)
-    domain = None
-    if draw(st.booleans()):
-        domain = [z for z in range(1 << n) if rng.random() < 0.7]
-    return G, n, phi, domain
+    return G, n, phi
 
 
 @given(embedding_maps())
 def test_verify_red_embedding_matches_per_edge_loop(case):
-    G, n, phi, domain = case
-    verdict = verify_red_embedding(G, n, phi, domain)
-    expected = reference_verify_errors(G, n, phi, domain)
+    G, n, phi = case
+    verdict = verify_red_embedding(G, n, phi)
+    expected = reference_verify_errors(G, n, phi)
     assert verdict.errors == expected
     assert verdict.ok is (not expected)
 
@@ -592,32 +589,27 @@ def test_blue_at_least_on_sparse_and_hub_hosts(case):
 
 @st.composite
 def first_fit_cases(draw):
-    """A host, a sorted free list, the vertices already taken, an order
-    of cube vertices of Q_6, and masks for some of them.  A mask is any
-    set of vertices, so it also blocks vertices with no blue neighbour;
-    some masks are 0 and block nothing."""
+    """A host size, a sorted free list, the vertices already taken, an
+    order of cube vertices of Q_6, and masks for some of them.  A mask is
+    any set of vertices; some masks are 0 and block nothing."""
     N = draw(st.integers(1, 40))
-    blue = [0] * N
     vertex = st.integers(0, N - 1)
-    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * N)):
-        if u != v:
-            _add_edge(blue, u, v)
     vertices = st.sets(vertex)
     free = sorted(draw(vertices))
     taken = draw(vertices)
     order = draw(st.lists(st.integers(0, 63), unique=True, max_size=40))
     masks = {z: mask_of(sorted(draw(vertices))) for z in order if draw(st.booleans())}
-    return ColouredGraph(N, blue), free, taken, order, masks
+    return N, free, taken, order, masks
 
 
 @settings(max_examples=200, deadline=None)
 @given(first_fit_cases(), st.booleans())
 def test_first_fit_matches_per_vertex_scan(case, image_is_list):
-    G, free, taken, order, masks = case
+    N, free, taken, order, masks = case
     outcomes = []
-    for fit in (lambda *args: first_fit(G, *args), reference_first_fit):
+    for fit in (first_fit, reference_first_fit):
         image = [-1] * 64 if image_is_list else {}
-        took = bytearray(G.n_vertices)
+        took = bytearray(N)
         for v in taken:
             took[v] = 1
         placed = fit(free, order, image, took, masks.get)
@@ -628,11 +620,10 @@ def test_first_fit_matches_per_vertex_scan(case, image_is_list):
 
 
 def test_first_fit_mask_blocks_vertices_without_blue_neighbours():
-    # an all-red host: only the masks block, and the walk stops at cube
-    # vertex 7, whose mask covers the one vertex left
-    G = ColouredGraph(3, [0, 0, 0])
+    # the masks block vertices of an all-red host too, and the walk stops
+    # at cube vertex 7, whose mask covers the one vertex left
     image, taken = {}, bytearray(3)
     masks = {5: 0b011, 7: 0b010}
-    assert first_fit(G, [0, 1, 2], [5, 6, 7, 8], image, taken, masks.get) == 2
+    assert first_fit([0, 1, 2], [5, 6, 7, 8], image, taken, masks.get) == 2
     assert image == {5: 2, 6: 0}
     assert taken == bytearray([1, 0, 1])
