@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = osub.add_parser("ramsey", help="sweep all colourings of K_N")
-    q.add_argument("--n", type=_dimension(0), required=True, help="cube dimension")
+    q.add_argument("--n", type=_dimension(1), required=True, help="cube dimension")
     q.add_argument("--N", type=int, required=True, help="complete graph size")
     q.add_argument(
         "--mode", choices=["auto", "plain", "canonical"], default="auto"

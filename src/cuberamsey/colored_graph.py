@@ -521,18 +521,18 @@ def max_balanced_biclique(
         order = sorted(rows, key=lambda u: (
             sizes_c[c] if shared and (c := class_of[u]) >= 0 else -adj[u].bit_count()
         ))
+        # common only shrinks, so every improvement is a whole prefix:
+        # w = idx + 1, and the best rows are sliced once at the end
         common = col_mask
-        best_w, best_rows, best_common = 0, [], 0
+        best_w, best_common = 0, 0
         for idx, u in enumerate(order):
             common &= adj[u]
             if not common:
                 break
             w = min(idx + 1, common.bit_count())
             if w > best_w:
-                best_w = w
-                best_rows = order[: idx + 1]
-                best_common = common
-        return best_w, best_rows, best_common
+                best_w, best_common = w, common
+        return best_w, order[:best_w], best_common
 
     # the other side walks only while the first walk falls short of the
     # limit, and replaces it only when it does better

@@ -252,39 +252,82 @@ def _is_canonical(adj: list[int], v: int) -> bool:
     """Is this labeling lexicographically least among all relabelings?
 
     The code lists, vertex by vertex, each vertex's adjacency column
-    towards smaller labels.  The search walks every relabeling whose
-    partial code ties the given one and rejects as soon as any column
-    can be beaten.  A column towards the chosen prefix is kept as an int,
-    first prefix vertex most significant, so lexicographic order is int
-    order and each depth appends one bit.  Of two unused twins (equal
-    neighbourhoods apart from each other) only the first is tried: the
-    transposition of the two is an automorphism fixing the prefix, so the
-    second one's subtree repeats the first one's.
-    """
-    targets = [
-        sum(((adj[t] >> s) & 1) << (t - 1 - s) for s in range(t)) for t in range(v)
-    ]
+    towards smaller labels; a column is kept as an int, first vertex most
+    significant, so lexicographic order is int order.  The search walks
+    the relabelings whose code ties the given one so far, not one order
+    at a time but as ordered cells of the chosen prefix.  The invariant:
+    the prefix orders that tie every column so far are exactly those that
+    keep the cells in sequence and order each cell's members freely.
 
-    def dfs(t: int, free: list[tuple[int, int]]) -> bool:
-        # free: each unused vertex with its column towards the prefix
+    The columns are zero up to the first vertex a0 with a smaller
+    neighbour, so the first cell is any independent set of a0 vertices,
+    each met once rather than in its a0! orders.  A free vertex then gets
+    its least column over all in-cell orders, (col << size) | (2^k - 1)
+    per cell of which it sees k members: its neighbours come last in each
+    cell.  Below the target, that in-cell order is a real smaller
+    relabeling, and the test fails.  Equal to the target, the orders
+    reaching it are exactly those that put the vertex's non-neighbours
+    before its neighbours in each cell; so each cell splits in those two,
+    the vertex follows as a cell of its own, and the invariant holds one
+    depth on.  Every smaller relabeling first beats the code at some
+    column, with all earlier columns tied, so it is met along its own
+    cells: the verdict is that of the walk over every relabeling.
+
+    Of two unused twins (equal neighbourhoods apart from each other) only
+    the first is tried: the transposition of the two is an automorphism
+    fixing the prefix, so the second one's subtree repeats the first
+    one's.
+    """
+    targets = []
+    for t in range(v):
+        col = 0
+        for s in range(t):
+            col = (col << 1) | (adj[t] >> s & 1)
+        targets.append(col)
+    a0 = next((t for t in range(v) if targets[t]), v)
+
+    def dfs(t: int, cells: list[tuple[int, int]], free: int) -> bool:
+        # cells: (members, size) in prefix order; free: the unused vertices
         if t == v:
             return True
         target = targets[t]
         tried: list[int] = []
-        for u, col in free:
+        for x in iter_bits(free):
+            row = adj[x]
+            col = 0
+            for c, size in cells:
+                col = (col << size) | ((1 << (row & c).bit_count()) - 1)
             if col < target:
                 return False
             if col > target or any(
-                adj[u] & ~(1 << w) == adj[w] & ~(1 << u) for w in tried
+                row & ~(1 << w) == adj[w] & ~(1 << x) for w in tried
             ):
                 continue
-            tried.append(u)
-            deeper = [(x, (c << 1) | ((adj[x] >> u) & 1)) for x, c in free if x != u]
-            if not dfs(t + 1, deeper):
+            tried.append(x)
+            split = []
+            for c, size in cells:
+                hi = row & c
+                if hi and hi != c:
+                    k = hi.bit_count()
+                    split += [(c & ~row, size - k), (hi, k)]
+                else:
+                    split.append((c, size))
+            split.append((1 << x, 1))
+            if not dfs(t + 1, split, free & ~(1 << x)):
                 return False
         return True
 
-    return dfs(0, [(u, 0) for u in range(v)])
+    def first_cells(S: int, k: int):
+        # independent sets of k more vertices above S's highest, lazily
+        if not k:
+            yield S
+            return
+        for u in range(S.bit_length(), v):
+            if not adj[u] & S:
+                yield from first_cells(S | 1 << u, k - 1)
+
+    full = (1 << v) - 1
+    return all(dfs(a0, [(S, a0)], full & ~S) for S in first_cells(0, a0))
 
 
 def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
@@ -298,8 +341,9 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
 
     Each level is generated once per process and kept for its life
     (under 1 MB for all levels up to N = 9); every call returns fresh
-    lists.  The first call costs about 0.5-0.7 s at N = 8 and 5-6 s at
-    N = 9 on 2 cores; a later call at that N or below only copies.
+    lists.  The first call costs about 0.12-0.23 s at N = 8 and
+    0.75-0.9 s at N = 9 on 2 cores; a later call at that N or below only
+    copies.
     """
     if N < 1:
         raise ValueError("graph size must be positive")
@@ -314,9 +358,12 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
         return ((0,),)
     nxt: list[tuple[int, ...]] = []
     for adj in _canonical_level(v - 1):
-        for S in range(1 << (v - 1)):
-            if any(adj[u] & S for u in iter_bits(S)):
-                continue
+        # the new vertex's neighbourhoods: the parent's independent sets,
+        # built directly and taken in increasing order
+        sets = [0]
+        for u in range(v - 1):
+            sets += [S | 1 << u for S in sets if not adj[u] & S]
+        for S in sorted(sets):
             cand = [adj[u] | (((S >> u) & 1) << (v - 1)) for u in range(v - 1)]
             cand.append(S)
             if _is_canonical(cand, v):
@@ -346,8 +393,8 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     canonical mode enumerates triangle-free blue graphs up to isomorphism
     and needs N <= 9.  Larger N is refused with a cost estimate rather
     than attempted.  The canonical classes are generated on the first
-    canonical sweep at a given N, about 0.5-0.7 s at N = 8 and 5-6 s at
-    N = 9 on 2 cores, and kept for the life of the process (under 1 MB
+    canonical sweep at a given N, about 0.12-0.23 s at N = 8 and
+    0.75-0.9 s at N = 9 on 2 cores, and kept for the life of the process (under 1 MB
     at N = 9), so a later sweep at that N or below pays only for the
     cube searches.
     """

@@ -273,7 +273,7 @@ def test_argparse_misuse_exits_with_parse_code(capsys):
         ["gen-lower-bound", "--n", "-1"],
         ["gen-random", "--n", "-1", "--blue-model", "bipartite", "--seed", "0"],
         ["check", "--in", "-", "--n", "-1"],
-        ["oracle", "ramsey", "--n", "-1", "--N", "4"],
+        ["oracle", "ramsey", "--n", "0", "--N", "4"],
         ["oracle", "contains-cube", "--in", "-", "--n", "-1"],
         ["bandwidth-check", "--n", "-1"],
         ["bandwidth-check", "--n", "two"],

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -242,19 +244,38 @@ def test_canonical_generator_matches_tuple_search():
         assert canonical_triangle_free_graphs(N) == reference_canonical_triangle_free_graphs(N)
 
 
+def test_canonical_levels_are_pinned():
+    # the labeling and order of every class, not only their number: the
+    # sha256 of each level as JSON
+    pinned = {
+        8: "d83f44365b5ab51433822676acb42f4b3ffd100bdc0fa402d08ff668bd849216",
+        9: "32f79828847b88e510ed41569e1d0fbf2a48e83daed7bbf3ae1157cc779bee5f",
+    }
+    for N, digest in pinned.items():
+        text = json.dumps(canonical_triangle_free_graphs(N))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, N
+
+
 def test_is_canonical_matches_tuple_search_on_relabelings():
-    # relabeled classes, with twin-rich ones (empty, stars, complete
-    # bipartite) among them, exercise both verdicts and the twin skip
+    # sampled classes as given (accepted) and relabeled, with twin-rich
+    # ones (empty, stars, complete bipartite) among them, exercise both
+    # verdicts, the twin skip and cells of every size
     rng = random.Random(37)
     graphs = [
-        (N, adj) for N in (5, 7, 8)
+        (N, adj) for N in (5, 7, 8, 9)
         for adj in rng.sample(canonical_triangle_free_graphs(N), 12)
     ]
-    # the unskipped search walks all 7! relabelings of the empty graph
+    for N, adj in graphs:
+        assert _is_canonical(adj, N) and reference_is_canonical(adj, N)
     graphs += [
         (7, list(random_bipartite_blue(7, 1.0, rng).blue)),
-        (7, [0] * 7),
+        (9, [0b111100000] * 5 + [0b11111] * 4),
+        (9, [0b111111110] + [1] * 8),
+        (9, [(1 << (u + 1) % 9) | (1 << (u - 1) % 9) for u in range(9)]),
         (7, [0b1111110] + [1] * 6),
+        # the unskipped search walks all 7! relabelings of the empty
+        # graph, and would walk all 9! at N = 9
+        (7, [0] * 7),
     ]
     for N, adj in graphs:
         for _ in range(4):
