@@ -668,6 +668,23 @@ def first_fit(
     return placed
 
 
+def placed_blue(G: ColouredGraph, n: int, image: list[int]):
+    """``first_fit``'s ``blocked_of`` for a red cube: the OR of the blue
+    masks of z's cube neighbours placed so far in ``image`` (-1 where
+    unplaced)."""
+    blue = G.blue
+
+    def blocked_of(z: int) -> int:
+        blocked = 0
+        for p in range(n):
+            img = image[z ^ (1 << p)]
+            if img >= 0 and blue[img]:
+                blocked |= blue[img]
+        return blocked
+
+    return blocked_of
+
+
 def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdict:
     """Check that phi maps the cube vertices injectively onto red edges.
 

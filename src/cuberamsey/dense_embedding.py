@@ -17,7 +17,12 @@ from math import ceil
 from typing import Optional, Union
 
 from .bits import bit, bits_list, iter_bits, lowest_bits, mask_of
-from .colored_graph import ColouredGraph, first_fit, is_blue_triangle_free
+from .colored_graph import (
+    ColouredGraph,
+    first_fit,
+    is_blue_triangle_free,
+    placed_blue,
+)
 from .errors import HypothesisError, StageFailure
 from .hypercube import (
     InitialSubcube,
@@ -143,23 +148,6 @@ def check_partial_assignment(
     return True, None, None
 
 
-def _placed_blue(H: ColouredGraph, n: int, image: list[int]):
-    """``first_fit``'s ``blocked_of`` for a red cube: the OR of the blue
-    masks of z's cube neighbours placed so far in ``image`` (-1 where
-    unplaced)."""
-    blue = H.blue
-
-    def blocked_of(z: int) -> int:
-        blocked = 0
-        for p in range(n):
-            img = image[z ^ (1 << p)]
-            if img >= 0 and blue[img]:
-                blocked |= blue[img]
-        return blocked
-
-    return blocked_of
-
-
 def embed_partial_assignment(
     H: ColouredGraph, pa: PartialAssignment, n: int
 ) -> dict[int, int]:
@@ -175,7 +163,7 @@ def embed_partial_assignment(
     phi: dict[int, int] = {}
     image = [-1] * (1 << n)
     taken = bytearray(H.n_vertices)
-    blocked_of = _placed_blue(H, n, image)
+    blocked_of = placed_blue(H, n, image)
     for e in reversed(pa.entries):
         zs = subcube_vertices(e.subcube, n)
         # read from the mask, so a negative member raises ValueError
@@ -437,7 +425,7 @@ def complete_greedily(
         image[z] = v
     placed = first_fit(
         bits_list(pool), order, image, bytearray(H.n_vertices),
-        _placed_blue(H, n, image),
+        placed_blue(H, n, image),
     )
     for z in order[:placed]:
         phi[z] = image[z]

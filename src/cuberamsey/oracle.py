@@ -1,23 +1,22 @@
 """Exhaustive ground truth for small cases.
 
-Nothing here scales; everything here is trusted.  A depth-first search
-finds red cubes in arbitrary colourings, and two enumeration modes sweep
-every 2-colouring of a small complete graph: a plain sweep over all
-2^C(N,2) colourings with a vectorised blue-triangle prefilter, and a
-sweep over canonical triangle-free blue graphs only, one per isomorphism
-class.
+Nothing here scales; everything here is trusted.  A first-fit walk, then
+a depth-first search, finds red cubes in arbitrary colourings, and two
+modes sweep every 2-colouring of a small complete graph: a plain sweep
+that grows, vertex by vertex, only the labelled colourings with neither
+a blue triangle nor a red Q_n, and a sweep over canonical triangle-free
+blue graphs only, one per isomorphism class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from math import comb, inf
 from typing import Optional
 
 from .bits import bit, bits_list, iter_bits
-from .colored_graph import ColouredGraph, red_components
+from .colored_graph import ColouredGraph, first_fit, placed_blue, red_components
 from .hypercube import bandwidth_order
 
 # unlabeled triangle-free graphs on 1..9 vertices; generation is checked
@@ -110,24 +109,30 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     """Exhaustive search for a red copy of Q_n in G.
 
     Cube vertices are tried in bandwidth order, candidates are the
-    intersection of the red masks of already-placed neighbours.  The
-    search is confined to pieces that can hold a cube: each red component
-    of at least 2^n vertices is peeled to its red n-core, and split at
-    red cuts of fewer than n edges by recursive Stoer-Wagner minimum cut
-    (see ``_cube_pieces``).  Peeling costs O(k) red-degree counts per
-    round; a piece of k vertices costs O(k^3) for its minimum cut, which
-    is small next to the search: a bridged pair of red cliques splits
-    at once, where the plain search walked every partial cube in each
-    clique.  The first cube vertex still runs over the component in
-    increasing order and the rest stay in its piece, so the embedding
-    found is the one the unconfined search finds.  The cost remains
-    exponential in 2^n; meant for graphs of a few dozen vertices.  A
-    graph smaller than the cube trivially contains none.
+    intersection of the red masks of already-placed neighbours, lowest
+    first.  That first path is walked on its own first (``first_fit``
+    over all of G): if it places all 2^n cube vertices, its map is the
+    answer and ``nodes`` is 2^n.  Otherwise the search runs as if no walk
+    had been made, and ``nodes`` counts its placements only.  The search
+    is confined to pieces that can hold a cube: each red component of at
+    least 2^n vertices is peeled to its red n-core and split at red cuts
+    of fewer than n edges by recursive Stoer-Wagner minimum cut (see
+    ``_cube_pieces``), O(k^3) for a piece of k vertices; a bridged pair of
+    red cliques splits at once, with no placement.  The first cube vertex
+    still runs over the component in increasing order and the rest stay
+    in its piece, so the embedding found is the unconfined search's; a
+    walked cube holds vertex 0 and lies in one piece, so the walk's map
+    is that too.  The cost remains exponential in 2^n; meant for graphs
+    of a few dozen vertices.  A graph smaller than the cube contains none.
     """
-    size = 1 << n
-    if G.n_vertices < size:
+    size, N = 1 << n, G.n_vertices
+    if N < size:
         return CubeSearchResult(False, None, 0)
     order = bandwidth_order(range(size), n)
+    image = [-1] * size
+    blocked_of = placed_blue(G, n, image)
+    if first_fit(list(range(N)), order, image, bytearray(N), blocked_of) == size:
+        return CubeSearchResult(True, {z: image[z] for z in order}, size)
     pos = {z: i for i, z in enumerate(order)}
     nbrs_before = [
         [pos[order[i] ^ (1 << p)] for p in range(n) if pos[order[i] ^ (1 << p)] < i]
@@ -205,45 +210,39 @@ def _graph_from_pairbits(N: int, c: int) -> ColouredGraph:
 
 
 def _plain_sweep(n: int, N: int) -> RamseyVerdict:
-    # imported here, so that importing the package does not pay for numpy
-    import numpy as np
+    """Every labelled colouring of K_N, grown vertex by vertex.
 
+    No blue triangle and no red Q_n both pass to induced colourings, and
+    all pairs into v come after those among 0..v-1.  So a colouring of
+    K_(v+1) with neither is one of K_v with neither, with code c, plus a
+    blue neighbourhood S of v, independent there, that puts no red Q_n
+    through v: code ``c | S << v(v-1)/2``.  Only those are grown; the
+    witness is the least code left at N.
+    """
     P = N * (N - 1) // 2
-    cs = np.arange(1 << P, dtype=np.uint32)
-    has_triangle = np.zeros(cs.shape, dtype=bool)
-    for a, b, c in combinations(range(N), 3):
-        mask = np.uint32(
-            (1 << _pair_index(a, b))
-            | (1 << _pair_index(a, c))
-            | (1 << _pair_index(b, c))
-        )
-        has_triangle |= (cs & mask) == mask
-    surv = cs[~has_triangle]
-
     if (1 << n) > N:
-        # no colouring can hold the cube; the all-red colouring survives
-        # the triangle filter and witnesses the failure
+        # no colouring can hold the cube; the all-red one is a witness
         return RamseyVerdict(n, N, False, _graph_from_pairbits(N, 0), 1 << P, "plain")
-    if n == 1:
-        # a red edge is missing only from the all-blue colouring
-        no_cube = surv == np.uint32((1 << P) - 1)
-    else:
-        # a red 4-cycle pairs two vertices with two common red neighbours
-        no_cube = np.ones(surv.shape, dtype=bool)
-        for i, j in combinations(range(N), 2):
-            cnt = np.zeros(surv.shape, dtype=np.uint8)
-            for k in range(N):
-                if k == i or k == j:
+    level = [(0, ())]  # (code, blue masks)
+    for v in range(N):
+        full = (1 << v) - 1
+        grown = []
+        for code, adj in level:
+            sets = [0]
+            for u in range(v):
+                sets += [S | 1 << u for S in sets if not adj[u] & S]
+            red = [full & ~adj[x] & ~(1 << x) for x in range(v)]
+            for S in sets:
+                R = full & ~S  # v's red neighbours
+                # N <= 7, so n <= 2: a red edge at v, or a red 4-cycle
+                # through v, some x with two red neighbours in R
+                if R and (n == 1 or any((r & R).bit_count() > 1 for r in red)):
                     continue
-                both_red = (
-                    (surv >> np.uint32(_pair_index(i, k)))
-                    | (surv >> np.uint32(_pair_index(j, k)))
-                ) & np.uint32(1)
-                cnt += (both_red == 0).astype(np.uint8)
-            no_cube &= ~(cnt >= 2)
-    idx = np.flatnonzero(no_cube)
-    if idx.size:
-        witness = _graph_from_pairbits(N, int(surv[idx[0]]))
+                adj_S = tuple(a | (S >> u & 1) << v for u, a in enumerate(adj))
+                grown.append((code | S << (v * (v - 1) // 2), adj_S + (S,)))
+        level = grown
+    if level:
+        witness = _graph_from_pairbits(N, min(code for code, _ in level))
         return RamseyVerdict(n, N, False, witness, 1 << P, "plain")
     return RamseyVerdict(n, N, True, None, 1 << P, "plain")
 
@@ -389,14 +388,15 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     """Does every red/blue colouring of K_N contain a blue triangle or a
     red n-cube?
 
-    The plain mode enumerates all colourings and needs N <= 7; the
-    canonical mode enumerates triangle-free blue graphs up to isomorphism
-    and needs N <= 9.  Larger N is refused with a cost estimate rather
-    than attempted.  The canonical classes are generated on the first
-    canonical sweep at a given N, about 0.12-0.23 s at N = 8 and
-    0.75-0.9 s at N = 9 on 2 cores, and kept for the life of the process (under 1 MB
-    at N = 9), so a later sweep at that N or below pays only for the
-    cube searches.
+    The plain mode covers every labelled colouring but grows only those
+    with neither, one vertex at a time (``_plain_sweep``); it needs
+    N <= 7.  The canonical mode enumerates triangle-free blue graphs up
+    to isomorphism and needs N <= 9.  Larger N is refused with a cost
+    estimate rather than attempted.  The canonical classes are generated
+    on the first canonical sweep at a given N, about 0.12-0.23 s at N = 8
+    and 0.75-0.9 s at N = 9 on 2 cores, and kept for the life of the
+    process (under 1 MB at N = 9), so a later sweep at that N or below
+    pays only for the cube searches.
     """
     if n < 1:
         raise ValueError("cube dimension must be positive")

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations, permutations
 from math import comb
 
 from cuberamsey.bits import bit, bits_list, iter_bits, lowest_bits, mask_of
@@ -518,6 +519,46 @@ def reference_contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
                 True, {order[i]: assigned[i] for i in range(size)}, nodes
             )
     return CubeSearchResult(False, None, nodes)
+
+
+def reference_plain_sweep(n: int, N: int):
+    """``oracle._plain_sweep`` walking every code of K_N: (holds,
+    checked, witness blue masks or None).  Pair (i, j), i < j, is bit
+    j(j-1)/2 + i, as in the oracle; a cube is looked for directly as a
+    red edge (n = 1) or a red 4-cycle (n = 2), and Q_n for n >= 3 has
+    more vertices than K_N for N <= 7."""
+    assert N <= 7
+    P = N * (N - 1) // 2
+    pairs = [(i, j) for j in range(N) for i in range(j)]
+
+    def blue(c, i, j):
+        if i > j:
+            i, j = j, i
+        return c >> (j * (j - 1) // 2 + i) & 1
+
+    def has_cube(c):
+        if n == 1:
+            return any(not blue(c, i, j) for i, j in pairs)
+        if n == 2:
+            return any(
+                not (blue(c, a, b) or blue(c, b, x) or blue(c, x, d) or blue(c, d, a))
+                for a, b, x, d in permutations(range(N), 4)
+            )
+        return False
+
+    for c in range(1 << P):
+        triangle = any(
+            blue(c, a, b) and blue(c, a, x) and blue(c, b, x)
+            for a, b, x in combinations(range(N), 3)
+        )
+        if not triangle and not has_cube(c):
+            blue_masks = [0] * N
+            for i, j in pairs:
+                if blue(c, i, j):
+                    blue_masks[i] |= 1 << j
+                    blue_masks[j] |= 1 << i
+            return False, 1 << P, blue_masks
+    return True, 1 << P, None
 
 
 def reference_is_canonical(adj: list[int], v: int) -> bool:

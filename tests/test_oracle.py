@@ -19,6 +19,7 @@ from helpers import (
     reference_canonical_triangle_free_graphs,
     reference_contains_red_cube,
     reference_is_canonical,
+    reference_plain_sweep,
 )
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -130,6 +131,9 @@ def test_contains_red_cube_matches_unsplit_search(host):
     # the first cube vertex still runs over the whole component in order,
     # so even the embedding found is the unsplit search's
     assert got.embedding == want.embedding
+    # a search that never backtracks is the first-fit walk, counted alike
+    if want.nodes == 1 << n:
+        assert got.nodes == want.nodes
     if got.found:
         assert verify_red_embedding(G, n, got.embedding).ok
 
@@ -144,6 +148,31 @@ def test_bridged_lower_bound_splits_without_search():
         G = _bridged(half, half, rng, 1)
         res = contains_red_cube(G, n)
         assert not res.found and res.nodes == 0
+
+
+class _CutPassRan(Exception):
+    pass
+
+
+def test_walk_finds_cubes_without_cut_pass(monkeypatch):
+    # where the search would not backtrack, the first-fit walk answers
+    # alone: no core, no cut, and the nodes of the search's first path
+    def no_cut(*args):
+        raise _CutPassRan
+
+    monkeypatch.setattr(oracle, "_cube_pieces", no_cut)
+    G = random_triangle_free_greedy(640, 10240, random.Random(0))
+    res = contains_red_cube(G, 8)
+    assert res.found and res.nodes == 256
+    assert verify_red_embedding(G, 8, res.embedding).ok
+    nodes = []
+    for adj in canonical_triangle_free_graphs(8):
+        try:
+            nodes.append(contains_red_cube(ColouredGraph(8, adj), 2).nodes)
+        except _CutPassRan:
+            pass
+    # 410 classes; one of them needs the cut pass
+    assert nodes == [4] * 409
 
 
 def test_min_red_cut_against_brute_force():
@@ -196,6 +225,15 @@ def test_ramsey_number_of_a_square():
     assert is_blue_triangle_free(w)[0]
     assert not contains_red_cube(w, 2).found
     assert exhaustive_ramsey(2, 7).holds
+
+
+def test_plain_sweep_matches_brute_force():
+    for n in (1, 2, 3):
+        for N in range(1, 7):
+            v = exhaustive_ramsey(n, N, mode="plain")
+            holds, checked, witness = reference_plain_sweep(n, N)
+            assert (v.holds, v.checked) == (holds, checked), (n, N)
+            assert (v.witness and v.witness.blue) == witness, (n, N)
 
 
 def test_plain_and_canonical_agree():
@@ -350,12 +388,12 @@ def test_count_check_survives_optimised_mode():
 
 
 def test_package_import_leaves_numpy_out():
-    # numpy is only needed by the plain sweep, which imports it itself
+    # the package has no runtime dependency: the plain sweep is pure Python
     code = (
         "import sys, cuberamsey, cuberamsey.cli, cuberamsey.oracle\n"
         "print('numpy' in sys.modules)\n"
         "from cuberamsey.oracle import exhaustive_ramsey\n"
-        "v = exhaustive_ramsey(1, 3, mode='plain')\n"
+        "v = exhaustive_ramsey(2, 7, mode='plain')\n"
         "print('numpy' in sys.modules, v.mode)\n"
     )
     src = str(Path(cuberamsey.__file__).resolve().parents[1])
@@ -365,4 +403,4 @@ def test_package_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "True", "plain"]
+    assert run.stdout.split() == ["False", "False", "plain"]
