@@ -215,7 +215,7 @@ def _cmd_decompose(args) -> int:
         {
             "status": "ok",
             "rounds": dec.r,
-            "snake_sizes": [len(sn.vertex_set()) for sn in dec.snakes],
+            "snake_sizes": [sn.mask.bit_count() for sn in dec.snakes],
             "s_values": list(dec.s_values),
             "sparse_vertices": len(dec.sparse),
         }

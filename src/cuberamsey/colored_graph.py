@@ -41,12 +41,10 @@ class ColouredGraph:
     says uv is blue.  The relation must be irreflexive and symmetric.
     Construction with ``validate=False`` skips that check; it is meant for
     internal constructions that are symmetric by shape.  The masks are
-    not changed after construction: ``blue_degrees`` counts them once,
-    ``blue_at_least`` sorts the vertices with a blue neighbour by degree
-    once, and ``blue_classes`` groups equal masks into twin classes once.
-    Whichever of ``blue_degrees`` and ``blue_classes`` runs first reads
-    every mask; the class index then reads only the cached degrees and
-    the masks of degree 2 or more, and it caches the degrees it counts.
+    not changed after construction, so one pass over them, on first use,
+    builds the index that ``blue_degrees``, ``blue_classes`` and
+    ``blue_at_least`` read: every degree, the twin classes, and the
+    vertices with a blue neighbour in order of falling degree.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -59,9 +57,7 @@ class ColouredGraph:
         self.n_vertices = n_vertices
         self.blue = blue
         self.full_mask = (1 << n_vertices) - 1
-        self._blue_degrees: Optional[list[int]] = None
-        self._by_degree: Optional[array] = None
-        self._blue_classes: Optional[tuple[list[int], list[int]]] = None
+        self._index: Optional[tuple] = None
         if validate:
             self._validate()
 
@@ -102,60 +98,24 @@ class ColouredGraph:
     def red_mask(self, v: int) -> int:
         return self.full_mask & ~self.blue[v] & ~bit(v)
 
-    def blue_degrees(self) -> list[int]:
-        """The blue degree of every vertex, counted on first use: one
-        popcount per N-bit mask, unless ``blue_classes`` ran first and
-        counted them on its way."""
-        if self._blue_degrees is None:
-            self._blue_degrees = [m.bit_count() for m in self.blue]
-        return self._blue_degrees
+    def _blue_index(self) -> tuple[list[int], tuple[list[int], list[int]], array]:
+        """The degrees, the twin classes ``(class_of, reps)`` and the
+        degree order, built together on first use.
 
-    def blue_at_least(self, t: int) -> int:
-        """The mask of vertices of blue degree t or more.
-
-        Cost: on first use a pass over the N cached degrees and a sort of
-        the vertices with a blue neighbour by degree, kept as 4 bytes each;
-        then a bisection and ``mask_of`` of the answer.
+        Cost: one pass over the vertices.  A zero mask is passed over, and
+        a one-bit mask is told by a compare at half the cost of a
+        popcount.  Every other mask gets an O(1) fingerprint, its length
+        and its low and top 64 bits.  The first vertex to show a
+        fingerprint pays a popcount; a later one compares its mask with
+        that vertex's and, if equal, takes its class and degree, so a
+        blow-up pays one compare per vertex, cut short when twins share
+        one int object.  Only masks that differ behind a shared
+        fingerprint are hashed whole.  Then a sort of the vertices with a
+        blue neighbour by degree, kept as 4 bytes each.
         """
-        if t <= 0:
-            return self.full_mask
-        deg = self.blue_degrees()
-        if self._by_degree is None:
-            self._by_degree = array("i", sorted(
-                (v for v, d in enumerate(deg) if d), key=deg.__getitem__, reverse=True
-            ))
-        order = self._by_degree
-        return mask_of(order[: bisect_right(order, -t, key=lambda v: -deg[v])])
-
-    def blue_edge_count(self) -> int:
-        return sum(self.blue_degrees()) // 2
-
-    def blue_classes(self) -> tuple[list[int], list[int]]:
-        """The blue twin classes ``(class_of, reps)``, built on first use.
-        Vertices of blue degree 2 or more share a class exactly when their
-        masks are equal (twins are never blue-adjacent, so blow-ups of a
-        few red cliques have a handful of classes); classes are numbered
-        in order of their first vertex ``reps[c]``, and any other vertex
-        has class -1.  Classes a and b are blue-adjacent exactly when
-        ``reps[a]`` and ``reps[b]`` are.
-
-        Cost: one pass over the vertices.  With the degrees cached, a
-        vertex of degree below 2 is passed over unread; without them, a
-        zero mask is, a one-bit mask is told by a compare at half the cost
-        of a popcount, and the degrees are counted on the way and cached.
-        Every other mask read gets an O(1) fingerprint, its length and its
-        low and top 64 bits.  The first vertex to show a fingerprint pays
-        a popcount; a later one compares its mask with that vertex's and,
-        if equal, takes its class and degree, so a blow-up pays one
-        compare per vertex, cut short when twins share one int object.
-        Only masks that differ behind a shared fingerprint are hashed
-        whole.
-        """
-        if self._blue_classes is None:
-            blue, deg = self.blue, self._blue_degrees
-            counted = deg is not None
-            if not counted:
-                deg = [0] * self.n_vertices
+        if self._index is None:
+            blue = self.blue
+            deg = [0] * self.n_vertices
             # the first vertex of each fingerprint, and of each whole mask
             # that differs from another behind a shared fingerprint; the
             # length keeps one-bit masks apart, since CPython hashes an int
@@ -164,14 +124,13 @@ class ColouredGraph:
             by_mask: dict[int, int] = {}
             reps, class_of = [], [-1] * self.n_vertices
             for v, m in enumerate(blue):
-                if (deg[v] < 2) if counted else not m:
+                if not m:
                     continue
                 length = m.bit_length()
                 top = m >> (length - 64) if length > 64 else m << (64 - length)
-                if not counted and top == 1 << 63 and m == 1 << (length - 1):
-                    # most masks of a sparse host are one bit, told by a
-                    # compare at half the cost of a popcount; such a vertex
-                    # is never classed, so its fingerprint is not kept
+                if top == 1 << 63 and m == 1 << (length - 1):
+                    # most masks of a sparse host are one bit; such a
+                    # vertex is never classed, so its fingerprint is not kept
                     deg[v] = 1
                     continue
                 u = first.setdefault((length, m & 0xFFFFFFFFFFFFFFFF, top), v)
@@ -181,14 +140,40 @@ class ColouredGraph:
                     class_of[v] = class_of[u]
                     deg[v] = deg[u]
                     continue
-                if not counted:
-                    deg[v] = m.bit_count()
-                if deg[v] >= 2:
-                    class_of[v] = len(reps)
-                    reps.append(v)
-            self._blue_degrees = deg
-            self._blue_classes = (class_of, reps)
-        return self._blue_classes
+                deg[v] = m.bit_count()  # two or more
+                class_of[v] = len(reps)
+                reps.append(v)
+            by_degree = array("i", sorted(
+                (v for v, d in enumerate(deg) if d), key=deg.__getitem__, reverse=True
+            ))
+            self._index = (deg, (class_of, reps), by_degree)
+        return self._index
+
+    def blue_degrees(self) -> list[int]:
+        """The blue degree of every vertex, from the index."""
+        return self._blue_index()[0]
+
+    def blue_at_least(self, t: int) -> int:
+        """The mask of vertices of blue degree t or more: a bisection of
+        the index's degree order and ``mask_of`` of the answer."""
+        if t <= 0:
+            return self.full_mask
+        deg, _, order = self._blue_index()
+        return mask_of(order[: bisect_right(order, -t, key=lambda v: -deg[v])])
+
+    def blue_edge_count(self) -> int:
+        return sum(self.blue_degrees()) // 2
+
+    def blue_classes(self) -> tuple[list[int], list[int]]:
+        """The blue twin classes ``(class_of, reps)``, from the index.
+        Vertices of blue degree 2 or more share a class exactly when their
+        masks are equal (twins are never blue-adjacent, so blow-ups of a
+        few red cliques have a handful of classes); classes are numbered
+        in order of their first vertex ``reps[c]``, and any other vertex
+        has class -1.  Classes a and b are blue-adjacent exactly when
+        ``reps[a]`` and ``reps[b]`` are.
+        """
+        return self._blue_index()[1]
 
     def has_blue_into(self, vertices: Iterable[int], mask: int) -> bool:
         """Whether some given vertex (each in range) has a blue neighbour
@@ -218,11 +203,10 @@ class ColouredGraph:
         """Induced colouring on the given vertices.
 
         Returns the subgraph together with the list mapping new indices to
-        old ones (new index i corresponds to old vertex ``order[i]``).  The
-        subgraph's degrees are counted on the way and cached.
+        old ones (new index i corresponds to old vertex ``order[i]``).
 
         Cost: a sort and a dict over the vertices, then one dict lookup
-        and one shift per blue neighbour (``counted_bits`` with the cached
+        and one shift per blue neighbour (``counted_bits`` with the
         degree).
         """
         order = sorted(set(vertices))
@@ -230,19 +214,15 @@ class ColouredGraph:
             raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
         pos = {v: i for i, v in enumerate(order)}
         deg = self.blue_degrees()
-        blue, sub_deg = [], []
+        blue = []
         for v in order:
-            nm = k = 0
+            nm = 0
             for w in counted_bits(self.blue[v], deg[v]) if deg[v] else ():
                 i = pos.get(w)
                 if i is not None:
                     nm |= 1 << i
-                    k += 1
             blue.append(nm)
-            sub_deg.append(k)
-        H = ColouredGraph(len(order), blue, validate=False)
-        H._blue_degrees = sub_deg
-        return H, order
+        return ColouredGraph(len(order), blue, validate=False), order
 
     # -- text round trip ------------------------------------------------
 
@@ -455,7 +435,7 @@ def max_disjoint_red_cliques(
         if star := heaviest_blue_star(G, residual, m):
             take = lowest_bits(G.blue[star[0]] & residual, m)
             took = bits_list(take)
-            if G.is_red_clique(took):
+            if not G.has_blue_into(took, take):
                 cliques.append(tuple(took))
                 residual &= ~take
                 continue

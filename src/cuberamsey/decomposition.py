@@ -175,7 +175,9 @@ class Decomposition:
 
     @cached_property
     def sparse_mask(self) -> int:
-        covered = mask_of([v for sn in self.snakes for c in sn.cliques for v in c])
+        covered = 0
+        for sn in self.snakes:
+            covered |= sn.mask
         return ((1 << self.n_vertices) - 1) & ~covered
 
     @cached_property
@@ -428,7 +430,7 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
         errors += [f"snake {i} invalid: {e}" for e in range_errors(G.n_vertices, sn)]
     if errors:
         return Verdict.failure(*errors)
-    masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
+    masks = [sn.mask for sn in dec.snakes]
     total = 0
     for i, m in enumerate(masks):
         if total & m:
@@ -437,9 +439,7 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
 
     C = remainder = G.full_mask & ~total  # the vertices in no snake
     for i, rec in enumerate(dec.rounds):
-        if not rec.sparse_added:
-            continue  # clique masks only for the rounds that attach a vertex
-        snake = [(c, mask_of(rec.cliques[c])) for c in rec.snake_indices]
+        snake = list(zip(rec.snake_indices, dec.snakes[i].clique_masks))
         for v in rec.sparse_added:
             if not 0 <= v < G.n_vertices:
                 why = "outside the graph"
@@ -471,7 +471,7 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
 
     for i, si in enumerate(dec.s_values):
         for j in range(i + 1, dec.r):
-            for v in sorted(dec.snakes[j].vertex_set()):
+            for v in iter_bits(masks[j]):
                 d = (G.blue[v] & masks[i]).bit_count()
                 if dec.params.mu * d > si:
                     errors.append(

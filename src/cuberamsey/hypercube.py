@@ -58,11 +58,11 @@ def subcube_distance(x: InitialSubcube, z: InitialSubcube) -> int:
 
 def subcube_vertices(x: InitialSubcube, n: int) -> list[int]:
     """All vertices of Q_n lying in the subcube, in increasing word order."""
-    if x.codim > n:
-        raise ValueError(f"codimension {x.codim} exceeds dimension {n}")
+    codim = x.codim
+    if codim > n:
+        raise ValueError(f"codimension {codim} exceeds dimension {n}")
     base = x.base_word()
-    free = n - x.codim
-    return [base | (t << x.codim) for t in range(1 << free)]
+    return [base | (t << codim) for t in range(1 << (n - codim))]
 
 
 def complement_cells(

@@ -209,6 +209,14 @@ def _graph_from_pairbits(N: int, c: int) -> ColouredGraph:
     return ColouredGraph.from_blue_edges(N, edges)
 
 
+def _independent_sets(adj) -> list[int]:
+    """The blue-independent sets of the masks adj, in build order."""
+    sets = [0]
+    for u, a in enumerate(adj):
+        sets += [S | 1 << u for S in sets if not a & S]
+    return sets
+
+
 def _plain_sweep(n: int, N: int) -> RamseyVerdict:
     """Every labelled colouring of K_N, grown vertex by vertex.
 
@@ -228,11 +236,8 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
         full = (1 << v) - 1
         grown = []
         for code, adj in level:
-            sets = [0]
-            for u in range(v):
-                sets += [S | 1 << u for S in sets if not adj[u] & S]
             red = [full & ~adj[x] & ~(1 << x) for x in range(v)]
-            for S in sets:
+            for S in _independent_sets(adj):
                 R = full & ~S  # v's red neighbours
                 # N <= 7, so n <= 2: a red edge at v, or a red 4-cycle
                 # through v, some x with two red neighbours in R
@@ -357,12 +362,7 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
         return ((0,),)
     nxt: list[tuple[int, ...]] = []
     for adj in _canonical_level(v - 1):
-        # the new vertex's neighbourhoods: the parent's independent sets,
-        # built directly and taken in increasing order
-        sets = [0]
-        for u in range(v - 1):
-            sets += [S | 1 << u for S in sets if not adj[u] & S]
-        for S in sorted(sets):
+        for S in sorted(_independent_sets(adj)):
             cand = [adj[u] | (((S >> u) & 1) << (v - 1)) for u in range(v - 1)]
             cand.append(S)
             if _is_canonical(cand, v):

@@ -14,6 +14,7 @@ witnessed pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .bits import mask_of
@@ -68,10 +69,18 @@ class Snake:
     def m(self) -> int:
         return len(self.cliques[0]) if self.cliques else 0
 
-    def vertex_set(self) -> set[int]:
-        out: set[int] = set()
-        for c in self.cliques:
-            out.update(c)
+    @cached_property
+    def clique_masks(self) -> tuple[int, ...]:
+        """One vertex mask per clique, built on first use; a negative
+        vertex raises ValueError, so check ``range_errors`` first."""
+        return tuple(mask_of(c) for c in self.cliques)
+
+    @cached_property
+    def mask(self) -> int:
+        """The mask of every vertex in some clique."""
+        out = 0
+        for cm in self.clique_masks:
+            out |= cm
         return out
 
     def link_pairs(self) -> set[tuple[int, int]]:
@@ -128,8 +137,9 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
 
     Cliques must be same-sized disjoint red cliques, every witness a red
     K_{s,s} between its two cliques, and the link graph connected; a
-    vertex outside G fails it first.  Cost: one mask per clique and
-    side, and one N-bit AND per blue class in a clique or witness X side.
+    vertex outside G fails it first.  Cost: one mask per witness side (the
+    snake's clique masks are built once and kept), and one N-bit AND per
+    blue class in a clique or witness X side.
     """
     errors = []
     if not snake.cliques:
@@ -140,14 +150,13 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     if bad:
         return Verdict.failure(*errors, *bad)
     m = len(snake.cliques[0])
-    masks = []
+    masks = snake.clique_masks
     for idx, c in enumerate(snake.cliques):
         if len(c) != m:
             errors.append(f"clique {idx} has {len(c)} vertices, expected {m}")
-        if len(set(c)) != len(c):
+        if masks[idx].bit_count() != len(c):
             errors.append(f"clique {idx} repeats a vertex")
-        masks.append(mask_of(c))
-        if G.has_blue_into(c, masks[-1]):
+        if G.has_blue_into(c, masks[idx]):
             errors.append(f"clique {idx} is not a red clique")
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .bits import mask_of
 from .colored_graph import (
     ColouredGraph,
     is_blue_triangle_free,
@@ -139,15 +138,15 @@ def _solve_dense(
 def _solve_snakes(
     G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
 ) -> dict[int, int]:
-    sizes = [len(sn.vertex_set()) for sn in dec.snakes]
+    sizes = [sn.mask.bit_count() for sn in dec.snakes]
     assignment = assign_subcubes(n, params.codim_split, sizes)
-    snake_masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
     phi: dict[int, int] = {}
     # later snakes first, so each piece only ever dodges neighbours that
     # are already pinned down
     for j in reversed(range(dec.r)):
         if not assignment[j]:
             continue
+        snake = dec.snakes[j]
         Q = [v for cell in assignment[j] for v in subcube_vertices(cell, n)]
         in_Q = bytearray(1 << n)
         for x in Q:
@@ -156,13 +155,13 @@ def _solve_snakes(
         # of its cube neighbours in Q; images without one forbid nothing
         forb: dict[int, int] = {}
         for y, img in phi.items():
-            D = G.blue[img] & snake_masks[j]
+            D = G.blue[img] & snake.mask
             if D:
                 for p in range(n):
                     x = y ^ (1 << p)
                     if in_Q[x]:
                         forb[x] = forb.get(x, 0) | D
-        phi.update(snake_embed(G, dec.snakes[j], Q, n, forbidden=forb))
+        phi.update(snake_embed(G, snake, Q, n, forbidden=forb))
     return phi
 
 

@@ -173,7 +173,7 @@ def legacy_certificate_json(dec: Decomposition) -> str:
     p = dec.params
     rounds, active = [], dec.n_vertices
     for i, (r, sn) in enumerate(zip(dec.rounds, dec.snakes)):
-        after = active - len(sn.vertex_set()) - len(r.sparse_added)
+        after = active - sn.mask.bit_count() - len(r.sparse_added)
         rounds.append({
             "index": i + 1,
             "active_before": active,
@@ -342,9 +342,9 @@ def reference_solve_snakes(G: ColouredGraph, n: int, params, dec, stats):
     Sets ``stats["forbidden"]`` to the number of cube vertices that were
     given a non-empty forbidden mask.
     """
-    sizes = [len(sn.vertex_set()) for sn in dec.snakes]
+    sizes = [sn.mask.bit_count() for sn in dec.snakes]
     assignment = assign_subcubes(n, params.codim_split, sizes)
-    snake_masks = [mask_of(sn.vertex_set()) for sn in dec.snakes]
+    snake_masks = [sn.mask for sn in dec.snakes]
     phi = {}
     stats["forbidden"] = 0
     for j in reversed(range(dec.r)):

@@ -210,10 +210,10 @@ def test_decompose_random_hosts():
         dec = decompose(G, params)
         assert verify_decomposition(G, dec).ok
         assert gap_consequence_holds(G, dec)
-        covered = set(dec.sparse)
+        covered = mask_of(dec.sparse)
         for sn in dec.snakes:
-            covered |= sn.vertex_set()
-        assert covered == set(range(N))
+            covered |= sn.mask
+        assert covered == G.full_mask
         for rec in dec.rounds:
             assert params.s_lo <= rec.s <= params.s_hi
             assert rec.snake_indices

@@ -326,26 +326,39 @@ def test_verify_red_embedding_matches_per_edge_loop(case):
     assert verdict.ok is (not expected)
 
 
-def _assert_classes_match_masks(G: ColouredGraph, degrees_first: bool = False):
-    # the index reads the cached degrees when there are any, and counts
-    # and caches them itself when there are none
-    if degrees_first:
-        G.blue_degrees()
+# the readers of the graph's index, each with a call that may build it
+FIRST_CALLS = {
+    "blue_degrees": lambda G: G.blue_degrees(),
+    "blue_at_least": lambda G: G.blue_at_least(1),
+    "blue_classes": lambda G: G.blue_classes(),
+}
+
+
+def _assert_classes_match_masks(G: ColouredGraph, first: str):
+    # one pass builds the degrees, the classes and the degree order,
+    # whichever reader asks first, and every later call reads that copy
+    FIRST_CALLS[first](G)
+    deg = [m.bit_count() for m in G.blue]
     assert G.blue_classes() == reference_blue_classes(G)
     assert G.blue_classes() is G.blue_classes()
-    assert G.blue_degrees() == [m.bit_count() for m in G.blue]
+    assert G.blue_degrees() == deg
+    assert G.blue_degrees() is G.blue_degrees()
+    for t in range(4):
+        assert G.blue_at_least(t) == reference_mask_of(
+            [v for v, d in enumerate(deg) if d >= t]
+        )
 
 
-@given(hosts(), st.booleans())
-def test_blue_classes_group_exactly_the_equal_masks(host, degrees_first):
-    _assert_classes_match_masks(host[0], degrees_first)
+@given(hosts(), st.sampled_from(sorted(FIRST_CALLS)))
+def test_blue_classes_group_exactly_the_equal_masks(host, first):
+    _assert_classes_match_masks(host[0], first)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_blue_classes_on_sparse_greedy_hosts(seed):
-    for degrees_first in (False, True):
+    for first in FIRST_CALLS:
         G, _, _ = _clique_host("sparse-greedy", seed)
-        _assert_classes_match_masks(G, degrees_first)
+        _assert_classes_match_masks(G, first)
 
 
 def _fingerprint_twins_host(N: int, shared: bool) -> ColouredGraph:
@@ -379,7 +392,11 @@ def test_blue_classes_past_shared_fingerprints(N, shared, degrees_first):
     assert a != b and a.bit_length() == b.bit_length()
     assert (a ^ b) & ((1 << 64) - 1) == 0 and (a ^ b) >> (a.bit_length() - 64) == 0
     assert twin == a and (twin is a) == shared
-    _assert_classes_match_masks(G, degrees_first)
+    # the degrees, the classes or the threshold index first, each on a
+    # fresh copy of the host
+    firsts = ["blue_degrees"] if degrees_first else ["blue_classes", "blue_at_least"]
+    for first in firsts:
+        _assert_classes_match_masks(_fingerprint_twins_host(N, shared), first)
     assert is_blue_triangle_free(G) == reference_is_blue_triangle_free(G) == (True, None)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import all_red_graph, reference_snake_embed, two_clique_linked_graph
+from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import ColouredGraph, verify_red_embedding
 from cuberamsey.errors import StageFailure
 from cuberamsey.hypercube import bandwidth_bound, bandwidth_order
@@ -68,6 +69,18 @@ def test_validate_snake_rejections():
     dup = (LinkWitness(0, 1, (0, 1), (4, 5)), LinkWitness(0, 1, (2, 3), (6, 7)))
     v = validate_snake(G, Snake(snake.cliques, dup, 2))
     assert not v.ok and any("duplicate witness" in e for e in v.errors)
+
+
+def test_snake_masks_are_the_clique_masks():
+    G, snake = _toy_snake()
+    assert snake.clique_masks == tuple(mask_of(c) for c in snake.cliques)
+    assert snake.mask == mask_of(v for c in snake.cliques for v in c)
+    assert snake.clique_masks is snake.clique_masks
+    # a negative vertex is a range error, reported before any mask is built
+    v = validate_snake(G, Snake(((0, 1, 2, -1), (4, 5, 6, 7)), snake.witnesses, 2))
+    assert v.errors == ["clique 0 mentions out-of-range vertices"]
+    v = validate_snake(G, Snake(((0, 1, 1, 3), (4, 5, 6, 7)), snake.witnesses, 2))
+    assert v.errors == ["clique 0 repeats a vertex"]
 
 
 def test_closed_tree_walk_path_and_star():
@@ -230,7 +243,7 @@ def test_snake_embed_matches_per_vertex_reservation(k, shape, wide):
         n = rng.choice((4, 5))
         G, snake = _seeded_snake(rng, k, shape, n, wide)
         cube = range(1 << n)
-        members = sorted(snake.vertex_set())
+        members = bits_list(snake.mask)
         forb = {
             z: sum(1 << v for v in rng.sample(members, rng.randint(1, 3)))
             for z in rng.sample(cube, rng.randint(1, len(cube)))
