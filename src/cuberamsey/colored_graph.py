@@ -13,7 +13,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
 from .errors import GraphParseError
@@ -612,6 +612,7 @@ def first_fit(
     image,
     taken: bytearray,
     blocked_of: Callable[[int], Optional[int]],
+    blockable: Sequence[int],
 ) -> int:
     """Place the cube vertices of ``order`` in turn, first fit.
 
@@ -619,15 +620,21 @@ def first_fit(
     that is neither set in ``taken`` nor in the mask ``blocked_of(z)``
     (None or 0 blocks nothing); ``image[z]`` and ``taken`` are updated in
     place.  Returns how many cube vertices were placed: the walk stops at
-    the first one that finds no vertex.
+    the first one that finds no vertex.  ``blockable[v]`` is falsy
+    wherever no mask ``blocked_of`` gives can hold v.  ``blocked_of``
+    must be pure: it is asked at most once per cube vertex z, before z is
+    placed, and only when z's walk meets an untaken vertex v with
+    ``blockable[v]`` truthy; a cube vertex whose first untaken vertex
+    cannot be blocked takes it unasked.
 
     Cost: a cursor walks ``free`` past the taken vertices and never moves
     back, so it only ever passes vertices no later cube vertex can take.
-    A cube vertex with no mask takes the vertex at the cursor; one with a
-    mask walks on from there past the taken and blocked vertices, one
-    N-bit bit test per vertex it meets.  A walk without masks does no
-    N-bit mask operation, and in all it costs O(len(order) + len(free))
-    plus those bit tests.
+    A cube vertex takes the vertex at the cursor after one ``blockable``
+    read, unless that vertex is blockable and in its mask; then it walks
+    on past the taken and blocked vertices, one N-bit bit test per
+    blockable vertex it meets.  In all the walk costs O(len(order) +
+    len(free)) plus one ``blocked_of`` call per cube vertex that meets a
+    blockable vertex and those bit tests.
     """
     cursor, end = 0, len(free)
     placed = 0
@@ -635,10 +642,13 @@ def first_fit(
         while cursor < end and taken[free[cursor]]:
             cursor += 1
         i = cursor
-        blocked = blocked_of(z)
-        if blocked:
-            while i < end and (taken[free[i]] or (blocked >> free[i]) & 1):
-                i += 1
+        if i < end and blockable[free[i]]:
+            blocked = blocked_of(z)
+            if blocked:
+                while i < end and (
+                    taken[v := free[i]] or (blockable[v] and (blocked >> v) & 1)
+                ):
+                    i += 1
         if i == end:
             break
         v = free[i]
@@ -651,7 +661,9 @@ def first_fit(
 def placed_blue(G: ColouredGraph, n: int, image: list[int]):
     """``first_fit``'s ``blocked_of`` for a red cube: the OR of the blue
     masks of z's cube neighbours placed so far in ``image`` (-1 where
-    unplaced)."""
+    unplaced).  Its masks hold only vertices with a blue neighbour, so
+    ``G.blue`` is their ``blockable``.  Cost per call: n list reads and
+    one N-bit OR per placed neighbour with a blue neighbour."""
     blue = G.blue
 
     def blocked_of(z: int) -> int:

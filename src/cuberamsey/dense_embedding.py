@@ -170,7 +170,7 @@ def embed_partial_assignment(
         free = bits_list(e.members_mask())
         if free and free[-1] >= H.n_vertices:
             raise ValueError(f"vertices must lie in 0..{H.n_vertices - 1}")
-        placed = first_fit(free, zs, image, taken, blocked_of)
+        placed = first_fit(free, zs, image, taken, blocked_of, H.blue)
         if placed < len(zs):
             raise StageFailure(
                 "partial-embedding",
@@ -339,10 +339,12 @@ def dense_embed(
     Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
     degree index) and one ``extend_or_clean`` per extension or cleaning,
     whose N-bit work is per touching candidate set, not per entry: the
-    placements do N-bit work only for the blue masks in the way of a
-    cube vertex, so on a sparse host they are O(2^n * n + N) plus one
-    N-bit OR per such mask and one N-bit bit test per vertex a walk of
-    ``first_fit`` meets while a mask is in the way.
+    leftover cube vertices are one ``bits_list`` of the uncovered mask,
+    and the placements (``first_fit`` walks) do N-bit work only for a
+    cube vertex whose walk meets a vertex with a blue neighbour.  On a
+    sparse host they are O(2^n + N) plus, for each such cube vertex, n
+    list reads, one N-bit OR per placed neighbour with a blue neighbour
+    and one N-bit bit test per blockable vertex the walk meets.
     """
     g = as_fraction(gamma)
     if not 0 < g < 1:
@@ -396,7 +398,7 @@ def dense_embed(
                 break
 
     phi = embed_partial_assignment(H, pa, n)
-    residual = [z for z in range(1 << n) if not (covered >> z) & 1]
+    residual = bits_list(full_cube & ~covered)
     try:
         return complete_greedily(
             H, n, phi, A, A & ~pa.used_mask(), bandwidth_order(residual, n)
@@ -417,15 +419,18 @@ def complete_greedily(
     finds no vertex is a ``StageFailure("greedy-completion")`` whose data
     carries it and the counting slack over A.
 
-    Cost: n list reads per cube vertex and an OR of each nonzero mask
-    met, plus the walk of ``first_fit`` over the pool list.
+    Cost: the walk of ``first_fit`` over the pool list, with ``H.blue``
+    as ``blockable``.  A cube vertex whose first free pool vertex has no
+    blue neighbour takes it at once; any other pays ``placed_blue``, n
+    list reads and one N-bit OR per placed neighbour with a blue
+    neighbour, then one N-bit bit test per blockable vertex it meets.
     """
     image = [-1] * (1 << n)
     for z, v in phi.items():
         image[z] = v
     placed = first_fit(
         bits_list(pool), order, image, bytearray(H.n_vertices),
-        placed_blue(H, n, image),
+        placed_blue(H, n, image), H.blue,
     )
     for z in order[:placed]:
         phi[z] = image[z]

@@ -131,7 +131,8 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     order = bandwidth_order(range(size), n)
     image = [-1] * size
     blocked_of = placed_blue(G, n, image)
-    if first_fit(list(range(N)), order, image, bytearray(N), blocked_of) == size:
+    walked = first_fit(list(range(N)), order, image, bytearray(N), blocked_of, G.blue)
+    if walked == size:
         return CubeSearchResult(True, {z: image[z] for z in order}, size)
     pos = {z: i for i, z in enumerate(order)}
     nbrs_before = [

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .bits import mask_of
+from .bits import iter_bits, mask_of
 from .colored_graph import ColouredGraph, Verdict, first_fit
 from .errors import StageFailure
 from .hypercube import bandwidth_bound, bandwidth_order
@@ -257,11 +257,13 @@ def snake_embed(
     length t is the larger of s // 4k and the bandwidth bound, so that a
     full batch always separates the zones of distinct cliques.
 
-    Cost, beyond ``validate_snake`` and sorting the queue: per walk
-    position, one pass over the clique's vertex list and over its sides
-    still owed batches, and a walk of ``first_fit`` whose masks are the
-    forbidden ones, so a walk without forbidden masks does no N-bit mask
-    operation.
+    Cost, beyond ``validate_snake`` and sorting the queue: one N-bit OR
+    per forbidden mask and a walk over their union, which marks the
+    vertices ``first_fit`` may find blocked; per walk position, one pass
+    over the clique's vertex list and over its sides still owed batches,
+    and a walk of ``first_fit`` that looks up a cube vertex's forbidden
+    mask only when it meets a marked vertex, so a walk that meets none
+    does no N-bit mask operation.
     """
     check = validate_snake(G, snake)
     if not check:
@@ -273,6 +275,13 @@ def snake_embed(
         raise ValueError("cube vertex out of range")
     forb = forbidden or {}
     delta = max((d.bit_count() for d in forb.values()), default=0)
+    # the vertices some forbidden mask holds: only these can be blocked
+    union = 0
+    for d in forb.values():
+        union |= d
+    blockable = bytearray(G.n_vertices)
+    for v in iter_bits(union & G.full_mask):
+        blockable[v] = 1
 
     k, s = snake.k, snake.s
     t = max(s // (4 * k), bandwidth_bound(n))
@@ -303,7 +312,9 @@ def snake_embed(
 
     def run_batch(key: tuple[int, int, int]):
         nonlocal qi
-        qi += first_fit(side_list[key], queue[qi:qi + t], phi, taken, forb.get)
+        qi += first_fit(
+            side_list[key], queue[qi:qi + t], phi, taken, forb.get, blockable
+        )
         owed[key] -= 1
 
     for p, c in enumerate(positions):
@@ -328,7 +339,7 @@ def snake_embed(
                 keep = (t + delta) * owed[key]
                 reserved.update(free_side[:keep])
         stretch = [v for v in clique_lists[c] if v not in reserved]
-        qi += first_fit(stretch, queue[qi:], phi, taken, forb.get)
+        qi += first_fit(stretch, queue[qi:], phi, taken, forb.get, blockable)
         if qi >= len(queue):
             break
         if p + 1 < len(positions):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
+from .bits import bits_list, iter_bits, mask_of
 from .colored_graph import (
     ColouredGraph,
     is_blue_triangle_free,
@@ -113,13 +114,15 @@ def _solve_dense(
 ) -> dict[int, int]:
     C_mask = dec.sparse_mask
     # dense_embed's max-degree cap, 2^(n - b_0), cuts a vertex reaching it
-    cutoff, deg = 1 << (n - params.schedule.b[0]), G.blue_degrees()
+    cutoff = 1 << (n - params.schedule.b[0])
     # a vertex of whole blue degree below the cutoff stays below it in C
-    keep = [
+    drop = mask_of(
         v
-        for v in dec.sparse
-        if deg[v] < cutoff or (G.blue[v] & C_mask).bit_count() < cutoff
-    ]
+        for v in iter_bits(G.blue_at_least(cutoff) & C_mask)
+        if (G.blue[v] & C_mask).bit_count() >= cutoff
+    )
+    # with nothing dropped, keep is C itself, already listed by choose_case
+    keep = bits_list(C_mask & ~drop) if drop else dec.sparse
     H, order = G.induced(keep)
     try:
         phi_h = dense_embed(H, n, params.gamma, params.schedule)

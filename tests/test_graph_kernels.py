@@ -619,21 +619,64 @@ def first_fit_cases(draw):
     return N, free, taken, order, masks
 
 
+def _first_fit_outcome(fit, case, image_is_list, *blockable):
+    N, free, taken, order, masks = case
+    image = [-1] * 64 if image_is_list else {}
+    took = bytearray(N)
+    for v in taken:
+        took[v] = 1
+    placed = fit(free, order, image, took, masks.get, *blockable)
+    if isinstance(image, dict):
+        image = list(image.items())
+    return placed, image, took
+
+
 @settings(max_examples=200, deadline=None)
 @given(first_fit_cases(), st.booleans())
 def test_first_fit_matches_per_vertex_scan(case, image_is_list):
-    N, free, taken, order, masks = case
-    outcomes = []
-    for fit in (first_fit, reference_first_fit):
-        image = [-1] * 64 if image_is_list else {}
-        took = bytearray(N)
-        for v in taken:
-            took[v] = 1
-        placed = fit(free, order, image, took, masks.get)
-        if isinstance(image, dict):
-            image = list(image.items())
-        outcomes.append((placed, image, took))
-    assert outcomes[0] == outcomes[1]
+    # every vertex blockable: each cube vertex is asked for its mask
+    every = bytearray([1]) * case[0]
+    assert _first_fit_outcome(first_fit, case, image_is_list, every) == (
+        _first_fit_outcome(reference_first_fit, case, image_is_list)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(first_fit_cases(), st.booleans(), st.data())
+def test_first_fit_with_blockable_support_matches_per_vertex_scan(
+    case, image_is_list, data
+):
+    # blockable marks the vertices some mask holds, and random others
+    N, masks = case[0], case[4]
+    marked = set(data.draw(st.sets(st.integers(0, N - 1))))
+    for m in masks.values():
+        marked.update(v for v in range(N) if (m >> v) & 1)
+    blockable = bytearray(N)
+    for v in marked:
+        blockable[v] = 1
+    assert _first_fit_outcome(first_fit, case, image_is_list, blockable) == (
+        _first_fit_outcome(reference_first_fit, case, image_is_list)
+    )
+
+
+def test_first_fit_asks_for_a_mask_only_where_a_vertex_is_blockable():
+    asked = []
+
+    def blocked_of(z):
+        asked.append(z)
+        return 0b1100
+
+    # no free vertex is blockable: no cube vertex is asked for its mask
+    free, order = [0, 1, 2, 3, 4], [5, 6, 7]
+    image, taken = {}, bytearray(5)
+    assert first_fit(free, order, image, taken, blocked_of, bytearray(5)) == 3
+    assert asked == [] and image == {5: 0, 6: 1, 7: 2}
+    # vertices 2 and 3 are blockable: cube vertex 7 meets them, is asked
+    # once, and its mask sends it past both to vertex 4
+    image, taken = {}, bytearray(5)
+    blockable = bytearray([0, 0, 1, 1, 0])
+    assert first_fit(free, order, image, taken, blocked_of, blockable) == 3
+    assert asked == [7] and image == {5: 0, 6: 1, 7: 4}
 
 
 def test_first_fit_mask_blocks_vertices_without_blue_neighbours():
@@ -641,6 +684,7 @@ def test_first_fit_mask_blocks_vertices_without_blue_neighbours():
     # at cube vertex 7, whose mask covers the one vertex left
     image, taken = {}, bytearray(3)
     masks = {5: 0b011, 7: 0b010}
-    assert first_fit([0, 1, 2], [5, 6, 7, 8], image, taken, masks.get) == 2
+    every = bytearray([1]) * 3
+    assert first_fit([0, 1, 2], [5, 6, 7, 8], image, taken, masks.get, every) == 2
     assert image == {5: 2, 6: 0}
     assert taken == bytearray([1, 0, 1])
