@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from math import comb, inf
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bits import bit, bits_list, iter_bits
 from .colored_graph import ColouredGraph, first_fit, placed_blue, red_components
@@ -253,49 +254,54 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
     return RamseyVerdict(n, N, True, None, 1 << P, "plain")
 
 
-def _is_canonical(adj: list[int], v: int) -> bool:
+def _column(row: int, t: int) -> int:
+    """Vertex t's adjacency column towards smaller labels: the bits of
+    its row below t, as an int with vertex 0 most significant."""
+    return int(f"{row & ((1 << t) - 1):0{t}b}"[::-1], 2)
+
+
+def _is_canonical(adj: list[int], cols: list[int], firsts: Iterable[int]) -> bool:
     """Is this labeling lexicographically least among all relabelings?
 
     The code lists, vertex by vertex, each vertex's adjacency column
-    towards smaller labels; a column is kept as an int, first vertex most
-    significant, so lexicographic order is int order.  The search walks
-    the relabelings whose code ties the given one so far, not one order
-    at a time but as ordered cells of the chosen prefix.  The invariant:
-    the prefix orders that tie every column so far are exactly those that
-    keep the cells in sequence and order each cell's members freely.
+    towards smaller labels (``_column``); lexicographic order of codes
+    is then int order column by column.  The caller hands in what a
+    parent shares with its children (``_canonical_level``): ``cols``,
+    every vertex's column, and ``firsts``, every independent set of a0
+    vertices in any order, where a0 is the first vertex with a nonzero
+    column (v if there is none).  The search walks the relabelings whose
+    code ties the given one so far, not one order at a time but as
+    ordered cells of the chosen prefix.  The invariant: the prefix
+    orders that tie every column so far are exactly those that keep the
+    cells in sequence and order each cell's members freely.
 
-    The columns are zero up to the first vertex a0 with a smaller
-    neighbour, so the first cell is any independent set of a0 vertices,
-    each met once rather than in its a0! orders.  A free vertex then gets
-    its least column over all in-cell orders, (col << size) | (2^k - 1)
-    per cell of which it sees k members: its neighbours come last in each
-    cell.  Below the target, that in-cell order is a real smaller
-    relabeling, and the test fails.  Equal to the target, the orders
-    reaching it are exactly those that put the vertex's non-neighbours
-    before its neighbours in each cell; so each cell splits in those two,
-    the vertex follows as a cell of its own, and the invariant holds one
-    depth on.  Every smaller relabeling first beats the code at some
-    column, with all earlier columns tied, so it is met along its own
-    cells: the verdict is that of the walk over every relabeling.
+    The columns are zero up to a0, so the first cell is any independent
+    set of a0 vertices, each met once rather than in its a0! orders.  A
+    free vertex then gets its least column over all in-cell orders,
+    (col << size) | (2^k - 1) per cell of which it sees k members: its
+    neighbours come last in each cell.  Below the target, that in-cell
+    order is a real smaller relabeling, and the test fails.  Equal to
+    the target, the orders reaching it are exactly those that put the
+    vertex's non-neighbours before its neighbours in each cell; so each
+    cell splits in those two, the vertex follows as a cell of its own,
+    and the invariant holds one depth on.  Every smaller relabeling
+    first beats the code at some column, with all earlier columns tied,
+    so it is met along its own cells: the verdict is that of the walk
+    over every relabeling.
 
     Of two unused twins (equal neighbourhoods apart from each other) only
     the first is tried: the transposition of the two is an automorphism
     fixing the prefix, so the second one's subtree repeats the first
     one's.
     """
-    targets = []
-    for t in range(v):
-        col = 0
-        for s in range(t):
-            col = (col << 1) | (adj[t] >> s & 1)
-        targets.append(col)
-    a0 = next((t for t in range(v) if targets[t]), v)
+    v = len(cols)
+    a0 = next((t for t in range(v) if cols[t]), v)
 
     def dfs(t: int, cells: list[tuple[int, int]], free: int) -> bool:
         # cells: (members, size) in prefix order; free: the unused vertices
         if t == v:
             return True
-        target = targets[t]
+        target = cols[t]
         tried: list[int] = []
         for x in iter_bits(free):
             row = adj[x]
@@ -322,17 +328,8 @@ def _is_canonical(adj: list[int], v: int) -> bool:
                 return False
         return True
 
-    def first_cells(S: int, k: int):
-        # independent sets of k more vertices above S's highest, lazily
-        if not k:
-            yield S
-            return
-        for u in range(S.bit_length(), v):
-            if not adj[u] & S:
-                yield from first_cells(S | 1 << u, k - 1)
-
     full = (1 << v) - 1
-    return all(dfs(a0, [(S, a0)], full & ~S) for S in first_cells(0, a0))
+    return all(dfs(a0, [(S, a0)], full & ~S) for S in firsts)
 
 
 def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
@@ -343,41 +340,136 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
     independent set (anything else closes a triangle) and the result is
     kept only when canonically labeled.  Dropping the last vertex of a
     canonical graph is canonical, so every class is reached exactly once.
+    Each level's class count is checked against
+    ``TRIANGLE_FREE_GRAPH_COUNTS`` as the level is built, and N beyond
+    the table is refused.
 
     Each level is generated once per process and kept for its life
     (under 1 MB for all levels up to N = 9); every call returns fresh
-    lists.  The first call costs about 0.12-0.23 s at N = 8 and
-    0.75-0.9 s at N = 9 on 2 cores; a later call at that N or below only
-    copies.
+    lists.  The first call costs about 0.04-0.07 s at N = 8 and
+    0.24-0.42 s at N = 9 on 2 cores (Python 3.11); a later call at that N
+    or below only copies.
     """
     if N < 1:
         raise ValueError("graph size must be positive")
+    top = len(TRIANGLE_FREE_GRAPH_COUNTS)
+    if N > top:
+        raise ValueError(
+            f"canonical enumeration is tabulated only to N = {top} "
+            f"({TRIANGLE_FREE_GRAPH_COUNTS[-1]} classes); N = {N} would "
+            f"need an unverified count"
+        )
     return [list(adj) for adj in _canonical_level(N)]
 
 
 @cache
 def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
-    # level v extends level v - 1; levels are immutable, so the cache
-    # cannot be changed through the lists handed out
+    """The canonical classes on v vertices: each canonical parent on
+    v - 1 vertices plus vertex v - 1 attached to an independent set S of
+    it, in the order of the parents and then of S.
+
+    A parent pays once for what its children share.  Its columns are the
+    child's first v - 1 (a column reads only smaller labels), so the walk
+    gets them with the child's last one added.  Its independent sets are
+    the child's candidates S, they tell ``_rule_out`` which children it
+    can reject unwalked, and they give the child's first cells: the
+    child's independent sets of k vertices are the parent's, and v - 1
+    with each of the parent's sets of k - 1 vertices that misses S.
+
+    The class count is checked against the table by a raise that
+    ``python -O`` keeps, so a level is trusted only once it matches.
+    Levels are immutable, so the cache cannot be changed through the
+    lists handed out.
+    """
     if v == 1:
-        return ((0,),)
-    nxt: list[tuple[int, ...]] = []
-    for adj in _canonical_level(v - 1):
-        for S in sorted(_independent_sets(adj)):
-            cand = [adj[u] | (((S >> u) & 1) << (v - 1)) for u in range(v - 1)]
-            cand.append(S)
-            if _is_canonical(cand, v):
-                nxt.append(tuple(cand))
+        nxt = [(0,)]
+    else:
+        nxt = []
+        new = 1 << (v - 1)
+        last = [_column(S, v - 1) for S in range(new)]
+        for adj in _canonical_level(v - 1):
+            cols = [_column(a, t) for t, a in enumerate(adj)]
+            sets = sorted(_independent_sets(adj))
+            by_size: list[list[int]] = [[] for _ in range(v + 1)]
+            for I in sets:
+                by_size[I.bit_count()].append(I)
+            for S, rule in _rule_out(adj, cols, sets, last).items():
+                if rule:
+                    continue
+                cand = [a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)]
+                cand.append(S)
+                # the child's first nonzero column: the parent's, else its last
+                k = next((t for t, c in enumerate(cols) if c), v - 1 if S else v)
+                firsts = chain(
+                    by_size[k], (J | new for J in by_size[k - 1] if not J & S)
+                )
+                if _is_canonical(cand, cols + [last[S]], firsts):
+                    nxt.append(tuple(cand))
+    expected = TRIANGLE_FREE_GRAPH_COUNTS[v - 1]
+    if len(nxt) != expected:
+        raise AssertionError(
+            f"generated {len(nxt)} classes at N={v}, expected {expected}"
+        )
     return tuple(nxt)
+
+
+def _rule_out(
+    adj: tuple[int, ...], cols: list[int], sets: list[int], last: list[int]
+) -> dict[int, Optional[str]]:
+    """For each independent set S of a parent graph on v - 1 vertices, in
+    the order of ``sets``, the rule that shows the child (the parent plus
+    vertex v - 1 attached to S) is not canonical, or None when the child
+    must be walked.
+
+    Each rule names a relabeling of the child with a smaller code, so it
+    skips only children the walk rejects.  The child's columns 0..v-2
+    are the parent's ``cols``; its last one is L = ``last[S]``, and a0 is
+    the parent's first vertex with a nonzero column.
+
+    - "prefix": moving v - 1 to place p, 0 < p < v - 1, and the vertices
+      from p on one place up keeps columns 0..p-1 and makes column p the
+      first p bits of L, L >> (v - 1 - p).  That is below cols[p] exactly
+      when L < cols[p] << (v - 1 - p); over every p, one compare with
+      the largest of these.
+    - "twin": let u < w be twins of the parent (equal neighbourhoods
+      apart from each other) with u in S and w not.  The transposition
+      (u w) is an automorphism of the parent, so relabeling the child by
+      it keeps columns 0..v-2 and moves bit u of L to bit w, a less
+      significant place.
+    - "alpha": let the parent have an edge (a0 < v - 1), so the child's
+      columns are zero before a0 and cols[a0] > 0 at a0, and let S meet
+      an independent set I of a0 vertices in j < cols[a0].bit_length()
+      of them.  Labeling I first, v - 1's non-neighbours before its
+      neighbours, and then v - 1 keeps columns 0..a0-1 zero and makes
+      column a0 2^j - 1 < cols[a0].  At j = 0 this is the alpha bound:
+      I and v - 1 would be a0 + 1 independent vertices.
+    """
+    v = len(adj) + 1
+    a0 = next((t for t in range(v - 1) if cols[t]), v - 1)
+    floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
+    twins = [
+        (1 << u, 1 << w)
+        for u in range(v - 1)
+        for w in range(u + 1, v - 1)
+        if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)
+    ]
+    need = cols[a0].bit_length() if a0 < v - 1 else 0
+    widest = [I for I in sets if I.bit_count() == a0] if need else []
+    out: dict[int, Optional[str]] = {}
+    for S in sets:
+        if last[S] < floor:
+            out[S] = "prefix"
+        elif twins and any(S & u and not S & w for u, w in twins):
+            out[S] = "twin"
+        elif widest and any((S & I).bit_count() < need for I in widest):
+            out[S] = "alpha"
+        else:
+            out[S] = None
+    return out
 
 
 def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
     graphs = canonical_triangle_free_graphs(N)
-    expected = TRIANGLE_FREE_GRAPH_COUNTS[N - 1]
-    if len(graphs) != expected:
-        raise AssertionError(
-            f"generated {len(graphs)} classes at N={N}, expected {expected}"
-        )
     for adj in graphs:
         G = ColouredGraph(N, list(adj), validate=False)
         if not contains_red_cube(G, n).found:
@@ -392,12 +484,12 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     The plain mode covers every labelled colouring but grows only those
     with neither, one vertex at a time (``_plain_sweep``); it needs
     N <= 7.  The canonical mode enumerates triangle-free blue graphs up
-    to isomorphism and needs N <= 9.  Larger N is refused with a cost
-    estimate rather than attempted.  The canonical classes are generated
-    on the first canonical sweep at a given N, about 0.12-0.23 s at N = 8
-    and 0.75-0.9 s at N = 9 on 2 cores, and kept for the life of the
-    process (under 1 MB at N = 9), so a later sweep at that N or below
-    pays only for the cube searches.
+    to isomorphism and needs N <= 9, the end of the tabulated class
+    counts.  Larger N is refused with a cost estimate rather than
+    attempted.  The canonical classes are generated on the first
+    canonical sweep at a given N and kept for the life of the process
+    (``canonical_triangle_free_graphs`` gives the cost), so a later sweep
+    at that N or below pays only for the cube searches.
     """
     if n < 1:
         raise ValueError("cube dimension must be positive")
@@ -413,10 +505,5 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
             )
         return _plain_sweep(n, N)
     if mode == "canonical":
-        if N > 9:
-            raise ValueError(
-                f"canonical enumeration is tabulated only to N = 9 "
-                f"(1897 classes); N = {N} would need an unverified count"
-            )
         return _canonical_sweep(n, N)
     raise ValueError(f"unknown mode {mode!r}")

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -31,8 +32,11 @@ from cuberamsey.colored_graph import (
 )
 from cuberamsey.oracle import (
     TRIANGLE_FREE_GRAPH_COUNTS,
+    _column,
+    _independent_sets,
     _is_canonical,
     _min_red_cut,
+    _rule_out,
     canonical_triangle_free_graphs,
     contains_red_cube,
     exhaustive_ramsey,
@@ -259,7 +263,7 @@ def test_canonical_counts_match_tabulation():
 def test_canonical_levels_are_generated_once(monkeypatch):
     want = {N: canonical_triangle_free_graphs(N) for N in (5, 8)}
 
-    def no_check(adj, v):
+    def no_check(*args):
         raise AssertionError("level generated again")
 
     monkeypatch.setattr(oracle, "_is_canonical", no_check)
@@ -294,6 +298,40 @@ def test_canonical_levels_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, N
 
 
+def _walk(adj: list[int]) -> bool:
+    """``_is_canonical`` on any graph, handed its columns and every
+    independent set of a0 vertices as the first cells."""
+    cols = [_column(a, t) for t, a in enumerate(adj)]
+    a0 = next((t for t, c in enumerate(cols) if c), len(adj))
+    firsts = [I for I in _independent_sets(adj) if I.bit_count() == a0]
+    return _is_canonical(adj, cols, firsts)
+
+
+def test_skip_rules_reject_only_non_canonical_children():
+    # every child that a rule skips unwalked, over every parent on 1..7
+    # vertices and every independent set S of it, is rejected by the
+    # full tuple search; and each rule skips some child
+    fired: Counter = Counter()
+    for v in range(2, 9):
+        last = [_column(S, v - 1) for S in range(1 << (v - 1))]
+        for adj in canonical_triangle_free_graphs(v - 1):
+            cols = [_column(a, t) for t, a in enumerate(adj)]
+            sets = sorted(_independent_sets(adj))
+            skips = _rule_out(tuple(adj), cols, sets, last)
+            for S, rule in skips.items():
+                if rule:
+                    cand = [a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)]
+                    assert not reference_is_canonical(cand + [S], v), (adj, S, rule)
+                    fired[rule] += 1
+    assert set(fired) == {"prefix", "twin", "alpha"}, fired
+
+
+def test_canonical_classes_refused_beyond_table():
+    # generation is trusted only where its class count is tabulated
+    with pytest.raises(ValueError, match="tabulated only to N = 9"):
+        canonical_triangle_free_graphs(10)
+
+
 def test_is_canonical_matches_tuple_search_on_relabelings():
     # sampled classes as given (accepted) and relabeled, with twin-rich
     # ones (empty, stars, complete bipartite) among them, exercise both
@@ -304,7 +342,7 @@ def test_is_canonical_matches_tuple_search_on_relabelings():
         for adj in rng.sample(canonical_triangle_free_graphs(N), 12)
     ]
     for N, adj in graphs:
-        assert _is_canonical(adj, N) and reference_is_canonical(adj, N)
+        assert _walk(adj) and reference_is_canonical(adj, N)
     graphs += [
         (7, list(random_bipartite_blue(7, 1.0, rng).blue)),
         (9, [0b111100000] * 5 + [0b11111] * 4),
@@ -324,7 +362,7 @@ def test_is_canonical_matches_tuple_search_on_relabelings():
                 for w in range(N):
                     if adj[u] >> w & 1:
                         relabeled[perm[u]] |= 1 << perm[w]
-            assert _is_canonical(relabeled, N) == reference_is_canonical(relabeled, N)
+            assert _walk(relabeled) == reference_is_canonical(relabeled, N)
 
 
 def test_canonical_classes_are_triangle_free_and_distinct():
