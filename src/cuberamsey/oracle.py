@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from math import comb, inf
 from typing import Iterable, Optional
 
@@ -260,20 +259,21 @@ def _column(row: int, t: int) -> int:
     return int(f"{row & ((1 << t) - 1):0{t}b}"[::-1], 2)
 
 
-def _is_canonical(adj: list[int], cols: list[int], firsts: Iterable[int]) -> bool:
+def _is_canonical(adj: list[int], cols: list[int], starts: Iterable[tuple]) -> bool:
     """Is this labeling lexicographically least among all relabelings?
 
     The code lists, vertex by vertex, each vertex's adjacency column
     towards smaller labels (``_column``); lexicographic order of codes
-    is then int order column by column.  The caller hands in what a
-    parent shares with its children (``_canonical_level``): ``cols``,
-    every vertex's column, and ``firsts``, every independent set of a0
-    vertices in any order, where a0 is the first vertex with a nonzero
-    column (v if there is none).  The search walks the relabelings whose
-    code ties the given one so far, not one order at a time but as
-    ordered cells of the chosen prefix.  The invariant: the prefix
-    orders that tie every column so far are exactly those that keep the
-    cells in sequence and order each cell's members freely.
+    is then int order column by column.  ``cols`` holds every vertex's
+    column, ``starts`` the walk's nodes to search from, each (t, cells,
+    free): t placed vertices as ordered cells, and the unused ones.  A
+    whole walk starts at (a0, [(I, a0)], the rest) for every independent
+    set I of a0 vertices, a0 the first vertex with a nonzero column (v if
+    none).  The search walks the relabelings whose code ties the given
+    one so far, not one order at a time but as ordered cells of the
+    chosen prefix.  The invariant: the prefix orders that tie every
+    column so far are exactly those that keep the cells in sequence and
+    order each cell's members freely.
 
     The columns are zero up to a0, so the first cell is any independent
     set of a0 vertices, each met once rather than in its a0! orders.  A
@@ -283,11 +283,11 @@ def _is_canonical(adj: list[int], cols: list[int], firsts: Iterable[int]) -> boo
     order is a real smaller relabeling, and the test fails.  Equal to
     the target, the orders reaching it are exactly those that put the
     vertex's non-neighbours before its neighbours in each cell; so each
-    cell splits in those two, the vertex follows as a cell of its own,
-    and the invariant holds one depth on.  Every smaller relabeling
-    first beats the code at some column, with all earlier columns tied,
-    so it is met along its own cells: the verdict is that of the walk
-    over every relabeling.
+    cell splits in those two (``_split``), the vertex follows as a cell
+    of its own, and the invariant holds one depth on.  Every smaller
+    relabeling first beats the code at some column, with all earlier
+    columns tied, so it is met along its own cells: the verdict is that
+    of the walk over every relabeling.
 
     Of two unused twins (equal neighbourhoods apart from each other) only
     the first is tried: the transposition of the two is an automorphism
@@ -295,7 +295,6 @@ def _is_canonical(adj: list[int], cols: list[int], firsts: Iterable[int]) -> boo
     one's.
     """
     v = len(cols)
-    a0 = next((t for t in range(v) if cols[t]), v)
 
     def dfs(t: int, cells: list[tuple[int, int]], free: int) -> bool:
         # cells: (members, size) in prefix order; free: the unused vertices
@@ -305,9 +304,7 @@ def _is_canonical(adj: list[int], cols: list[int], firsts: Iterable[int]) -> boo
         tried: list[int] = []
         for x in iter_bits(free):
             row = adj[x]
-            col = 0
-            for c, size in cells:
-                col = (col << size) | ((1 << (row & c).bit_count()) - 1)
+            col = _least_column(row, cells)
             if col < target:
                 return False
             if col > target or any(
@@ -315,21 +312,99 @@ def _is_canonical(adj: list[int], cols: list[int], firsts: Iterable[int]) -> boo
             ):
                 continue
             tried.append(x)
-            split = []
-            for c, size in cells:
-                hi = row & c
-                if hi and hi != c:
-                    k = hi.bit_count()
-                    split += [(c & ~row, size - k), (hi, k)]
-                else:
-                    split.append((c, size))
-            split.append((1 << x, 1))
-            if not dfs(t + 1, split, free & ~(1 << x)):
+            if not dfs(t + 1, _split(cells, row, x), free & ~(1 << x)):
                 return False
         return True
 
+    return all(dfs(*node) for node in starts)
+
+
+def _least_column(row: int, cells: list[tuple[int, int]]) -> int:
+    """The least column of a vertex with neighbours ``row`` over every
+    in-cell order of the prefix: its neighbours last in each cell."""
+    col = 0
+    for c, size in cells:
+        col = (col << size) | ((1 << (row & c).bit_count()) - 1)
+    return col
+
+
+def _split(cells: list[tuple[int, int]], row: int, x: int) -> list[tuple[int, int]]:
+    """The cells after placing x, whose neighbours are ``row``: each cell
+    split into x's non-neighbours, then its neighbours, then x alone."""
+    split = []
+    for c, size in cells:
+        hi = row & c
+        if hi and hi != c:
+            k = hi.bit_count()
+            split += [(c & ~row, size - k), (hi, k)]
+        else:
+            split.append((c, size))
+    split.append((1 << x, 1))
+    return split
+
+
+def _tied_prefixes(
+    adj: tuple[int, ...], cols: list[int], by_size: list[list[int]]
+) -> list[tuple[int, list[tuple[int, int]], int]]:
+    """Every node (t, cells, free) of ``_is_canonical``'s walk over a
+    canonical graph from all its first cells (``by_size``: its
+    independent sets by size), twins not skipped, down to the leaves at
+    t = len(adj).  The walk rejects nowhere, so each free vertex ties its
+    column or exceeds it."""
+    v = len(adj)
+    a0 = next((t for t in range(v) if cols[t]), v)
     full = (1 << v) - 1
-    return all(dfs(a0, [(S, a0)], full & ~S) for S in firsts)
+    todo = [(a0, [(I, a0)], full & ~I) for I in by_size[a0]]
+    nodes = []
+    while todo:
+        t, cells, free = node = todo.pop()
+        nodes.append(node)
+        for x in iter_bits(free):
+            row = adj[x]
+            if _least_column(row, cells) == cols[t]:
+                todo.append((t + 1, _split(cells, row, x), free & ~(1 << x)))
+    return nodes
+
+
+def _child_is_canonical(
+    adj: tuple[int, ...],
+    cols: list[int],
+    by_size: list[list[int]],
+    tree: list[tuple[int, list[tuple[int, int]], int]],
+    S: int,
+) -> Optional[tuple[int, ...]]:
+    """The canonical parent ``adj`` on v - 1 vertices plus vertex v - 1
+    attached to its independent set S, if that child is canonical, else
+    None.  The parent hands in its columns, its independent sets by size
+    and its ``_tied_prefixes``, at which only v - 1 is tried.
+
+    Proof: a relabeling of the child puts v - 1 in the first cell, which
+    the walks from the first cells holding v - 1 meet, or at a place
+    t >= a0 after t parent vertices, whose columns are those they have in
+    the parent.  If these do not tie the parent's, the first that
+    differs is larger (the prefix, the other parent vertices after it,
+    relabels the parent, which is canonical), and so is the relabeling.
+    If they tie, the prefix is a node of the parent's walk (twins not
+    skipped: S may tell them apart), where each parent vertex ties or
+    exceeds its column; so only v - 1's test can fail there, and a tie
+    walks on.  A leaf (v - 1 last) ties the whole parent, an automorphism
+    of it; this covers the orbit case of the twin rule in ``_rule_out``.
+    An edgeless parent's only node is its leaf.
+    """
+    v = len(adj) + 1
+    new = 1 << (v - 1)
+    cols = cols + [_column(S, v - 1)]
+    starts = []
+    for t, cells, free in tree:
+        col = _least_column(S, cells)
+        if col < cols[t]:
+            return None
+        if col == cols[t]:
+            starts.append((t + 1, _split(cells, S, v - 1), free))
+    k = next((t for t, c in enumerate(cols) if c), v)  # the child's a0
+    starts += [(k, [(J | new, k)], new - 1 & ~J) for J in by_size[k - 1] if not J & S]
+    child = tuple(a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)) + (S,)
+    return child if _is_canonical(child, cols, starts) else None
 
 
 def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
@@ -346,9 +421,9 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
 
     Each level is generated once per process and kept for its life
     (under 1 MB for all levels up to N = 9); every call returns fresh
-    lists.  The first call costs about 0.04-0.07 s at N = 8 and
-    0.24-0.42 s at N = 9 on 2 cores (Python 3.11); a later call at that N
-    or below only copies.
+    lists.  The first call costs about 0.03 s at N = 8 and 0.11-0.14 s
+    at N = 9 on 2 cores (Python 3.11, fresh process); a later call at
+    that N or below only copies.
     """
     if N < 1:
         raise ValueError("graph size must be positive")
@@ -374,7 +449,10 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
     the child's candidates S, they tell ``_rule_out`` which children it
     can reject unwalked, and they give the child's first cells: the
     child's independent sets of k vertices are the parent's, and v - 1
-    with each of the parent's sets of k - 1 vertices that misses S.
+    with each of the parent's sets of k - 1 vertices that misses S.  Its
+    tied prefixes (``_tied_prefixes``), built when its first child needs
+    a walk and dropped with the parent, are the nodes at which a child
+    tries only v - 1 (``_child_is_canonical``).
 
     The class count is checked against the table by a raise that
     ``python -O`` keeps, so a level is trusted only once it matches.
@@ -385,26 +463,22 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
         nxt = [(0,)]
     else:
         nxt = []
-        new = 1 << (v - 1)
-        last = [_column(S, v - 1) for S in range(new)]
+        last = [_column(S, v - 1) for S in range(1 << (v - 1))]
         for adj in _canonical_level(v - 1):
             cols = [_column(a, t) for t, a in enumerate(adj)]
             sets = sorted(_independent_sets(adj))
             by_size: list[list[int]] = [[] for _ in range(v + 1)]
             for I in sets:
                 by_size[I.bit_count()].append(I)
+            tree = None
             for S, rule in _rule_out(adj, cols, sets, last).items():
                 if rule:
                     continue
-                cand = [a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)]
-                cand.append(S)
-                # the child's first nonzero column: the parent's, else its last
-                k = next((t for t, c in enumerate(cols) if c), v - 1 if S else v)
-                firsts = chain(
-                    by_size[k], (J | new for J in by_size[k - 1] if not J & S)
-                )
-                if _is_canonical(cand, cols + [last[S]], firsts):
-                    nxt.append(tuple(cand))
+                if tree is None:
+                    tree = _tied_prefixes(adj, cols, by_size)
+                child = _child_is_canonical(adj, cols, by_size, tree, S)
+                if child:
+                    nxt.append(child)
     expected = TRIANGLE_FREE_GRAPH_COUNTS[v - 1]
     if len(nxt) != expected:
         raise AssertionError(
@@ -485,8 +559,9 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     with neither, one vertex at a time (``_plain_sweep``); it needs
     N <= 7.  The canonical mode enumerates triangle-free blue graphs up
     to isomorphism and needs N <= 9, the end of the tabulated class
-    counts.  Larger N is refused with a cost estimate rather than
-    attempted.  The canonical classes are generated on the first
+    counts.  Larger N is refused rather than attempted: the plain mode
+    names the number of colourings, the canonical mode the class count
+    it lacks.  The canonical classes are generated on the first
     canonical sweep at a given N and kept for the life of the process
     (``canonical_triangle_free_graphs`` gives the cost), so a later sweep
     at that N or below pays only for the cube searches.

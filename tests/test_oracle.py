@@ -32,11 +32,13 @@ from cuberamsey.colored_graph import (
 )
 from cuberamsey.oracle import (
     TRIANGLE_FREE_GRAPH_COUNTS,
+    _child_is_canonical,
     _column,
     _independent_sets,
     _is_canonical,
     _min_red_cut,
     _rule_out,
+    _tied_prefixes,
     canonical_triangle_free_graphs,
     contains_red_cube,
     exhaustive_ramsey,
@@ -266,7 +268,8 @@ def test_canonical_levels_are_generated_once(monkeypatch):
     def no_check(*args):
         raise AssertionError("level generated again")
 
-    monkeypatch.setattr(oracle, "_is_canonical", no_check)
+    # the level builder's test of each walked child
+    monkeypatch.setattr(oracle, "_child_is_canonical", no_check)
     for N in (8, 5):
         assert canonical_triangle_free_graphs(N) == want[N]
 
@@ -299,12 +302,34 @@ def test_canonical_levels_are_pinned():
 
 
 def _walk(adj: list[int]) -> bool:
-    """``_is_canonical`` on any graph, handed its columns and every
-    independent set of a0 vertices as the first cells."""
+    """``_is_canonical`` on any graph, handed its columns and a start at
+    every independent set of a0 vertices as the first cell."""
     cols = [_column(a, t) for t, a in enumerate(adj)]
     a0 = next((t for t, c in enumerate(cols) if c), len(adj))
-    firsts = [I for I in _independent_sets(adj) if I.bit_count() == a0]
-    return _is_canonical(adj, cols, firsts)
+    full = (1 << len(adj)) - 1
+    starts = [
+        (a0, [(I, a0)], full & ~I)
+        for I in _independent_sets(adj) if I.bit_count() == a0
+    ]
+    return _is_canonical(adj, cols, starts)
+
+
+def _children():
+    """Every child of every canonical parent on 1..7 vertices: the
+    parent, its columns and independent sets (sorted and by size), the
+    skip rules' verdicts, and each independent set S with the child that
+    attaches a new vertex to it."""
+    for v in range(2, 9):
+        last = [_column(S, v - 1) for S in range(1 << (v - 1))]
+        for adj in canonical_triangle_free_graphs(v - 1):
+            adj = tuple(adj)
+            cols = [_column(a, t) for t, a in enumerate(adj)]
+            sets = sorted(_independent_sets(adj))
+            by_size = [[I for I in sets if I.bit_count() == k] for k in range(v + 1)]
+            rules = _rule_out(adj, cols, sets, last)
+            for S in sets:
+                child = [a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)] + [S]
+                yield adj, cols, by_size, rules, S, child
 
 
 def test_skip_rules_reject_only_non_canonical_children():
@@ -312,18 +337,36 @@ def test_skip_rules_reject_only_non_canonical_children():
     # vertices and every independent set S of it, is rejected by the
     # full tuple search; and each rule skips some child
     fired: Counter = Counter()
-    for v in range(2, 9):
-        last = [_column(S, v - 1) for S in range(1 << (v - 1))]
-        for adj in canonical_triangle_free_graphs(v - 1):
-            cols = [_column(a, t) for t, a in enumerate(adj)]
-            sets = sorted(_independent_sets(adj))
-            skips = _rule_out(tuple(adj), cols, sets, last)
-            for S, rule in skips.items():
-                if rule:
-                    cand = [a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)]
-                    assert not reference_is_canonical(cand + [S], v), (adj, S, rule)
-                    fired[rule] += 1
+    for adj, cols, by_size, rules, S, child in _children():
+        rule = rules[S]
+        if rule:
+            assert not reference_is_canonical(child, len(child)), (adj, S, rule)
+            fired[rule] += 1
     assert set(fired) == {"prefix", "twin", "alpha"}, fired
+
+
+def test_child_test_matches_tuple_search():
+    # the test of a child at its parent's tied prefixes, on every child
+    # of every parent on 1..7 vertices: those the skip rules reject
+    # unwalked too, S empty, edgeless parents, and S holding the higher
+    # of two parent twins but not the lower
+    seen: Counter = Counter()
+    tree, parent = None, None
+    for adj, cols, by_size, rules, S, child in _children():
+        if adj != parent:
+            tree, parent = _tied_prefixes(adj, cols, by_size), adj
+        want = reference_is_canonical(child, len(child))
+        got = _child_is_canonical(adj, cols, by_size, tree, S)
+        assert got == (tuple(child) if want else None), (adj, S)
+        seen["canonical" if want else "not"] += 1
+        seen["skipped" if rules[S] else "walked"] += 1
+        seen["empty S"] += not S
+        seen["edgeless"] += not any(adj)
+        seen["higher twin"] += any(
+            adj[u] & ~(1 << w) == adj[w] & ~(1 << u) and S >> w & 1 and not S >> u & 1
+            for w in range(len(adj)) for u in range(w)
+        )
+    assert len(seen) == 7 and min(seen.values()) > 0, seen
 
 
 def test_canonical_classes_refused_beyond_table():
