@@ -412,7 +412,11 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     have m blue neighbours in the remainder, the vertices in no snake
     less the attached ones (the 2m rule is trusted to ``decompose``).
     A round that lacks a weight for some clique pair, or a snake vertex
-    outside G, fails the certificate before any other test.
+    outside G, fails the certificate before any other test.  Nothing
+    checks that a round's clique family was maximal: a certificate with
+    a round dropped still verifies when its vertices, joining the
+    remainder, leave no blue m-star there.  That changes only the route
+    a solve takes, never a map, which is verified edge by edge.
     """
     errors = []
     if dec.n_vertices != G.n_vertices:

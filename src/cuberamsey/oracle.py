@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, inf
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .bits import bit, bits_list, iter_bits
 from .colored_graph import ColouredGraph, first_fit, placed_blue, red_components
@@ -140,37 +140,33 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
         for i in range(size)
     ]
     assigned = [0] * size
-    used = 0
     nodes = 0
-
-    def dfs(i: int, pool: int) -> bool:
-        nonlocal used, nodes
-        if i == size:
-            return True
-        avail = pool & ~used
-        for j in nbrs_before[i]:
-            avail &= G.red_mask(assigned[j])
-        for v in iter_bits(avail):
-            nodes += 1
-            assigned[i] = v
-            used |= bit(v)
-            if dfs(i + 1, pool):
-                return True
-            used &= ~bit(v)
-        return False
-
     for comp in red_components(G):
         if comp.bit_count() < size:
             continue
         piece_of = {v: p for p in _cube_pieces(G, comp, n) for v in iter_bits(p)}
-        for v in sorted(piece_of):
+        # depth first, one iterator per depth over the candidates not yet
+        # tried; used holds the images placed at the depths below the top
+        stack, used = [iter(sorted(piece_of))], 0
+        while stack:
+            i = len(stack) - 1
+            v = next(stack[i], None)
+            if v is None:
+                stack.pop()
+                if i:
+                    used &= ~bit(assigned[i - 1])
+                continue
             nodes += 1
-            assigned[0] = v
-            used = bit(v)
-            if dfs(1, piece_of[v]):
+            assigned[i] = v
+            if i + 1 == size:
                 return CubeSearchResult(
-                    True, {order[i]: assigned[i] for i in range(size)}, nodes
+                    True, {order[k]: assigned[k] for k in range(size)}, nodes
                 )
+            used |= bit(v)
+            avail = piece_of[assigned[0]] & ~used
+            for j in nbrs_before[i + 1]:
+                avail &= G.red_mask(assigned[j])
+            stack.append(iter_bits(avail))
     return CubeSearchResult(False, None, nodes)
 
 
@@ -259,18 +255,21 @@ def _column(row: int, t: int) -> int:
     return int(f"{row & ((1 << t) - 1):0{t}b}"[::-1], 2)
 
 
-def _is_canonical(adj: list[int], cols: list[int], starts: Iterable[tuple]) -> bool:
-    """Is this labeling lexicographically least among all relabelings?
+def _tied_nodes(
+    adj: Sequence[int], cols: list[int], starts: list[tuple]
+) -> Optional[list[tuple]]:
+    """Every node of the walk over the relabelings whose code ties this
+    labeling's so far, or None at the first relabeling found smaller:
+    then this labeling is not lexicographically least.
 
     The code lists, vertex by vertex, each vertex's adjacency column
     towards smaller labels (``_column``); lexicographic order of codes
     is then int order column by column.  ``cols`` holds every vertex's
-    column, ``starts`` the walk's nodes to search from, each (t, cells,
-    free): t placed vertices as ordered cells, and the unused ones.  A
-    whole walk starts at (a0, [(I, a0)], the rest) for every independent
-    set I of a0 vertices, a0 the first vertex with a nonzero column (v if
-    none).  The search walks the relabelings whose code ties the given
-    one so far, not one order at a time but as ordered cells of the
+    column, ``starts`` the nodes to walk from, each (t, cells, free): t
+    placed vertices as ordered cells, and the unused ones.  A whole walk
+    starts at (a0, [(I, a0)], the rest) for every independent set I of
+    a0 vertices, a0 the first vertex with a nonzero column (v if none).
+    The walk goes not one order at a time but by ordered cells of the
     chosen prefix.  The invariant: the prefix orders that tie every
     column so far are exactly those that keep the cells in sequence and
     order each cell's members freely.
@@ -280,7 +279,7 @@ def _is_canonical(adj: list[int], cols: list[int], starts: Iterable[tuple]) -> b
     free vertex then gets its least column over all in-cell orders,
     (col << size) | (2^k - 1) per cell of which it sees k members: its
     neighbours come last in each cell.  Below the target, that in-cell
-    order is a real smaller relabeling, and the test fails.  Equal to
+    order is a real smaller relabeling, and the walk stops.  Equal to
     the target, the orders reaching it are exactly those that put the
     vertex's non-neighbours before its neighbours in each cell; so each
     cell splits in those two (``_split``), the vertex follows as a cell
@@ -288,35 +287,20 @@ def _is_canonical(adj: list[int], cols: list[int], starts: Iterable[tuple]) -> b
     relabeling first beats the code at some column, with all earlier
     columns tied, so it is met along its own cells: the verdict is that
     of the walk over every relabeling.
-
-    Of two unused twins (equal neighbourhoods apart from each other) only
-    the first is tried: the transposition of the two is an automorphism
-    fixing the prefix, so the second one's subtree repeats the first
-    one's.
     """
-    v = len(cols)
-
-    def dfs(t: int, cells: list[tuple[int, int]], free: int) -> bool:
-        # cells: (members, size) in prefix order; free: the unused vertices
-        if t == v:
-            return True
-        target = cols[t]
-        tried: list[int] = []
+    todo = list(starts)
+    nodes = []
+    while todo:
+        t, cells, free = node = todo.pop()
+        nodes.append(node)
         for x in iter_bits(free):
             row = adj[x]
             col = _least_column(row, cells)
-            if col < target:
-                return False
-            if col > target or any(
-                row & ~(1 << w) == adj[w] & ~(1 << x) for w in tried
-            ):
-                continue
-            tried.append(x)
-            if not dfs(t + 1, _split(cells, row, x), free & ~(1 << x)):
-                return False
-        return True
-
-    return all(dfs(*node) for node in starts)
+            if col < cols[t]:
+                return None
+            if col == cols[t]:
+                todo.append((t + 1, _split(cells, row, x), free & ~(1 << x)))
+    return nodes
 
 
 def _least_column(row: int, cells: list[tuple[int, int]]) -> int:
@@ -345,32 +329,22 @@ def _split(cells: list[tuple[int, int]], row: int, x: int) -> list[tuple[int, in
 
 def _tied_prefixes(
     adj: tuple[int, ...], cols: list[int], by_size: list[list[int]]
-) -> list[tuple[int, list[tuple[int, int]], int]]:
-    """Every node (t, cells, free) of ``_is_canonical``'s walk over a
-    canonical graph from all its first cells (``by_size``: its
-    independent sets by size), twins not skipped, down to the leaves at
-    t = len(adj).  The walk rejects nowhere, so each free vertex ties its
-    column or exceeds it."""
+) -> list[tuple]:
+    """Every node (t, cells, free) of the walk over a canonical graph
+    from all its first cells (``by_size``: its independent sets by size),
+    down to the leaves at t = len(adj).  The graph is canonical, so the
+    walk stops nowhere: each free vertex ties its column or exceeds it."""
     v = len(adj)
     a0 = next((t for t in range(v) if cols[t]), v)
     full = (1 << v) - 1
-    todo = [(a0, [(I, a0)], full & ~I) for I in by_size[a0]]
-    nodes = []
-    while todo:
-        t, cells, free = node = todo.pop()
-        nodes.append(node)
-        for x in iter_bits(free):
-            row = adj[x]
-            if _least_column(row, cells) == cols[t]:
-                todo.append((t + 1, _split(cells, row, x), free & ~(1 << x)))
-    return nodes
+    return _tied_nodes(adj, cols, [(a0, [(I, a0)], full & ~I) for I in by_size[a0]])
 
 
 def _child_is_canonical(
     adj: tuple[int, ...],
     cols: list[int],
     by_size: list[list[int]],
-    tree: list[tuple[int, list[tuple[int, int]], int]],
+    tree: list[tuple],
     S: int,
 ) -> Optional[tuple[int, ...]]:
     """The canonical parent ``adj`` on v - 1 vertices plus vertex v - 1
@@ -384,12 +358,11 @@ def _child_is_canonical(
     the parent.  If these do not tie the parent's, the first that
     differs is larger (the prefix, the other parent vertices after it,
     relabels the parent, which is canonical), and so is the relabeling.
-    If they tie, the prefix is a node of the parent's walk (twins not
-    skipped: S may tell them apart), where each parent vertex ties or
-    exceeds its column; so only v - 1's test can fail there, and a tie
-    walks on.  A leaf (v - 1 last) ties the whole parent, an automorphism
-    of it; this covers the orbit case of the twin rule in ``_rule_out``.
-    An edgeless parent's only node is its leaf.
+    If they tie, the prefix is a node of the parent's walk, where each
+    parent vertex ties or exceeds its column; so only v - 1's test can
+    fail there, and a tie walks on.  A leaf (v - 1 last) ties the whole
+    parent, an automorphism of it.  An edgeless parent's only node is
+    its leaf.
     """
     v = len(adj) + 1
     new = 1 << (v - 1)
@@ -404,7 +377,7 @@ def _child_is_canonical(
     k = next((t for t, c in enumerate(cols) if c), v)  # the child's a0
     starts += [(k, [(J | new, k)], new - 1 & ~J) for J in by_size[k - 1] if not J & S]
     child = tuple(a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)) + (S,)
-    return child if _is_canonical(child, cols, starts) else None
+    return child if _tied_nodes(child, cols, starts) is not None else None
 
 
 def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
@@ -421,9 +394,9 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
 
     Each level is generated once per process and kept for its life
     (under 1 MB for all levels up to N = 9); every call returns fresh
-    lists.  The first call costs about 0.03 s at N = 8 and 0.11-0.14 s
-    at N = 9 on 2 cores (Python 3.11, fresh process); a later call at
-    that N or below only copies.
+    lists.  The first call costs 0.02-0.05 s at N = 8 and 0.11-0.17 s
+    at N = 9 on 2 cores (Python 3.11, 10 fresh processes each); a later
+    call at that N or below only copies.
     """
     if N < 1:
         raise ValueError("graph size must be positive")
@@ -446,13 +419,19 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
     A parent pays once for what its children share.  Its columns are the
     child's first v - 1 (a column reads only smaller labels), so the walk
     gets them with the child's last one added.  Its independent sets are
-    the child's candidates S, they tell ``_rule_out`` which children it
-    can reject unwalked, and they give the child's first cells: the
+    the child's candidates S, and they give the child's first cells: the
     child's independent sets of k vertices are the parent's, and v - 1
     with each of the parent's sets of k - 1 vertices that misses S.  Its
     tied prefixes (``_tied_prefixes``), built when its first child needs
     a walk and dropped with the parent, are the nodes at which a child
     tries only v - 1 (``_child_is_canonical``).
+
+    A child whose last column L = ``last[S]`` is below the parent's
+    ``floor`` is rejected unwalked: moving v - 1 to place p < v - 1, and
+    the vertices from p on one place up, keeps columns 0..p-1 and makes
+    column p the first p bits of L, L >> (v - 1 - p).  That is below
+    cols[p] exactly when L < cols[p] << (v - 1 - p); the floor is the
+    largest of these.
 
     The class count is checked against the table by a raise that
     ``python -O`` keeps, so a level is trusted only once it matches.
@@ -470,9 +449,10 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
             by_size: list[list[int]] = [[] for _ in range(v + 1)]
             for I in sets:
                 by_size[I.bit_count()].append(I)
+            floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
             tree = None
-            for S, rule in _rule_out(adj, cols, sets, last).items():
-                if rule:
+            for S in sets:
+                if last[S] < floor:
                     continue
                 if tree is None:
                     tree = _tied_prefixes(adj, cols, by_size)
@@ -485,61 +465,6 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
             f"generated {len(nxt)} classes at N={v}, expected {expected}"
         )
     return tuple(nxt)
-
-
-def _rule_out(
-    adj: tuple[int, ...], cols: list[int], sets: list[int], last: list[int]
-) -> dict[int, Optional[str]]:
-    """For each independent set S of a parent graph on v - 1 vertices, in
-    the order of ``sets``, the rule that shows the child (the parent plus
-    vertex v - 1 attached to S) is not canonical, or None when the child
-    must be walked.
-
-    Each rule names a relabeling of the child with a smaller code, so it
-    skips only children the walk rejects.  The child's columns 0..v-2
-    are the parent's ``cols``; its last one is L = ``last[S]``, and a0 is
-    the parent's first vertex with a nonzero column.
-
-    - "prefix": moving v - 1 to place p, 0 < p < v - 1, and the vertices
-      from p on one place up keeps columns 0..p-1 and makes column p the
-      first p bits of L, L >> (v - 1 - p).  That is below cols[p] exactly
-      when L < cols[p] << (v - 1 - p); over every p, one compare with
-      the largest of these.
-    - "twin": let u < w be twins of the parent (equal neighbourhoods
-      apart from each other) with u in S and w not.  The transposition
-      (u w) is an automorphism of the parent, so relabeling the child by
-      it keeps columns 0..v-2 and moves bit u of L to bit w, a less
-      significant place.
-    - "alpha": let the parent have an edge (a0 < v - 1), so the child's
-      columns are zero before a0 and cols[a0] > 0 at a0, and let S meet
-      an independent set I of a0 vertices in j < cols[a0].bit_length()
-      of them.  Labeling I first, v - 1's non-neighbours before its
-      neighbours, and then v - 1 keeps columns 0..a0-1 zero and makes
-      column a0 2^j - 1 < cols[a0].  At j = 0 this is the alpha bound:
-      I and v - 1 would be a0 + 1 independent vertices.
-    """
-    v = len(adj) + 1
-    a0 = next((t for t in range(v - 1) if cols[t]), v - 1)
-    floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
-    twins = [
-        (1 << u, 1 << w)
-        for u in range(v - 1)
-        for w in range(u + 1, v - 1)
-        if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)
-    ]
-    need = cols[a0].bit_length() if a0 < v - 1 else 0
-    widest = [I for I in sets if I.bit_count() == a0] if need else []
-    out: dict[int, Optional[str]] = {}
-    for S in sets:
-        if last[S] < floor:
-            out[S] = "prefix"
-        elif twins and any(S & u and not S & w for u, w in twins):
-            out[S] = "twin"
-        elif widest and any((S & I).bit_count() < need for I in widest):
-            out[S] = "alpha"
-        else:
-            out[S] = None
-    return out
 
 
 def _canonical_sweep(n: int, N: int) -> RamseyVerdict:

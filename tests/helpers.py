@@ -562,8 +562,8 @@ def reference_plain_sweep(n: int, N: int):
 
 
 def reference_is_canonical(adj: list[int], v: int) -> bool:
-    """``oracle._is_canonical`` comparing tuple columns and walking every
-    tied relabeling, twins included."""
+    """The canonicity verdict of ``oracle._tied_nodes``, comparing tuple
+    columns and walking every tied relabeling one order at a time."""
     cols = [tuple((adj[t] >> s) & 1 for s in range(t)) for t in range(v)]
     chosen: list[int] = []
     in_use = [False] * v

@@ -35,9 +35,8 @@ from cuberamsey.oracle import (
     _child_is_canonical,
     _column,
     _independent_sets,
-    _is_canonical,
     _min_red_cut,
-    _rule_out,
+    _tied_nodes,
     _tied_prefixes,
     canonical_triangle_free_graphs,
     contains_red_cube,
@@ -302,8 +301,9 @@ def test_canonical_levels_are_pinned():
 
 
 def _walk(adj: list[int]) -> bool:
-    """``_is_canonical`` on any graph, handed its columns and a start at
-    every independent set of a0 vertices as the first cell."""
+    """``_tied_nodes`` on any graph, handed its columns and a start at
+    every independent set of a0 vertices as the first cell: is the graph
+    canonical?"""
     cols = [_column(a, t) for t, a in enumerate(adj)]
     a0 = next((t for t, c in enumerate(cols) if c), len(adj))
     full = (1 << len(adj)) - 1
@@ -311,55 +311,54 @@ def _walk(adj: list[int]) -> bool:
         (a0, [(I, a0)], full & ~I)
         for I in _independent_sets(adj) if I.bit_count() == a0
     ]
-    return _is_canonical(adj, cols, starts)
+    return _tied_nodes(adj, cols, starts) is not None
 
 
 def _children():
     """Every child of every canonical parent on 1..7 vertices: the
-    parent, its columns and independent sets (sorted and by size), the
-    skip rules' verdicts, and each independent set S with the child that
+    parent, its columns and independent sets by size, whether the prefix
+    rule of ``_canonical_level`` skips the child (its last column below
+    the parent's floor), and each independent set S with the child that
     attaches a new vertex to it."""
     for v in range(2, 9):
-        last = [_column(S, v - 1) for S in range(1 << (v - 1))]
         for adj in canonical_triangle_free_graphs(v - 1):
             adj = tuple(adj)
             cols = [_column(a, t) for t, a in enumerate(adj)]
             sets = sorted(_independent_sets(adj))
             by_size = [[I for I in sets if I.bit_count() == k] for k in range(v + 1)]
-            rules = _rule_out(adj, cols, sets, last)
+            floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
             for S in sets:
                 child = [a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)] + [S]
-                yield adj, cols, by_size, rules, S, child
+                yield adj, cols, by_size, _column(S, v - 1) < floor, S, child
 
 
-def test_skip_rules_reject_only_non_canonical_children():
-    # every child that a rule skips unwalked, over every parent on 1..7
-    # vertices and every independent set S of it, is rejected by the
-    # full tuple search; and each rule skips some child
-    fired: Counter = Counter()
-    for adj, cols, by_size, rules, S, child in _children():
-        rule = rules[S]
-        if rule:
-            assert not reference_is_canonical(child, len(child)), (adj, S, rule)
-            fired[rule] += 1
-    assert set(fired) == {"prefix", "twin", "alpha"}, fired
+def test_prefix_rule_rejects_only_non_canonical_children():
+    # every child that the prefix rule skips unwalked, over every parent
+    # on 1..7 vertices and every independent set S of it, is rejected by
+    # the full tuple search; and the rule skips some child
+    skipped = 0
+    for adj, cols, by_size, skip, S, child in _children():
+        if skip:
+            assert not reference_is_canonical(child, len(child)), (adj, S)
+            skipped += 1
+    assert skipped > 0
 
 
 def test_child_test_matches_tuple_search():
     # the test of a child at its parent's tied prefixes, on every child
-    # of every parent on 1..7 vertices: those the skip rules reject
+    # of every parent on 1..7 vertices: those the prefix rule rejects
     # unwalked too, S empty, edgeless parents, and S holding the higher
     # of two parent twins but not the lower
     seen: Counter = Counter()
     tree, parent = None, None
-    for adj, cols, by_size, rules, S, child in _children():
+    for adj, cols, by_size, skip, S, child in _children():
         if adj != parent:
             tree, parent = _tied_prefixes(adj, cols, by_size), adj
         want = reference_is_canonical(child, len(child))
         got = _child_is_canonical(adj, cols, by_size, tree, S)
         assert got == (tuple(child) if want else None), (adj, S)
         seen["canonical" if want else "not"] += 1
-        seen["skipped" if rules[S] else "walked"] += 1
+        seen["skipped" if skip else "walked"] += 1
         seen["empty S"] += not S
         seen["edgeless"] += not any(adj)
         seen["higher twin"] += any(
@@ -378,7 +377,7 @@ def test_canonical_classes_refused_beyond_table():
 def test_is_canonical_matches_tuple_search_on_relabelings():
     # sampled classes as given (accepted) and relabeled, with twin-rich
     # ones (empty, stars, complete bipartite) among them, exercise both
-    # verdicts, the twin skip and cells of every size
+    # verdicts and cells of every size
     rng = random.Random(37)
     graphs = [
         (N, adj) for N in (5, 7, 8, 9)
@@ -406,6 +405,34 @@ def test_is_canonical_matches_tuple_search_on_relabelings():
                     if adj[u] >> w & 1:
                         relabeled[perm[u]] |= 1 << perm[w]
             assert _walk(relabeled) == reference_is_canonical(relabeled, N)
+
+
+def test_oracle_leaves_no_reference_cycles():
+    # class generation and the cube search free what they build when
+    # they return, not only once the cyclic collector runs: after a
+    # warm-up, levels 1..8 built again and an absence proof past the
+    # first-fit walk leave nothing for the collector
+    code = (
+        "import gc\n"
+        "from cuberamsey import oracle\n"
+        "from cuberamsey.colored_graph import lower_bound_coloring\n"
+        "gc.disable()\n"
+        "oracle.canonical_triangle_free_graphs(8)\n"
+        "oracle.contains_red_cube(lower_bound_coloring(3), 3)\n"
+        "gc.collect()\n"
+        "oracle._canonical_level.cache_clear()\n"
+        "oracle.canonical_triangle_free_graphs(8)\n"
+        "res = oracle.contains_red_cube(lower_bound_coloring(3), 3)\n"
+        "print(res.found, gc.collect())\n"
+    )
+    src = str(Path(cuberamsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "0"]
 
 
 def test_canonical_classes_are_triangle_free_and_distinct():
