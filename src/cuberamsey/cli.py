@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="embed a red n-cube")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=_dimension(1), required=True)
+    # SolverParams.desk has no dense-route schedule below n = 2
+    p.add_argument("--n", type=_dimension(2), required=True)
     p.add_argument(
         "--embedding-out",
         help="write the embedding here; without it the lines go to stdout",

@@ -40,7 +40,7 @@ from .colored_graph import (
 )
 from .errors import StageFailure
 from .rational import as_fraction
-from .snake_embedding import LinkWitness, Snake, link_components
+from .snake_embedding import LinkWitness, Snake, link_tree
 from .snake_embedding import range_errors, validate_snake
 
 
@@ -125,7 +125,7 @@ def _snake_component(k: int, weights, s: int) -> tuple[int, ...]:
     """A round's snake among its k cliques: the link component of clique
     0, sorted, where the pairs (i, j, w) of weight w >= s are linked."""
     linked = [(i, j) for i, j, w in weights if w >= s]
-    return tuple(sorted(link_components(k, linked)[0]))
+    return tuple(sorted(link_tree(k, linked)))
 
 
 @dataclass(frozen=True)
@@ -252,19 +252,6 @@ def _ints(values, field: str) -> tuple[int, ...]:
     return vs
 
 
-def _pair_weights(
-    G: ColouredGraph, cliques: list[tuple[int, ...]], cap: int
-) -> dict[tuple[int, int], tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Balanced biclique weights min(w, cap), with red witnesses of that
-    size, for every clique pair, in sorted pair order.  A weight below
-    the cap is final: a larger cap returns the same one."""
-    k = len(cliques)
-    return {
-        (i, j): max_balanced_biclique(G, cliques[i], cliques[j], cap)
-        for i in range(k) for j in range(i + 1, k)
-    }
-
-
 def _attached_clique(G: ColouredGraph, v: int, masks, s: int, lam: Fraction):
     """The first (i, d) of the (i, clique mask) pairs in masks such that
     v has blue degree d into the clique with lam * d >= s, or None."""
@@ -310,7 +297,12 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         # the selection returns the cap or the next grid point to try
         cap = params.s_lo
         while True:
-            weights = _pair_weights(G, cliques, cap)
+            # min(w, cap) with a red witness of that size, per clique pair
+            # in sorted order; a weight below the cap is final
+            weights = {
+                (i, j): max_balanced_biclique(G, cliques[i], cliques[j], cap)
+                for i in range(len(cliques)) for j in range(i + 1, len(cliques))
+            }
             ws = [w for w, _, _ in weights.values()]
             try:
                 s = select_gap_threshold([w for w in ws if w < cap], params)
@@ -320,7 +312,6 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
             if s <= cap:
                 break
             cap = s
-        # _pair_weights yields the pairs in sorted order
         recorded = tuple((i, j, w) for (i, j), (w, _, _) in weights.items())
         comp = _snake_component(len(cliques), recorded, s)
         pos = {ci: idx for idx, ci in enumerate(comp)}

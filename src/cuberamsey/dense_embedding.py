@@ -51,11 +51,8 @@ class AssignmentEntry:
         return self.subcube.codim
 
     @cached_property
-    def _mask(self) -> int:
+    def mask(self) -> int:
         return mask_of(self.members)
-
-    def members_mask(self) -> int:
-        return self._mask
 
 
 @dataclass(frozen=True)
@@ -81,18 +78,12 @@ class PartialAssignment:
     def empty(cls, gamma) -> "PartialAssignment":
         return cls((), as_fraction(gamma))
 
-    def with_entry(self, entry: AssignmentEntry) -> "PartialAssignment":
-        return PartialAssignment(self.entries + (entry,), self.gamma)
-
     @cached_property
-    def _used(self) -> int:
+    def used(self) -> int:
         m = 0
         for e in self.entries:
-            m |= e.members_mask()
+            m |= e.mask
         return m
-
-    def used_mask(self) -> int:
-        return self._used
 
 
 def check_partial_assignment(
@@ -126,14 +117,14 @@ def check_partial_assignment(
             return False, "b", f"members of entry {i} are not a red clique"
     for i in range(len(pa.entries)):
         for j in range(i + 1, len(pa.entries)):
-            if pa.entries[i].members_mask() & pa.entries[j].members_mask():
+            if pa.entries[i].mask & pa.entries[j].mask:
                 return False, "b", f"entries {i} and {j} share vertices"
             if subcube_distance(pa.entries[i].subcube, pa.entries[j].subcube) == 0:
                 return False, "c", f"subcubes of entries {i} and {j} overlap"
     for i in range(len(pa.entries)):
         ei = pa.entries[i]
         thr = g * (1 << (n - ei.codim)) / ei.codim if ei.codim else None
-        mi = ei.members_mask()
+        mi = ei.mask
         for j in range(i + 1, len(pa.entries)):
             ej = pa.entries[j]
             if subcube_distance(ei.subcube, ej.subcube) != 1:
@@ -167,7 +158,7 @@ def embed_partial_assignment(
     for e in reversed(pa.entries):
         zs = subcube_vertices(e.subcube, n)
         # read from the mask, so a negative member raises ValueError
-        free = bits_list(e.members_mask())
+        free = bits_list(e.mask)
         if free and free[-1] >= H.n_vertices:
             raise ValueError(f"vertices must lie in 0..{H.n_vertices - 1}")
         placed = first_fit(free, zs, image, taken, blocked_of, H.blue)
@@ -232,7 +223,7 @@ def extend_or_clean(
             "codimension-order",
             f"assigned codimension {pa.entries[-1].codim} exceeds b={b}",
         )
-    used = pa.used_mask()
+    used = pa.used
     if A & used:
         raise HypothesisError(
             "active-overlap",
@@ -269,7 +260,7 @@ def extend_or_clean(
         # d >= thr as d * thr.denominator >= thr.numerator, exactly
         thr = g * (1 << (n - e.codim)) / e.codim
         thr_num, thr_den = thr.numerator, thr.denominator
-        mi = e.members_mask()
+        mi = e.mask
         reach = 0
         for u in e.members:
             reach |= H.blue[u]
@@ -294,7 +285,7 @@ def extend_or_clean(
         if nb.bit_count() >= need:
             members = tuple(bits_list(lowest_bits(nb, size)))
             entry = AssignmentEntry(y, members)
-            return Extended(pa.with_entry(entry), entry)
+            return Extended(PartialAssignment(pa.entries + (entry,), g), entry)
     return Cleaned(C)
 
 
@@ -391,7 +382,7 @@ def dense_embed(
             step = extend_or_clean(H, pa, A, a, bb, n)
             if isinstance(step, Extended):
                 pa = step.assignment
-                A &= ~step.entry.members_mask()
+                A &= ~step.entry.mask
                 covered |= mask_of(subcube_vertices(step.entry.subcube, n))
             else:
                 A = step.mask
@@ -401,7 +392,7 @@ def dense_embed(
     residual = bits_list(full_cube & ~covered)
     try:
         return complete_greedily(
-            H, n, phi, A, A & ~pa.used_mask(), bandwidth_order(residual, n)
+            H, n, phi, A, A & ~pa.used, bandwidth_order(residual, n)
         )
     except StageFailure as e:
         e.data.update(passes=passes_run, extensions=len(pa.entries))

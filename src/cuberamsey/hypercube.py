@@ -36,13 +36,6 @@ class InitialSubcube:
     def codim(self) -> int:
         return len(self.prefix)
 
-    def base_word(self) -> int:
-        """The integer whose bits i-1 hold x_i and whose other bits are 0."""
-        w = 0
-        for i, b in enumerate(self.prefix):
-            w |= b << i
-        return w
-
 
 def subcube_distance(x: InitialSubcube, z: InitialSubcube) -> int:
     """Number of positions where the two prefixes disagree, up to the
@@ -61,7 +54,8 @@ def subcube_vertices(x: InitialSubcube, n: int) -> list[int]:
     codim = x.codim
     if codim > n:
         raise ValueError(f"codimension {codim} exceeds dimension {n}")
-    base = x.base_word()
+    # bit i-1 of the base holds x_i
+    base = sum(b << i for i, b in enumerate(x.prefix))
     return [base | (t << codim) for t in range(1 << (n - codim))]
 
 

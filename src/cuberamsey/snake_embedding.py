@@ -39,13 +39,6 @@ class LinkWitness:
     def pair(self) -> tuple[int, int]:
         return (self.i, self.j)
 
-    def side_in(self, c: int) -> tuple[int, ...]:
-        if c == self.i:
-            return self.X
-        if c == self.j:
-            return self.Y
-        raise ValueError(f"clique {c} is not an endpoint of link {self.pair()}")
-
 
 @dataclass(frozen=True)
 class Snake:
@@ -65,10 +58,6 @@ class Snake:
     def k(self) -> int:
         return len(self.cliques)
 
-    @property
-    def m(self) -> int:
-        return len(self.cliques[0]) if self.cliques else 0
-
     @cached_property
     def clique_masks(self) -> tuple[int, ...]:
         """One vertex mask per clique, built on first use; a negative
@@ -83,40 +72,27 @@ class Snake:
             out |= cm
         return out
 
-    def link_pairs(self) -> set[tuple[int, int]]:
-        return {w.pair() for w in self.witnesses}
 
-    def witness_for(self, i: int, j: int) -> LinkWitness:
-        key = (min(i, j), max(i, j))
-        for w in self.witnesses:
-            if w.pair() == key:
-                return w
-        raise KeyError(f"no witness for clique pair {key}")
-
-
-def link_components(k: int, pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
-    """Connected components of the link graph on cliques 0..k-1, the
-    component of clique 0 first."""
+def link_tree(k: int, pairs: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    """The breadth-first spanning tree of the link graph on cliques
+    0..k-1, rooted at clique 0 with children in ascending order: each
+    clique that clique 0 reaches, mapped to its children."""
     nbr: dict[int, set[int]] = {i: set() for i in range(k)}
     for i, j in pairs:
         nbr[i].add(j)
         nbr[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for start in range(k):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in nbr[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    children: dict[int, list[int]] = {0: []}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in sorted(nbr[v]):
+                if w not in children:
+                    children[w] = []
+                    children[v].append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return children
 
 
 def range_errors(N: int, snake: Snake) -> list[str]:
@@ -187,9 +163,9 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             )
     if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
         errors.append("duplicate witness for a clique pair")
-    comps = link_components(snake.k, pairs)
-    if len(comps) != 1:
-        errors.append(f"link graph is disconnected: {len(comps)} components")
+    if unreached := snake.k - len(link_tree(snake.k, pairs)):
+        errors.append(f"link graph is disconnected: clique 0 does not reach "
+                      f"{unreached} of the {snake.k} cliques")
     return Verdict(not errors, errors)
 
 
@@ -201,24 +177,8 @@ def closed_tree_walk(snake: Snake) -> tuple[int, ...]:
     the walk has 2(k-1)+1 positions, starts and ends at the root, and is
     deterministic.
     """
-    k = snake.k
-    nbr: dict[int, set[int]] = {i: set() for i in range(k)}
-    for i, j in snake.link_pairs():
-        nbr[i].add(j)
-        nbr[j].add(i)
-    children: dict[int, list[int]] = {i: [] for i in range(k)}
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(nbr[v]):
-                if w not in seen:
-                    seen.add(w)
-                    children[v].append(w)
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != k:
+    children = link_tree(snake.k, [w.pair() for w in snake.witnesses])
+    if len(children) != snake.k:
         raise ValueError("the link graph is disconnected")
 
     positions: list[int] = []
@@ -291,6 +251,7 @@ def snake_embed(
 
     # tree edges are exactly the pairs stepped along by the walk; each of
     # their witness sides is owed two batches, one per traversal direction
+    witness_of = {w.pair(): w for w in snake.witnesses}
     tree_pairs = {
         (min(a, b), max(a, b))
         for a, b in zip(positions, positions[1:])
@@ -298,11 +259,11 @@ def snake_embed(
     side_list: dict[tuple[int, int, int], list[int]] = {}
     owed: dict[tuple[int, int, int], int] = {}
     sides_in: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(k)}
-    for pair in tree_pairs:
-        w = snake.witness_for(*pair)
-        for c in pair:
-            key = (pair[0], pair[1], c)
-            side_list[key] = sorted(w.side_in(c))
+    for i, j in tree_pairs:
+        w = witness_of[i, j]
+        for c, side in ((i, w.X), (j, w.Y)):
+            key = (i, j, c)
+            side_list[key] = sorted(side)
             owed[key] = 2
             sides_in[c].append(key)
 

@@ -56,19 +56,20 @@ class SolverParams:
     @classmethod
     def desk(cls, n: int) -> "SolverParams":
         """Constants tuned for dimensions reachable on one machine."""
-        if n < 1:
-            raise ValueError("dimension must be positive")
+        # every threshold is at least 1, so no schedule serves n = 1
+        if n < 2:
+            raise ValueError(f"the dense route's b_last + 1 <= n needs n >= 2, got {n}")
         if n >= 5:
             b = (2, 3, 4)
         else:
-            b = {1: (1, 1), 2: (1, 1, 1), 3: (1, 1, 2), 4: (1, 2, 3)}[n]
+            b = {2: (1, 1, 1), 3: (1, 1, 2), 4: (1, 2, 3)}[n]
         schedule = ThresholdSchedule(b)
         return cls(
             epsilon=Fraction(1, 4),
             gamma=Fraction(1, 4),
             schedule=schedule,
             decomp=DecompositionParams.desk(n),
-            codim_split=2 if n >= 2 else 1,
+            codim_split=2,
         )
 
 

@@ -22,7 +22,7 @@ from cuberamsey.hypercube import (
     subcube_vertices,
 )
 from cuberamsey.oracle import CubeSearchResult
-from cuberamsey.snake_embedding import closed_tree_walk, link_components, snake_embed
+from cuberamsey.snake_embedding import closed_tree_walk, snake_embed
 from cuberamsey.solver import assign_subcubes
 
 
@@ -157,7 +157,7 @@ def decomposition_of(n_vertices: int, params, *snakes) -> Decomposition:
     vertex; every vertex in no snake is sparse."""
     rounds = []
     for sn in snakes:
-        linked = sn.link_pairs()
+        linked = {w.pair() for w in sn.witnesses}
         weights = tuple(
             (i, j, sn.s if (i, j) in linked else 0)
             for i in range(sn.k) for j in range(i + 1, sn.k)
@@ -267,11 +267,12 @@ def reference_snake_embed(snake, cube_vertices, n, forb, stats):
     tree_pairs = {(min(a, b), max(a, b)) for a, b in zip(positions, positions[1:])}
     side_mask, owed = {}, {}
     sides_in = {c: [] for c in range(k)}
-    for pair in tree_pairs:
-        w = snake.witness_for(*pair)
-        for c in pair:
-            key = (pair[0], pair[1], c)
-            side_mask[key] = mask_of(w.side_in(c))
+    for w in snake.witnesses:
+        if w.pair() not in tree_pairs:
+            continue
+        for c, side in ((w.i, w.X), (w.j, w.Y)):
+            key = (w.i, w.j, c)
+            side_mask[key] = mask_of(side)
             owed[key] = 2
             sides_in[c].append(key)
 
@@ -615,7 +616,7 @@ def reference_embed_partial_assignment(H: ColouredGraph, pa, n: int) -> dict[int
     neighbour, and the entry's member mask cleared of each vertex taken."""
     phi: dict[int, int] = {}
     for e in reversed(pa.entries):
-        pool = e.members_mask()
+        pool = e.mask
         for z in subcube_vertices(e.subcube, n):
             blocked = 0
             for p in range(n):
@@ -805,9 +806,17 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
             errors.append(f"witness ({w.i}, {w.j}) has a blue cross pair")
     if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
         errors.append("duplicate witness for a clique pair")
-    comps = link_components(snake.k, [w.pair() for w in snake.witnesses])
-    if len(comps) != 1:
-        errors.append(f"link graph is disconnected: {len(comps)} components")
+    # the cliques clique 0 reaches, grown until a pass adds none
+    reached, grew = {0}, True
+    while grew:
+        grew = False
+        for w in snake.witnesses:
+            if w.j < snake.k and (w.i in reached) != (w.j in reached):
+                reached |= {w.i, w.j}
+                grew = True
+    if len(reached) != snake.k:
+        errors.append(f"link graph is disconnected: clique 0 does not reach "
+                      f"{snake.k - len(reached)} of the {snake.k} cliques")
     return Verdict(not errors, errors)
 
 

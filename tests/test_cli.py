@@ -269,6 +269,7 @@ def test_argparse_misuse_exits_with_parse_code(capsys):
     "argv",
     [
         ["solve", "--in", "-", "--n", "0"],
+        ["solve", "--in", "-", "--n", "1"],
         ["decompose", "--in", "-", "--n", "0"],
         ["gen-lower-bound", "--n", "-1"],
         ["gen-random", "--n", "-1", "--blue-model", "bipartite", "--seed", "0"],
@@ -281,8 +282,9 @@ def test_argparse_misuse_exits_with_parse_code(capsys):
     ids=" ".join,
 )
 def test_out_of_range_dimension_is_misuse(argv, capsys):
-    # each command's smallest dimension less one is refused before any
-    # input is read, as misuse, not a traceback
+    # each command's smallest dimension less one (2 for solve, whose desk
+    # parameters need n >= 2) is refused before any input is read, as
+    # misuse, not a traceback
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == EXIT_PARSE

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     all_red_graph,
+    decomposition_of,
     gap_consequence_holds,
     legacy_certificate_json,
     two_clique_linked_graph,
@@ -18,6 +19,7 @@ from cuberamsey import decomposition
 from cuberamsey.bits import mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
+    is_blue_triangle_free,
     random_bipartite_blue,
     random_triangle_free_greedy,
 )
@@ -29,7 +31,7 @@ from cuberamsey.decomposition import (
     verify_decomposition,
 )
 from cuberamsey.errors import StageFailure
-from cuberamsey.snake_embedding import LinkWitness, validate_snake
+from cuberamsey.snake_embedding import LinkWitness, Snake, validate_snake
 
 
 def test_params_validation():
@@ -92,7 +94,7 @@ def test_decompose_all_red():
     assert dec.r == 1
     assert dec.sparse == ()
     assert dec.snakes[0].k == 2
-    assert dec.snakes[0].m == 1 << (n + 1)
+    assert len(dec.snakes[0].cliques[0]) == 1 << (n + 1)
     assert validate_snake(G, dec.snakes[0]).ok
     assert verify_decomposition(G, dec).ok
     assert gap_consequence_holds(G, dec)
@@ -418,6 +420,37 @@ def test_verify_rejects_a_witness_outside_its_snake():
     w = LinkWitness(0, 1, rec.cliques[0][:half], rec.cliques[1][:half])
     verdict = verify_decomposition(G, replace(dec, rounds=(replace(rec, witnesses=(w,)),)))
     assert verdict.errors == ["snake 0 invalid: witness names bad clique pair (0, 1)"]
+
+
+def _two_rounds(blue_edges, second_clique):
+    """A two-round certificate on 6 vertices: snake 0 is the red clique
+    (0, 1) and snake 1 the given clique, each alone in its round, with
+    s = 2 and mu = 2, so a vertex of snake 1 may have blue degree 1 into
+    snake 0 and not 2."""
+    G = ColouredGraph.from_blue_edges(6, blue_edges)
+    params = DecompositionParams(m=2, s_lo=2, s_hi=2, lam=2, mu=2)
+    dec = decomposition_of(
+        6, params, Snake(((0, 1),), (), 2), Snake((second_clique,), (), 2)
+    )
+    return G, dec
+
+
+@pytest.mark.parametrize("blue_edges, errors", [
+    ([(2, 0)], []),
+    ([(2, 0), (2, 1)], ["vertex 2 of snake 1 has blue degree 2 into snake 0, above s_i/mu"]),
+], ids=["degree-1", "degree-2"])
+def test_verify_bounds_blue_degree_into_earlier_snakes(blue_edges, errors):
+    # 0 and 1 are red to each other, so a vertex blue to both makes no
+    # blue triangle; each vertex of snake 1 is tested against s_0/mu = 1
+    G, dec = _two_rounds(blue_edges, (2, 3))
+    assert is_blue_triangle_free(G)[0]
+    assert verify_decomposition(G, dec).errors == errors
+
+
+def test_verify_rejects_overlapping_snakes():
+    # snake 1 takes vertex 1 of snake 0 again
+    G, dec = _two_rounds([], (1, 2))
+    assert verify_decomposition(G, dec).errors == ["snake 1 overlaps earlier snakes"]
 
 
 def test_verify_catches_dense_sparse_set():

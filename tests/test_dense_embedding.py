@@ -253,7 +253,7 @@ def test_extend_or_clean_cube_covered():
     e1 = AssignmentEntry(InitialSubcube((0,)), tuple(range(w)))
     e2 = AssignmentEntry(InitialSubcube((1,)), tuple(range(w, 2 * w)))
     pa = PartialAssignment((e1, e2), g)
-    A = ((1 << (4 * w)) - 1) & ~pa.used_mask()
+    A = ((1 << (4 * w)) - 1) & ~pa.used
     with pytest.raises(HypothesisError) as e:
         extend_or_clean(G, pa, A, 1, 1, n)
     assert e.value.hypothesis == "cube-covered"

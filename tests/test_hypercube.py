@@ -27,7 +27,7 @@ def brute_subcube_vertices(prefix, n):
 def test_subcube_basics():
     x = InitialSubcube((0, 1))
     assert x.codim == 2
-    assert x.base_word() == 0b10
+    assert subcube_vertices(x, 2) == [0b10]
     assert len(subcube_vertices(x, 4)) == 4
     assert 0b0110 in subcube_vertices(x, 4)
     assert 0b0100 not in subcube_vertices(x, 4)

@@ -11,6 +11,7 @@ from cuberamsey.snake_embedding import (
     LinkWitness,
     Snake,
     closed_tree_walk,
+    link_tree,
     snake_embed,
     validate_snake,
 )
@@ -54,7 +55,9 @@ def test_validate_snake_rejections():
     assert not v.ok and any("blue cross pair" in e for e in v.errors)
 
     v = validate_snake(G, Snake(snake.cliques, (), 2))
-    assert not v.ok and any("disconnected" in e for e in v.errors)
+    assert v.errors == [
+        "link graph is disconnected: clique 0 does not reach 1 of the 2 cliques"
+    ]
 
     v = validate_snake(G, Snake(((0, 1, 2), (2, 3, 4)), (), 1))
     assert not v.ok and any("share vertices" in e for e in v.errors)
@@ -107,10 +110,18 @@ def test_closed_tree_walk_path_and_star():
     w = closed_tree_walk(star)
     assert w == (0, 1, 0, 2, 0, 3, 0)
     # every step of the walk is a link, and every clique gets visited
-    links = star.link_pairs()
+    links = {lw.pair() for lw in star.witnesses}
     for a, b in zip(w, w[1:]):
         assert (min(a, b), max(a, b)) in links
     assert set(w) == {0, 1, 2, 3}
+
+
+def test_link_tree_is_breadth_first_from_clique_0():
+    # children in ascending order, each clique under its first reacher
+    tree = link_tree(6, [(3, 4), (0, 3), (0, 2), (2, 3), (4, 5)])
+    assert tree == {0: [2, 3], 2: [], 3: [4], 4: [5], 5: []}
+    # clique 1 is not reached, so it is not in the tree
+    assert link_tree(3, [(1, 2)]) == {0: []}
 
 
 def test_closed_tree_walk_disconnected():

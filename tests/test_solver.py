@@ -13,6 +13,7 @@ from helpers import (
     legacy_certificate_json,
     reference_solve_snakes,
     two_clique_linked_graph,
+    two_clique_linked_shuffled,
 )
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -32,13 +33,17 @@ def _min_order(n, params):
 
 
 def test_desk_params():
-    for n, sched in ((1, (1, 1)), (2, (1, 1, 1)), (3, (1, 1, 2)),
+    for n, sched in ((2, (1, 1, 1)), (3, (1, 1, 2)),
                      (4, (1, 2, 3)), (5, (2, 3, 4)), (9, (2, 3, 4))):
         p = SolverParams.desk(n)
         assert p.schedule.b == sched
         assert p.epsilon == Fraction(1, 4) and p.gamma == Fraction(1, 4)
-        assert p.codim_split == (1 if n == 1 else 2)
+        assert p.codim_split == 2
         assert p.decomp == DecompositionParams.desk(n)
+    # the dense route needs b_last + 1 <= n, and every b_j is at least 1
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="b_last"):
+            SolverParams.desk(n)
 
 
 def test_assign_subcubes_hand_cases():
@@ -334,3 +339,49 @@ def test_solve_maps_and_certificates_match_golden_hashes(n, seed):
         for text in (json.dumps(sorted(phi.items())), legacy_certificate_json(dec), dec.to_json())
     )
     assert got == GOLDEN[n, seed]
+
+
+# sha256 of the solve map and of the ``to_json`` certificate on hosts that
+# take the snake route: the planted two-clique hosts, the same with
+# shuffled labels, and an all-red host whose one snake has no link
+SNAKE_GOLDEN = {
+    "linked/4": ("97e7104404dbed7cb1333408ae48763198d97ce4a21d73daa010229d533e7df6",
+                 "42235f5b3c89768a715f5701baee2d160b8270a906d24f57235c4fd439ed302a"),
+    "shuffled/4": ("83a3cc1efd2d0c440cb27ae80a9ff7eddf7d554957773f9d7ed134a6a1648a81",
+                   "ac5bf3cf5ed735e0ec862d47839f8da24870920133a0d52802a5d353009da8f2"),
+    "linked/5": ("3269e98a81c7cae29470d165c1c4d2f21bd0cd4628ffd62f63b3b0e8749f22be",
+                 "99093bbb83d8cf532f527780bd0c60a5c72daeaacc9b9d134d1ccd196625d79b"),
+    "shuffled/5": ("2688a4971d3cdb4e45df8512701e96e8f6db5578d9e0a16e8420e31cf91096cc",
+                   "7590ebe889a09622ff2fa1e42d9879b4774fd8b112cb850fe702bf96462ca8b2"),
+    "linked/6": ("5e7942cbd1fb96b3b7cc4c293a749f5c625a969a8fe9b275c925acaa40fcbb03",
+                 "923baddbf83ebcd4ba31975a31a817ffb85b2ffe655fe16f49be7554c3e5dd0a"),
+    "shuffled/6": ("fd54ed31f0b2bb9d686ec3fcff5134eb72621215c356d5a967a7b32e56bc3cc6",
+                   "ace4231756ac070891789df17da4d40120e78c57c86648956925b1a3663dff10"),
+    "linked/7": ("3552747e864b0fcb0746cec5e831c34bdd13abc5e50d9d0451d15bc3c769b4c3",
+                 "99f09ea503e57e5dd0d538a112ed995acaca437748d696349f21aba7e87b103b"),
+    "shuffled/7": ("21752913dcc058ad67ea493587085e65336560d618f8ecececb19485e52ac530",
+                   "eede71a98f71160aef3aecbf81f0b0fb26635127752726f213e8c69d3c70ec05"),
+    "all-red/6": ("5c5670e5a8db9379a9454c5692080c14ef6dfd00c35192b9fe285324f0ce6a2f",
+                  "3de3f074b6afd38a87c13ad2163524ce7b41c06e89066099ec020ff2e21bcd2b"),
+}
+
+
+@pytest.mark.parametrize("host", sorted(SNAKE_GOLDEN))
+def test_snake_route_maps_and_certificates_match_golden_hashes(host):
+    family, n = host.split("/")
+    n = int(n)
+    params = SolverParams.desk(n)
+    if family == "linked":
+        G = two_clique_linked_graph(n)
+    elif family == "shuffled":
+        G = two_clique_linked_shuffled(n, random.Random(f"snake-golden/{n}"))
+    else:
+        G = all_red_graph(_min_order(n, params))
+    dec = decompose(G, params.decomp)
+    assert choose_case(dec) == 2
+    phi = solve(G, n, params)
+    got = tuple(
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (json.dumps(sorted(phi.items())), dec.to_json())
+    )
+    assert got == SNAKE_GOLDEN[host]
