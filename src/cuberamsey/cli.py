@@ -217,7 +217,7 @@ def _cmd_decompose(args) -> int:
             "rounds": dec.r,
             "snake_sizes": [sn.mask.bit_count() for sn in dec.snakes],
             "s_values": list(dec.s_values),
-            "sparse_vertices": len(dec.sparse),
+            "sparse_vertices": dec.sparse_mask.bit_count(),
         }
     )
     return EXIT_OK
@@ -305,13 +305,20 @@ def _cmd_bandwidth_check(args) -> int:
     return EXIT_OK
 
 
-def _dimension(low: int):
-    """The argparse type of ``--n``: an int of at least ``low``, else misuse."""
-    def dimension(text: str) -> int:
+def _at_least(low: int):
+    """An argparse type: an int of at least ``low``, else misuse."""
+    def integer(text: str) -> int:
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         return int(text)
-    return dimension
+    return integer
+
+
+def _probability(text: str) -> float:
+    """The argparse type of ``--p``: a float in [0, 1], else misuse."""
+    if not 0 <= float(text) <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return float(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,16 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
         "gen-lower-bound",
         help="two red cliques of size 2^n - 1 joined completely in blue",
     )
-    p.add_argument("--n", type=_dimension(0), required=True, help="cube dimension")
+    p.add_argument("--n", type=_at_least(0), required=True, help="cube dimension")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_gen_lower_bound)
 
     p = sub.add_parser("gen-random", help="random triangle-free-blue colouring")
-    p.add_argument("--n", type=_dimension(0), required=True, help="cube dimension")
+    p.add_argument("--n", type=_at_least(0), required=True, help="cube dimension")
     p.add_argument(
-        "--vertices",
-        type=int,
-        help="number of vertices (default 2^(n+2))",
+        "--vertices", type=_at_least(0), help="number of vertices (default 2^(n+2))"
     )
     p.add_argument(
         "--blue-model",
@@ -353,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--p", type=float, default=0.5, help="bipartite blue edge probability"
+        "--p", type=_probability, default=0.5, help="bipartite blue edge probability"
     )
     p.add_argument(
         "--blue-edges",
@@ -366,19 +371,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="inspect a colouring, optionally an embedding")
     p.add_argument("--in", dest="infile", required=True, help="graph file, - for stdin")
     p.add_argument("--embedding", help="embedding file to verify against the graph")
-    p.add_argument("--n", type=_dimension(0), help="cube dimension of the embedding")
+    p.add_argument("--n", type=_at_least(0), help="cube dimension of the embedding")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="split into a sparse part and snakes")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n", type=_dimension(1), required=True, help="target cube dimension")
+    p.add_argument("--n", type=_at_least(1), required=True, help="target cube dimension")
     p.add_argument("--cert-out", help="write the decomposition as JSON")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("solve", help="embed a red n-cube")
     p.add_argument("--in", dest="infile", required=True)
     # SolverParams.desk has no dense-route schedule below n = 2
-    p.add_argument("--n", type=_dimension(2), required=True)
+    p.add_argument("--n", type=_at_least(2), required=True)
     p.add_argument(
         "--embedding-out",
         help="write the embedding here; without it the lines go to stdout",
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = osub.add_parser("ramsey", help="sweep all colourings of K_N")
-    q.add_argument("--n", type=_dimension(1), required=True, help="cube dimension")
+    q.add_argument("--n", type=_at_least(1), required=True, help="cube dimension")
     q.add_argument("--N", type=int, required=True, help="complete graph size")
     q.add_argument(
         "--mode", choices=["auto", "plain", "canonical"], default="auto"
@@ -398,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("contains-cube", help="search one graph for a red cube")
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--n", type=_dimension(0), required=True)
+    q.add_argument("--n", type=_at_least(0), required=True)
     q.set_defaults(func=_cmd_oracle_contains_cube)
 
     p = sub.add_parser(
         "bandwidth-check",
         help="largest index gap across a cube edge in the embedding order",
     )
-    p.add_argument("--n", type=_dimension(0), required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.set_defaults(func=_cmd_bandwidth_check)
 
     return parser

@@ -180,10 +180,6 @@ class Decomposition:
             covered |= sn.mask
         return ((1 << self.n_vertices) - 1) & ~covered
 
-    @cached_property
-    def sparse(self) -> tuple[int, ...]:
-        return tuple(bits_list(self.sparse_mask))
-
     def to_json(self) -> str:
         # json writes a tuple as an array
         p = self.params

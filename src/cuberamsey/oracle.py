@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, inf
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bits import bit, bits_list, iter_bits
 from .colored_graph import ColouredGraph, first_fit, placed_blue, red_components
@@ -257,10 +257,10 @@ def _column(row: int, t: int) -> int:
 
 def _tied_nodes(
     adj: Sequence[int], cols: list[int], starts: list[tuple]
-) -> Optional[list[tuple]]:
-    """Every node of the walk over the relabelings whose code ties this
-    labeling's so far, or None at the first relabeling found smaller:
-    then this labeling is not lexicographically least.
+) -> Iterator[Optional[tuple]]:
+    """Yield each node of the walk over the relabelings whose code ties
+    this labeling's so far; at the first relabeling found smaller, yield
+    None and stop: this labeling is not least, and ``all`` reads False.
 
     The code lists, vertex by vertex, each vertex's adjacency column
     towards smaller labels (``_column``); lexicographic order of codes
@@ -289,18 +289,17 @@ def _tied_nodes(
     of the walk over every relabeling.
     """
     todo = list(starts)
-    nodes = []
     while todo:
         t, cells, free = node = todo.pop()
-        nodes.append(node)
+        yield node
         for x in iter_bits(free):
             row = adj[x]
             col = _least_column(row, cells)
             if col < cols[t]:
-                return None
+                yield None
+                return
             if col == cols[t]:
                 todo.append((t + 1, _split(cells, row, x), free & ~(1 << x)))
-    return nodes
 
 
 def _least_column(row: int, cells: list[tuple[int, int]]) -> int:
@@ -336,8 +335,8 @@ def _tied_prefixes(
     walk stops nowhere: each free vertex ties its column or exceeds it."""
     v = len(adj)
     a0 = next((t for t in range(v) if cols[t]), v)
-    full = (1 << v) - 1
-    return _tied_nodes(adj, cols, [(a0, [(I, a0)], full & ~I) for I in by_size[a0]])
+    starts = [(a0, [(I, a0)], (1 << v) - 1 & ~I) for I in by_size[a0]]
+    return list(_tied_nodes(adj, cols, starts))
 
 
 def _child_is_canonical(
@@ -377,7 +376,7 @@ def _child_is_canonical(
     k = next((t for t, c in enumerate(cols) if c), v)  # the child's a0
     starts += [(k, [(J | new, k)], new - 1 & ~J) for J in by_size[k - 1] if not J & S]
     child = tuple(a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)) + (S,)
-    return child if _tied_nodes(child, cols, starts) is not None else None
+    return child if all(_tied_nodes(child, cols, starts)) else None
 
 
 def canonical_triangle_free_graphs(N: int) -> list[list[int]]:

@@ -203,12 +203,13 @@ def snake_embed(
     """Embed the given cube vertices into the snake along a tree walk.
 
     ``forbidden`` maps a cube vertex to a mask of graph vertices it must
-    avoid.  The snake is validated on entry; an invalid one raises
-    ``ValueError``.  By construction the images are distinct snake
-    vertices outside their forbidden masks, but the map is not
-    self-verified: that every cube edge lands on a red pair is checked
-    once, by ``verify_red_embedding`` on the whole map at the end of
-    ``solve``, and direct callers should check it the same way.
+    avoid.  Only what the walk needs is checked on entry: a snake vertex
+    outside G or a disconnected link graph raises ``ValueError``.  The
+    snake is not validated: ``decompose`` builds valid ones, and
+    ``verify_decomposition`` validates a certificate's.  The images are
+    distinct snake vertices outside their forbidden masks; that every cube
+    edge lands on a red pair is checked once, by ``verify_red_embedding``
+    on the whole map at the end of ``solve``, as direct callers should.
 
     The walk spends, at each position, an arrival batch on the witness
     side of the link just crossed, then a free stretch inside the clique
@@ -217,17 +218,16 @@ def snake_embed(
     length t is the larger of s // 4k and the bandwidth bound, so that a
     full batch always separates the zones of distinct cliques.
 
-    Cost, beyond ``validate_snake`` and sorting the queue: one N-bit OR
-    per forbidden mask and a walk over their union, which marks the
-    vertices ``first_fit`` may find blocked; per walk position, one pass
-    over the clique's vertex list and over its sides still owed batches,
-    and a walk of ``first_fit`` that looks up a cube vertex's forbidden
-    mask only when it meets a marked vertex, so a walk that meets none
-    does no N-bit mask operation.
+    Cost, beyond the range check, the tree walk and sorting the queue:
+    one N-bit OR per forbidden mask and a walk over their union, which
+    marks the vertices ``first_fit`` may find blocked; per walk position,
+    one pass over the clique's vertex list and over its sides still owed
+    batches, and a walk of ``first_fit`` that looks up a cube vertex's
+    forbidden mask only when it meets a marked vertex, so a walk that
+    meets none does no N-bit mask operation.
     """
-    check = validate_snake(G, snake)
-    if not check:
-        raise ValueError("invalid snake: " + "; ".join(check.errors))
+    if bad := range_errors(G.n_vertices, snake):
+        raise ValueError("invalid snake: " + "; ".join(bad))
     queue = bandwidth_order(cube_vertices, n)
     if len(set(queue)) != len(queue):
         raise ValueError("cube vertices to embed must be distinct")

@@ -74,8 +74,8 @@ class SolverParams:
 
 
 def choose_case(dec: Decomposition) -> int:
-    """1 when the sparse part holds at least half the graph, else 2."""
-    return 1 if 2 * len(dec.sparse) >= dec.n_vertices else 2
+    """1 when the sparse mask covers at least half the graph, else 2."""
+    return 1 if 2 * dec.sparse_mask.bit_count() >= dec.n_vertices else 2
 
 
 def assign_subcubes(
@@ -114,7 +114,8 @@ def _solve_dense(
     G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
 ) -> dict[int, int]:
     C_mask = dec.sparse_mask
-    # dense_embed's max-degree cap, 2^(n - b_0), cuts a vertex reaching it
+    # dense_embed refuses blue degrees above 2^(n - b_0); this cut is
+    # stricter and drops every vertex whose blue degree in C reaches it
     cutoff = 1 << (n - params.schedule.b[0])
     # a vertex of whole blue degree below the cutoff stays below it in C
     drop = mask_of(
@@ -122,9 +123,7 @@ def _solve_dense(
         for v in iter_bits(G.blue_at_least(cutoff) & C_mask)
         if (G.blue[v] & C_mask).bit_count() >= cutoff
     )
-    # with nothing dropped, keep is C itself, already listed by choose_case
-    keep = bits_list(C_mask & ~drop) if drop else dec.sparse
-    H, order = G.induced(keep)
+    H, order = G.induced(bits_list(C_mask & ~drop))
     try:
         phi_h = dense_embed(H, n, params.gamma, params.schedule)
     except HypothesisError as e:

@@ -194,7 +194,7 @@ def legacy_certificate_json(dec: Decomposition) -> str:
             "lam": [p.lam.numerator, p.lam.denominator],
             "mu": [p.mu.numerator, p.mu.denominator],
         },
-        "sparse": list(dec.sparse),
+        "sparse": bits_list(dec.sparse_mask),
         "snakes": [
             {
                 "s": sn.s,

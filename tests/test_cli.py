@@ -288,7 +288,21 @@ def test_out_of_range_dimension_is_misuse(argv, capsys):
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == EXIT_PARSE
-    assert "--n" in capsys.readouterr().err
+    assert "argument --n:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--p", "1.5"), ("--p", "nan"), ("--vertices", "-4")]
+)
+def test_out_of_range_generator_argument_is_misuse(flag, value, capsys):
+    # exit 1 is check's rejection; a bad probability or vertex count is
+    # misuse, refused with a usage line before the generator runs
+    with pytest.raises(SystemExit) as e:
+        main(["gen-random", "--n", "3", "--blue-model", "bipartite",
+              "--seed", "0", flag, value])
+    assert e.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}:" in err
 
 
 def test_removed_flags_are_misuse(capsys):

@@ -16,7 +16,7 @@ from helpers import (
     two_clique_linked_shuffled,
 )
 from cuberamsey import decomposition
-from cuberamsey.bits import mask_of
+from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     is_blue_triangle_free,
@@ -92,7 +92,7 @@ def test_decompose_all_red():
     G = all_red_graph(1 << (n + 2))
     dec = decompose(G, DecompositionParams.desk(n))
     assert dec.r == 1
-    assert dec.sparse == ()
+    assert dec.sparse_mask == 0
     assert dec.snakes[0].k == 2
     assert len(dec.snakes[0].cliques[0]) == 1 << (n + 1)
     assert validate_snake(G, dec.snakes[0]).ok
@@ -109,7 +109,7 @@ def test_decompose_complete_bipartite():
     dec = decompose(G, DecompositionParams.desk(n))
     assert dec.r == 1
     assert dec.snakes[0].k == 1
-    assert len(dec.sparse) == N // 2
+    assert dec.sparse_mask.bit_count() == N // 2
     assert verify_decomposition(G, dec).ok
     assert gap_consequence_holds(G, dec)
     rec = dec.rounds[0]
@@ -212,7 +212,7 @@ def test_decompose_random_hosts():
         dec = decompose(G, params)
         assert verify_decomposition(G, dec).ok
         assert gap_consequence_holds(G, dec)
-        covered = mask_of(dec.sparse)
+        covered = dec.sparse_mask
         for sn in dec.snakes:
             covered |= sn.mask
         assert covered == G.full_mask
@@ -261,7 +261,7 @@ def test_decompose_no_clique_graph():
     G = random_bipartite_blue(16, 1.0, random.Random(1))
     dec = decompose(G, DecompositionParams.desk(4))  # m = 32 > 16
     assert dec.r == 0
-    assert sorted(dec.sparse) == list(range(16))
+    assert bits_list(dec.sparse_mask) == list(range(16))
     assert verify_decomposition(G, dec).ok
 
 
@@ -314,7 +314,7 @@ def test_verify_checks_attached_vertices(added, error):
     G = two_clique_linked_graph(3, extra=2)
     dec = decompose(G, DecompositionParams.desk(3))
     rec = dec.rounds[0]
-    assert dec.r == 1 and dec.sparse == (32, 33) and rec.sparse_added == ()
+    assert dec.r == 1 and bits_list(dec.sparse_mask) == [32, 33] and rec.sparse_added == ()
     verdict = verify_decomposition(G, replace(dec, rounds=(replace(rec, sparse_added=added),)))
     assert verdict.errors == [error]
 

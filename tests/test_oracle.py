@@ -311,7 +311,7 @@ def _walk(adj: list[int]) -> bool:
         (a0, [(I, a0)], full & ~I)
         for I in _independent_sets(adj) if I.bit_count() == a0
     ]
-    return _tied_nodes(adj, cols, starts) is not None
+    return all(_tied_nodes(adj, cols, starts))
 
 
 def _children():
@@ -512,3 +512,20 @@ def test_package_import_leaves_numpy_out():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["False", "False", "plain"]
+
+
+def test_package_import_leaves_the_cli_out():
+    # the command line front end, and argparse with it, loads only when
+    # asked for: a program that imports the package compiles neither
+    code = (
+        "import sys, cuberamsey\n"
+        "print('cuberamsey.cli' in sys.modules, 'argparse' in sys.modules)\n"
+    )
+    src = str(Path(cuberamsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]

@@ -2,9 +2,15 @@ import random
 
 import pytest
 
-from helpers import all_red_graph, reference_snake_embed, two_clique_linked_graph
+from helpers import (
+    all_red_graph,
+    decomposition_of,
+    reference_snake_embed,
+    two_clique_linked_graph,
+)
 from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import ColouredGraph, verify_red_embedding
+from cuberamsey.decomposition import DecompositionParams, verify_decomposition
 from cuberamsey.errors import StageFailure
 from cuberamsey.hypercube import bandwidth_bound, bandwidth_order
 from cuberamsey.snake_embedding import (
@@ -200,6 +206,22 @@ def test_snake_embed_rejects_bad_input():
         snake_embed(G, snake, [0, 0, 1], 2)
     with pytest.raises(ValueError):
         snake_embed(G, snake, [0, 9], 2)
+
+
+def test_snake_embed_leaves_snake_validity_to_the_verifiers():
+    # the snake is connected and inside G, but clique 0 holds the blue
+    # edge 2-3: the walk runs, and the edge is caught where each artefact
+    # is trusted, the map by verify_red_embedding and the certificate by
+    # verify_decomposition
+    _, snake = _toy_snake()
+    G = ColouredGraph.from_blue_edges(8, [(2, 3)])
+    phi = snake_embed(G, snake, range(8), 3)
+    errors = verify_red_embedding(G, 3, phi).errors
+    assert "cube edge 0-1 lands on non-red pair 2-3" in errors
+    assert "clique 0 is not a red clique" in validate_snake(G, snake).errors
+    params = DecompositionParams(m=1, s_lo=1, s_hi=2, lam=2, mu=1)
+    verdict = verify_decomposition(G, decomposition_of(8, params, snake))
+    assert "snake 0 invalid: clique 0 is not a red clique" in verdict.errors
 
 
 def _seeded_snake(rng, k, shape, n, wide):

@@ -21,10 +21,15 @@ from cuberamsey.colored_graph import (
     random_triangle_free_greedy,
     verify_red_embedding,
 )
-from cuberamsey.decomposition import DecompositionParams, decompose, verify_decomposition
+from cuberamsey.decomposition import (
+    Decomposition,
+    DecompositionParams,
+    decompose,
+    verify_decomposition,
+)
 from cuberamsey.errors import HypothesisError, StageFailure
-from cuberamsey import solver
-from cuberamsey.snake_embedding import LinkWitness, Snake
+from cuberamsey import decomposition, snake_embedding, solver
+from cuberamsey.snake_embedding import LinkWitness, Snake, validate_snake
 from cuberamsey.solver import SolverParams, assign_subcubes, choose_case, solve
 
 
@@ -73,9 +78,9 @@ def test_assign_subcubes_hand_cases():
 def test_choose_case_tie_goes_dense():
     params = DecompositionParams(m=1, s_lo=1, s_hi=1, lam=2, mu=1)
     half = decomposition_of(4, params, Snake(((2, 3),), (), 1))
-    assert half.sparse == (0, 1) and choose_case(half) == 1
+    assert half.sparse_mask == 0b0011 and choose_case(half) == 1
     minority = decomposition_of(4, params, Snake(((1, 2, 3),), (), 1))
-    assert minority.sparse == (0,) and choose_case(minority) == 2
+    assert minority.sparse_mask == 0b0001 and choose_case(minority) == 2
 
 
 def test_solve_all_red():
@@ -98,6 +103,27 @@ def test_solve_two_clique_linked():
     assert dec.r == 1 and dec.snakes[0].k == 2
     phi = solve(G, n, params)
     assert verify_red_embedding(G, n, phi).ok
+
+
+def test_solve_leaves_snake_validation_to_the_certificate(monkeypatch):
+    # solve trusts the snakes decompose built and verifies only the map; a
+    # certificate read back from JSON validates each of its snakes once
+    calls = []
+
+    def counted(G, snake):
+        calls.append(snake)
+        return validate_snake(G, snake)
+
+    monkeypatch.setattr(snake_embedding, "validate_snake", counted)
+    monkeypatch.setattr(decomposition, "validate_snake", counted)
+    n = 6
+    params = SolverParams.desk(n)
+    G = two_clique_linked_graph(n)
+    phi = solve(G, n, params)
+    assert verify_red_embedding(G, n, phi).ok and calls == []
+    dec = decompose(G, params.decomp)
+    assert verify_decomposition(G, Decomposition.from_json(dec.to_json())).ok
+    assert len(calls) == dec.r == 1
 
 
 def test_solve_sparse_random():
