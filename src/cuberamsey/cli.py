@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--blue-edges",
-        type=int,
+        type=_at_least(0),
         help="target blue edge count for the greedy model (default vertices/8)",
     )
     p.add_argument("--out", help="output file (default stdout)")

@@ -39,7 +39,6 @@ from .colored_graph import (
     max_disjoint_red_cliques,
 )
 from .errors import StageFailure
-from .rational import as_fraction
 from .snake_embedding import LinkWitness, Snake, link_tree
 from .snake_embedding import range_errors, validate_snake
 
@@ -60,8 +59,8 @@ class DecompositionParams:
     mu: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_fraction(self.lam))
-        object.__setattr__(self, "mu", as_fraction(self.mu))
+        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "mu", Fraction(self.mu))
         if self.m < 1:
             raise ValueError(f"clique size must be positive, got {self.m}")
         if not 1 <= self.s_lo <= self.s_hi:
@@ -273,8 +272,9 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     removed attached vertex keeps blue degree at most 2m into what
     survives, and none is attached to a clique outside the snake.
     Violations are structured failures, not silent repairs.
-    The snakes are not validated here: ``snake_embed`` validates each one
-    it walks; ``verify_decomposition`` re-checks all but the 2m rule.
+    The snakes are not validated here, as they are built valid;
+    ``verify_decomposition`` validates them and re-checks all but the 2m
+    rule.
     """
     A = G.full_mask
     rounds: list[RoundRecord] = []

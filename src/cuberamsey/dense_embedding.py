@@ -31,7 +31,6 @@ from .hypercube import (
     subcube_distance,
     subcube_vertices,
 )
-from .rational import as_fraction
 
 
 def candidate_set_size(gamma: Fraction, n: int, d: int) -> int:
@@ -68,15 +67,14 @@ class PartialAssignment:
     gamma: Fraction
 
     def __post_init__(self):
-        g = as_fraction(self.gamma)
-        if not 0 < g < 1:
-            raise ValueError(f"gamma must lie in (0, 1), got {g}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        if not 0 < self.gamma < 1:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
     def empty(cls, gamma) -> "PartialAssignment":
-        return cls((), as_fraction(gamma))
+        return cls((), gamma)
 
     @cached_property
     def used(self) -> int:
@@ -308,10 +306,6 @@ class ThresholdSchedule:
         if self.b[0] < 1:
             raise ValueError("the first threshold must be at least 1")
 
-    @property
-    def passes(self) -> int:
-        return len(self.b) - 1
-
 
 def dense_embed(
     H: ColouredGraph,
@@ -337,15 +331,13 @@ def dense_embed(
     list reads, one N-bit OR per placed neighbour with a blue neighbour
     and one N-bit bit test per blockable vertex the walk meets.
     """
-    g = as_fraction(gamma)
-    if not 0 < g < 1:
-        raise ValueError(f"gamma must lie in (0, 1), got {g}")
+    pa = PartialAssignment.empty(gamma)
     if schedule.b[-1] + 1 > n:
         raise HypothesisError(
             "schedule-depth",
             f"b_k+1 + 1 = {schedule.b[-1] + 1} exceeds the dimension {n}",
         )
-    need = ceil((1 + 3 * g) * (1 << n))
+    need = ceil((1 + 3 * pa.gamma) * (1 << n))
     if H.n_vertices < need:
         raise HypothesisError(
             "order",
@@ -366,13 +358,12 @@ def dense_embed(
             "triangle-free", f"blue triangle {tri}", witness=tri
         )
 
-    pa = PartialAssignment.empty(g)
     A = H.full_mask
     # bit z of ``covered`` marks cube vertex z as inside an assigned subcube
     covered = 0
     full_cube = (1 << (1 << n)) - 1
     passes_run = 0
-    for j in range(1, schedule.passes + 1):
+    for j in range(1, len(schedule.b)):
         if covered == full_cube:
             break
         passes_run = j

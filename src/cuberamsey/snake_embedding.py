@@ -108,22 +108,34 @@ def range_errors(N: int, snake: Snake) -> list[str]:
     ]
 
 
+def pair_errors(snake: Snake) -> list[str]:
+    """One error per witness pair outside 0 <= i < j < k, one for a repeat."""
+    errors = [
+        f"witness names bad clique pair ({w.i}, {w.j})"
+        for w in snake.witnesses
+        if not 0 <= w.i < w.j < snake.k
+    ]
+    if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
+        errors.append("duplicate witness for a clique pair")
+    return errors
+
+
 def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     """Check the snake's defining properties inside G.
 
     Cliques must be same-sized disjoint red cliques, every witness a red
     K_{s,s} between its two cliques, and the link graph connected; a
-    vertex outside G fails it first.  Cost: one mask per witness side (the
-    snake's clique masks are built once and kept), and one N-bit AND per
-    blue class in a clique or witness X side.
+    vertex outside G or a bad or repeated witness pair (``range_errors``,
+    ``pair_errors``) fails it first.  Cost: one mask per witness side
+    (the snake's clique masks are built once and kept), and one N-bit AND
+    per blue class in a clique or witness X side.
     """
     errors = []
     if not snake.cliques:
         return Verdict.failure("a snake needs at least one clique")
     if snake.s < 1:
         errors.append(f"link strength s must be positive, got {snake.s}")
-    bad = range_errors(G.n_vertices, snake)
-    if bad:
+    if bad := range_errors(G.n_vertices, snake) + pair_errors(snake):
         return Verdict.failure(*errors, *bad)
     m = len(snake.cliques[0])
     masks = snake.clique_masks
@@ -141,12 +153,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     if errors:
         return Verdict.failure(*errors)
 
-    pairs = []
     for w in snake.witnesses:
-        if not (0 <= w.i < w.j < snake.k):
-            errors.append(f"witness names bad clique pair ({w.i}, {w.j})")
-            continue
-        pairs.append(w.pair())
         if len(w.X) != snake.s or len(w.Y) != snake.s:
             errors.append(
                 f"witness ({w.i}, {w.j}) has sides of size "
@@ -161,8 +168,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             errors.append(
                 f"witness ({w.i}, {w.j}) has a blue cross pair"
             )
-    if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
-        errors.append("duplicate witness for a clique pair")
+    pairs = [w.pair() for w in snake.witnesses]
     if unreached := snake.k - len(link_tree(snake.k, pairs)):
         errors.append(f"link graph is disconnected: clique 0 does not reach "
                       f"{unreached} of the {snake.k} cliques")
@@ -204,12 +210,14 @@ def snake_embed(
 
     ``forbidden`` maps a cube vertex to a mask of graph vertices it must
     avoid.  Only what the walk needs is checked on entry: a snake vertex
-    outside G or a disconnected link graph raises ``ValueError``.  The
-    snake is not validated: ``decompose`` builds valid ones, and
-    ``verify_decomposition`` validates a certificate's.  The images are
-    distinct snake vertices outside their forbidden masks; that every cube
-    edge lands on a red pair is checked once, by ``verify_red_embedding``
-    on the whole map at the end of ``solve``, as direct callers should.
+    outside G, a witness pair outside 0 <= i < j < k or named twice
+    (``range_errors``, ``pair_errors``), or a disconnected link graph
+    raises ``ValueError``.  The snake is not validated: ``decompose``
+    builds valid ones, and ``verify_decomposition`` validates a
+    certificate's.  The images are distinct snake vertices outside their
+    forbidden masks; that every cube edge lands on a red pair is checked
+    once, by ``verify_red_embedding`` on the whole map at the end of
+    ``solve``, as direct callers should.
 
     The walk spends, at each position, an arrival batch on the witness
     side of the link just crossed, then a free stretch inside the clique
@@ -226,7 +234,7 @@ def snake_embed(
     forbidden mask only when it meets a marked vertex, so a walk that
     meets none does no N-bit mask operation.
     """
-    if bad := range_errors(G.n_vertices, snake):
+    if bad := range_errors(G.n_vertices, snake) + pair_errors(snake):
         raise ValueError("invalid snake: " + "; ".join(bad))
     queue = bandwidth_order(cube_vertices, n)
     if len(set(queue)) != len(queue):

@@ -24,8 +24,10 @@ from .decomposition import Decomposition, DecompositionParams, decompose
 from .dense_embedding import ThresholdSchedule, dense_embed
 from .errors import HypothesisError, StageFailure
 from .hypercube import InitialSubcube, partition_complement, subcube_vertices
-from .rational import as_fraction
 from .snake_embedding import snake_embed
+
+# the snake route cuts Q_n into its four initial subcubes of codimension 2
+SPLIT_CODIM = 2
 
 
 @dataclass(frozen=True)
@@ -33,25 +35,21 @@ class SolverParams:
     """Everything the end-to-end search needs besides the graph.
 
     ``epsilon`` sets the order requirement (1+epsilon) * 2^(n+1);
-    ``gamma`` and ``schedule`` drive the dense route; ``codim_split`` is
-    the codimension at which the cube is cut into pieces for the snakes.
+    ``gamma`` and ``schedule`` drive the dense route.
     """
 
     epsilon: Fraction
     gamma: Fraction
     schedule: ThresholdSchedule
     decomp: DecompositionParams
-    codim_split: int
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
-        object.__setattr__(self, "gamma", as_fraction(self.gamma))
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.codim_split < 1:
-            raise ValueError("the cube must be split at codimension >= 1")
 
     @classmethod
     def desk(cls, n: int) -> "SolverParams":
@@ -69,7 +67,6 @@ class SolverParams:
             gamma=Fraction(1, 4),
             schedule=schedule,
             decomp=DecompositionParams.desk(n),
-            codim_split=2,
         )
 
 
@@ -142,7 +139,7 @@ def _solve_snakes(
     G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
 ) -> dict[int, int]:
     sizes = [sn.mask.bit_count() for sn in dec.snakes]
-    assignment = assign_subcubes(n, params.codim_split, sizes)
+    assignment = assign_subcubes(n, SPLIT_CODIM, sizes)
     phi: dict[int, int] = {}
     # later snakes first, so each piece only ever dodges neighbours that
     # are already pinned down

@@ -23,7 +23,7 @@ from cuberamsey.hypercube import (
 )
 from cuberamsey.oracle import CubeSearchResult
 from cuberamsey.snake_embedding import closed_tree_walk, snake_embed
-from cuberamsey.solver import assign_subcubes
+from cuberamsey.solver import SPLIT_CODIM, assign_subcubes
 
 
 def all_red_graph(n_vertices: int) -> ColouredGraph:
@@ -344,7 +344,7 @@ def reference_solve_snakes(G: ColouredGraph, n: int, params, dec, stats):
     given a non-empty forbidden mask.
     """
     sizes = [sn.mask.bit_count() for sn in dec.snakes]
-    assignment = assign_subcubes(n, params.codim_split, sizes)
+    assignment = assign_subcubes(n, SPLIT_CODIM, sizes)
     snake_masks = [sn.mask for sn in dec.snakes]
     phi = {}
     stats["forbidden"] = 0
@@ -770,6 +770,15 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
         return Verdict.failure("a snake needs at least one clique")
     if snake.s < 1:
         errors.append(f"link strength s must be positive, got {snake.s}")
+    bad = [
+        f"witness names bad clique pair ({w.i}, {w.j})"
+        for w in snake.witnesses
+        if not 0 <= w.i < w.j < snake.k
+    ]
+    if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
+        bad.append("duplicate witness for a clique pair")
+    if bad:
+        return Verdict.failure(*errors, *bad)
     m = len(snake.cliques[0])
     masks = []
     for idx, c in enumerate(snake.cliques):
@@ -789,9 +798,6 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
     if errors:
         return Verdict.failure(*errors)
     for w in snake.witnesses:
-        if not (0 <= w.i < w.j < snake.k):
-            errors.append(f"witness names bad clique pair ({w.i}, {w.j})")
-            continue
         if len(w.X) != snake.s or len(w.Y) != snake.s:
             errors.append(
                 f"witness ({w.i}, {w.j}) has sides of size "
@@ -804,14 +810,12 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
             errors.append(f"witness ({w.i}, {w.j}) Y side not inside clique {w.j}")
         if any(G.blue[x] & my for x in w.X):
             errors.append(f"witness ({w.i}, {w.j}) has a blue cross pair")
-    if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
-        errors.append("duplicate witness for a clique pair")
     # the cliques clique 0 reaches, grown until a pass adds none
     reached, grew = {0}, True
     while grew:
         grew = False
         for w in snake.witnesses:
-            if w.j < snake.k and (w.i in reached) != (w.j in reached):
+            if (w.i in reached) != (w.j in reached):
                 reached |= {w.i, w.j}
                 grew = True
     if len(reached) != snake.k:

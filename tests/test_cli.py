@@ -292,11 +292,13 @@ def test_out_of_range_dimension_is_misuse(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--p", "1.5"), ("--p", "nan"), ("--vertices", "-4")]
+    "flag, value",
+    [("--p", "1.5"), ("--p", "nan"), ("--vertices", "-4"), ("--blue-edges", "-5")],
 )
 def test_out_of_range_generator_argument_is_misuse(flag, value, capsys):
-    # exit 1 is check's rejection; a bad probability or vertex count is
-    # misuse, refused with a usage line before the generator runs
+    # exit 1 is check's rejection; a bad probability, vertex count or
+    # blue edge count is misuse, refused with a usage line before the
+    # generator runs
     with pytest.raises(SystemExit) as e:
         main(["gen-random", "--n", "3", "--blue-model", "bipartite",
               "--seed", "0", flag, value])

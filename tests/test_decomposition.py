@@ -45,6 +45,16 @@ def test_params_validation():
         DecompositionParams(m=4, s_lo=1, s_hi=4, lam=2, mu=Fraction(1, 2))
 
 
+def test_params_are_exact_fractions_and_round_trip():
+    p = DecompositionParams(m=4, s_lo=1, s_hi=4, lam=2, mu=1.5)
+    assert (type(p.lam), p.lam) == (Fraction, Fraction(2))
+    assert (type(p.mu), p.mu) == (Fraction, Fraction(3, 2))
+    p = DecompositionParams(m=4, s_lo=1, s_hi=4, lam=Fraction(5, 3), mu=1.25)
+    again = Decomposition.from_json(Decomposition(4, p, ()).to_json()).params
+    assert again == p
+    assert (type(again.lam), type(again.mu)) == (Fraction, Fraction)
+
+
 def test_desk_preset_values():
     for n in (3, 4, 6):
         p = DecompositionParams.desk(n)

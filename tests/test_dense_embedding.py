@@ -55,6 +55,16 @@ def test_partial_assignment_validates_gamma():
     assert pa.gamma == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_dense_embed_refuses_gamma_before_its_hypotheses(gamma):
+    # a one-vertex host under a schedule deeper than n fails every
+    # hypothesis, yet the gamma refusal comes first
+    G = all_red_graph(1)
+    with pytest.raises(ValueError) as e:
+        dense_embed(G, 2, gamma, ThresholdSchedule((2, 3)))
+    assert str(e.value) == f"gamma must lie in (0, 1), got {gamma}"
+
+
 def _single_entry(n, gamma, codim, members):
     e = AssignmentEntry(InitialSubcube((0,) * codim), tuple(members))
     return PartialAssignment((e,), gamma)
@@ -318,7 +328,6 @@ def test_threshold_schedule_validation():
         ThresholdSchedule((3, 2))
     with pytest.raises(ValueError):
         ThresholdSchedule((0, 1))
-    assert ThresholdSchedule((2, 3, 4)).passes == 2
 
 
 def test_dense_embed_all_red():

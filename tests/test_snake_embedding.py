@@ -79,6 +79,13 @@ def test_validate_snake_rejections():
     v = validate_snake(G, Snake(snake.cliques, dup, 2))
     assert not v.ok and any("duplicate witness" in e for e in v.errors)
 
+    v = validate_snake(G, Snake(((0, 1, 2, 3), (4, 5, 6)), snake.witnesses, 2))
+    assert v.errors == ["clique 1 has 3 vertices, expected 4"]
+
+    for s in (0, -1):
+        v = validate_snake(G, Snake(snake.cliques, snake.witnesses, s))
+        assert v.errors == [f"link strength s must be positive, got {s}"]
+
 
 def test_snake_masks_are_the_clique_masks():
     G, snake = _toy_snake()
@@ -206,6 +213,31 @@ def test_snake_embed_rejects_bad_input():
         snake_embed(G, snake, [0, 0, 1], 2)
     with pytest.raises(ValueError):
         snake_embed(G, snake, [0, 9], 2)
+
+
+@pytest.mark.parametrize(
+    "cliques, witnesses, error",
+    [
+        (((0, 1, 2, 3), (4, 5, 6, 8)), ((0, 1, (0, 1), (4, 5)),),
+         "clique 1 mentions out-of-range vertices"),
+        (((0, 1, 2, 3), (4, 5, 6, 7)), ((0, 5, (0, 1), (4, 5)),),
+         "witness names bad clique pair (0, 5)"),
+        (((0, 1, 2, 3), (4, 5, 6, 7)), ((1, 0, (4, 5), (0, 1)),),
+         "witness names bad clique pair (1, 0)"),
+        (((0, 1, 2, 3), (4, 5, 6, 7)), ((0, 1, (0, 1), (4, 5)), (0, 1, (2, 3), (6, 7))),
+         "duplicate witness for a clique pair"),
+    ],
+    ids=["vertex", "pair-beyond-k", "reversed-pair", "duplicate-pair"],
+)
+def test_snake_embed_refuses_what_its_walk_cannot_read(cliques, witnesses, error):
+    # these would index past the walk's cliques or pick one of two
+    # witnesses for a link; validate_snake reports the same fault alone
+    G = all_red_graph(8)
+    snake = Snake(cliques, tuple(LinkWitness(*w) for w in witnesses), 2)
+    with pytest.raises(ValueError) as e:
+        snake_embed(G, snake, range(8), 3)
+    assert str(e.value) == f"invalid snake: {error}"
+    assert validate_snake(G, snake).errors == [error]
 
 
 def test_snake_embed_leaves_snake_validity_to_the_verifiers():

@@ -27,6 +27,7 @@ from cuberamsey.decomposition import (
     decompose,
     verify_decomposition,
 )
+from cuberamsey.dense_embedding import ThresholdSchedule
 from cuberamsey.errors import HypothesisError, StageFailure
 from cuberamsey import decomposition, snake_embedding, solver
 from cuberamsey.snake_embedding import LinkWitness, Snake, validate_snake
@@ -43,12 +44,18 @@ def test_desk_params():
         p = SolverParams.desk(n)
         assert p.schedule.b == sched
         assert p.epsilon == Fraction(1, 4) and p.gamma == Fraction(1, 4)
-        assert p.codim_split == 2
+        assert list(p.__dataclass_fields__) == ["epsilon", "gamma", "schedule", "decomp"]
         assert p.decomp == DecompositionParams.desk(n)
     # the dense route needs b_last + 1 <= n, and every b_j is at least 1
     for n in (1, 0):
         with pytest.raises(ValueError, match="b_last"):
             SolverParams.desk(n)
+
+
+def test_params_are_exact_fractions():
+    p = SolverParams(1, 0.25, ThresholdSchedule((1, 1)), DecompositionParams.desk(2))
+    assert (type(p.epsilon), p.epsilon) == (Fraction, Fraction(1))
+    assert (type(p.gamma), p.gamma) == (Fraction, Fraction(1, 4))
 
 
 def test_assign_subcubes_hand_cases():
@@ -143,7 +150,7 @@ def _snake_family(rng, n, params):
     """Two or three snakes of one or two cliques on shuffled labels, red
     inside each snake and blue with probability p across snakes, sized
     so that the cube pieces are spread over several of them."""
-    piece = 1 << (n - params.codim_split)
+    piece = 1 << (n - solver.SPLIT_CODIM)
     caps = [4]
     while caps[0] >= 4 or sum(caps) < 4:
         caps = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
