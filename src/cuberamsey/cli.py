@@ -121,30 +121,23 @@ def _emit(payload: dict):
     print(json.dumps(payload, default=str))
 
 
-def _failure_payload(e: CubeRamseyError) -> dict:
+def _failure(e: CubeRamseyError) -> tuple[dict, int]:
+    """The JSON payload and the exit code that report the error."""
     if isinstance(e, HypothesisError):
         return {
             "status": "hypothesis-failure",
             "hypothesis": e.hypothesis,
             "details": e.details,
             "witness": e.witness,
-        }
+        }, EXIT_HYPOTHESIS
     if isinstance(e, StageFailure):
         return {
             "status": "stage-failure",
             "stage": e.stage,
             "details": e.details,
             "data": e.data,
-        }
-    return {"status": "parse-error", "message": e.message, "line": e.line}
-
-
-def _exit_code(e: CubeRamseyError) -> int:
-    if isinstance(e, HypothesisError):
-        return EXIT_HYPOTHESIS
-    if isinstance(e, StageFailure):
-        return EXIT_STAGE
-    return EXIT_PARSE
+        }, EXIT_STAGE
+    return {"status": "parse-error", "message": e.message, "line": e.line}, EXIT_PARSE
 
 
 def _cmd_gen_lower_bound(args) -> int:
@@ -157,9 +150,14 @@ def _cmd_gen_lower_bound(args) -> int:
 def _cmd_gen_random(args) -> int:
     rng = random.Random(args.seed)
     vertices = args.vertices if args.vertices is not None else 1 << (args.n + 2)
+    # each model has its own flag; the other model's is misuse
     if args.blue_model == "bipartite":
-        G = random_bipartite_blue(vertices, args.p, rng)
+        if args.blue_edges is not None:
+            args.misuse("argument --blue-edges: not for --blue-model bipartite")
+        G = random_bipartite_blue(vertices, 0.5 if args.p is None else args.p, rng)
     else:
+        if args.p is not None:
+            args.misuse("argument --p: not for --blue-model triangle-free-greedy")
         target = (
             args.blue_edges if args.blue_edges is not None else vertices // 8
         )
@@ -228,7 +226,7 @@ def _cmd_solve(args) -> int:
     try:
         phi = solve(G, args.n, SolverParams.desk(args.n))
     except (HypothesisError, StageFailure) as e:
-        payload = _failure_payload(e)
+        payload, code = _failure(e)
         # on desk-sized inputs an exhaustive search can tell a failed
         # construction apart from a genuinely cube-free colouring
         if G.n_vertices <= 64 and args.n <= 4:
@@ -237,7 +235,7 @@ def _cmd_solve(args) -> int:
                     f"no red Q_{args.n} exists in this graph"
                 )
         _emit(payload)
-        return _exit_code(e)
+        return code
     if args.embedding_out is not None:
         with _open_out(args.embedding_out) as f:
             write_embedding(phi, args.n, f)
@@ -286,7 +284,7 @@ def _cmd_oracle_contains_cube(args) -> int:
 
 def _cmd_bandwidth_check(args) -> int:
     n = args.n
-    order = bandwidth_order(range(1 << n), n)
+    order = bandwidth_order(range(1 << n))
     pos = {z: i for i, z in enumerate(order)}
     max_gap = 0
     for z in range(1 << n):
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
-        "--p", type=_probability, default=0.5, help="bipartite blue edge probability"
+        "--p", type=_probability, help="bipartite blue edge probability (default 0.5)"
     )
     p.add_argument(
         "--blue-edges",
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target blue edge count for the greedy model (default vertices/8)",
     )
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=_cmd_gen_random)
+    p.set_defaults(func=_cmd_gen_random, misuse=p.error)
 
     p = sub.add_parser("check", help="inspect a colouring, optionally an embedding")
     p.add_argument("--in", dest="infile", required=True, help="graph file, - for stdin")
@@ -422,8 +420,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CubeRamseyError as e:
-        _emit(_failure_payload(e))
-        return _exit_code(e)
+        payload, code = _failure(e)
+        _emit(payload)
+        return code
     except OSError as e:
         _emit({"status": "io-error", "message": str(e)})
         return EXIT_PARSE

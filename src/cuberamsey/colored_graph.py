@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
@@ -21,14 +21,13 @@ from .errors import GraphParseError
 
 @dataclass
 class Verdict:
-    """Outcome of a verification pass: ``ok`` plus human-readable errors."""
+    """Outcome of a verification pass: its errors; ``ok`` means there are none."""
 
-    ok: bool
-    errors: list[str] = field(default_factory=list)
+    errors: list[str]
 
-    @classmethod
-    def failure(cls, *errors: str) -> "Verdict":
-        return cls(False, list(errors))
+    @property
+    def ok(self) -> bool:
+        return not self.errors
 
     def __bool__(self) -> bool:
         return self.ok
@@ -733,5 +732,5 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
                 continue
             errors.append(f"cube edge {z}-{w} lands on non-red pair {a}-{b}")
             if len(errors) >= 20:
-                return Verdict.failure(*errors)
-    return Verdict(not errors, errors)
+                return Verdict(errors)
+    return Verdict(errors)

@@ -416,11 +416,11 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
         if k == 0 or sorted(tuple(w[:2]) for w in rec.weights) != pairs:
             errors.append(f"round {i} does not record one weight per clique pair")
     if errors:
-        return Verdict.failure(*errors)
+        return Verdict(errors)
     for i, sn in enumerate(dec.snakes):
         errors += [f"snake {i} invalid: {e}" for e in range_errors(G.n_vertices, sn)]
     if errors:
-        return Verdict.failure(*errors)
+        return Verdict(errors)
     masks = [sn.mask for sn in dec.snakes]
     total = 0
     for i, m in enumerate(masks):
@@ -469,4 +469,4 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
                         f"vertex {v} of snake {j} has blue degree {d} "
                         f"into snake {i}, above s_i/mu"
                     )
-    return Verdict(not errors, errors)
+    return Verdict(errors)

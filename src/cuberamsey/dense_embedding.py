@@ -173,10 +173,9 @@ def embed_partial_assignment(
 
 @dataclass(frozen=True)
 class Extended:
-    """Extension outcome: the assignment gained one entry."""
+    """Extension outcome: the assignment with its new entry last."""
 
     assignment: PartialAssignment
-    entry: AssignmentEntry
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ def extend_or_clean(
         if nb.bit_count() >= need:
             members = tuple(bits_list(lowest_bits(nb, size)))
             entry = AssignmentEntry(y, members)
-            return Extended(PartialAssignment(pa.entries + (entry,), g), entry)
+            return Extended(PartialAssignment(pa.entries + (entry,), g))
     return Cleaned(C)
 
 
@@ -373,8 +372,8 @@ def dense_embed(
             step = extend_or_clean(H, pa, A, a, bb, n)
             if isinstance(step, Extended):
                 pa = step.assignment
-                A &= ~step.entry.mask
-                covered |= mask_of(subcube_vertices(step.entry.subcube, n))
+                A &= ~pa.entries[-1].mask
+                covered |= mask_of(subcube_vertices(pa.entries[-1].subcube, n))
             else:
                 A = step.mask
                 break
@@ -383,7 +382,7 @@ def dense_embed(
     residual = bits_list(full_cube & ~covered)
     try:
         return complete_greedily(
-            H, n, phi, A, A & ~pa.used, bandwidth_order(residual, n)
+            H, n, phi, A, A & ~pa.used, bandwidth_order(residual)
         )
     except StageFailure as e:
         e.data.update(passes=passes_run, extensions=len(pa.entries))

@@ -105,8 +105,8 @@ def partition_complement(
     return list(complement_cells(members, n, b))
 
 
-def bandwidth_order(vertices: Iterable[int], n: int) -> list[int]:
-    """Order vertices by (number of set bits, word value), by two C sorts.
+def bandwidth_order(vertices: Iterable[int]) -> list[int]:
+    """Order cube vertices by (number of set bits, word value), by two C sorts.
 
     Along this order every cube edge joins consecutive weight levels, so the
     index gap across an edge is at most the size of two adjacent levels.

@@ -26,9 +26,15 @@ TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 14, 38, 107, 410, 1897)
 
 @dataclass(frozen=True)
 class CubeSearchResult:
-    found: bool
+    """A red cube's map, or None when there is none, and the search's
+    placements; ``found`` is derived from the map."""
+
     embedding: Optional[dict[int, int]]
     nodes: int
+
+    @property
+    def found(self) -> bool:
+        return self.embedding is not None
 
 
 def _red_core(G: ColouredGraph, pool: int, k: int) -> int:
@@ -127,13 +133,13 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     """
     size, N = 1 << n, G.n_vertices
     if N < size:
-        return CubeSearchResult(False, None, 0)
-    order = bandwidth_order(range(size), n)
+        return CubeSearchResult(None, 0)
+    order = bandwidth_order(range(size))
     image = [-1] * size
     blocked_of = placed_blue(G, n, image)
     walked = first_fit(list(range(N)), order, image, bytearray(N), blocked_of, G.blue)
     if walked == size:
-        return CubeSearchResult(True, {z: image[z] for z in order}, size)
+        return CubeSearchResult({z: image[z] for z in order}, size)
     pos = {z: i for i, z in enumerate(order)}
     nbrs_before = [
         [pos[order[i] ^ (1 << p)] for p in range(n) if pos[order[i] ^ (1 << p)] < i]
@@ -160,50 +166,36 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
             assigned[i] = v
             if i + 1 == size:
                 return CubeSearchResult(
-                    True, {order[k]: assigned[k] for k in range(size)}, nodes
+                    {order[k]: assigned[k] for k in range(size)}, nodes
                 )
             used |= bit(v)
             avail = piece_of[assigned[0]] & ~used
             for j in nbrs_before[i + 1]:
                 avail &= G.red_mask(assigned[j])
             stack.append(iter_bits(avail))
-    return CubeSearchResult(False, None, nodes)
+    return CubeSearchResult(None, nodes)
 
 
 @dataclass(frozen=True)
 class RamseyVerdict:
     """Outcome of an exhaustive sweep at one graph size.
 
-    ``holds`` says every colouring of K_N has a blue triangle or a red
-    n-cube; when it fails, ``witness`` is a colouring with neither.
-    ``checked`` counts colourings for the plain mode and isomorphism
-    classes for the canonical mode.
+    ``witness`` is a colouring of K_N with neither a blue triangle nor a
+    red n-cube, or None; ``holds``, that every colouring has one or the
+    other, is derived: it means there is no witness.  ``checked`` counts
+    colourings for the plain mode and isomorphism classes for the
+    canonical mode.
     """
 
     n: int
     N: int
-    holds: bool
     witness: Optional[ColouredGraph]
     checked: int
     mode: str
 
-
-def _pair_index(i: int, j: int) -> int:
-    # pairs ordered (0,1), (0,2), (1,2), (0,3), ...: all pairs into a new
-    # vertex come after all pairs among the old ones
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
-
-
-def _graph_from_pairbits(N: int, c: int) -> ColouredGraph:
-    edges = [
-        (i, j)
-        for i in range(N)
-        for j in range(i + 1, N)
-        if (c >> _pair_index(i, j)) & 1
-    ]
-    return ColouredGraph.from_blue_edges(N, edges)
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def _independent_sets(adj) -> list[int]:
@@ -222,12 +214,13 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
     K_(v+1) with neither is one of K_v with neither, with code c, plus a
     blue neighbourhood S of v, independent there, that puts no red Q_n
     through v: code ``c | S << v(v-1)/2``.  Only those are grown; the
-    witness is the least code left at N.
+    witness is the colouring of the least code left at N, built from the
+    blue masks grown with it.
     """
     P = N * (N - 1) // 2
     if (1 << n) > N:
         # no colouring can hold the cube; the all-red one is a witness
-        return RamseyVerdict(n, N, False, _graph_from_pairbits(N, 0), 1 << P, "plain")
+        return RamseyVerdict(n, N, ColouredGraph(N, [0] * N), 1 << P, "plain")
     level = [(0, ())]  # (code, blue masks)
     for v in range(N):
         full = (1 << v) - 1
@@ -243,10 +236,8 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
                 adj_S = tuple(a | (S >> u & 1) << v for u, a in enumerate(adj))
                 grown.append((code | S << (v * (v - 1) // 2), adj_S + (S,)))
         level = grown
-    if level:
-        witness = _graph_from_pairbits(N, min(code for code, _ in level))
-        return RamseyVerdict(n, N, False, witness, 1 << P, "plain")
-    return RamseyVerdict(n, N, True, None, 1 << P, "plain")
+    witness = ColouredGraph(N, list(min(level)[1])) if level else None
+    return RamseyVerdict(n, N, witness, 1 << P, "plain")
 
 
 def _column(row: int, t: int) -> int:
@@ -471,8 +462,8 @@ def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
     for adj in graphs:
         G = ColouredGraph(N, list(adj), validate=False)
         if not contains_red_cube(G, n).found:
-            return RamseyVerdict(n, N, False, G, len(graphs), "canonical")
-    return RamseyVerdict(n, N, True, None, len(graphs), "canonical")
+            return RamseyVerdict(n, N, G, len(graphs), "canonical")
+    return RamseyVerdict(n, N, None, len(graphs), "canonical")
 
 
 def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:

@@ -132,11 +132,11 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     """
     errors = []
     if not snake.cliques:
-        return Verdict.failure("a snake needs at least one clique")
+        return Verdict(["a snake needs at least one clique"])
     if snake.s < 1:
         errors.append(f"link strength s must be positive, got {snake.s}")
     if bad := range_errors(G.n_vertices, snake) + pair_errors(snake):
-        return Verdict.failure(*errors, *bad)
+        return Verdict(errors + bad)
     m = len(snake.cliques[0])
     masks = snake.clique_masks
     for idx, c in enumerate(snake.cliques):
@@ -151,7 +151,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             if masks[i] & masks[j]:
                 errors.append(f"cliques {i} and {j} share vertices")
     if errors:
-        return Verdict.failure(*errors)
+        return Verdict(errors)
 
     for w in snake.witnesses:
         if len(w.X) != snake.s or len(w.Y) != snake.s:
@@ -172,7 +172,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     if unreached := snake.k - len(link_tree(snake.k, pairs)):
         errors.append(f"link graph is disconnected: clique 0 does not reach "
                       f"{unreached} of the {snake.k} cliques")
-    return Verdict(not errors, errors)
+    return Verdict(errors)
 
 
 def closed_tree_walk(snake: Snake) -> tuple[int, ...]:
@@ -236,7 +236,7 @@ def snake_embed(
     """
     if bad := range_errors(G.n_vertices, snake) + pair_errors(snake):
         raise ValueError("invalid snake: " + "; ".join(bad))
-    queue = bandwidth_order(cube_vertices, n)
+    queue = bandwidth_order(cube_vertices)
     if len(set(queue)) != len(queue):
         raise ValueError("cube vertices to embed must be distinct")
     if any(not 0 <= z < (1 << n) for z in queue):

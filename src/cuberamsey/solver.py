@@ -75,20 +75,17 @@ def choose_case(dec: Decomposition) -> int:
     return 1 if 2 * dec.sparse_mask.bit_count() >= dec.n_vertices else 2
 
 
-def assign_subcubes(
-    n: int, codim: int, snake_sizes: list[int]
-) -> list[list[InitialSubcube]]:
-    """First-fit the codimension-``codim`` subcubes onto the snakes.
+def assign_subcubes(n: int, snake_sizes: list[int]) -> list[list[InitialSubcube]]:
+    """First-fit the four initial subcubes of codimension ``SPLIT_CODIM``
+    = 2, prefixes 00, 01, 10, 11, onto the snakes.
 
-    Snake j may take floor(|S_j| / 2^(n - codim)) - 1 pieces; each piece,
-    in increasing prefix order, goes to the first snake with room.  If
-    the capacities cannot cover all 2^codim pieces the split fails with
-    the deficit.
+    Snake j may take floor(|S_j| / 2^(n - 2)) - 1 pieces; each piece, in
+    increasing prefix order, goes to the first snake with room.  If the
+    capacities cannot cover all four pieces the split fails with the
+    deficit.  An n below 2 has no such pieces and raises ValueError.
     """
-    if not 1 <= codim <= n:
-        raise ValueError(f"split codimension {codim} out of range for n={n}")
-    cells = partition_complement([], n, codim)
-    piece = 1 << (n - codim)
+    cells = partition_complement([], n, SPLIT_CODIM)
+    piece = 1 << (n - SPLIT_CODIM)
     caps = [size // piece - 1 for size in snake_sizes]
     total = sum(caps)
     if total < len(cells):
@@ -135,11 +132,9 @@ def _solve_dense(
     return {z: order[w] for z, w in phi_h.items()}
 
 
-def _solve_snakes(
-    G: ColouredGraph, n: int, params: SolverParams, dec: Decomposition
-) -> dict[int, int]:
+def _solve_snakes(G: ColouredGraph, n: int, dec: Decomposition) -> dict[int, int]:
     sizes = [sn.mask.bit_count() for sn in dec.snakes]
-    assignment = assign_subcubes(n, SPLIT_CODIM, sizes)
+    assignment = assign_subcubes(n, sizes)
     phi: dict[int, int] = {}
     # later snakes first, so each piece only ever dodges neighbours that
     # are already pinned down
@@ -192,7 +187,7 @@ def solve(G: ColouredGraph, n: int, params: SolverParams) -> dict[int, int]:
     if choose_case(dec) == 1:
         phi = _solve_dense(G, n, params, dec)
     else:
-        phi = _solve_snakes(G, n, params, dec)
+        phi = _solve_snakes(G, n, dec)
 
     verdict = verify_red_embedding(G, n, phi)
     if not verdict:

@@ -23,7 +23,7 @@ from cuberamsey.hypercube import (
 )
 from cuberamsey.oracle import CubeSearchResult
 from cuberamsey.snake_embedding import closed_tree_walk, snake_embed
-from cuberamsey.solver import SPLIT_CODIM, assign_subcubes
+from cuberamsey.solver import assign_subcubes
 
 
 def all_red_graph(n_vertices: int) -> ColouredGraph:
@@ -256,7 +256,7 @@ def reference_snake_embed(snake, cube_vertices, n, forb, stats):
     taken without it; ``"partial"`` counts those that took a vertex of a
     side still owed batches, above the side's reserved vertices.
     """
-    queue = bandwidth_order(cube_vertices, n)
+    queue = bandwidth_order(cube_vertices)
     delta = max((d.bit_count() for d in forb.values()), default=0)
     stats["binding"] = stats["partial"] = 0
 
@@ -336,7 +336,7 @@ def reference_snake_embed(snake, cube_vertices, n, forb, stats):
     return phi
 
 
-def reference_solve_snakes(G: ColouredGraph, n: int, params, dec, stats):
+def reference_solve_snakes(G: ColouredGraph, n: int, dec, stats):
     """``solver._solve_snakes`` with each piece's forbidden masks built
     per cube vertex of the piece, by a ``dict.get`` per cube neighbour.
 
@@ -344,7 +344,7 @@ def reference_solve_snakes(G: ColouredGraph, n: int, params, dec, stats):
     given a non-empty forbidden mask.
     """
     sizes = [sn.mask.bit_count() for sn in dec.snakes]
-    assignment = assign_subcubes(n, SPLIT_CODIM, sizes)
+    assignment = assign_subcubes(n, sizes)
     snake_masks = [sn.mask for sn in dec.snakes]
     phi = {}
     stats["forbidden"] = 0
@@ -485,8 +485,8 @@ def reference_contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     least 2^n vertices whole, with no core peeling or cut split."""
     size = 1 << n
     if G.n_vertices < size:
-        return CubeSearchResult(False, None, 0)
-    order = bandwidth_order(range(size), n)
+        return CubeSearchResult(None, 0)
+    order = bandwidth_order(range(size))
     pos = {z: i for i, z in enumerate(order)}
     nbrs_before = [
         [pos[order[i] ^ (1 << p)] for p in range(n) if pos[order[i] ^ (1 << p)] < i]
@@ -517,9 +517,9 @@ def reference_contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
             continue
         if dfs(0, comp):
             return CubeSearchResult(
-                True, {order[i]: assigned[i] for i in range(size)}, nodes
+                {order[i]: assigned[i] for i in range(size)}, nodes
             )
-    return CubeSearchResult(False, None, nodes)
+    return CubeSearchResult(None, nodes)
 
 
 def reference_plain_sweep(n: int, N: int):
@@ -767,7 +767,7 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
     raise instead of failing the snake."""
     errors = []
     if not snake.cliques:
-        return Verdict.failure("a snake needs at least one clique")
+        return Verdict(["a snake needs at least one clique"])
     if snake.s < 1:
         errors.append(f"link strength s must be positive, got {snake.s}")
     bad = [
@@ -778,7 +778,7 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
     if len({w.pair() for w in snake.witnesses}) != len(snake.witnesses):
         bad.append("duplicate witness for a clique pair")
     if bad:
-        return Verdict.failure(*errors, *bad)
+        return Verdict(errors + bad)
     m = len(snake.cliques[0])
     masks = []
     for idx, c in enumerate(snake.cliques):
@@ -796,7 +796,7 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
             if masks[i] & masks[j]:
                 errors.append(f"cliques {i} and {j} share vertices")
     if errors:
-        return Verdict.failure(*errors)
+        return Verdict(errors)
     for w in snake.witnesses:
         if len(w.X) != snake.s or len(w.Y) != snake.s:
             errors.append(
@@ -821,7 +821,7 @@ def reference_validate_snake(G: ColouredGraph, snake) -> Verdict:
     if len(reached) != snake.k:
         errors.append(f"link graph is disconnected: clique 0 does not reach "
                       f"{snake.k - len(reached)} of the {snake.k} cliques")
-    return Verdict(not errors, errors)
+    return Verdict(errors)
 
 
 def reference_find_red_clique(G: ColouredGraph, pool: int, m: int):

@@ -126,7 +126,7 @@ def test_criterion_4_bandwidth_bound():
     problems = []
     t0 = time.monotonic()
     for n in range(1, 13):
-        order = bandwidth_order(range(1 << n), n)
+        order = bandwidth_order(range(1 << n))
         pos = {z: i for i, z in enumerate(order)}
         gap = max(
             abs(pos[z] - pos[z ^ (1 << p)])

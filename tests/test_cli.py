@@ -69,6 +69,11 @@ def test_gen_random_is_seeded(tmp_path, capsys):
                  "--seed", "8", "--out", str(b)]) == EXIT_OK
     capsys.readouterr()
     assert a.read_text() != b.read_text()
+    # without --p the bipartite model draws at probability 0.5
+    assert main(["gen-random", "--n", "4", "--blue-model", "bipartite",
+                 "--seed", "8", "--p", "0.5", "--out", str(a)]) == EXIT_OK
+    capsys.readouterr()
+    assert a.read_text() == b.read_text()
 
 
 def test_solve_round_trip_through_files(tmp_path, capsys):
@@ -305,6 +310,23 @@ def test_out_of_range_generator_argument_is_misuse(flag, value, capsys):
     assert e.value.code == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("usage:") and f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "model, flag, value",
+    [("bipartite", "--blue-edges", "5"), ("triangle-free-greedy", "--p", "0.9")],
+)
+def test_other_models_flag_is_misuse(model, flag, value, tmp_path, capsys):
+    # each model reads only its own flag; the other model's is refused
+    # with a usage line that names it, and no graph is written
+    out = tmp_path / "host.txt"
+    with pytest.raises(SystemExit) as e:
+        main(["gen-random", "--n", "1", "--blue-model", model, "--seed", "0",
+              flag, value, "--out", str(out)])
+    assert e.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}:" in err
+    assert not out.exists()
 
 
 def test_removed_flags_are_misuse(capsys):

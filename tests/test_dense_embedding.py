@@ -386,7 +386,7 @@ def _completion_case(seed: int, blocking: bool):
     phi = dict(zip(placed, images))
     A = mask_of(v for v in usable if rng.random() < 0.9)
     pool = A & ~mask_of(images)
-    order = bandwidth_order([z for z in range(1 << n) if z not in phi], n)
+    order = bandwidth_order([z for z in range(1 << n) if z not in phi])
     return H, n, phi, A, pool, order
 
 

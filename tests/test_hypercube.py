@@ -180,7 +180,7 @@ def test_complement_cells_full_cover_and_bad_input():
 
 
 def test_bandwidth_order_ties_by_word():
-    order = bandwidth_order(range(8), 3)
+    order = bandwidth_order(range(8))
     assert order == [0, 1, 2, 4, 3, 5, 6, 7]
 
 
@@ -195,14 +195,14 @@ def test_bandwidth_order_matches_one_sort_by_weight_and_word(case):
     # two stable sorts, by word and then by weight, give the one sort by
     # (weight, word), whatever the input order
     n, vs = case
-    assert bandwidth_order(vs, n) == sorted(vs, key=lambda v: (v.bit_count(), v))
-    assert bandwidth_order(iter(vs), n) == bandwidth_order(vs, n)
+    assert bandwidth_order(vs) == sorted(vs, key=lambda v: (v.bit_count(), v))
+    assert bandwidth_order(iter(vs)) == bandwidth_order(vs)
 
 
 def test_bandwidth_bound_small_dimensions():
     # every cube edge joins vertices at most 2*C(n, n//2) apart in the order
     for n in range(1, 9):
-        order = bandwidth_order(range(1 << n), n)
+        order = bandwidth_order(range(1 << n))
         pos = {v: i for i, v in enumerate(order)}
         worst = 0
         for v in range(1 << n):

@@ -24,14 +24,18 @@ from helpers import (
 )
 from cuberamsey.colored_graph import (
     ColouredGraph,
+    Verdict,
     is_blue_triangle_free,
     lower_bound_coloring,
     random_bipartite_blue,
     random_triangle_free_greedy,
     verify_red_embedding,
 )
+from cuberamsey.dense_embedding import Extended
 from cuberamsey.oracle import (
     TRIANGLE_FREE_GRAPH_COUNTS,
+    CubeSearchResult,
+    RamseyVerdict,
     _child_is_canonical,
     _column,
     _independent_sets,
@@ -252,6 +256,31 @@ def test_plain_and_canonical_agree():
                 wb = b.witness
                 assert is_blue_triangle_free(wb)[0]
                 assert not contains_red_cube(wb, n).found
+
+
+def test_results_keep_their_evidence_and_derive_their_verdict():
+    # each result stores its evidence alone, and ok, found and holds are
+    # read off it, so a verdict cannot disagree with its evidence
+    fields = {
+        Verdict: ["errors"],
+        CubeSearchResult: ["embedding", "nodes"],
+        RamseyVerdict: ["n", "N", "witness", "checked", "mode"],
+        Extended: ["assignment"],
+    }
+    for cls, names in fields.items():
+        assert list(cls.__dataclass_fields__) == names, cls.__name__
+    assert Verdict([]).ok and Verdict([])
+    assert not Verdict(["bad"]).ok and not Verdict(["bad"])
+    found = contains_red_cube(all_red_graph(4), 2)
+    absent = contains_red_cube(all_red_graph(3), 2)
+    assert found.found and found.embedding is not None
+    assert not absent.found and absent.embedding is None
+    holds, fails = exhaustive_ramsey(1, 3), exhaustive_ramsey(1, 2)
+    assert holds.holds and holds.witness is None
+    assert not fails.holds and fails.witness is not None
+    for result, name in ((Verdict([]), "ok"), (found, "found"), (holds, "holds")):
+        with pytest.raises(AttributeError):
+            setattr(result, name, False)
 
 
 def test_canonical_counts_match_tabulation():

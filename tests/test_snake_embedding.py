@@ -338,7 +338,7 @@ def test_snake_embed_reserves_after_arrival_batch():
     # stretch may use it, which only a reservation taken after the
     # arrival batch allows.
     n = 3
-    q = bandwidth_order(range(8), n)
+    q = bandwidth_order(range(8))
     G = all_red_graph(8)
     snake = Snake(
         cliques=((0, 1, 2, 3), (4, 5, 6, 7)),

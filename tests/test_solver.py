@@ -59,27 +59,25 @@ def test_params_are_exact_fractions():
 
 
 def test_assign_subcubes_hand_cases():
-    out = assign_subcubes(3, 1, [9, 8])
-    assert [[c.prefix for c in cell] for cell in out] == [[(0,)], [(1,)]]
-
-    out = assign_subcubes(3, 2, [40])
+    # the four codimension-2 pieces of Q_3 have 2 vertices each
+    out = assign_subcubes(3, [40])
     assert [c.prefix for c in out[0]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
-    out = assign_subcubes(3, 2, [4, 40])
+    out = assign_subcubes(3, [4, 40])
     assert len(out[0]) == 1 and len(out[1]) == 3
 
-    out = assign_subcubes(3, 2, [2, 40])
+    out = assign_subcubes(3, [2, 40])
     assert out[0] == [] and len(out[1]) == 4
 
+    # a snake of 8 vertices hosts 8 // 2 - 1 = 3 of the 4 pieces
     with pytest.raises(StageFailure) as e:
-        assign_subcubes(3, 1, [8])
+        assign_subcubes(3, [8])
     assert e.value.stage == "subcube-assignment"
     assert e.value.data["deficit"] == 1
 
+    # Q_1 has no codimension-2 subcube
     with pytest.raises(ValueError):
-        assign_subcubes(3, 0, [8])
-    with pytest.raises(ValueError):
-        assign_subcubes(3, 4, [8])
+        assign_subcubes(1, [8])
 
 
 def test_choose_case_tie_goes_dense():
@@ -201,11 +199,11 @@ def test_solve_snakes_matches_per_cube_vertex_forbidden_masks():
         G, dec = _snake_family(rng, n, params)
         stats = {}
         try:
-            want = ("map", reference_solve_snakes(G, n, params, dec, stats))
+            want = ("map", reference_solve_snakes(G, n, dec, stats))
         except StageFailure as e:
             want = ("failure", e.stage, e.data)
         try:
-            got = ("map", solver._solve_snakes(G, n, params, dec))
+            got = ("map", solver._solve_snakes(G, n, dec))
         except StageFailure as e:
             got = ("failure", e.stage, e.data)
         assert got == want, f"seed {seed}"
