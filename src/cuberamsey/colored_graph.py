@@ -43,7 +43,8 @@ class ColouredGraph:
     not changed after construction, so one pass over them, on first use,
     builds the index that ``blue_degrees``, ``blue_classes`` and
     ``blue_at_least`` read: every degree, the twin classes, and the
-    vertices with a blue neighbour in order of falling degree.
+    vertices with a blue neighbour in order of falling degree and as a
+    mask, the support.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -97,9 +98,9 @@ class ColouredGraph:
     def red_mask(self, v: int) -> int:
         return self.full_mask & ~self.blue[v] & ~bit(v)
 
-    def _blue_index(self) -> tuple[list[int], tuple[list[int], list[int]], array]:
-        """The degrees, the twin classes ``(class_of, reps)`` and the
-        degree order, built together on first use.
+    def _blue_index(self) -> tuple[list[int], tuple[list[int], list[int]], array, int]:
+        """The degrees, the twin classes ``(class_of, reps)``, the degree
+        order and the support mask, built together on first use.
 
         Cost: one pass over the vertices.  A zero mask is passed over, and
         a one-bit mask is told by a compare at half the cost of a
@@ -110,7 +111,7 @@ class ColouredGraph:
         blow-up pays one compare per vertex, cut short when twins share
         one int object.  Only masks that differ behind a shared
         fingerprint are hashed whole.  Then a sort of the vertices with a
-        blue neighbour by degree, kept as 4 bytes each.
+        blue neighbour by degree, kept as 4 bytes each, and their mask.
         """
         if self._index is None:
             blue = self.blue
@@ -142,10 +143,9 @@ class ColouredGraph:
                 deg[v] = m.bit_count()  # two or more
                 class_of[v] = len(reps)
                 reps.append(v)
-            by_degree = array("i", sorted(
-                (v for v, d in enumerate(deg) if d), key=deg.__getitem__, reverse=True
-            ))
-            self._index = (deg, (class_of, reps), by_degree)
+            touched = [v for v, d in enumerate(deg) if d]
+            by_degree = array("i", sorted(touched, key=deg.__getitem__, reverse=True))
+            self._index = (deg, (class_of, reps), by_degree, mask_of(touched))
         return self._index
 
     def blue_degrees(self) -> list[int]:
@@ -153,11 +153,16 @@ class ColouredGraph:
         return self._blue_index()[0]
 
     def blue_at_least(self, t: int) -> int:
-        """The mask of vertices of blue degree t or more: a bisection of
-        the index's degree order and ``mask_of`` of the answer."""
+        """The mask of vertices of blue degree t or more.  The index keeps
+        the support, the vertices with a blue neighbour, as a mask, and
+        answers with it whenever t keeps all of them; any other t costs a
+        bisection of the index's degree order and ``mask_of`` of the
+        answer."""
         if t <= 0:
             return self.full_mask
-        deg, _, order = self._blue_index()
+        deg, _, order, support = self._blue_index()
+        if not order or deg[order[-1]] >= t:
+            return support
         return mask_of(order[: bisect_right(order, -t, key=lambda v: -deg[v])])
 
     def blue_edge_count(self) -> int:
@@ -174,16 +179,21 @@ class ColouredGraph:
         """
         return self._blue_index()[1]
 
-    def has_blue_into(self, vertices: Iterable[int], mask: int) -> bool:
-        """Whether some given vertex (each in range) has a blue neighbour
-        in the mask.  Cost: one N-bit AND per blue class among them (its
-        members share one mask) and per unclassed vertex of degree 1."""
+    def has_blue_into(self, vertices: int, mask: int) -> bool:
+        """Whether some vertex of the mask ``vertices`` has a blue
+        neighbour in ``mask``.  Only its vertices with a blue neighbour
+        are walked (``vertices & blue_at_least(1)``), so a mask of an
+        all-red host reads no blue mask.  Cost: ``iter_bits`` of that
+        AND, then one AND per blue class among them (its members share
+        one mask) and per unclassed vertex of degree 1, whose one-bit
+        mask reaches only as far as its neighbour."""
         class_of = self.blue_classes()[0]
+        blue = self.blue
         seen: set[int] = set()
-        for v in vertices:
+        for v in iter_bits(vertices & self.blue_at_least(1)):
             c = class_of[v]
             if c < 0 or c not in seen:
-                if self.blue[v] & mask:
+                if blue[v] & mask:
                     return True
                 seen.add(c)
         return False
@@ -194,7 +204,8 @@ class ColouredGraph:
         vs = list(vertices)
         if vs and (min(vs) < 0 or max(vs) >= self.n_vertices):
             raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
-        return not self.has_blue_into(vs, mask_of(vs))
+        S = mask_of(vs)
+        return not self.has_blue_into(S, S)
 
     # -- derived graphs -------------------------------------------------
 
@@ -204,24 +215,32 @@ class ColouredGraph:
         Returns the subgraph together with the list mapping new indices to
         old ones (new index i corresponds to old vertex ``order[i]``).
 
-        Cost: a sort and a dict over the vertices, then one dict lookup
-        and one shift per blue neighbour (``counted_bits`` with the
-        degree).
+        Cost: a sort and a dict over the vertices, then, for each kept
+        vertex with a blue neighbour, one dict lookup and one shift per
+        blue neighbour: read by ``bit_length`` at degree 1 and by
+        ``counted_bits`` above.  A kept vertex without one costs a list
+        read and keeps the zero mask.
         """
         order = sorted(set(vertices))
         if order and (order[0] < 0 or order[-1] >= self.n_vertices):
             raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
         pos = {v: i for i, v in enumerate(order)}
-        deg = self.blue_degrees()
-        blue = []
-        for v in order:
-            nm = 0
-            for w in counted_bits(self.blue[v], deg[v]) if deg[v] else ():
-                i = pos.get(w)
-                if i is not None:
-                    nm |= 1 << i
-            blue.append(nm)
-        return ColouredGraph(len(order), blue, validate=False), order
+        deg, blue = self.blue_degrees(), self.blue
+        out = [0] * len(order)
+        for i, v in enumerate(order):
+            d = deg[v]
+            if d == 1:
+                j = pos.get(blue[v].bit_length() - 1)
+                if j is not None:
+                    out[i] = 1 << j
+            elif d:
+                nm = 0
+                for w in counted_bits(blue[v], d):
+                    j = pos.get(w)
+                    if j is not None:
+                        nm |= 1 << j
+                out[i] = nm
+        return ColouredGraph(len(order), out, validate=False), order
 
     # -- text round trip ------------------------------------------------
 
@@ -340,36 +359,63 @@ def find_red_clique(G: ColouredGraph, pool: int, m: int) -> Optional[tuple[int, 
     The sweep takes vertices in index order, discarding the blue
     neighbourhood of each pick, and returns the first m picks as a sorted
     vertex tuple.  It is no search: None proves nothing, and a red
-    m-clique may still lie in the pool.
+    m-clique may still lie in the pool.  A pool with a bit outside
+    0..N-1, or m below 1, raises ValueError.
 
-    Cost: one walk over the pool marks the discarded vertices, at the
-    cost of ``counted_bits`` per pick, O(1) at degree 1; after a pick of
-    degree above N/256, clearing a candidate mask (one N-bit operation
-    per pick) is the cheaper way to go on.
+    Cost: a vertex with no blue neighbour is never discarded and
+    discards nothing, so each one in the pool is a pick, listed at once.
+    Only the pool's other vertices below the m-th such pick are walked.
+    A pick marks its discarded neighbour by ``bit_length`` at degree 1,
+    and its neighbours by ``counted_bits`` above; after a pick of degree
+    above N/256, clearing a candidate mask (one N-bit operation per
+    pick) is the cheaper way to go on.  The first m picks are a sort of
+    the two sorted lists.
     """
-    deg = G.blue_degrees()
+    N = G.n_vertices
+    if pool >> N:
+        raise ValueError(f"the pool must lie in 0..{N - 1}")
+    if m <= 0:
+        raise ValueError("clique size must be positive")
+    deg, blue = G.blue_degrees(), G.blue
+    support = G.blue_at_least(1)
+    free = bits_list(pool & ~support)  # red to every vertex
+    # no pick above the m-th free one can be among the first m picks
+    walk = pool & support
+    if len(free) >= m:
+        walk &= (1 << free[m - 1]) - 1
     picks: list[int] = []
-    marked = bytearray(G.n_vertices)
+    marked = bytearray(N)
     cand = 0
-    for v in iter_bits(pool):
+    for v in iter_bits(walk):
         if marked[v]:
             continue
         picks.append(v)
         if len(picks) == m:
             break
-        if deg[v] << 8 > G.n_vertices:
+        d = deg[v]
+        if d << 8 > N:
+            # the free vertices below v are picks; those above it are
+            # left in the candidate mask
+            below = bisect_right(free, v)
+            if below + len(picks) >= m:
+                break
+            del free[below:]
             cand = pool & ~((2 << v) - 1)
             for p in picks:
-                cand &= ~G.blue[p]
+                cand &= ~blue[p]
             break
-        if deg[v]:
-            for w in counted_bits(G.blue[v], deg[v]):
+        if d == 1:
+            marked[blue[v].bit_length() - 1] = 1
+        else:
+            for w in counted_bits(blue[v], d):
                 marked[w] = 1
-    while cand and len(picks) < m:
+    while cand and len(free) + len(picks) < m:
         v = (cand & -cand).bit_length() - 1
         picks.append(v)
-        cand &= ~(bit(v) | G.blue[v])
-    return tuple(picks) if len(picks) == m else None
+        cand &= ~(bit(v) | blue[v])
+    if len(free) + len(picks) < m:
+        return None
+    return tuple(sorted(free + picks)[:m])
 
 
 def heaviest_blue_star(G: ColouredGraph, pool: int, t: int) -> Optional[tuple[int, int]]:
@@ -411,17 +457,17 @@ def max_disjoint_red_cliques(
     vertex of degree 1: the all-red check, over the residual vertices
     with a blue neighbour (none on an all-red host); the star harvest
     (``heaviest_blue_star``) and the red test of the harvested star;
-    then the sweep, a walk over the residual.  The dense route's sparse
+    then the sweep, a walk over the residual's vertices with a blue
+    neighbour (``find_red_clique``).  The dense route's sparse
     hosts end on a residual of exactly m, settled by the check.
     """
     if m <= 0:
         raise ValueError("clique size must be positive")
     cliques: list[tuple[int, ...]] = []
     residual = A
-    support = G.blue_at_least(1)
     while (size := residual.bit_count()) >= m:
-        # all-red fast path: a vertex without a blue neighbour is red to all
-        if not G.has_blue_into(iter_bits(residual & support), residual):
+        # all-red fast path
+        if not G.has_blue_into(residual, residual):
             while residual.bit_count() >= m:
                 take = lowest_bits(residual, m)
                 cliques.append(tuple(bits_list(take)))
@@ -433,9 +479,8 @@ def max_disjoint_red_cliques(
         # blue-star harvest: the blue neighbourhood of any vertex is red
         if star := heaviest_blue_star(G, residual, m):
             take = lowest_bits(G.blue[star[0]] & residual, m)
-            took = bits_list(take)
-            if not G.has_blue_into(took, take):
-                cliques.append(tuple(took))
+            if not G.has_blue_into(take, take):
+                cliques.append(tuple(bits_list(take)))
                 residual &= ~take
                 continue
             # the star was not red after all: the blue graph has a triangle
@@ -684,13 +729,16 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
     not a failed verification, and raises ValueError.
 
     Cost: O(2^n) dict and set work over the map and ``mask_of`` of its
-    in-range images; then per cube vertex one AND of its image's blue
-    mask with that mask (N bits where the image has a blue neighbour),
-    and n edge tests only where the AND leaves a bit or the image is
-    shared with another cube vertex.  Any other image is red to every
-    other image, so its edges are passed over.  An edge test is one bit
-    of the AND, an N-bit shift: a map whose images are blue to many
-    images off the cube edges pays one per cube edge at those images.
+    in-range images; then, per cube vertex, a test of its image a that
+    reads a's blue degree.  An image of degree 0 is red to every other
+    image.  An image of degree 1 is read through the inverse map: its
+    one neighbour, found by ``bit_length``, is an image of a cube
+    neighbour or it is no fault.  Any other image, and a shared one,
+    gets one AND of its blue mask with the image mask (N bits).  The n
+    edge tests at a follow only where the test leaves a possible fault,
+    and any other image is passed over.  An edge test is one bit of the
+    AND, an N-bit shift: a map whose images are blue to many images off
+    the cube edges pays one per cube edge at those images.
     """
     missing = [z for z in range(1 << n) if z not in phi]
     if missing:
@@ -713,16 +761,29 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
             errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
             shared.add(v)
         seen[v] = z
-    blue, images = G.blue, mask_of(seen)
+    deg, blue, images = G.blue_degrees(), G.blue, mask_of(seen)
     for z in range(1 << n):
         if z not in checkable:
             continue
         a = phi[z]
-        # an image red to every other image is red to those of z's
-        # neighbours: no edge test
-        hits = blue[a] & images
-        if not hits and a not in shared:
+        d = deg[a]
+        if a in shared or d > 1:
+            # an image red to every other image is red to those of z's
+            # neighbours: no edge test
+            hits = blue[a] & images
+            if not hits and a not in shared:
+                continue
+        elif not d:
             continue
+        else:
+            # the one neighbour u of a: a fault only where u is the image
+            # of a cube neighbour of z, which is sure to be seen[u] unless
+            # u is shared
+            u = blue[a].bit_length() - 1
+            y = seen.get(u)
+            if y is None or u not in shared and (y ^ z) & ((y ^ z) - 1):
+                continue
+            hits = blue[a]
         for i in range(n):
             w = z ^ (1 << i)
             if w < z or w not in checkable:

@@ -151,6 +151,8 @@ class Decomposition:
 
     Only the rounds are stored.  Snake i is read off round i (its
     snake's cliques, witnesses and s), and C is every vertex in no snake.
+    ``decompose`` hands over the snakes it built, clique masks included,
+    so a solve masks each clique once.
     """
 
     n_vertices: int
@@ -278,6 +280,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     """
     A = G.full_mask
     rounds: list[RoundRecord] = []
+    snakes: list[Snake] = []
     # mu * d > s, cross-multiplied into integers
     mu_num, mu_den = params.mu.numerator, params.mu.denominator
     # a blue degree into a set is at most the whole blue degree, so each
@@ -372,6 +375,11 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         rounds.append(RoundRecord(
             tuple(cliques), recorded, s, witnesses, tuple(bits_list(sparse_new))
         ))
+        # the round's snake, as ``Decomposition.snakes`` reads it off the
+        # record, carries the clique masks built above
+        snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
+        snake.__dict__["clique_masks"] = tuple(mask for _, mask in snake_masks)
+        snakes.append(snake)
         A = A_next
     else:
         raise AssertionError("decomposition failed to terminate")
@@ -383,7 +391,9 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
             f"vertex {star[0]} keeps {star[1]} blue neighbours in the "
             f"sparse remainder, not below m = {params.m}"
         )
-    return Decomposition(G.n_vertices, params, tuple(rounds))
+    dec = Decomposition(G.n_vertices, params, tuple(rounds))
+    dec.__dict__["snakes"] = tuple(snakes)
+    return dec
 
 
 def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:

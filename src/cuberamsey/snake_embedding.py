@@ -127,8 +127,10 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
     K_{s,s} between its two cliques, and the link graph connected; a
     vertex outside G or a bad or repeated witness pair (``range_errors``,
     ``pair_errors``) fails it first.  Cost: one mask per witness side
-    (the snake's clique masks are built once and kept), and one N-bit AND
-    per blue class in a clique or witness X side.
+    (the snake's clique masks are built once and kept), and
+    ``has_blue_into`` of each clique and witness X side: one N-bit AND
+    per blue class in it, and none for a vertex without a blue
+    neighbour, so the cliques of an all-red host read no blue mask.
     """
     errors = []
     if not snake.cliques:
@@ -144,7 +146,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             errors.append(f"clique {idx} has {len(c)} vertices, expected {m}")
         if masks[idx].bit_count() != len(c):
             errors.append(f"clique {idx} repeats a vertex")
-        if G.has_blue_into(c, masks[idx]):
+        if G.has_blue_into(masks[idx], masks[idx]):
             errors.append(f"clique {idx} is not a red clique")
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -164,7 +166,7 @@ def validate_snake(G: ColouredGraph, snake: Snake) -> Verdict:
             errors.append(f"witness ({w.i}, {w.j}) X side not inside clique {w.i}")
         if my & ~masks[w.j] or len(set(w.Y)) != len(w.Y):
             errors.append(f"witness ({w.i}, {w.j}) Y side not inside clique {w.j}")
-        if G.has_blue_into(w.X, my):
+        if G.has_blue_into(mx, my):
             errors.append(
                 f"witness ({w.i}, {w.j}) has a blue cross pair"
             )

@@ -15,7 +15,7 @@ from helpers import (
     two_clique_linked_graph,
     two_clique_linked_shuffled,
 )
-from cuberamsey import decomposition
+from cuberamsey import decomposition, snake_embedding
 from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -229,6 +229,38 @@ def test_decompose_random_hosts():
         for rec in dec.rounds:
             assert params.s_lo <= rec.s <= params.s_hi
             assert rec.snake_indices
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_hands_its_clique_masks_to_the_snakes(seed, monkeypatch):
+    # the snakes that decompose returns carry the masks it built for the
+    # round, so reading them masks no clique again; they equal the snakes
+    # a decomposition reads off its round records
+    rng = random.Random(f"handed/{seed}")
+    n = rng.choice([3, 4])
+    N = 1 << (n + 2)
+    if seed % 2:
+        G = two_clique_linked_shuffled(n, rng, extra=rng.randrange(10))
+    else:
+        G = random_bipartite_blue(N, 0.05, rng)
+    dec = decompose(G, DecompositionParams.desk(n))
+    assert dec.snakes
+
+    def never(vertices):
+        raise AssertionError("a clique was masked again")
+
+    monkeypatch.setattr(snake_embedding, "mask_of", never)
+    fresh = Decomposition(dec.n_vertices, dec.params, dec.rounds)
+    for sn, rec in zip(dec.snakes, dec.rounds):
+        assert sn.clique_masks == tuple(mask_of(c) for c in sn.cliques)
+        assert sn.cliques == tuple(rec.cliques[c] for c in rec.snake_indices)
+    covered = dec.sparse_mask
+    for sn in dec.snakes:
+        covered |= sn.mask
+    assert covered == G.full_mask
+    monkeypatch.undo()
+    assert fresh.snakes == dec.snakes
+    assert fresh.sparse_mask == dec.sparse_mask
 
 
 def brute_biclique_weight(G, A, B):

@@ -5,8 +5,10 @@ embedding verifier against its per-edge ``is_red`` loop, the blue twin
 classes against the masks, the passes that do their N-bit work once per
 class against their per-vertex loops, and the walks that read a blue
 neighbourhood from the top of its mask, or a degree threshold from the
-sorted degrees, against the N-bit passes they replaced, and the first-fit
-walk against a scan of its whole list per cube vertex."""
+sorted degrees, against the N-bit passes they replaced, the red tests,
+greedy sweep and induced copy that pass over vertices without a blue
+neighbour against their per-vertex loops, and the first-fit walk against
+a scan of its whole list per cube vertex."""
 
 import random
 
@@ -602,6 +604,170 @@ def test_blue_at_least_matches_degree_filter(host):
 @pytest.mark.parametrize("case", SPARSE_CASES[::2], ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
 def test_blue_at_least_on_sparse_and_hub_hosts(case):
     _assert_threshold_index(_sparse_host(case))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts(), st.data())
+def test_has_blue_into_on_masks_matches_per_vertex_loop(host, data):
+    # random masks, blue stars with and without their centre, and masks
+    # with bits above the host, which no vertex reaches
+    G, _ = host
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    N = G.n_vertices
+    masks = [rng.getrandbits(N) for _ in range(4)] + [0, G.full_mask]
+    for v in rng.sample(range(N), min(N, 6)):
+        masks += [G.blue[v], G.blue[v] | 1 << v, G.blue[v] & rng.getrandbits(N)]
+    for S in masks:
+        vs = [v for v in range(N) if (S >> v) & 1]
+        assert G.has_blue_into(S, S) is (not reference_is_red_clique(G, vs))
+        for M in (rng.getrandbits(N), S | 1 << N, G.full_mask & ~S):
+            assert G.has_blue_into(S, M) is any(G.blue[v] & M for v in vs)
+            assert G.has_blue_into(S | 1 << (N + 1), M) is G.has_blue_into(S, M)
+
+
+@st.composite
+def light_and_heavy_hosts(draw):
+    """A host from ``hosts()`` (below 256 vertices, so every pick of the
+    greedy sweep with a blue neighbour is heavy), or a sparse host of 256
+    to 1500 vertices with up to three hubs of blue degree above N/256,
+    so the sweep marks light picks' neighbours and may move onto its
+    candidate mask at a hub."""
+    if draw(st.booleans()):
+        return draw(hosts())[0]
+    N = draw(st.integers(256, 1500))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    blue = [0] * N
+    for _ in range(draw(st.integers(0, N))):
+        u, v = rng.sample(range(N), 2)
+        _add_edge(blue, u, v)
+    for _ in range(draw(st.integers(0, 3))):
+        hub = rng.randrange(N)
+        for w in rng.sample(range(N), rng.randrange(N >> 8, N // 4)):
+            if w != hub:
+                _add_edge(blue, hub, w)
+    return ColouredGraph(N, blue)
+
+
+def _cut_neighbourhoods(G: ColouredGraph, rng) -> list[int]:
+    """Vertex masks: the whole host, random ones, and masks that hold a
+    vertex and only part of its blue neighbourhood."""
+    N = G.n_vertices
+    masks = [G.full_mask, rng.getrandbits(N), G.full_mask & ~rng.getrandbits(N)]
+    touched = [v for v in range(N) if G.blue[v]]
+    for v in rng.sample(touched, min(len(touched), 3)):
+        keep = rng.getrandbits(N)
+        masks += [(keep & ~G.blue[v]) | (G.blue[v] & rng.getrandbits(N)) | 1 << v]
+    return masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(light_and_heavy_hosts(), st.data())
+def test_find_red_clique_matches_peeling_sweep_on_cut_pools(G, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    N = G.n_vertices
+    for pool in _cut_neighbourhoods(G, rng):
+        for m in {1, 2, rng.randrange(1, N + 1), pool.bit_count() // 2 or 1}:
+            assert find_red_clique(G, pool, m) == reference_find_red_clique(G, pool, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(light_and_heavy_hosts(), st.data())
+def test_induced_matches_per_vertex_copy_on_cut_keep_sets(G, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    N = G.n_vertices
+    for keep in _cut_neighbourhoods(G, rng):
+        vs = [v for v in range(N) if (keep >> v) & 1]
+        rng.shuffle(vs)
+        H, order = G.induced(vs + vs[: len(vs) // 3])
+        assert (H.blue, order) == reference_induced(G, vs)
+
+
+@pytest.mark.parametrize("pool", [1 << 8, 0b11 | 1 << 8, 1 << 40, -1])
+def test_find_red_clique_refuses_a_pool_outside_the_host(pool):
+    # vertices 2..7 have no blue neighbour: a walk over the blue vertices
+    # alone would hand a bit at or above N back as a clique vertex
+    G = ColouredGraph.from_blue_edges(8, [(0, 1)])
+    for m in (1, 2, 4):
+        with pytest.raises(ValueError, match=r"0\.\.7"):
+            find_red_clique(G, pool, m)
+    with pytest.raises(ValueError, match="positive"):
+        find_red_clique(G, 0b1100, 0)
+
+
+def _matching_host(N: int, rng) -> ColouredGraph:
+    """A host whose blue graph is a perfect matching on random pairs."""
+    vs = list(range(N))
+    rng.shuffle(vs)
+    blue = [0] * N
+    for i in range(0, N, 2):
+        _add_edge(blue, vs[i], vs[i + 1])
+    return ColouredGraph(N, blue)
+
+
+def test_degree_one_hosts_read_neighbours_by_bit_length(monkeypatch):
+    # every vertex has blue degree 1, and N >= 256 keeps every pick light:
+    # the sweep, the copy and the verifier never list a neighbourhood
+    def never(mask, k):
+        raise AssertionError("counted_bits called")
+
+    monkeypatch.setattr(colored_graph, "counted_bits", never)
+    rng = random.Random("matching")
+    N, n = 1024, 6
+    G = _matching_host(N, rng)
+    mate = [G.blue[v].bit_length() - 1 for v in range(N)]
+    for pool in (G.full_mask, rng.getrandbits(N), G.full_mask & ~rng.getrandbits(N)):
+        for m in (2, N // 4, pool.bit_count() // 2, pool.bit_count() // 2 + 1):
+            assert find_red_clique(G, pool, m) == reference_find_red_clique(G, pool, m)
+    for vs in (range(N), rng.sample(range(N), N // 2)):
+        H, order = G.induced(vs)
+        assert (H.blue, order) == reference_induced(G, vs)
+    # maps whose cube edges land on matched pairs, on one image twice,
+    # or on the mate of a shared image
+    base = rng.sample(range(N), 1 << n)
+    maps = [dict(enumerate(base))]
+    for _ in range(6):
+        phi = dict(enumerate(base))
+        for z in rng.sample(range(1 << n), 8):
+            y = z ^ (1 << rng.randrange(n))
+            phi[y] = mate[phi[z]] if rng.random() < 0.7 else phi[z]
+        maps.append(phi)
+    # the mate of cube vertex 0's image is shared by cube vertex 1 and by
+    # the last cube vertex, which is no cube neighbour of 0 and is seen last
+    phi = dict(enumerate(base))
+    phi[1] = phi[(1 << n) - 1] = mate[phi[0]]
+    maps.append(phi)
+    for phi in maps:
+        assert verify_red_embedding(G, n, phi).errors == reference_verify_errors(G, n, phi)
+    assert any(verify_red_embedding(G, n, phi).errors for phi in maps)
+
+
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_all_red_host_reads_no_blue_mask():
+    # no vertex has a blue neighbour, so the red tests of a clique and of
+    # a snake's cliques and witness sides are settled by the index alone
+    N = 1 << 12
+    blue = _CountingList([0] * N)
+    G = ColouredGraph(N, blue)
+    G.blue_degrees()
+    blue.reads = 0
+    half = N // 2
+    snake = Snake(
+        (tuple(range(half)), tuple(range(half, N))),
+        (LinkWitness(0, 1, tuple(range(8)), tuple(range(half, half + 8))),),
+        8,
+    )
+    assert G.is_red_clique(range(N))
+    assert validate_snake(G, snake).ok
+    assert blue.reads == 0
 
 
 @st.composite
