@@ -27,16 +27,7 @@ from .decomposition import (
     select_gap_threshold,
     verify_decomposition,
 )
-from .dense_embedding import (
-    Cleaned,
-    Extended,
-    PartialAssignment,
-    ThresholdSchedule,
-    check_partial_assignment,
-    dense_embed,
-    embed_partial_assignment,
-    extend_or_clean,
-)
+from .dense_embedding import ThresholdSchedule, dense_embed
 from .errors import (
     CubeRamseyError,
     GraphParseError,
@@ -86,14 +77,8 @@ __all__ = [
     "decompose",
     "select_gap_threshold",
     "verify_decomposition",
-    "Cleaned",
-    "Extended",
-    "PartialAssignment",
     "ThresholdSchedule",
-    "check_partial_assignment",
     "dense_embed",
-    "embed_partial_assignment",
-    "extend_or_clean",
     "CubeRamseyError",
     "GraphParseError",
     "HypothesisError",

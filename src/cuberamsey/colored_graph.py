@@ -92,9 +92,6 @@ class ColouredGraph:
     def is_blue(self, u: int, v: int) -> bool:
         return bool((self.blue[u] >> v) & 1)
 
-    def is_red(self, u: int, v: int) -> bool:
-        return u != v and not self.is_blue(u, v)
-
     def red_mask(self, v: int) -> int:
         return self.full_mask & ~self.blue[v] & ~bit(v)
 
@@ -197,15 +194,6 @@ class ColouredGraph:
                     return True
                 seen.add(c)
         return False
-
-    def is_red_clique(self, vertices: Iterable[int]) -> bool:
-        """Whether the given vertices of G are pairwise red; costs their
-        mask and ``has_blue_into``.  A vertex outside 0..N-1 is an error."""
-        vs = list(vertices)
-        if vs and (min(vs) < 0 or max(vs) >= self.n_vertices):
-            raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
-        S = mask_of(vs)
-        return not self.has_blue_into(S, S)
 
     # -- derived graphs -------------------------------------------------
 
@@ -494,13 +482,14 @@ def max_disjoint_red_cliques(
 
 
 def max_balanced_biclique(
-    G: ColouredGraph, M1: Iterable[int], M2: Iterable[int], cap: Optional[int] = None
+    G: ColouredGraph, M1: Iterable[int], M2: Iterable[int], cap: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """A red complete bipartite K_{w,w} between M1 and M2, found by two
     prefix walks: a lower bound on the largest such w, not a search.
 
     Returns (min(w, cap), X, Y) with X from M1 and Y from M2, sorted
-    tuples of that size, every cross pair red; ``cap=None`` is no cap.
+    tuples of that size, every cross pair red; a cap of
+    min(len(M1), len(M2)) is no cap.
     Each walk runs through one side in increasing blue-cross order and
     keeps the other side red to the whole prefix; the second walk runs
     only while the first stays below the cap, so a result below the cap
@@ -523,9 +512,7 @@ def max_balanced_biclique(
     if swapped:
         side1, side2 = side2, side1
         m1, m2 = m2, m1
-    limit = min(len(side1), len(side2))
-    if cap is not None:
-        limit = min(limit, cap)
+    limit = min(len(side1), len(side2), cap)
 
     class_of, reps = G.blue_classes()
 

@@ -210,14 +210,15 @@ class Decomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "Decomposition":
-        """The certificate written by ``to_json``.  A vertex, index,
-        weight, s or vertex count that is not a JSON integer (true and
-        false included) raises ValueError naming its round and field."""
+        """The certificate written by ``to_json``.  A parameter, vertex,
+        index, weight, s or vertex count that is not a JSON integer (true
+        and false included) raises ValueError naming its field, and its
+        round if it has one; so does a zero denominator of lam or mu."""
         data = json.loads(text)
         p = data["params"]
-        params = DecompositionParams(
-            p["m"], p["s_lo"], p["s_hi"], Fraction(*p["lam"]), Fraction(*p["mu"])
-        )
+        m, s_lo, s_hi = (_ints([p[k]], f"params {k}")[0] for k in ("m", "s_lo", "s_hi"))
+        lam, mu = (_ratio(p[k], f"params {k}") for k in ("lam", "mu"))
+        params = DecompositionParams(m, s_lo, s_hi, lam, mu)
         rounds = []
         for i, r in enumerate(data["rounds"]):
             at = f"round {i}"
@@ -247,6 +248,15 @@ def _ints(values, field: str) -> tuple[int, ...]:
         if type(x) is not int:
             raise ValueError(f"{field}: {x!r} is not an integer")
     return vs
+
+
+def _ratio(values, field: str) -> Fraction:
+    """A [numerator, denominator] pair of ints as a Fraction, else a
+    ValueError naming the field."""
+    num, den = _ints(values, field)
+    if den == 0:
+        raise ValueError(f"{field}: zero denominator")
+    return Fraction(num, den)
 
 
 def _attached_clique(G: ColouredGraph, v: int, masks, s: int, lam: Fraction):

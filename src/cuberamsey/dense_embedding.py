@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
-from typing import Optional, Union
+from typing import Union
 
 from .bits import bit, bits_list, iter_bits, lowest_bits, mask_of
 from .colored_graph import (
@@ -60,17 +60,13 @@ class PartialAssignment:
 
     Entry order matters: the cross-degree condition is one-sided, each
     later candidate set having small blue degree into every earlier,
-    cube-adjacent one.
+    cube-adjacent one.  Nothing is checked on construction: gamma, a
+    Fraction in (0, 1), is checked once by ``dense_embed``, and the
+    entries are built valid by ``extend_or_clean``.
     """
 
     entries: tuple[AssignmentEntry, ...]
     gamma: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        object.__setattr__(self, "entries", tuple(self.entries))
 
     @classmethod
     def empty(cls, gamma) -> "PartialAssignment":
@@ -82,59 +78,6 @@ class PartialAssignment:
         for e in self.entries:
             m |= e.mask
         return m
-
-
-def check_partial_assignment(
-    H: ColouredGraph, pa: PartialAssignment, n: int
-) -> tuple[bool, Optional[str], Optional[str]]:
-    """Validate a partial assignment against its defining clauses.
-
-    Returns (True, None, None) or (False, clause, detail) where clause is
-    one of "a" (ordering and exact sizes), "b" (disjoint red cliques),
-    "c" (disjoint subcubes), "2.1" (cross-degree condition).
-    """
-    g = pa.gamma
-    prev_d = 0
-    for i, e in enumerate(pa.entries):
-        d = e.codim
-        if d < prev_d:
-            return False, "a", f"entry {i} has codimension {d} after {prev_d}"
-        if d > n:
-            return False, "a", f"entry {i} has codimension {d} beyond n={n}"
-        prev_d = d
-        want = candidate_set_size(g, n, d)
-        if len(e.members) != want:
-            return False, "a", (
-                f"entry {i} has {len(e.members)} members, needs exactly {want}"
-            )
-        if len(set(e.members)) != len(e.members):
-            return False, "b", f"entry {i} repeats a member"
-        if not all(0 <= v < H.n_vertices for v in e.members):
-            return False, "b", f"entry {i} mentions out-of-range vertices"
-        if not H.is_red_clique(e.members):
-            return False, "b", f"members of entry {i} are not a red clique"
-    for i in range(len(pa.entries)):
-        for j in range(i + 1, len(pa.entries)):
-            if pa.entries[i].mask & pa.entries[j].mask:
-                return False, "b", f"entries {i} and {j} share vertices"
-            if subcube_distance(pa.entries[i].subcube, pa.entries[j].subcube) == 0:
-                return False, "c", f"subcubes of entries {i} and {j} overlap"
-    for i in range(len(pa.entries)):
-        ei = pa.entries[i]
-        thr = g * (1 << (n - ei.codim)) / ei.codim if ei.codim else None
-        mi = ei.mask
-        for j in range(i + 1, len(pa.entries)):
-            ej = pa.entries[j]
-            if subcube_distance(ei.subcube, ej.subcube) != 1:
-                continue
-            for v in ej.members:
-                if thr is None or Fraction((H.blue[v] & mi).bit_count()) > thr:
-                    return False, "2.1", (
-                        f"vertex {v} of entry {j} has blue degree "
-                        f"{(H.blue[v] & mi).bit_count()} into entry {i}, "
-                        f"threshold {thr}"
-                    )
-    return True, None, None
 
 
 def embed_partial_assignment(
@@ -155,10 +98,7 @@ def embed_partial_assignment(
     blocked_of = placed_blue(H, n, image)
     for e in reversed(pa.entries):
         zs = subcube_vertices(e.subcube, n)
-        # read from the mask, so a negative member raises ValueError
         free = bits_list(e.mask)
-        if free and free[-1] >= H.n_vertices:
-            raise ValueError(f"vertices must lie in 0..{H.n_vertices - 1}")
         placed = first_fit(free, zs, image, taken, blocked_of, H.blue)
         if placed < len(zs):
             raise StageFailure(
@@ -201,52 +141,25 @@ def extend_or_clean(
     candidate set whose subcube touches y, and then either extends the
     assignment with a blue neighbourhood inside the remainder (a red
     clique, since blue is triangle free) or returns the cleaned set.
-    Violated hypotheses surface as structured errors naming the broken
-    condition.
 
-    Cost: y is the first cell of ``complement_cells``.  Only assigned
-    vertices of whole blue degree above 2^(n-a), and vertices of A in the
-    blue masks of a touching candidate set, get a degree test, so a host
-    of small degrees pays per touching set, not per vertex of A.
+    The step checks none of its hypotheses: ``dense_embed``, its one
+    caller, checks them once on the host and the schedule, and its loop
+    keeps them.  The schedule gives 1 <= a and b <= n with every entry's
+    codimension at most b; A loses each new entry's members and cleaning
+    only shrinks it, so A misses every candidate set; the max-degree
+    check, and after it each cleaned set, caps every blue degree into A
+    at 2^(n-a); and the loop stops once the cube is covered.
+
+    Cost: y is the first cell of ``complement_cells``.  Only vertices of
+    A in the blue masks of a touching candidate set get a degree test,
+    so a host of small degrees pays per touching set, not per vertex of
+    A.
     """
-    if a < 1:
-        raise HypothesisError("threshold-range", f"need a >= 1, got a={a}")
-    if not 1 <= b <= n:
-        raise HypothesisError(
-            "threshold-range", f"need 1 <= b <= n, got b={b} n={n}"
-        )
-    if pa.entries and pa.entries[-1].codim > b:
-        raise HypothesisError(
-            "codimension-order",
-            f"assigned codimension {pa.entries[-1].codim} exceeds b={b}",
-        )
-    used = pa.used
-    if A & used:
-        raise HypothesisError(
-            "active-overlap",
-            "the active set meets an assigned candidate set",
-            witness=(A & used & -(A & used)).bit_length() - 1,
-        )
     g = pa.gamma
-    cap = 1 << (n - a)
-    # a blue degree into A is at most the whole blue degree, so only the
-    # assigned vertices whose whole degree is above the cap are tested
-    for v in iter_bits(used & H.blue_at_least(cap + 1)):
-        d = (H.blue[v] & A).bit_count()
-        if d > cap:
-            raise HypothesisError(
-                "active-degree",
-                f"assigned vertex {v} has blue degree {d} into the "
-                f"active set, above 2^(n-a) = {cap}",
-                witness=v,
-            )
-
-    # the entries' subcubes are disjoint by construction
-    y = next(complement_cells([e.subcube for e in pa.entries], n, b), None)
-    if y is None:
-        raise HypothesisError(
-            "cube-covered", "the assigned subcubes already cover the cube"
-        )
+    # the entries' subcubes are disjoint by construction, and the caller
+    # calls only while some cube vertex is uncovered, so its cell of
+    # codimension b misses every entry
+    y = next(complement_cells([e.subcube for e in pa.entries], n, b))
 
     # a vertex blue to a candidate set lies in its members' blue masks, so
     # each degree test below walks only those, not all of A
@@ -320,6 +233,11 @@ def dense_embed(
     the assigned subcubes are embedded greedily, in bandwidth order, into
     the final cleaned set (``complete_greedily``).
 
+    This is the dense route's one checkpoint: gamma must lie in (0, 1)
+    (a ValueError, raised first), and each hypothesis above is checked
+    here, once, as a ``HypothesisError``.  The steps it calls,
+    ``extend_or_clean`` and ``embed_partial_assignment``, check none.
+
     Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
     degree index) and one ``extend_or_clean`` per extension or cleaning,
     whose N-bit work is per touching candidate set, not per entry: the
@@ -330,13 +248,16 @@ def dense_embed(
     list reads, one N-bit OR per placed neighbour with a blue neighbour
     and one N-bit bit test per blockable vertex the walk meets.
     """
+    gamma = Fraction(gamma)
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     pa = PartialAssignment.empty(gamma)
     if schedule.b[-1] + 1 > n:
         raise HypothesisError(
             "schedule-depth",
             f"b_k+1 + 1 = {schedule.b[-1] + 1} exceeds the dimension {n}",
         )
-    need = ceil((1 + 3 * pa.gamma) * (1 << n))
+    need = ceil((1 + 3 * gamma) * (1 << n))
     if H.n_vertices < need:
         raise HypothesisError(
             "order",

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -28,6 +29,10 @@ from cuberamsey.solver import assign_subcubes
 
 def all_red_graph(n_vertices: int) -> ColouredGraph:
     return ColouredGraph(n_vertices, [0] * n_vertices, validate=False)
+
+
+def is_red(G: ColouredGraph, u: int, v: int) -> bool:
+    return u != v and not G.is_blue(u, v)
 
 
 def random_colouring(n: int, p: float, rng: random.Random) -> ColouredGraph:
@@ -133,6 +138,58 @@ def random_valid_partial_assignment(n: int, gamma, rng: random.Random):
         AssignmentEntry(x, mem) for x, mem in zip(subcubes, members)
     )
     return G, PartialAssignment(entries, gamma)
+
+
+def check_partial_assignment(H: ColouredGraph, pa: PartialAssignment, n: int):
+    """Validate a partial assignment against its defining clauses, the
+    definition that ``dense_embedding.extend_or_clean`` builds to.
+
+    Returns (True, None, None) or (False, clause, detail) where clause is
+    one of "a" (ordering and exact sizes), "b" (disjoint red cliques),
+    "c" (disjoint subcubes), "2.1" (cross-degree condition).
+    """
+    g = pa.gamma
+    prev_d = 0
+    for i, e in enumerate(pa.entries):
+        d = e.codim
+        if d < prev_d:
+            return False, "a", f"entry {i} has codimension {d} after {prev_d}"
+        if d > n:
+            return False, "a", f"entry {i} has codimension {d} beyond n={n}"
+        prev_d = d
+        want = candidate_set_size(g, n, d)
+        if len(e.members) != want:
+            return False, "a", (
+                f"entry {i} has {len(e.members)} members, needs exactly {want}"
+            )
+        if len(set(e.members)) != len(e.members):
+            return False, "b", f"entry {i} repeats a member"
+        if not all(0 <= v < H.n_vertices for v in e.members):
+            return False, "b", f"entry {i} mentions out-of-range vertices"
+        if not reference_is_red_clique(H, e.members):
+            return False, "b", f"members of entry {i} are not a red clique"
+    for i in range(len(pa.entries)):
+        for j in range(i + 1, len(pa.entries)):
+            if pa.entries[i].mask & pa.entries[j].mask:
+                return False, "b", f"entries {i} and {j} share vertices"
+            if subcube_distance(pa.entries[i].subcube, pa.entries[j].subcube) == 0:
+                return False, "c", f"subcubes of entries {i} and {j} overlap"
+    for i in range(len(pa.entries)):
+        ei = pa.entries[i]
+        thr = g * (1 << (n - ei.codim)) / ei.codim if ei.codim else None
+        mi = ei.mask
+        for j in range(i + 1, len(pa.entries)):
+            ej = pa.entries[j]
+            if subcube_distance(ei.subcube, ej.subcube) != 1:
+                continue
+            for v in ej.members:
+                if thr is None or Fraction((H.blue[v] & mi).bit_count()) > thr:
+                    return False, "2.1", (
+                        f"vertex {v} of entry {j} has blue degree "
+                        f"{(H.blue[v] & mi).bit_count()} into entry {i}, "
+                        f"threshold {thr}"
+                    )
+    return True, None, None
 
 
 def gap_consequence_holds(G: ColouredGraph, dec) -> bool:
@@ -685,7 +742,7 @@ def reference_complete_greedily(H: ColouredGraph, n: int, phi, A: int, pool: int
 
 def reference_verify_errors(G: ColouredGraph, n: int, phi, domain=None) -> list[str]:
     """The errors of ``verify_red_embedding`` as its per-edge loop found
-    them, testing each cube edge with ``G.is_red``."""
+    them, testing each cube edge with ``is_red``."""
     dom = list(range(1 << n)) if domain is None else sorted(set(domain))
     errors, seen, checkable = [], {}, set()
     for z in dom:
@@ -704,7 +761,7 @@ def reference_verify_errors(G: ColouredGraph, n: int, phi, domain=None) -> list[
             w = z ^ (1 << i)
             if w < z or w not in checkable:
                 continue
-            if not G.is_red(phi[z], phi[w]):
+            if not is_red(G, phi[z], phi[w]):
                 errors.append(f"cube edge {z}-{w} lands on non-red pair {phi[z]}-{phi[w]}")
                 if len(errors) >= 20:
                     return errors
@@ -712,15 +769,15 @@ def reference_verify_errors(G: ColouredGraph, n: int, phi, domain=None) -> list[
 
 
 def reference_is_red_clique(G: ColouredGraph, vertices) -> bool:
-    """``ColouredGraph.is_red_clique`` with one N-bit AND per vertex that
-    has a blue neighbour."""
+    """Whether the vertices are pairwise red, by one N-bit AND per vertex
+    that has a blue neighbour."""
     vs = list(vertices)
     m = mask_of(vs)
     deg = G.blue_degrees()
     return all(G.blue[v] & m == 0 for v in vs if deg[v])
 
 
-def reference_max_balanced_biclique(G: ColouredGraph, M1, M2, cap=None):
+def reference_max_balanced_biclique(G: ColouredGraph, M1, M2, cap):
     """``colored_graph.max_balanced_biclique`` with one N-bit row per
     vertex and one popcount per vertex in the walks' sort key."""
     side1 = sorted(set(M1))
@@ -732,9 +789,7 @@ def reference_max_balanced_biclique(G: ColouredGraph, M1, M2, cap=None):
     if swapped:
         side1, side2 = side2, side1
         m1, m2 = m2, m1
-    limit = min(len(side1), len(side2))
-    if cap is not None:
-        limit = min(limit, cap)
+    limit = min(len(side1), len(side2), cap)
 
     def prefix_walk(rows, col_mask):
         row_adj = {u: col_mask & ~G.blue[u] for u in rows}

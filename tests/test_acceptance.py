@@ -11,6 +11,7 @@ from math import ceil, comb
 
 from helpers import (
     all_red_graph,
+    check_partial_assignment,
     gap_consequence_holds,
     random_valid_partial_assignment,
     reference_verify_errors,
@@ -31,7 +32,6 @@ from cuberamsey.dense_embedding import (
     Cleaned,
     Extended,
     PartialAssignment,
-    check_partial_assignment,
     embed_partial_assignment,
     extend_or_clean,
 )

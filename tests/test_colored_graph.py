@@ -4,7 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_colouring, reference_verify_errors, two_clique_linked_graph
+from helpers import (
+    is_red,
+    random_colouring,
+    reference_is_red_clique,
+    reference_verify_errors,
+    two_clique_linked_graph,
+)
 from cuberamsey.bits import bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
@@ -104,7 +110,7 @@ def test_red_components_against_brute_force():
             return x
 
         for u, v in combinations(members, 2):
-            if G.is_red(u, v):
+            if is_red(G, u, v):
                 parent[find(u)] = find(v)
         groups = {}
         for v in members:
@@ -134,7 +140,7 @@ def test_find_red_clique_against_brute_force():
             assert len(got) == m
             assert list(got) == sorted(got)
             assert all((pool >> v) & 1 for v in got)
-            assert G.is_red_clique(got)
+            assert reference_is_red_clique(G, got)
     assert found >= 20
 
 
@@ -165,7 +171,7 @@ def test_max_disjoint_red_cliques_family_properties():
         seen = 0
         for cl in fam:
             assert len(cl) == m
-            assert G.is_red_clique(cl)
+            assert reference_is_red_clique(G, cl)
             cm = mask_of(cl)
             assert cm & A == cm
             assert not (cm & seen), "cliques overlap"
@@ -196,7 +202,7 @@ def brute_max_balanced_biclique(G, side1, side2):
         found = None
         for X in combinations(side1, w):
             for Y in combinations(side2, w):
-                if all(G.is_red(x, y) for x in X for y in Y):
+                if all(is_red(G, x, y) for x in X for y in Y):
                     found = (X, Y)
                     break
             if found:
@@ -219,27 +225,27 @@ def test_max_balanced_biclique_against_subset_enumeration():
         bw, _, _ = brute_max_balanced_biclique(G, side1, side2)
         # a lower bound on the exact weight; a cap clips it, witness
         # included, and a weight below the cap is the uncapped one
-        uncapped = max_balanced_biclique(G, side1, side2)
-        for cap in [None] + list(range(min(n1, n2) + 2)):
+        uncapped = max_balanced_biclique(G, side1, side2, min(n1, n2))
+        for cap in range(min(n1, n2) + 2):
             w, X, Y = max_balanced_biclique(G, side1, side2, cap)
-            assert w <= (bw if cap is None else min(bw, cap))
-            if cap is None or w < cap:
+            assert w <= min(bw, cap)
+            if w < cap:
                 assert (w, X, Y) == uncapped
             assert len(X) == len(Y) == w
             assert set(X) <= set(side1) and set(Y) <= set(side2)
-            assert all(G.is_red(x, y) for x in X for y in Y)
+            assert all(is_red(G, x, y) for x in X for y in Y)
 
 
 def test_max_balanced_biclique_conventions():
     # no red cross pair at all: the empty biclique, w = 0
     G = ColouredGraph.from_blue_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert max_balanced_biclique(G, [0, 1], [2, 3]) == (0, (), ())
+    assert max_balanced_biclique(G, [0, 1], [2, 3], 2) == (0, (), ())
     # all red: w is the smaller side
     H = ColouredGraph(5, [0] * 5)
-    w, X, Y = max_balanced_biclique(H, [0, 1], [2, 3, 4])
+    w, X, Y = max_balanced_biclique(H, [0, 1], [2, 3, 4], 2)
     assert w == 2 and X == (0, 1) and len(Y) == 2
     with pytest.raises(ValueError):
-        max_balanced_biclique(H, [0, 1], [1, 2])
+        max_balanced_biclique(H, [0, 1], [1, 2], 2)
 
 
 def test_max_balanced_biclique_planted_block():
@@ -254,9 +260,9 @@ def test_max_balanced_biclique_planted_block():
             blue[u] |= 1 << v
             blue[v] |= 1 << u
     G = ColouredGraph(n1 + n2, blue)
-    w, X, Y = max_balanced_biclique(G, range(n1), range(n1, n1 + n2))
+    w, X, Y = max_balanced_biclique(G, range(n1), range(n1, n1 + n2), min(n1, n2))
     assert w == b
-    assert all(G.is_red(x, y) for x in X for y in Y)
+    assert all(is_red(G, x, y) for x in X for y in Y)
 
 
 def test_lower_bound_coloring_properties():

@@ -201,7 +201,7 @@ def test_outside_attachment_is_a_stage_failure(monkeypatch):
         blue[u] |= 1 << v
     G = ColouredGraph(len(blue), blue)
     monkeypatch.setattr(
-        decomposition, "max_balanced_biclique", lambda G, M1, M2, cap=None: (0, (), ())
+        decomposition, "max_balanced_biclique", lambda G, M1, M2, cap: (0, (), ())
     )
     with pytest.raises(StageFailure) as e:
         decompose(G, params)
@@ -376,6 +376,22 @@ def test_from_json_rejects_non_integer_vertices(field, value):
         rec["sparse_added"] = [value]
     with pytest.raises(ValueError, match=f"^round 0 {field}: {value!r} is not an integer$"):
         Decomposition.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", True, "params m: True is not an integer"),
+    ("s_lo", 1.5, "params s_lo: 1.5 is not an integer"),
+    ("lam", [2, 0], "params lam: zero denominator"),
+    ("m", "8", "params m: '8' is not an integer"),
+], ids=["bool-m", "float-s_lo", "zero-lam", "string-m"])
+def test_from_json_rejects_malformed_params(field, value, message):
+    # the params are read as the rounds are: true is not read as m = 1,
+    # and a zero denominator is not met as a ZeroDivisionError
+    data = json.loads(Decomposition(4, DecompositionParams.desk(4), ()).to_json())
+    data["params"][field] = value
+    with pytest.raises(ValueError) as e:
+        Decomposition.from_json(json.dumps(data))
+    assert str(e.value) == message
 
 
 def _tampered_certificate(field: str, value: int):

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cuberamsey.dense_embedding as dense_embedding
 from helpers import (
     all_red_graph,
+    check_partial_assignment,
     random_valid_partial_assignment,
     reference_complete_greedily,
     reference_embed_partial_assignment,
@@ -13,6 +16,7 @@ from helpers import (
 from cuberamsey.bits import bit, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
+    random_bipartite_blue,
     random_triangle_free_greedy,
     verify_red_embedding,
 )
@@ -23,7 +27,6 @@ from cuberamsey.dense_embedding import (
     PartialAssignment,
     ThresholdSchedule,
     candidate_set_size,
-    check_partial_assignment,
     complete_greedily,
     dense_embed,
     embed_partial_assignment,
@@ -47,12 +50,11 @@ def test_candidate_set_size_is_exact_ceiling():
 
 
 def test_partial_assignment_validates_gamma():
-    with pytest.raises(ValueError):
-        PartialAssignment((), Fraction(0))
-    with pytest.raises(ValueError):
-        PartialAssignment((), Fraction(1))
-    pa = PartialAssignment.empty(0.25)
-    assert pa.gamma == Fraction(1, 4)
+    # the assignment checks nothing on construction: dense_embed refuses
+    # a gamma outside (0, 1) (next test), and an empty assignment keeps
+    # its gamma and uses no vertex
+    pa = PartialAssignment.empty(Fraction(1, 4))
+    assert (pa.entries, pa.gamma, pa.used) == ((), Fraction(1, 4), 0)
 
 
 @pytest.mark.parametrize("gamma", [0, 1])
@@ -213,62 +215,6 @@ def test_embed_partial_assignment_rejects_negative_member():
         embed_partial_assignment(all_red_graph(32), pa, n)
 
 
-def test_embed_partial_assignment_rejects_member_above_host():
-    # members 30..39 on a 32-vertex host: the range error that
-    # ``induced`` and ``is_red_clique`` raise, not an IndexError
-    g, n = Fraction(1, 4), 3
-    members = tuple(range(30, 30 + candidate_set_size(g, n, 1)))
-    assert members[-1] >= 32
-    pa = PartialAssignment((AssignmentEntry(InitialSubcube((0,)), members),), g)
-    with pytest.raises(ValueError, match=r"vertices must lie in 0\.\.31"):
-        embed_partial_assignment(all_red_graph(32), pa, n)
-
-
-def test_extend_or_clean_precondition_errors():
-    g = Fraction(1, 4)
-    n = 4
-    G = all_red_graph(40)
-    pa = PartialAssignment.empty(g)
-    full = (1 << 40) - 1
-    with pytest.raises(HypothesisError) as e:
-        extend_or_clean(G, pa, full, 0, 2, n)
-    assert e.value.hypothesis == "threshold-range"
-    with pytest.raises(HypothesisError) as e:
-        extend_or_clean(G, pa, full, 1, n + 1, n)
-    assert e.value.hypothesis == "threshold-range"
-
-    w2 = candidate_set_size(g, n, 2)
-    entry = AssignmentEntry(InitialSubcube((0, 0)), tuple(range(w2)))
-    pa2 = PartialAssignment((entry,), g)
-    with pytest.raises(HypothesisError) as e:
-        extend_or_clean(G, pa2, full & ~mask_of(entry.members), 1, 1, n)
-    assert e.value.hypothesis == "codimension-order"
-    with pytest.raises(HypothesisError) as e:
-        extend_or_clean(G, pa2, full, 1, 2, n)
-    assert e.value.hypothesis == "active-overlap"
-
-    # assigned vertex too blue towards the active set
-    blue_hub = [(0, v) for v in range(w2, w2 + 20)]
-    H = ColouredGraph.from_blue_edges(40, blue_hub)
-    with pytest.raises(HypothesisError) as e:
-        extend_or_clean(H, pa2, full & ~mask_of(entry.members), 1, 2, n)
-    assert e.value.hypothesis == "active-degree"
-
-
-def test_extend_or_clean_cube_covered():
-    g = Fraction(1, 4)
-    n = 2
-    w = candidate_set_size(g, n, 1)
-    G = all_red_graph(4 * w)
-    e1 = AssignmentEntry(InitialSubcube((0,)), tuple(range(w)))
-    e2 = AssignmentEntry(InitialSubcube((1,)), tuple(range(w, 2 * w)))
-    pa = PartialAssignment((e1, e2), g)
-    A = ((1 << (4 * w)) - 1) & ~pa.used
-    with pytest.raises(HypothesisError) as e:
-        extend_or_clean(G, pa, A, 1, 1, n)
-    assert e.value.hypothesis == "cube-covered"
-
-
 def test_cleaning_threshold_is_inclusive():
     # gamma = 1/4, n = 4, an entry of codimension 1 next to the cell y:
     # the threshold is gamma * 2^3 / 1 = 2 blue neighbours in the entry,
@@ -319,6 +265,51 @@ def test_dichotomy_outcomes_on_random_graphs():
             allowance = Fraction(b * b, g) * (1 << (n - a + 1))
             assert A.bit_count() - step.mask.bit_count() <= allowance
     assert extended >= 10 and cleaned >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    kind=st.sampled_from(["greedy", "bipartite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
+    # extend_or_clean checks none of its hypotheses: dense_embed checks
+    # them once and its loop keeps them, on solve's route and called
+    # directly; each extension meets the definition
+    rng = random.Random(seed)
+    N = 1 << (n + 2)
+    if kind == "greedy":
+        G = random_triangle_free_greedy(N, rng.randrange(N // 8, 2 * N), rng)
+    else:
+        G = random_bipartite_blue(N, rng.choice([0.02, 0.05, 0.2]), rng)
+    params = SolverParams.desk(n)
+
+    def checked(H, pa, A, a, b, n):
+        cap = 1 << (n - a)
+        assert 1 <= a and 1 <= b <= n, "threshold-range"
+        assert all(e.codim <= b for e in pa.entries), "codimension-order"
+        assert not A & pa.used, "active-overlap"
+        assert all((m & A).bit_count() <= cap for m in H.blue), "active-degree"
+        # the entries' subcubes are disjoint (clause c), so they cover
+        # the cube exactly when their sizes sum to 2^n
+        assert sum(1 << (n - e.codim) for e in pa.entries) < 1 << n, "cube-covered"
+        step = extend_or_clean(H, pa, A, a, b, n)
+        if isinstance(step, Extended):
+            ok, clause, detail = check_partial_assignment(H, step.assignment, n)
+            assert ok, (clause, detail)
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense_embedding, "extend_or_clean", checked)
+        for run in (
+            lambda: solve(G, n, params),
+            lambda: dense_embed(G, n, params.gamma, params.schedule),
+        ):
+            try:
+                run()
+            except (HypothesisError, StageFailure):
+                pass
 
 
 def test_threshold_schedule_validation():

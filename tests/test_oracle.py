@@ -16,6 +16,7 @@ import cuberamsey
 from cuberamsey import oracle
 from helpers import (
     all_red_graph,
+    is_red,
     random_colouring,
     reference_canonical_triangle_free_graphs,
     reference_contains_red_cube,
@@ -198,7 +199,7 @@ def test_min_red_cut_against_brute_force():
 
         def across(side):
             return sum(
-                G.is_red(u, v) for u, v in combinations(members, 2)
+                is_red(G, u, v) for u, v in combinations(members, 2)
                 if (side >> u & 1) != (side >> v & 1)
             )
 

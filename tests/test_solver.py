@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import re
 import signal
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +418,11 @@ def test_snake_route_maps_and_certificates_match_golden_hashes(host):
         for text in (json.dumps(sorted(phi.items())), dec.to_json())
     )
     assert got == SNAKE_GOLDEN[host]
+
+
+def test_readme_library_overview_runs():
+    # the README's example is the documented API: it imports from the
+    # package's top level, so a trimmed export list must keep its names
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library overview\n\n```python\n(.*?)^```", text, re.S | re.M)
+    exec(compile(block.group(1), "README.md", "exec"), {})
