@@ -26,6 +26,7 @@ from .colored_graph import (
     lower_bound_coloring,
     random_bipartite_blue,
     random_triangle_free_greedy,
+    require_blue_triangle_free,
     verify_red_embedding,
 )
 from .decomposition import DecompositionParams, decompose, verify_decomposition
@@ -194,9 +195,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     G = _load_graph(args.infile)
-    ok, tri = is_blue_triangle_free(G)
-    if not ok:
-        raise HypothesisError("triangle-free", f"blue triangle {tri}", witness=tri)
+    require_blue_triangle_free(G)
     dec = decompose(G, DecompositionParams.desk(args.n))
     verdict = verify_decomposition(G, dec)
     if not verdict:

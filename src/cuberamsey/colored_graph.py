@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
-from .errors import GraphParseError
+from .errors import GraphParseError, HypothesisError
 
 
 @dataclass
@@ -312,6 +312,14 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
             if common:
                 return False, (a, b, (common & -common).bit_length() - 1)
     return True, None
+
+
+def require_blue_triangle_free(G: ColouredGraph) -> None:
+    """The triangle-free hypothesis: a ``HypothesisError("triangle-free")``
+    whose witness is ``is_blue_triangle_free``'s triangle, if G has one."""
+    ok, tri = is_blue_triangle_free(G)
+    if not ok:
+        raise HypothesisError("triangle-free", f"blue triangle {tri}", witness=tri)
 
 
 # -- red components ------------------------------------------------------
@@ -615,9 +623,12 @@ def random_triangle_free_greedy(
     """Insert random blue edges, skipping any that would close a triangle.
 
     Stops after reaching the target count or after 60 attempts per
-    target edge, whichever comes first.
+    target edge, whichever comes first.  Fewer than 2 vertices hold no
+    pair, so the graph comes back edgeless at once.
     """
     blue = [0] * n_vertices
+    if n_vertices < 2:
+        return ColouredGraph(n_vertices, blue, validate=False)
     added = 0
     for _ in range(60 * max(target_blue_edges, 1)):
         if added >= target_blue_edges:

@@ -20,8 +20,8 @@ from .bits import bit, bits_list, iter_bits, lowest_bits, mask_of
 from .colored_graph import (
     ColouredGraph,
     first_fit,
-    is_blue_triangle_free,
     placed_blue,
+    require_blue_triangle_free,
 )
 from .errors import HypothesisError, StageFailure
 from .hypercube import (
@@ -54,34 +54,8 @@ class AssignmentEntry:
         return mask_of(self.members)
 
 
-@dataclass(frozen=True)
-class PartialAssignment:
-    """A sequence of assigned subcubes with nondecreasing codimension.
-
-    Entry order matters: the cross-degree condition is one-sided, each
-    later candidate set having small blue degree into every earlier,
-    cube-adjacent one.  Nothing is checked on construction: gamma, a
-    Fraction in (0, 1), is checked once by ``dense_embed``, and the
-    entries are built valid by ``extend_or_clean``.
-    """
-
-    entries: tuple[AssignmentEntry, ...]
-    gamma: Fraction
-
-    @classmethod
-    def empty(cls, gamma) -> "PartialAssignment":
-        return cls((), gamma)
-
-    @cached_property
-    def used(self) -> int:
-        m = 0
-        for e in self.entries:
-            m |= e.mask
-        return m
-
-
 def embed_partial_assignment(
-    H: ColouredGraph, pa: PartialAssignment, n: int
+    H: ColouredGraph, entries: list[AssignmentEntry], n: int
 ) -> dict[int, int]:
     """Embed every assigned subcube into its candidate set.
 
@@ -96,7 +70,7 @@ def embed_partial_assignment(
     image = [-1] * (1 << n)
     taken = bytearray(H.n_vertices)
     blocked_of = placed_blue(H, n, image)
-    for e in reversed(pa.entries):
+    for e in reversed(entries):
         zs = subcube_vertices(e.subcube, n)
         free = bits_list(e.mask)
         placed = first_fit(free, zs, image, taken, blocked_of, H.blue)
@@ -113,9 +87,9 @@ def embed_partial_assignment(
 
 @dataclass(frozen=True)
 class Extended:
-    """Extension outcome: the assignment with its new entry last."""
+    """Extension outcome: the new entry, to be appended last."""
 
-    assignment: PartialAssignment
+    entry: AssignmentEntry
 
 
 @dataclass(frozen=True)
@@ -127,20 +101,21 @@ class Cleaned:
 
 def extend_or_clean(
     H: ColouredGraph,
-    pa: PartialAssignment,
+    entries: list[AssignmentEntry],
     A: int,
     a: int,
     b: int,
     n: int,
+    gamma: Fraction,
 ) -> Union[Extended, Cleaned]:
     """One step of the assignment loop at codimension b.
 
     Requires every assigned vertex to have blue degree at most 2^(n-a)
     into the active mask A.  Picks the first unassigned subcube y of
     codimension b, removes from A every vertex too blue towards a
-    candidate set whose subcube touches y, and then either extends the
-    assignment with a blue neighbourhood inside the remainder (a red
-    clique, since blue is triangle free) or returns the cleaned set.
+    candidate set whose subcube touches y, and then either returns a new
+    entry for y, a blue neighbourhood inside the remainder (a red clique,
+    since blue is triangle free), or the cleaned set.
 
     The step checks none of its hypotheses: ``dense_embed``, its one
     caller, checks them once on the host and the schedule, and its loop
@@ -155,20 +130,19 @@ def extend_or_clean(
     so a host of small degrees pays per touching set, not per vertex of
     A.
     """
-    g = pa.gamma
     # the entries' subcubes are disjoint by construction, and the caller
     # calls only while some cube vertex is uncovered, so its cell of
     # codimension b misses every entry
-    y = next(complement_cells([e.subcube for e in pa.entries], n, b))
+    y = next(complement_cells([e.subcube for e in entries], n, b))
 
     # a vertex blue to a candidate set lies in its members' blue masks, so
     # each degree test below walks only those, not all of A
     removed = 0
-    for e in pa.entries:
+    for e in entries:
         if subcube_distance(e.subcube, y) != 1:
             continue
         # d >= thr as d * thr.denominator >= thr.numerator, exactly
-        thr = g * (1 << (n - e.codim)) / e.codim
+        thr = gamma * (1 << (n - e.codim)) / e.codim
         thr_num, thr_den = thr.numerator, thr.denominator
         mi = e.mask
         reach = 0
@@ -181,21 +155,20 @@ def extend_or_clean(
 
     # the cleaning can only discard so much: each touching candidate set
     # receives at most |S_i| * 2^(n-a) blue edges from A, and membership
-    # in the removed set costs (g/d_i) * 2^(n-d_i) of them
-    allowance = (b * b / g) * (1 << (n - a + 1))
+    # in the removed set costs (gamma/d_i) * 2^(n-d_i) of them
+    allowance = (b * b / gamma) * (1 << (n - a + 1))
     if removed.bit_count() > allowance:
         raise AssertionError(
             "cleaning removed more than the degree hypothesis permits"
         )
 
     need = 1 << (n - b + 1)
-    size = candidate_set_size(g, n, b)
+    size = candidate_set_size(gamma, n, b)
     for u in iter_bits(H.blue_at_least(need)):
         nb = H.blue[u] & C
         if nb.bit_count() >= need:
             members = tuple(bits_list(lowest_bits(nb, size)))
-            entry = AssignmentEntry(y, members)
-            return Extended(PartialAssignment(pa.entries + (entry,), g))
+            return Extended(AssignmentEntry(y, members))
     return Cleaned(C)
 
 
@@ -225,7 +198,7 @@ def dense_embed(
     gamma,
     schedule: ThresholdSchedule,
 ) -> dict[int, int]:
-    """Embed all of Q_n into H along a grown partial assignment.
+    """Embed all of Q_n into H along a grown list of assignment entries.
 
     H must be blue triangle free with every blue degree at most
     2^(n - b_0) and at least ceil((1+3*gamma)*2^n) vertices, and the last
@@ -251,7 +224,6 @@ def dense_embed(
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    pa = PartialAssignment.empty(gamma)
     if schedule.b[-1] + 1 > n:
         raise HypothesisError(
             "schedule-depth",
@@ -272,12 +244,12 @@ def dense_embed(
             f"above 2^(n - b_0) = {cap}",
             witness=v,
         )
-    ok, tri = is_blue_triangle_free(H)
-    if not ok:
-        raise HypothesisError(
-            "triangle-free", f"blue triangle {tri}", witness=tri
-        )
+    require_blue_triangle_free(H)
 
+    # the partial assignment; order matters, since the cross-degree
+    # condition bounds each later candidate set's blue degree into every
+    # earlier, cube-adjacent one
+    entries: list[AssignmentEntry] = []
     A = H.full_mask
     # bit z of ``covered`` marks cube vertex z as inside an assigned subcube
     covered = 0
@@ -290,39 +262,38 @@ def dense_embed(
         a = schedule.b[j - 1]
         bb = schedule.b[j] + 1
         while covered != full_cube:
-            step = extend_or_clean(H, pa, A, a, bb, n)
+            step = extend_or_clean(H, entries, A, a, bb, n, gamma)
             if isinstance(step, Extended):
-                pa = step.assignment
-                A &= ~pa.entries[-1].mask
-                covered |= mask_of(subcube_vertices(pa.entries[-1].subcube, n))
+                entries.append(step.entry)
+                A &= ~step.entry.mask
+                covered |= mask_of(subcube_vertices(step.entry.subcube, n))
             else:
                 A = step.mask
                 break
 
-    phi = embed_partial_assignment(H, pa, n)
+    phi = embed_partial_assignment(H, entries, n)
     residual = bits_list(full_cube & ~covered)
     try:
-        return complete_greedily(
-            H, n, phi, A, A & ~pa.used, bandwidth_order(residual)
-        )
+        return complete_greedily(H, n, phi, A, bandwidth_order(residual))
     except StageFailure as e:
-        e.data.update(passes=passes_run, extensions=len(pa.entries))
+        e.data.update(passes=passes_run, extensions=len(entries))
         raise
 
 
 def complete_greedily(
-    H: ColouredGraph, n: int, phi: dict[int, int], A: int, pool: int, order: list[int]
+    H: ColouredGraph, n: int, phi: dict[int, int], A: int, order: list[int]
 ) -> dict[int, int]:
-    """Place the cube vertices of ``order``, in that order, into the pool.
+    """Place the cube vertices of ``order``, in that order, into A.
 
-    Each takes the lowest pool vertex outside the blue masks of its
-    placed neighbours' images; ``phi`` is extended in place and returned.
-    ``A`` is the cleaned set the pool was cut from; a cube vertex that
-    finds no vertex is a ``StageFailure("greedy-completion")`` whose data
-    carries it and the counting slack over A.
+    A, the final cleaned set, must miss every image of ``phi``.  Each
+    cube vertex takes the lowest free vertex of A outside the blue masks
+    of its placed neighbours' images; ``phi`` is extended in place and
+    returned.  A cube vertex that finds no vertex is a
+    ``StageFailure("greedy-completion")`` whose data carries it and the
+    counting slack over A.
 
-    Cost: the walk of ``first_fit`` over the pool list, with ``H.blue``
-    as ``blockable``.  A cube vertex whose first free pool vertex has no
+    Cost: the walk of ``first_fit`` over the list of A, with ``H.blue``
+    as ``blockable``.  A cube vertex whose first free vertex of A has no
     blue neighbour takes it at once; any other pays ``placed_blue``, n
     list reads and one N-bit OR per placed neighbour with a blue
     neighbour, then one N-bit bit test per blockable vertex it meets.
@@ -331,7 +302,7 @@ def complete_greedily(
     for z, v in phi.items():
         image[z] = v
     placed = first_fit(
-        bits_list(pool), order, image, bytearray(H.n_vertices),
+        bits_list(A), order, image, bytearray(H.n_vertices),
         placed_blue(H, n, image), H.blue,
     )
     for z in order[:placed]:
@@ -344,8 +315,8 @@ def complete_greedily(
             - sum(1 for w in phi.values() if (A >> w) & 1)
             - sum((H.blue[w] & A).bit_count() for w in neigh)
         )
-        # exhaustion means the blocked sets cover the whole remaining
-        # pool, so the count can never come out positive
+        # exhaustion means the blocked sets cover what is left of A, so
+        # the count can never come out positive
         if slack > 0:
             raise AssertionError(
                 "greedy exhaustion with positive counting slack"

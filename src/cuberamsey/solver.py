@@ -17,7 +17,7 @@ from math import ceil
 from .bits import bits_list, iter_bits, mask_of
 from .colored_graph import (
     ColouredGraph,
-    is_blue_triangle_free,
+    require_blue_triangle_free,
     verify_red_embedding,
 )
 from .decomposition import Decomposition, DecompositionParams, decompose
@@ -177,11 +177,7 @@ def solve(G: ColouredGraph, n: int, params: SolverParams) -> dict[int, int]:
             f"graph has {G.n_vertices} vertices, needs "
             f"(1 + {params.epsilon}) * 2^{n + 1} = {need}",
         )
-    ok, tri = is_blue_triangle_free(G)
-    if not ok:
-        raise HypothesisError(
-            "triangle-free", f"blue triangle {tri}", witness=tri
-        )
+    require_blue_triangle_free(G)
 
     dec = decompose(G, params.decomp)
     if choose_case(dec) == 1:

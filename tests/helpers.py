@@ -9,11 +9,7 @@ from math import comb
 from cuberamsey.bits import bit, bits_list, iter_bits, lowest_bits, mask_of
 from cuberamsey.colored_graph import ColouredGraph, Verdict, red_components
 from cuberamsey.decomposition import Decomposition, RoundRecord
-from cuberamsey.dense_embedding import (
-    AssignmentEntry,
-    PartialAssignment,
-    candidate_set_size,
-)
+from cuberamsey.dense_embedding import AssignmentEntry, candidate_set_size
 from cuberamsey.errors import StageFailure
 from cuberamsey.hypercube import (
     InitialSubcube,
@@ -96,7 +92,8 @@ def random_subcube_antichain(n: int, rng: random.Random, max_codim=None):
 
 
 def random_valid_partial_assignment(n: int, gamma, rng: random.Random):
-    """A host graph plus an assignment that passes every defining clause.
+    """A host graph plus a list of assignment entries that passes every
+    defining clause at ``gamma``.
 
     Candidate sets are disjoint red cliques of exactly the right size;
     blue noise runs only between candidate sets, and for cube-adjacent
@@ -134,30 +131,27 @@ def random_valid_partial_assignment(n: int, gamma, rng: random.Random):
                     blue[u] |= 1 << v
                     blue[v] |= 1 << u
     G = ColouredGraph(total, blue)
-    entries = tuple(
-        AssignmentEntry(x, mem) for x, mem in zip(subcubes, members)
-    )
-    return G, PartialAssignment(entries, gamma)
+    return G, [AssignmentEntry(x, mem) for x, mem in zip(subcubes, members)]
 
 
-def check_partial_assignment(H: ColouredGraph, pa: PartialAssignment, n: int):
-    """Validate a partial assignment against its defining clauses, the
-    definition that ``dense_embedding.extend_or_clean`` builds to.
+def check_partial_assignment(H: ColouredGraph, entries, gamma, n: int):
+    """Validate a list of assignment entries at ``gamma`` against the
+    defining clauses of a partial assignment, the definition that
+    ``dense_embedding.extend_or_clean`` builds to.
 
     Returns (True, None, None) or (False, clause, detail) where clause is
     one of "a" (ordering and exact sizes), "b" (disjoint red cliques),
     "c" (disjoint subcubes), "2.1" (cross-degree condition).
     """
-    g = pa.gamma
     prev_d = 0
-    for i, e in enumerate(pa.entries):
+    for i, e in enumerate(entries):
         d = e.codim
         if d < prev_d:
             return False, "a", f"entry {i} has codimension {d} after {prev_d}"
         if d > n:
             return False, "a", f"entry {i} has codimension {d} beyond n={n}"
         prev_d = d
-        want = candidate_set_size(g, n, d)
+        want = candidate_set_size(gamma, n, d)
         if len(e.members) != want:
             return False, "a", (
                 f"entry {i} has {len(e.members)} members, needs exactly {want}"
@@ -168,18 +162,17 @@ def check_partial_assignment(H: ColouredGraph, pa: PartialAssignment, n: int):
             return False, "b", f"entry {i} mentions out-of-range vertices"
         if not reference_is_red_clique(H, e.members):
             return False, "b", f"members of entry {i} are not a red clique"
-    for i in range(len(pa.entries)):
-        for j in range(i + 1, len(pa.entries)):
-            if pa.entries[i].mask & pa.entries[j].mask:
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            if entries[i].mask & entries[j].mask:
                 return False, "b", f"entries {i} and {j} share vertices"
-            if subcube_distance(pa.entries[i].subcube, pa.entries[j].subcube) == 0:
+            if subcube_distance(entries[i].subcube, entries[j].subcube) == 0:
                 return False, "c", f"subcubes of entries {i} and {j} overlap"
-    for i in range(len(pa.entries)):
-        ei = pa.entries[i]
-        thr = g * (1 << (n - ei.codim)) / ei.codim if ei.codim else None
+    for i, ei in enumerate(entries):
+        thr = gamma * (1 << (n - ei.codim)) / ei.codim if ei.codim else None
         mi = ei.mask
-        for j in range(i + 1, len(pa.entries)):
-            ej = pa.entries[j]
+        for j in range(i + 1, len(entries)):
+            ej = entries[j]
             if subcube_distance(ei.subcube, ej.subcube) != 1:
                 continue
             for v in ej.members:
@@ -667,12 +660,12 @@ def reference_canonical_triangle_free_graphs(N: int) -> list[list[int]]:
     return level
 
 
-def reference_embed_partial_assignment(H: ColouredGraph, pa, n: int) -> dict[int, int]:
+def reference_embed_partial_assignment(H: ColouredGraph, entries, n: int) -> dict[int, int]:
     """``dense_embedding.embed_partial_assignment`` as it was before the
     cube placements shared one first-fit walk: a ``dict.get`` per cube
     neighbour, and the entry's member mask cleared of each vertex taken."""
     phi: dict[int, int] = {}
-    for e in reversed(pa.entries):
+    for e in reversed(entries):
         pool = e.mask
         for z in subcube_vertices(e.subcube, n):
             blocked = 0
@@ -709,10 +702,11 @@ def reference_first_fit(free, order, image, taken, blocked_of) -> int:
     return placed
 
 
-def reference_complete_greedily(H: ColouredGraph, n: int, phi, A: int, pool: int, order):
+def reference_complete_greedily(H: ColouredGraph, n: int, phi, A: int, order):
     """``dense_embedding.complete_greedily`` as the completion loop of
     ``dense_embed`` was: a ``dict.get`` per cube neighbour, every mask
-    ORed in, and the pool mask cleared of each vertex as it is taken."""
+    ORed in, and a copy of A cleared of each vertex as it is taken."""
+    pool = A
     for z in order:
         blocked = 0
         for p in range(n):

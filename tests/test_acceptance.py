@@ -31,7 +31,6 @@ from cuberamsey.decomposition import DecompositionParams, decompose, verify_deco
 from cuberamsey.dense_embedding import (
     Cleaned,
     Extended,
-    PartialAssignment,
     embed_partial_assignment,
     extend_or_clean,
 )
@@ -151,17 +150,17 @@ def test_criterion_5_partial_assignment_embedding():
     for i in range(100):
         n = 4 + i % 5
         gamma = gammas[i % 3]
-        G, pa = random_valid_partial_assignment(n, gamma, rng)
-        ok, clause, detail = check_partial_assignment(G, pa, n)
+        G, entries = random_valid_partial_assignment(n, gamma, rng)
+        ok, clause, detail = check_partial_assignment(G, entries, gamma, n)
         if not ok:
             problems.append(f"instance {i}: generator broke clause {clause}")
             continue
         try:
-            phi = embed_partial_assignment(G, pa, n)
+            phi = embed_partial_assignment(G, entries, n)
         except CubeRamseyError as e:
             problems.append(f"instance {i}: {e}")
             continue
-        covered = [z for e in pa.entries for z in subcube_vertices(e.subcube, n)]
+        covered = [z for e in entries for z in subcube_vertices(e.subcube, n)]
         if reference_verify_errors(G, n, phi, covered):
             problems.append(f"instance {i}: verifier rejected the output")
             continue
@@ -189,10 +188,10 @@ def test_criterion_6_dichotomy():
         else:
             G = random_triangle_free_greedy(N, N // 8, rng)
         A = (1 << N) - 1
-        step = extend_or_clean(G, PartialAssignment.empty(g), A, a, b, n)
+        step = extend_or_clean(G, [], A, a, b, n, g)
         if isinstance(step, Extended):
             extended += 1
-            ok, clause, _ = check_partial_assignment(G, step.assignment, n)
+            ok, clause, _ = check_partial_assignment(G, [step.entry], g, n)
             if not ok:
                 problems.append(f"instance {i}: extension broke clause {clause}")
         elif isinstance(step, Cleaned):

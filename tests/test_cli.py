@@ -76,6 +76,15 @@ def test_gen_random_is_seeded(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_gen_random_greedy_without_a_pair(capsys, n):
+    # no pair to draw is no error: the edgeless host is printed, exit 0
+    code, out = _run(capsys, "gen-random", "--n", "2", "--blue-model",
+                     "triangle-free-greedy", "--seed", "0",
+                     "--vertices", str(n), "--blue-edges", "1")
+    assert (code, out) == (EXIT_OK, f"{n}\n")
+
+
 def test_solve_round_trip_through_files(tmp_path, capsys):
     g = tmp_path / "g.txt"
     emb = tmp_path / "phi.txt"

@@ -23,9 +23,10 @@ from cuberamsey.colored_graph import (
     random_bipartite_blue,
     random_triangle_free_greedy,
     red_components,
+    require_blue_triangle_free,
     verify_red_embedding,
 )
-from cuberamsey.errors import GraphParseError
+from cuberamsey.errors import GraphParseError, HypothesisError
 
 
 def brute_has_blue_triangle(G):
@@ -299,6 +300,25 @@ def test_random_triangle_free_greedy_respects_both_promises():
         deg = G.blue_degrees()
         assert deg == [sum(G.is_blue(u, v) for v in range(n)) for u in range(n)]
         assert G.blue_degrees() is deg
+
+
+def test_require_blue_triangle_free_raises_the_hypothesis():
+    # the one home of the triangle-free hypothesis that solve, dense_embed
+    # and the decompose command raise: its witness is the check's triangle
+    require_blue_triangle_free(lower_bound_coloring(3))
+    G = ColouredGraph.from_blue_edges(8, [(2, 5), (2, 7), (5, 7), (0, 1)])
+    with pytest.raises(HypothesisError) as e:
+        require_blue_triangle_free(G)
+    tri = is_blue_triangle_free(G)[1]
+    assert (e.value.hypothesis, e.value.witness) == ("triangle-free", tri)
+    assert e.value.details == f"blue triangle {tri}"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_triangle_free_greedy_without_a_pair_is_edgeless(n):
+    # fewer than 2 vertices hold no pair to draw, whatever the target
+    G = random_triangle_free_greedy(n, 5, random.Random(0))
+    assert (G.n_vertices, G.blue) == (n, [0] * n)
 
 
 def test_generators_are_seed_deterministic():

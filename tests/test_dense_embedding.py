@@ -24,7 +24,6 @@ from cuberamsey.dense_embedding import (
     AssignmentEntry,
     Cleaned,
     Extended,
-    PartialAssignment,
     ThresholdSchedule,
     candidate_set_size,
     complete_greedily,
@@ -50,11 +49,18 @@ def test_candidate_set_size_is_exact_ceiling():
 
 
 def test_partial_assignment_validates_gamma():
-    # the assignment checks nothing on construction: dense_embed refuses
-    # a gamma outside (0, 1) (next test), and an empty assignment keeps
-    # its gamma and uses no vertex
-    pa = PartialAssignment.empty(Fraction(1, 4))
-    assert (pa.entries, pa.gamma, pa.used) == ((), Fraction(1, 4), 0)
+    # dense_embed validates gamma once, as an exact Fraction, and every
+    # step of its loop gets that Fraction: 0.25 is exactly 1/4
+    seen = []
+
+    def spy(H, entries, A, a, b, n, gamma):
+        seen.append(gamma)
+        return extend_or_clean(H, entries, A, a, b, n, gamma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dense_embedding, "extend_or_clean", spy)
+        dense_embed(all_red_graph(16), 2, 0.25, ThresholdSchedule((1, 1)))
+    assert seen and all(type(g) is Fraction and g == Fraction(1, 4) for g in seen)
 
 
 @pytest.mark.parametrize("gamma", [0, 1])
@@ -67,19 +73,18 @@ def test_dense_embed_refuses_gamma_before_its_hypotheses(gamma):
     assert str(e.value) == f"gamma must lie in (0, 1), got {gamma}"
 
 
-def _single_entry(n, gamma, codim, members):
-    e = AssignmentEntry(InitialSubcube((0,) * codim), tuple(members))
-    return PartialAssignment((e,), gamma)
+def _single_entry(codim, members):
+    return [AssignmentEntry(InitialSubcube((0,) * codim), tuple(members))]
 
 
 def test_check_clause_a_sizes_and_order():
     g = Fraction(1, 4)
     G = all_red_graph(64)
     want = candidate_set_size(g, 4, 1)  # 10
-    ok, clause, _ = check_partial_assignment(G, _single_entry(4, g, 1, range(want)), 4)
+    ok, clause, _ = check_partial_assignment(G, _single_entry(1, range(want)), g, 4)
     assert ok
     ok, clause, _ = check_partial_assignment(
-        G, _single_entry(4, g, 1, range(want - 1)), 4
+        G, _single_entry(1, range(want - 1)), g, 4
     )
     assert (ok, clause) == (False, "a")
     # decreasing codimension
@@ -87,7 +92,7 @@ def test_check_clause_a_sizes_and_order():
     e2 = AssignmentEntry(
         InitialSubcube((1,)), tuple(range(20, 20 + candidate_set_size(g, 4, 1)))
     )
-    ok, clause, _ = check_partial_assignment(G, PartialAssignment((e1, e2), g), 4)
+    ok, clause, _ = check_partial_assignment(G, [e1, e2], g, 4)
     assert (ok, clause) == (False, "a")
 
 
@@ -96,14 +101,14 @@ def test_check_clause_b_red_clique_and_disjointness():
     n = 4
     want = candidate_set_size(g, n, 1)
     G = ColouredGraph.from_blue_edges(32, [(0, 1)])
-    ok, clause, _ = check_partial_assignment(G, _single_entry(n, g, 1, range(want)), n)
+    ok, clause, _ = check_partial_assignment(G, _single_entry(1, range(want)), g, n)
     assert (ok, clause) == (False, "b")
     # shared vertices between entries
     H = all_red_graph(32)
     w2 = candidate_set_size(g, n, 2)
     e1 = AssignmentEntry(InitialSubcube((0, 0)), tuple(range(w2)))
     e2 = AssignmentEntry(InitialSubcube((1, 1)), tuple(range(w2)))
-    ok, clause, _ = check_partial_assignment(H, PartialAssignment((e1, e2), g), n)
+    ok, clause, _ = check_partial_assignment(H, [e1, e2], g, n)
     assert (ok, clause) == (False, "b")
 
 
@@ -115,7 +120,7 @@ def test_check_clause_c_overlapping_subcubes():
     H = all_red_graph(64)
     e1 = AssignmentEntry(InitialSubcube((0,)), tuple(range(w1)))
     e2 = AssignmentEntry(InitialSubcube((0, 1)), tuple(range(w1, w1 + w2)))
-    ok, clause, _ = check_partial_assignment(H, PartialAssignment((e1, e2), g), n)
+    ok, clause, _ = check_partial_assignment(H, [e1, e2], g, n)
     assert (ok, clause) == (False, "c")
 
 
@@ -130,12 +135,12 @@ def test_check_clause_21_cross_degree_is_one_sided():
     G = ColouredGraph.from_blue_edges(2 * w, [(min(a, b), max(a, b)) for a, b in edges])
     e1 = AssignmentEntry(InitialSubcube((0,)), first)
     e2 = AssignmentEntry(InitialSubcube((1,)), second)
-    ok, clause, _ = check_partial_assignment(G, PartialAssignment((e1, e2), g), n)
+    ok, clause, _ = check_partial_assignment(G, [e1, e2], g, n)
     assert ok, clause  # degree of the *later* vertices into first is <= 1 each
 
     edges = [(v, second[0]) for v in first[:3]]  # one later vertex, degree 3
     G = ColouredGraph.from_blue_edges(2 * w, edges)
-    ok, clause, _ = check_partial_assignment(G, PartialAssignment((e1, e2), g), n)
+    ok, clause, _ = check_partial_assignment(G, [e1, e2], g, n)
     assert (ok, clause) == (False, "2.1")
 
 
@@ -145,17 +150,17 @@ def test_randomized_valid_assignments_embed_and_verify():
     for _ in range(40):
         n = rng.randrange(4, 8)
         gamma = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
-        G, pa = random_valid_partial_assignment(n, gamma, rng)
-        ok, clause, detail = check_partial_assignment(G, pa, n)
+        G, entries = random_valid_partial_assignment(n, gamma, rng)
+        ok, clause, detail = check_partial_assignment(G, entries, gamma, n)
         assert ok, (clause, detail)
-        phi = embed_partial_assignment(G, pa, n)
+        phi = embed_partial_assignment(G, entries, n)
         covered = [
-            z for e in pa.entries for z in subcube_vertices(e.subcube, n)
+            z for e in entries for z in subcube_vertices(e.subcube, n)
         ]
         assert sorted(phi) == sorted(covered)
         assert reference_verify_errors(G, n, phi, covered) == []
         # every image sits in its own candidate set
-        for e in pa.entries:
+        for e in entries:
             mm = set(e.members)
             for z in subcube_vertices(e.subcube, n):
                 assert phi[z] in mm
@@ -163,13 +168,12 @@ def test_randomized_valid_assignments_embed_and_verify():
     assert done == 40
 
 
-def _cross_blue(H, pa, rng):
+def _cross_blue(H, es, rng):
     """H plus blue edges, each with one drawn probability, between the
     candidate sets of every cube-adjacent pair of entries: clause 2.1
     may break, and then an entry can run out of candidates."""
     blue = list(H.blue)
     q = rng.choice([0.3, 0.6, 1.0])
-    es = pa.entries
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
             if subcube_distance(es[i].subcube, es[j].subcube) != 1:
@@ -182,9 +186,9 @@ def _cross_blue(H, pa, rng):
     return ColouredGraph(H.n_vertices, blue)
 
 
-def _partial_embedding(embed, H, pa, n):
+def _partial_embedding(embed, H, entries, n):
     try:
-        return list(embed(H, pa, n).items())
+        return list(embed(H, entries, n).items())
     except StageFailure as e:
         return e.stage, str(e), e.data
 
@@ -196,11 +200,11 @@ def test_embed_partial_assignment_matches_mask_clearing_loop(broken):
     for _ in range(40):
         n = rng.randrange(3, 7)
         gamma = rng.choice([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)])
-        H, pa = random_valid_partial_assignment(n, gamma, rng)
+        H, entries = random_valid_partial_assignment(n, gamma, rng)
         if broken:
-            H = _cross_blue(H, pa, rng)
-        got = _partial_embedding(embed_partial_assignment, H, pa, n)
-        assert got == _partial_embedding(reference_embed_partial_assignment, H, pa, n)
+            H = _cross_blue(H, entries, rng)
+        got = _partial_embedding(embed_partial_assignment, H, entries, n)
+        assert got == _partial_embedding(reference_embed_partial_assignment, H, entries, n)
         outcomes.add(type(got))
     # a valid assignment always embeds; broken ones both embed and fail
     assert outcomes == ({list, tuple} if broken else {list})
@@ -210,9 +214,9 @@ def test_embed_partial_assignment_rejects_negative_member():
     # a negative member would index the host from its top end
     g, n = Fraction(1, 4), 3
     members = tuple(range(-1, candidate_set_size(g, n, 1) - 1))
-    pa = PartialAssignment((AssignmentEntry(InitialSubcube((0,)), members),), g)
+    entries = [AssignmentEntry(InitialSubcube((0,)), members)]
     with pytest.raises(ValueError):
-        embed_partial_assignment(all_red_graph(32), pa, n)
+        embed_partial_assignment(all_red_graph(32), entries, n)
 
 
 def test_cleaning_threshold_is_inclusive():
@@ -224,8 +228,7 @@ def test_cleaning_threshold_is_inclusive():
     two, one = size, size + 1
     H = ColouredGraph.from_blue_edges(size + 2, [(0, two), (1, two), (2, one)])
     entry = AssignmentEntry(InitialSubcube((0,)), tuple(range(size)))
-    pa = PartialAssignment((entry,), g)
-    step = extend_or_clean(H, pa, mask_of([two, one]), 1, 1, n)
+    step = extend_or_clean(H, [entry], mask_of([two, one]), 1, 1, n, g)
     assert isinstance(step, Cleaned)
     assert step.mask == bit(one)
 
@@ -247,12 +250,11 @@ def test_dichotomy_outcomes_on_random_graphs():
             G = ColouredGraph.from_blue_edges(N, edges)
         else:
             G = random_triangle_free_greedy(N, N // 8, rng)
-        pa = PartialAssignment.empty(g)
         A = (1 << N) - 1
-        step = extend_or_clean(G, pa, A, a, b, n)
+        step = extend_or_clean(G, [], A, a, b, n, g)
         if isinstance(step, Extended):
             extended += 1
-            ok, clause, detail = check_partial_assignment(G, step.assignment, n)
+            ok, clause, detail = check_partial_assignment(G, [step.entry], g, n)
             assert ok, (clause, detail)
         else:
             cleaned += 1
@@ -285,18 +287,22 @@ def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
         G = random_bipartite_blue(N, rng.choice([0.02, 0.05, 0.2]), rng)
     params = SolverParams.desk(n)
 
-    def checked(H, pa, A, a, b, n):
+    def checked(H, entries, A, a, b, n, gamma):
         cap = 1 << (n - a)
         assert 1 <= a and 1 <= b <= n, "threshold-range"
-        assert all(e.codim <= b for e in pa.entries), "codimension-order"
-        assert not A & pa.used, "active-overlap"
+        assert all(e.codim <= b for e in entries), "codimension-order"
+        # A misses every entry's members, so complete_greedily can walk
+        # A itself
+        assert not any(A & e.mask for e in entries), "active-overlap"
         assert all((m & A).bit_count() <= cap for m in H.blue), "active-degree"
         # the entries' subcubes are disjoint (clause c), so they cover
         # the cube exactly when their sizes sum to 2^n
-        assert sum(1 << (n - e.codim) for e in pa.entries) < 1 << n, "cube-covered"
-        step = extend_or_clean(H, pa, A, a, b, n)
+        assert sum(1 << (n - e.codim) for e in entries) < 1 << n, "cube-covered"
+        step = extend_or_clean(H, entries, A, a, b, n, gamma)
         if isinstance(step, Extended):
-            ok, clause, detail = check_partial_assignment(H, step.assignment, n)
+            ok, clause, detail = check_partial_assignment(
+                H, entries + [step.entry], gamma, n
+            )
             assert ok, (clause, detail)
         return step
 
@@ -360,10 +366,10 @@ def test_dense_embed_sparse_random_hosts():
 
 
 def _completion_case(seed: int, blocking: bool):
-    """A host, a partial map of Q_n, a cleaned set A and the pool cut
-    from it, and the bandwidth order of the cube vertices left.
+    """A host, a partial map of Q_n, a cleaned set A that misses its
+    images, and the bandwidth order of the cube vertices left.
 
-    With ``blocking`` the placed images and the pool are any vertices,
+    With ``blocking`` the placed images and A are any vertices,
     so placed images block with their blue masks; without it they are
     vertices of blue degree 0, and nothing ever blocks.
     """
@@ -375,16 +381,15 @@ def _completion_case(seed: int, blocking: bool):
     placed = rng.sample(range(1 << n), rng.randrange(min(1 << n, len(usable)) + 1))
     images = rng.sample(usable, len(placed))
     phi = dict(zip(placed, images))
-    A = mask_of(v for v in usable if rng.random() < 0.9)
-    pool = A & ~mask_of(images)
+    A = mask_of(v for v in usable if rng.random() < 0.9) & ~mask_of(images)
     order = bandwidth_order([z for z in range(1 << n) if z not in phi])
-    return H, n, phi, A, pool, order
+    return H, n, phi, A, order
 
 
 def _completion(complete, case):
-    H, n, phi, A, pool, order = case
+    H, n, phi, A, order = case
     try:
-        return complete(H, n, dict(phi), A, pool, list(order))
+        return complete(H, n, dict(phi), A, list(order))
     except StageFailure as e:
         return e.stage, str(e), e.data
 
@@ -397,7 +402,7 @@ def test_complete_greedily_matches_mask_clearing_loop(blocking):
         got = _completion(complete_greedily, case)
         assert got == _completion(reference_complete_greedily, case)
         outcomes.add(type(got))
-    # some maps are completed, and on other hosts the pool runs dry
+    # some maps are completed, and on other hosts A runs dry
     assert outcomes == {dict, tuple}
 
 

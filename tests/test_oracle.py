@@ -266,7 +266,7 @@ def test_results_keep_their_evidence_and_derive_their_verdict():
         Verdict: ["errors"],
         CubeSearchResult: ["embedding", "nodes"],
         RamseyVerdict: ["n", "N", "witness", "checked", "mode"],
-        Extended: ["assignment"],
+        Extended: ["entry"],
     }
     for cls, names in fields.items():
         assert list(cls.__dataclass_fields__) == names, cls.__name__

@@ -31,6 +31,7 @@ from cuberamsey.decomposition import (
 )
 from cuberamsey.dense_embedding import ThresholdSchedule
 from cuberamsey.errors import HypothesisError, StageFailure
+import cuberamsey
 from cuberamsey import decomposition, snake_embedding, solver
 from cuberamsey.snake_embedding import LinkWitness, Snake, validate_snake
 from cuberamsey.solver import SolverParams, assign_subcubes, choose_case, solve
@@ -426,3 +427,14 @@ def test_readme_library_overview_runs():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"^## Library overview\n\n```python\n(.*?)^```", text, re.S | re.M)
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_package_exports_resolve_and_cover_the_readme_example():
+    # every exported name resolves, and the README example imports only
+    # exported names; every other name is imported from its module
+    for name in cuberamsey.__all__:
+        assert getattr(cuberamsey, name) is not None, name
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^from cuberamsey import \((.*?)\)", text, re.S | re.M)
+    used = re.findall(r"\w+", block.group(1))
+    assert used and set(used) <= set(cuberamsey.__all__)
