@@ -86,11 +86,13 @@ def read_embedding(stream, n: int) -> dict[int, int]:
                 f"cube vertex {parts[0]} embedded twice", line=lineno
             )
         phi[z] = v
-    missing = [z for z in range(1 << n) if z not in phi]
-    if missing:
+    # every key is a distinct cube vertex below 2^n, so len(phi) of them
+    # leave 2^n - len(phi) out, the first among 0..len(phi)
+    if len(phi) < 1 << n:
+        first = next(z for z in range(len(phi) + 1) if z not in phi)
         raise GraphParseError(
-            f"embedding misses {len(missing)} of the {1 << n} cube vertices, "
-            f"first {format_cube_vertex(missing[0], n)}"
+            f"embedding misses {(1 << n) - len(phi)} of the {1 << n} cube "
+            f"vertices, first {format_cube_vertex(first, n)}"
         )
     return phi
 

@@ -44,7 +44,10 @@ class ColouredGraph:
     builds the index that ``blue_degrees``, ``blue_classes`` and
     ``blue_at_least`` read: every degree, the twin classes, and the
     vertices with a blue neighbour in order of falling degree and as a
-    mask, the support.
+    mask, the support.  For the same reason ``is_blue_triangle_free``
+    keeps its verdict on the graph, and ``induced`` hands the subgraph
+    the degrees it counts and, from a graph known to be triangle free,
+    that verdict.
     """
 
     def __init__(self, n_vertices: int, blue: list[int], validate: bool = True):
@@ -58,6 +61,10 @@ class ColouredGraph:
         self.blue = blue
         self.full_mask = (1 << n_vertices) - 1
         self._index: Optional[tuple] = None
+        # the blue degrees, when ``induced`` counted them, and the verdict
+        # of ``is_blue_triangle_free``, once known
+        self._degrees: Optional[list[int]] = None
+        self._triangle: Optional[tuple[bool, Optional[tuple]]] = None
         if validate:
             self._validate()
 
@@ -99,20 +106,25 @@ class ColouredGraph:
         """The degrees, the twin classes ``(class_of, reps)``, the degree
         order and the support mask, built together on first use.
 
-        Cost: one pass over the vertices.  A zero mask is passed over, and
-        a one-bit mask is told by a compare at half the cost of a
-        popcount.  Every other mask gets an O(1) fingerprint, its length
-        and its low and top 64 bits.  The first vertex to show a
-        fingerprint pays a popcount; a later one compares its mask with
-        that vertex's and, if equal, takes its class and degree, so a
-        blow-up pays one compare per vertex, cut short when twins share
-        one int object.  Only masks that differ behind a shared
-        fingerprint are hashed whole.  Then a sort of the vertices with a
-        blue neighbour by degree, kept as 4 bytes each, and their mask.
+        Cost: one pass over the vertices.  A zero mask is passed over.
+        Degrees that ``induced`` counted are read; otherwise a one-bit
+        mask is told by a compare at half the cost of a popcount.  Every
+        other mask gets an O(1) fingerprint, its length and its low and
+        top 64 bits.  The first vertex to show a fingerprint pays a
+        popcount unless its degree was counted; a later one compares its
+        mask with that vertex's and, if equal, takes its class and
+        degree, so a blow-up pays one compare per vertex, cut short when
+        twins share one int object.  Only masks that differ behind a
+        shared fingerprint are hashed whole.  Then a sort of the vertices
+        with a blue neighbour by degree, kept as 4 bytes each, and their
+        mask.
         """
         if self._index is None:
             blue = self.blue
-            deg = [0] * self.n_vertices
+            deg = self._degrees
+            counted = deg is not None
+            if not counted:
+                deg = [0] * self.n_vertices
             # the first vertex of each fingerprint, and of each whole mask
             # that differs from another behind a shared fingerprint; the
             # length keeps one-bit masks apart, since CPython hashes an int
@@ -121,11 +133,14 @@ class ColouredGraph:
             by_mask: dict[int, int] = {}
             reps, class_of = [], [-1] * self.n_vertices
             for v, m in enumerate(blue):
-                if not m:
+                if counted:
+                    if deg[v] < 2:
+                        continue
+                elif not m:
                     continue
                 length = m.bit_length()
                 top = m >> (length - 64) if length > 64 else m << (64 - length)
-                if top == 1 << 63 and m == 1 << (length - 1):
+                if not counted and top == 1 << 63 and m == 1 << (length - 1):
                     # most masks of a sparse host are one bit; such a
                     # vertex is never classed, so its fingerprint is not kept
                     deg[v] = 1
@@ -137,7 +152,8 @@ class ColouredGraph:
                     class_of[v] = class_of[u]
                     deg[v] = deg[u]
                     continue
-                deg[v] = m.bit_count()  # two or more
+                if not counted:
+                    deg[v] = m.bit_count()  # two or more
                 class_of[v] = len(reps)
                 reps.append(v)
             touched = [v for v, d in enumerate(deg) if d]
@@ -203,32 +219,77 @@ class ColouredGraph:
         Returns the subgraph together with the list mapping new indices to
         old ones (new index i corresponds to old vertex ``order[i]``).
 
-        Cost: a sort and a dict over the vertices, then, for each kept
-        vertex with a blue neighbour, one dict lookup and one shift per
-        blue neighbour: read by ``bit_length`` at degree 1 and by
-        ``counted_bits`` above.  A kept vertex without one costs a list
-        read and keeps the zero mask.
+        The copy reads every kept vertex's blue neighbours, so it counts
+        the subgraph's blue degrees as it goes, and the subgraph's index
+        reads them instead of telling one-bit masks apart and
+        popcounting.  A blue triangle of the subgraph is one of this
+        graph, so if this graph is known to be blue triangle free
+        (``is_blue_triangle_free`` has said so), the subgraph is too and
+        inherits that verdict; any other subgraph is checked on its own
+        when asked.
+
+        Cost: a sort and a dict over the vertices, and a walk of them
+        that lists their runs of consecutive vertices until there are as
+        many runs as the largest blue degree.  The relabelling is
+        monotone, so a run keeps its bit pattern, shifted down by the
+        vertices left out below it.  A kept vertex of blue degree d with
+        fewer runs than d is copied by one shift, AND and shift per run,
+        and its degree is a popcount.  Any other kept vertex with a blue
+        neighbour costs one dict lookup and one shift per blue neighbour:
+        read by ``bit_length`` at degree 1 and by ``counted_bits`` above.
+        A kept vertex without one costs a list read and keeps the zero
+        mask.
         """
         order = sorted(set(vertices))
         if order and (order[0] < 0 or order[-1] >= self.n_vertices):
             raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
         pos = {v: i for i, v in enumerate(order)}
-        deg, blue = self.blue_degrees(), self.blue
+        deg, _, by_degree, _ = self._blue_index()
+        blue = self.blue
+        # (old start, width mask, new start) of each run; a vertex is
+        # copied run by run only if it has more blue neighbours than
+        # there are runs, so the list stops at the largest degree
+        most = deg[by_degree[0]] if by_degree else 0
+        runs: list[tuple[int, int, int]] = []
+        start = 0
+        for i in range(1, len(order) + 1):
+            if i < len(order) and order[i] == order[i - 1] + 1:
+                continue
+            runs.append((order[start], (1 << (i - start)) - 1, start))
+            if len(runs) >= most:
+                break
+            start = i
+        n_runs = len(runs)
         out = [0] * len(order)
+        out_deg = [0] * len(order)
         for i, v in enumerate(order):
             d = deg[v]
             if d == 1:
                 j = pos.get(blue[v].bit_length() - 1)
                 if j is not None:
                     out[i] = 1 << j
-            elif d:
+                    out_deg[i] = 1
+            elif d > n_runs:
+                m = blue[v]
                 nm = 0
+                for lo, width, new_lo in runs:
+                    nm |= ((m >> lo) & width) << new_lo
+                out[i] = nm
+                out_deg[i] = nm.bit_count()
+            elif d:
+                nm = k = 0
                 for w in counted_bits(blue[v], d):
                     j = pos.get(w)
                     if j is not None:
                         nm |= 1 << j
+                        k += 1
                 out[i] = nm
-        return ColouredGraph(len(order), out, validate=False), order
+                out_deg[i] = k
+        H = ColouredGraph(len(order), out, validate=False)
+        H._degrees = out_deg
+        if self._triangle and self._triangle[0]:
+            H._triangle = self._triangle
+        return H, order
 
     # -- text round trip ------------------------------------------------
 
@@ -291,17 +352,29 @@ def is_blue_triangle_free(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
     has at most one neighbour, so it is never a or b of an edge with a
     common neighbour, nor the common neighbour c of a, b.
 
-    Cost: the class index (built once per graph, one O(1) fingerprint
-    and one compare or popcount per vertex read), then one N-bit AND per
-    representative and one per blue edge between representatives,
-    O(E * N / 64) word operations for E such edges.  A blow-up of a few
-    red cliques has a handful of representatives; on a twin-free host
-    every vertex of degree 2 or more is one.  The representatives a are
-    tried in order, then their neighbours b > a among them in order; the
-    witness is the first such edge's lowest common representative.
-    Classes are numbered by their first vertex, so this is the first
-    triangle of the class graph in class order.
+    The verdict is kept on G, whose masks never change, so a second call
+    reads it.  A subgraph that ``G.induced`` copies out of a G found
+    triangle free starts with the verdict ``(True, None)``: the property
+    is hereditary, since a triangle of the subgraph is one of G.
+
+    Cost of a first call: the class index (built once per graph, one
+    O(1) fingerprint and one compare or popcount per vertex read), then
+    one N-bit AND per representative and one per blue edge between
+    representatives, O(E * N / 64) word operations for E such edges.  A
+    blow-up of a few red cliques has a handful of representatives; on a
+    twin-free host every vertex of degree 2 or more is one.  The
+    representatives a are tried in order, then their neighbours b > a
+    among them in order; the witness is the first such edge's lowest
+    common representative.  Classes are numbered by their first vertex,
+    so this is the first triangle of the class graph in class order.
     """
+    if G._triangle is None:
+        G._triangle = _first_blue_triangle(G)
+    return G._triangle
+
+
+def _first_blue_triangle(G: ColouredGraph) -> tuple[bool, Optional[tuple]]:
+    """``is_blue_triangle_free``'s walk over the class representatives."""
     reps = G.blue_classes()[1]
     blue, rep_mask = G.blue, mask_of(reps)
     for a in reps:

@@ -10,7 +10,7 @@ between subcubes, and the cleaning passes cap exactly those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil
@@ -34,16 +34,34 @@ from .hypercube import (
 
 
 def candidate_set_size(gamma: Fraction, n: int, d: int) -> int:
-    """ceil((1+gamma) * 2^(n-d)): the exact required candidate-set size."""
-    return ceil((1 + gamma) * (1 << (n - d)))
+    """ceil((1+gamma) * 2^(n-d)): the exact required candidate-set size,
+    in integers: a ceiling division by gamma's denominator."""
+    num, den = gamma.numerator, gamma.denominator
+    return -(-((den + num) << (n - d)) // den)
 
 
 @dataclass(frozen=True)
 class AssignmentEntry:
-    """One assigned subcube with its candidate red clique."""
+    """One assigned subcube with its candidate red clique.
+
+    ``reach`` is the OR of the members' blue masks in the host: every
+    vertex with a blue neighbour in the clique.  The host never changes,
+    so ``on`` builds it once, when the entry is made.
+    """
 
     subcube: InitialSubcube
     members: tuple[int, ...]
+    reach: int = field(repr=False)
+
+    @classmethod
+    def on(
+        cls, H: ColouredGraph, subcube: InitialSubcube, members
+    ) -> "AssignmentEntry":
+        """The entry of ``members`` for ``subcube``, with its reach in H."""
+        reach = 0
+        for u in members:
+            reach |= H.blue[u]
+        return cls(subcube, tuple(members), reach)
 
     @property
     def codim(self) -> int:
@@ -104,71 +122,70 @@ def extend_or_clean(
     entries: list[AssignmentEntry],
     A: int,
     a: int,
-    b: int,
+    y: InitialSubcube,
     n: int,
     gamma: Fraction,
+    centres: int,
 ) -> Union[Extended, Cleaned]:
-    """One step of the assignment loop at codimension b.
+    """One step of the assignment loop at the free cell y, of codimension b.
 
     Requires every assigned vertex to have blue degree at most 2^(n-a)
-    into the active mask A.  Picks the first unassigned subcube y of
-    codimension b, removes from A every vertex too blue towards a
-    candidate set whose subcube touches y, and then either returns a new
-    entry for y, a blue neighbourhood inside the remainder (a red clique,
-    since blue is triangle free), or the cleaned set.
+    into the active mask A.  Removes from A every vertex too blue
+    towards a candidate set whose subcube touches y, and then either
+    returns a new entry for y, a blue neighbourhood inside the remainder
+    (a red clique, since blue is triangle free), or the cleaned set.
 
     The step checks none of its hypotheses: ``dense_embed``, its one
     caller, checks them once on the host and the schedule, and its loop
     keeps them.  The schedule gives 1 <= a and b <= n with every entry's
-    codimension at most b; A loses each new entry's members and cleaning
-    only shrinks it, so A misses every candidate set; the max-degree
-    check, and after it each cleaned set, caps every blue degree into A
-    at 2^(n-a); and the loop stops once the cube is covered.
+    codimension at most b; y is the first cell of codimension b outside
+    every entry's subcube; ``centres`` is ``H.blue_at_least(2^(n-b+1))``,
+    the vertices whose blue neighbourhood can hold a candidate set; A
+    loses each new entry's members and cleaning only shrinks it, so A
+    misses every candidate set; the max-degree check, and after it each
+    cleaned set, caps every blue degree into A at 2^(n-a); and the loop
+    stops once the cube is covered.
 
-    Cost: y is the first cell of ``complement_cells``.  Only vertices of
-    A in the blue masks of a touching candidate set get a degree test,
-    so a host of small degrees pays per touching set, not per vertex of
-    A.
+    Cost: y and ``centres`` depend only on the pass, and an entry's
+    reach only on the entry, so the loop derives each once.  Only
+    vertices of A in the reach of a touching candidate set get a degree
+    test, so a host of small degrees pays per touching set, not per
+    vertex of A.  The degree thresholds and the cleaning allowance are
+    compared in integers, cross-multiplied by gamma's numerator and
+    denominator.
     """
-    # the entries' subcubes are disjoint by construction, and the caller
-    # calls only while some cube vertex is uncovered, so its cell of
-    # codimension b misses every entry
-    y = next(complement_cells([e.subcube for e in entries], n, b))
-
-    # a vertex blue to a candidate set lies in its members' blue masks, so
-    # each degree test below walks only those, not all of A
+    b = y.codim
+    g_num, g_den = gamma.numerator, gamma.denominator
+    # a vertex blue to a candidate set lies in its reach, so each degree
+    # test below walks only that, not all of A
     removed = 0
     for e in entries:
         if subcube_distance(e.subcube, y) != 1:
             continue
-        # d >= thr as d * thr.denominator >= thr.numerator, exactly
-        thr = gamma * (1 << (n - e.codim)) / e.codim
-        thr_num, thr_den = thr.numerator, thr.denominator
+        # removed at gamma * 2^(n-d) / d blue neighbours in the set or more
+        d = e.codim
+        thr_num, thr_den = g_num << (n - d), d * g_den
         mi = e.mask
-        reach = 0
-        for u in e.members:
-            reach |= H.blue[u]
-        for v in iter_bits(A & reach):
+        for v in iter_bits(A & e.reach):
             if (H.blue[v] & mi).bit_count() * thr_den >= thr_num:
                 removed |= bit(v)
     C = A & ~removed
 
     # the cleaning can only discard so much: each touching candidate set
     # receives at most |S_i| * 2^(n-a) blue edges from A, and membership
-    # in the removed set costs (gamma/d_i) * 2^(n-d_i) of them
-    allowance = (b * b / gamma) * (1 << (n - a + 1))
-    if removed.bit_count() > allowance:
+    # in the removed set costs (gamma/d_i) * 2^(n-d_i) of them; so at most
+    # (b^2 / gamma) * 2^(n-a+1) vertices go
+    if removed.bit_count() * g_num > (b * b * g_den) << (n - a + 1):
         raise AssertionError(
             "cleaning removed more than the degree hypothesis permits"
         )
 
     need = 1 << (n - b + 1)
-    size = candidate_set_size(gamma, n, b)
-    for u in iter_bits(H.blue_at_least(need)):
+    for u in iter_bits(centres):
         nb = H.blue[u] & C
         if nb.bit_count() >= need:
-            members = tuple(bits_list(lowest_bits(nb, size)))
-            return Extended(AssignmentEntry(y, members))
+            members = bits_list(lowest_bits(nb, candidate_set_size(gamma, n, b)))
+            return Extended(AssignmentEntry.on(H, y, members))
     return Cleaned(C)
 
 
@@ -211,9 +228,14 @@ def dense_embed(
     here, once, as a ``HypothesisError``.  The steps it calls,
     ``extend_or_clean`` and ``embed_partial_assignment``, check none.
 
-    Cost, beyond the hypothesis checks (``is_blue_triangle_free``, the
-    degree index) and one ``extend_or_clean`` per extension or cleaning,
-    whose N-bit work is per touching candidate set, not per entry: the
+    Cost, beyond the hypothesis checks (the degree index, and
+    ``is_blue_triangle_free``, which reads the verdict that an H copied
+    by ``induced`` out of a checked host inherits) and one
+    ``extend_or_clean`` per extension or cleaning, whose N-bit work is
+    per touching candidate set, not per entry.  Each pass derives its
+    facts once: one ``complement_cells`` walk yields the free cells in
+    turn, and one ``blue_at_least`` gives the vertices that can centre a
+    candidate set; each entry's reach is built when it is made.  The
     leftover cube vertices are one ``bits_list`` of the uncovered mask,
     and the placements (``first_fit`` walks) do N-bit work only for a
     cube vertex whose walk meets a vertex with a blue neighbour.  On a
@@ -261,8 +283,15 @@ def dense_embed(
         passes_run = j
         a = schedule.b[j - 1]
         bb = schedule.b[j] + 1
+        # one walk of the free cells per pass: the entries' subcubes are
+        # disjoint, an extension takes the walk's cell, and a cleaning
+        # ends the pass, so the next free cell is always the walk's next
+        # one; the loop runs only while a cube vertex is uncovered, so
+        # there is one
+        cells = complement_cells([e.subcube for e in entries], n, bb)
+        centres = H.blue_at_least(1 << (n - bb + 1))
         while covered != full_cube:
-            step = extend_or_clean(H, entries, A, a, bb, n, gamma)
+            step = extend_or_clean(H, entries, A, a, next(cells), n, gamma, centres)
             if isinstance(step, Extended):
                 entries.append(step.entry)
                 A &= ~step.entry.mask

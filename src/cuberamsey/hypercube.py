@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import ne
 from typing import Iterable, Iterator
 
 
@@ -43,10 +44,9 @@ def subcube_distance(x: InitialSubcube, z: InitialSubcube) -> int:
 
     Distance 0 means one subcube contains the other; distance 1 means they
     are disjoint but joined by cube edges; distance >= 2 means no edge of
-    the cube runs between them.
+    the cube runs between them.  ``map`` stops at the shorter prefix.
     """
-    d = min(x.codim, z.codim)
-    return sum(1 for i in range(d) if x.prefix[i] != z.prefix[i])
+    return sum(map(ne, x.prefix, z.prefix))
 
 
 def subcube_vertices(x: InitialSubcube, n: int) -> list[int]:

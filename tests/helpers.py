@@ -4,17 +4,18 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import ceil, comb
 
 from cuberamsey.bits import bit, bits_list, iter_bits, lowest_bits, mask_of
 from cuberamsey.colored_graph import ColouredGraph, Verdict, red_components
 from cuberamsey.decomposition import Decomposition, RoundRecord
 from cuberamsey.dense_embedding import AssignmentEntry, candidate_set_size
-from cuberamsey.errors import StageFailure
+from cuberamsey.errors import HypothesisError, StageFailure
 from cuberamsey.hypercube import (
     InitialSubcube,
     bandwidth_bound,
     bandwidth_order,
+    complement_cells,
     subcube_distance,
     subcube_vertices,
 )
@@ -131,7 +132,7 @@ def random_valid_partial_assignment(n: int, gamma, rng: random.Random):
                     blue[u] |= 1 << v
                     blue[v] |= 1 << u
     G = ColouredGraph(total, blue)
-    return G, [AssignmentEntry(x, mem) for x, mem in zip(subcubes, members)]
+    return G, [AssignmentEntry.on(G, x, mem) for x, mem in zip(subcubes, members)]
 
 
 def check_partial_assignment(H: ColouredGraph, entries, gamma, n: int):
@@ -685,6 +686,92 @@ def reference_embed_partial_assignment(H: ColouredGraph, entries, n: int) -> dic
             phi[z] = v
             pool &= ~bit(v)
     return phi
+
+
+def reference_dense_embed(H: ColouredGraph, n: int, gamma, schedule) -> dict[int, int]:
+    """``dense_embedding.dense_embed`` with the assignment loop as it was
+    before each pass derived its facts once: every step restarts the
+    cell walk, rebuilds each touching entry's reach from its members,
+    bisects the degree index for the centres, and compares through
+    ``Fraction`` thresholds.  The triangle check walks H afresh, and the
+    placements are the mask-clearing reference loops."""
+    gamma = Fraction(gamma)
+    if not 0 < gamma < 1:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if schedule.b[-1] + 1 > n:
+        raise HypothesisError(
+            "schedule-depth",
+            f"b_k+1 + 1 = {schedule.b[-1] + 1} exceeds the dimension {n}",
+        )
+    need = ceil((1 + 3 * gamma) * (1 << n))
+    if H.n_vertices < need:
+        raise HypothesisError(
+            "order", f"host has {H.n_vertices} vertices, needs {need}"
+        )
+    cap = 1 << (n - schedule.b[0])
+    over = [v for v, m in enumerate(H.blue) if m.bit_count() > cap]
+    if over:
+        v = over[0]
+        raise HypothesisError(
+            "max-degree",
+            f"vertex {v} has blue degree {H.blue[v].bit_count()}, "
+            f"above 2^(n - b_0) = {cap}",
+            witness=v,
+        )
+    ok, tri = reference_is_blue_triangle_free(H)
+    if not ok:
+        raise HypothesisError("triangle-free", f"blue triangle {tri}", witness=tri)
+
+    def step(entries, A, a, b):
+        y = next(complement_cells([e.subcube for e in entries], n, b))
+        removed = 0
+        for e in entries:
+            if subcube_distance(e.subcube, y) != 1:
+                continue
+            thr = gamma * (1 << (n - e.codim)) / e.codim
+            reach = 0
+            for u in e.members:
+                reach |= H.blue[u]
+            for v in iter_bits(A & reach):
+                if Fraction((H.blue[v] & e.mask).bit_count()) >= thr:
+                    removed |= bit(v)
+        C = A & ~removed
+        if removed.bit_count() > (b * b / gamma) * (1 << (n - a + 1)):
+            raise AssertionError(
+                "cleaning removed more than the degree hypothesis permits"
+            )
+        need = 1 << (n - b + 1)
+        size = ceil((1 + gamma) * (1 << (n - b)))
+        for u in iter_bits(H.blue_at_least(need)):
+            nb = H.blue[u] & C
+            if nb.bit_count() >= need:
+                return AssignmentEntry.on(H, y, bits_list(lowest_bits(nb, size))), C
+        return None, C
+
+    entries, A, covered = [], H.full_mask, 0
+    full_cube = (1 << (1 << n)) - 1
+    passes_run = 0
+    for j in range(1, len(schedule.b)):
+        if covered == full_cube:
+            break
+        passes_run = j
+        a, bb = schedule.b[j - 1], schedule.b[j] + 1
+        while covered != full_cube:
+            entry, C = step(entries, A, a, bb)
+            if entry is None:
+                A = C
+                break
+            entries.append(entry)
+            A &= ~entry.mask
+            covered |= mask_of(subcube_vertices(entry.subcube, n))
+
+    phi = reference_embed_partial_assignment(H, entries, n)
+    residual = bits_list(full_cube & ~covered)
+    try:
+        return reference_complete_greedily(H, n, phi, A, bandwidth_order(residual))
+    except StageFailure as e:
+        e.data.update(passes=passes_run, extensions=len(entries))
+        raise
 
 
 def reference_first_fit(free, order, image, taken, blocked_of) -> int:

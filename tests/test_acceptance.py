@@ -35,7 +35,12 @@ from cuberamsey.dense_embedding import (
     extend_or_clean,
 )
 from cuberamsey.errors import CubeRamseyError, HypothesisError, StageFailure
-from cuberamsey.hypercube import bandwidth_bound, bandwidth_order, subcube_vertices
+from cuberamsey.hypercube import (
+    InitialSubcube,
+    bandwidth_bound,
+    bandwidth_order,
+    subcube_vertices,
+)
 from cuberamsey.oracle import contains_red_cube, exhaustive_ramsey
 from cuberamsey.snake_embedding import LinkWitness, Snake, snake_embed, validate_snake
 from cuberamsey.solver import SolverParams, solve
@@ -188,7 +193,9 @@ def test_criterion_6_dichotomy():
         else:
             G = random_triangle_free_greedy(N, N // 8, rng)
         A = (1 << N) - 1
-        step = extend_or_clean(G, [], A, a, b, n, g)
+        # with no entries the first free cell is the all-zero prefix
+        y = InitialSubcube((0,) * b)
+        step = extend_or_clean(G, [], A, a, y, n, g, G.blue_at_least(1 << (n - b + 1)))
         if isinstance(step, Extended):
             extended += 1
             ok, clause, _ = check_partial_assignment(G, [step.entry], g, n)

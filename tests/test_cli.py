@@ -392,3 +392,21 @@ def test_check_embedding_missing_cube_vertices(tmp_path, capsys):
         "message": "embedding misses 2 of the 4 cube vertices, first 10",
         "line": None,
     }
+
+
+def test_check_embedding_missing_cube_vertices_at_n_40(tmp_path, capsys):
+    # a one-line map of Q_40 is counted, not listed against all 2^40
+    # cube vertices: the first gap is cube vertex 0
+    g = tmp_path / "g.txt"
+    emb = tmp_path / "e.txt"
+    g.write_text("8\n")
+    emb.write_text("1" * 40 + " 3\n")
+    code, out = _run(capsys, "check", "--in", str(g), "--n", "40",
+                     "--embedding", str(emb))
+    assert code == EXIT_PARSE
+    assert _last_json(out) == {
+        "status": "parse-error",
+        "message": "embedding misses 1099511627775 of the 1099511627776 cube "
+                   "vertices, first " + "0" * 40,
+        "line": None,
+    }

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cuberamsey.dense_embedding as dense_embedding
+import cuberamsey.solver as solver
 from helpers import (
     all_red_graph,
     check_partial_assignment,
     random_valid_partial_assignment,
     reference_complete_greedily,
+    reference_dense_embed,
     reference_embed_partial_assignment,
     reference_verify_errors,
 )
-from cuberamsey.bits import bit, mask_of
+from cuberamsey.bits import bit, bits_list, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_bipartite_blue,
@@ -35,6 +37,7 @@ from cuberamsey.errors import HypothesisError, StageFailure
 from cuberamsey.hypercube import (
     InitialSubcube,
     bandwidth_order,
+    complement_cells,
     subcube_distance,
     subcube_vertices,
 )
@@ -53,9 +56,9 @@ def test_partial_assignment_validates_gamma():
     # step of its loop gets that Fraction: 0.25 is exactly 1/4
     seen = []
 
-    def spy(H, entries, A, a, b, n, gamma):
+    def spy(H, entries, A, a, y, n, gamma, centres):
         seen.append(gamma)
-        return extend_or_clean(H, entries, A, a, b, n, gamma)
+        return extend_or_clean(H, entries, A, a, y, n, gamma, centres)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense_embedding, "extend_or_clean", spy)
@@ -73,24 +76,32 @@ def test_dense_embed_refuses_gamma_before_its_hypotheses(gamma):
     assert str(e.value) == f"gamma must lie in (0, 1), got {gamma}"
 
 
-def _single_entry(codim, members):
-    return [AssignmentEntry(InitialSubcube((0,) * codim), tuple(members))]
+def _single_entry(G, codim, members):
+    return [AssignmentEntry.on(G, InitialSubcube((0,) * codim), members)]
+
+
+def _first_step(G, entries, A, a, b, n, g):
+    """``extend_or_clean`` at the first free cell of codimension b, with
+    the centres of that codimension, as ``dense_embed``'s pass gives
+    them."""
+    y = next(complement_cells([e.subcube for e in entries], n, b))
+    return extend_or_clean(G, entries, A, a, y, n, g, G.blue_at_least(1 << (n - b + 1)))
 
 
 def test_check_clause_a_sizes_and_order():
     g = Fraction(1, 4)
     G = all_red_graph(64)
     want = candidate_set_size(g, 4, 1)  # 10
-    ok, clause, _ = check_partial_assignment(G, _single_entry(1, range(want)), g, 4)
+    ok, clause, _ = check_partial_assignment(G, _single_entry(G, 1, range(want)), g, 4)
     assert ok
     ok, clause, _ = check_partial_assignment(
-        G, _single_entry(1, range(want - 1)), g, 4
+        G, _single_entry(G, 1, range(want - 1)), g, 4
     )
     assert (ok, clause) == (False, "a")
     # decreasing codimension
-    e1 = AssignmentEntry(InitialSubcube((0, 0)), tuple(range(candidate_set_size(g, 4, 2))))
-    e2 = AssignmentEntry(
-        InitialSubcube((1,)), tuple(range(20, 20 + candidate_set_size(g, 4, 1)))
+    e1 = AssignmentEntry.on(G, InitialSubcube((0, 0)), range(candidate_set_size(g, 4, 2)))
+    e2 = AssignmentEntry.on(
+        G, InitialSubcube((1,)), range(20, 20 + candidate_set_size(g, 4, 1))
     )
     ok, clause, _ = check_partial_assignment(G, [e1, e2], g, 4)
     assert (ok, clause) == (False, "a")
@@ -101,13 +112,13 @@ def test_check_clause_b_red_clique_and_disjointness():
     n = 4
     want = candidate_set_size(g, n, 1)
     G = ColouredGraph.from_blue_edges(32, [(0, 1)])
-    ok, clause, _ = check_partial_assignment(G, _single_entry(1, range(want)), g, n)
+    ok, clause, _ = check_partial_assignment(G, _single_entry(G, 1, range(want)), g, n)
     assert (ok, clause) == (False, "b")
     # shared vertices between entries
     H = all_red_graph(32)
     w2 = candidate_set_size(g, n, 2)
-    e1 = AssignmentEntry(InitialSubcube((0, 0)), tuple(range(w2)))
-    e2 = AssignmentEntry(InitialSubcube((1, 1)), tuple(range(w2)))
+    e1 = AssignmentEntry.on(H, InitialSubcube((0, 0)), range(w2))
+    e2 = AssignmentEntry.on(H, InitialSubcube((1, 1)), range(w2))
     ok, clause, _ = check_partial_assignment(H, [e1, e2], g, n)
     assert (ok, clause) == (False, "b")
 
@@ -118,8 +129,8 @@ def test_check_clause_c_overlapping_subcubes():
     w1 = candidate_set_size(g, n, 1)
     w2 = candidate_set_size(g, n, 2)
     H = all_red_graph(64)
-    e1 = AssignmentEntry(InitialSubcube((0,)), tuple(range(w1)))
-    e2 = AssignmentEntry(InitialSubcube((0, 1)), tuple(range(w1, w1 + w2)))
+    e1 = AssignmentEntry.on(H, InitialSubcube((0,)), range(w1))
+    e2 = AssignmentEntry.on(H, InitialSubcube((0, 1)), range(w1, w1 + w2))
     ok, clause, _ = check_partial_assignment(H, [e1, e2], g, n)
     assert (ok, clause) == (False, "c")
 
@@ -133,8 +144,8 @@ def test_check_clause_21_cross_degree_is_one_sided():
     # threshold into the earlier set: g * 2^(n-1) / 1 = 2
     edges = [(first[0], v) for v in second[:3]]  # degree 3 of one later vertex
     G = ColouredGraph.from_blue_edges(2 * w, [(min(a, b), max(a, b)) for a, b in edges])
-    e1 = AssignmentEntry(InitialSubcube((0,)), first)
-    e2 = AssignmentEntry(InitialSubcube((1,)), second)
+    e1 = AssignmentEntry.on(G, InitialSubcube((0,)), first)
+    e2 = AssignmentEntry.on(G, InitialSubcube((1,)), second)
     ok, clause, _ = check_partial_assignment(G, [e1, e2], g, n)
     assert ok, clause  # degree of the *later* vertices into first is <= 1 each
 
@@ -214,9 +225,10 @@ def test_embed_partial_assignment_rejects_negative_member():
     # a negative member would index the host from its top end
     g, n = Fraction(1, 4), 3
     members = tuple(range(-1, candidate_set_size(g, n, 1) - 1))
-    entries = [AssignmentEntry(InitialSubcube((0,)), members)]
+    H = all_red_graph(32)
+    entries = [AssignmentEntry.on(H, InitialSubcube((0,)), members)]
     with pytest.raises(ValueError):
-        embed_partial_assignment(all_red_graph(32), entries, n)
+        embed_partial_assignment(H, entries, n)
 
 
 def test_cleaning_threshold_is_inclusive():
@@ -227,8 +239,8 @@ def test_cleaning_threshold_is_inclusive():
     size = candidate_set_size(g, n, 1)
     two, one = size, size + 1
     H = ColouredGraph.from_blue_edges(size + 2, [(0, two), (1, two), (2, one)])
-    entry = AssignmentEntry(InitialSubcube((0,)), tuple(range(size)))
-    step = extend_or_clean(H, [entry], mask_of([two, one]), 1, 1, n, g)
+    entry = AssignmentEntry.on(H, InitialSubcube((0,)), range(size))
+    step = _first_step(H, [entry], mask_of([two, one]), 1, 1, n, g)
     assert isinstance(step, Cleaned)
     assert step.mask == bit(one)
 
@@ -251,7 +263,7 @@ def test_dichotomy_outcomes_on_random_graphs():
         else:
             G = random_triangle_free_greedy(N, N // 8, rng)
         A = (1 << N) - 1
-        step = extend_or_clean(G, [], A, a, b, n, g)
+        step = _first_step(G, [], A, a, b, n, g)
         if isinstance(step, Extended):
             extended += 1
             ok, clause, detail = check_partial_assignment(G, [step.entry], g, n)
@@ -287,10 +299,18 @@ def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
         G = random_bipartite_blue(N, rng.choice([0.02, 0.05, 0.2]), rng)
     params = SolverParams.desk(n)
 
-    def checked(H, entries, A, a, b, n, gamma):
+    def checked(H, entries, A, a, y, n, gamma, centres):
         cap = 1 << (n - a)
+        b = y.codim
         assert 1 <= a and 1 <= b <= n, "threshold-range"
         assert all(e.codim <= b for e in entries), "codimension-order"
+        # the pass's walk hands over the first free cell, and its centres
+        # are the vertices that can hold a candidate set at codimension b
+        assert y == next(complement_cells([e.subcube for e in entries], n, b)), "free-cell"
+        assert centres == H.blue_at_least(1 << (n - b + 1)), "centres"
+        # each entry's reach was built from its members when it was made
+        assert all(e.reach == mask_of(w for u in e.members for w in bits_list(H.blue[u]))
+                   for e in entries), "reach"
         # A misses every entry's members, so complete_greedily can walk
         # A itself
         assert not any(A & e.mask for e in entries), "active-overlap"
@@ -298,7 +318,7 @@ def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
         # the entries' subcubes are disjoint (clause c), so they cover
         # the cube exactly when their sizes sum to 2^n
         assert sum(1 << (n - e.codim) for e in entries) < 1 << n, "cube-covered"
-        step = extend_or_clean(H, entries, A, a, b, n, gamma)
+        step = extend_or_clean(H, entries, A, a, y, n, gamma, centres)
         if isinstance(step, Extended):
             ok, clause, detail = check_partial_assignment(
                 H, entries + [step.entry], gamma, n
@@ -316,6 +336,85 @@ def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
                 run()
             except (HypothesisError, StageFailure):
                 pass
+
+
+def _dense_outcome(embed, H, n, params):
+    try:
+        return sorted(embed(H, n, params.gamma, params.schedule).items())
+    except (HypothesisError, StageFailure) as e:
+        return type(e).__name__, str(e), getattr(e, "data", None), getattr(e, "witness", None)
+
+
+def _dense_host(n, kind, rng):
+    """A greedy or bipartite host at the order ``solve`` needs for n,
+    1.25 * 2^(n+1)."""
+    N = 5 << (n - 1)
+    if kind == "greedy":
+        return random_triangle_free_greedy(N, rng.randrange(N // 8, 3 * N), rng)
+    return random_bipartite_blue(N, rng.choice([0.02, 0.05, 0.1, 0.2]), rng)
+
+
+def _same_as_reference(G, n):
+    """``dense_embed`` and ``reference_dense_embed`` agree on G and on the
+    host that ``solve`` hands the dense route; returns the extensions
+    made on the latter, or None where ``solve`` took the other route."""
+    params = SolverParams.desk(n)
+    assert _dense_outcome(dense_embed, G, n, params) == _dense_outcome(
+        reference_dense_embed, G, n, params
+    )
+    extensions = []
+
+    def compare(H, n, gamma, schedule):
+        steps = []
+
+        def count(*args):
+            step = extend_or_clean(*args)
+            steps.append(isinstance(step, Extended))
+            return step
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense_embedding, "extend_or_clean", count)
+            got = _dense_outcome(dense_embedding.dense_embed, H, n, params)
+        assert got == _dense_outcome(reference_dense_embed, H, n, params)
+        extensions.append(sum(steps))
+        return dense_embedding.dense_embed(H, n, gamma, schedule)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "dense_embed", compare)
+        try:
+            solve(G, n, params)
+        except (HypothesisError, StageFailure):
+            pass
+    return extensions[0] if extensions else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    kind=st.sampled_from(["greedy", "bipartite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_embed_matches_the_restarting_loop(n, kind, seed):
+    # one cell walk per pass, each reach built once and integer
+    # thresholds give the same map, or the same failure with the same
+    # data, as the loop that derived them at every step
+    _same_as_reference(_dense_host(n, kind, random.Random(seed)), n)
+
+
+def test_dense_embed_matches_the_restarting_loop_on_extending_hosts():
+    # the exact-search workload's kind of host: greedy at 2 blue edges per
+    # vertex, and bipartite at p = 0.05; solve's dense route extends on
+    # them, over several steps of a pass
+    rng = random.Random("extending")
+    made = []
+    for n in (5, 6, 7):
+        N = 5 << (n - 1)
+        for G in (
+            random_triangle_free_greedy(N, 2 * N, rng),
+            random_bipartite_blue(N, 0.05, rng),
+        ):
+            made.append(_same_as_reference(G, n))
+    assert all(k and k > 1 for k in made), made
 
 
 def test_threshold_schedule_validation():

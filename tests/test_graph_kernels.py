@@ -548,10 +548,49 @@ def test_find_red_clique_and_induced_match_peeling_copies(case):
         for m in (2, N // 8, N // 4, N // 2):
             assert find_red_clique(G, pool, m) == reference_find_red_clique(G, pool, m)
     for vs in (range(N), rng.sample(range(N), N // 2), [v for v in range(N) if G.blue[v]]):
-        H, order = G.induced(vs)
-        assert (H.blue, order) == reference_induced(G, vs)
-        # the subgraph's degrees come cached from the walk
-        assert H.blue_degrees() == [m.bit_count() for m in H.blue]
+        _assert_induced_copy(G, vs)
+
+
+def _assert_induced_copy(G: ColouredGraph, vs) -> ColouredGraph:
+    """``G.induced(vs)`` against the per-vertex copy, with the degrees it
+    counts for the subgraph and the classes that the subgraph's index
+    builds on them."""
+    H, order = G.induced(vs)
+    assert (H.blue, order) == reference_induced(G, vs)
+    assert H.blue_degrees() == [m.bit_count() for m in H.blue]
+    assert H.blue_classes() == reference_blue_classes(H)
+    return H
+
+
+@settings(max_examples=80, deadline=None)
+@given(hosts(), st.booleans(), st.data())
+def test_induced_inherits_only_a_triangle_free_verdict(host, checked, data):
+    # a subgraph of a G checked triangle free reads the verdict and walks
+    # nothing; one of an unchecked G, or of a G with a blue triangle, is
+    # checked in full.  The keep sets are all of G, G less a few vertices
+    # (few runs, some cutting blue edges) and a random half
+    G, _ = host
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    N = G.n_vertices
+    if checked:
+        verdict = is_blue_triangle_free(G)
+    inherits = checked and verdict[0]
+    less = set(rng.sample(range(N), rng.randrange(1, 4)))
+    walked = []
+    walk = colored_graph._first_blue_triangle
+
+    def counted(H):
+        walked.append(H)
+        return walk(H)
+
+    for vs in (range(N), [v for v in range(N) if v not in less], rng.sample(range(N), N // 2)):
+        H = _assert_induced_copy(G, vs)
+        walked.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(colored_graph, "_first_blue_triangle", counted)
+            got = is_blue_triangle_free(H)
+        assert got == reference_is_blue_triangle_free(H)
+        assert walked == ([] if inherits else [H])
 
 
 @pytest.mark.parametrize("vs", [[-1], [0, 5, -1], [8], [3, 8]])
@@ -656,8 +695,7 @@ def test_induced_matches_per_vertex_copy_on_cut_keep_sets(G, data):
     for keep in _cut_neighbourhoods(G, rng):
         vs = [v for v in range(N) if (keep >> v) & 1]
         rng.shuffle(vs)
-        H, order = G.induced(vs + vs[: len(vs) // 3])
-        assert (H.blue, order) == reference_induced(G, vs)
+        _assert_induced_copy(G, vs + vs[: len(vs) // 3])
 
 
 @pytest.mark.parametrize("pool", [1 << 8, 0b11 | 1 << 8, 1 << 40, -1])
@@ -697,8 +735,7 @@ def test_degree_one_hosts_read_neighbours_by_bit_length(monkeypatch):
         for m in (2, N // 4, pool.bit_count() // 2, pool.bit_count() // 2 + 1):
             assert find_red_clique(G, pool, m) == reference_find_red_clique(G, pool, m)
     for vs in (range(N), rng.sample(range(N), N // 2)):
-        H, order = G.induced(vs)
-        assert (H.blue, order) == reference_induced(G, vs)
+        _assert_induced_copy(G, vs)
     # maps whose cube edges land on matched pairs, on one image twice,
     # or on the mate of a shared image
     base = rng.sample(range(N), 1 << n)
