@@ -799,23 +799,28 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
     red pair of G.  A phi that misses a cube vertex is a malformed input,
     not a failed verification, and raises ValueError.
 
-    Cost: O(2^n) dict and set work over the map and ``mask_of`` of its
-    in-range images; then, per cube vertex, a test of its image a that
-    reads a's blue degree.  An image of degree 0 is red to every other
-    image.  An image of degree 1 is read through the inverse map: its
-    one neighbour, found by ``bit_length``, is an image of a cube
-    neighbour or it is no fault.  Any other image, and a shared one,
+    Cost: a map that misses a cube vertex is refused after one pass over
+    its keys.  Otherwise O(2^n) dict and set work over the map and
+    ``mask_of`` of its in-range images; then, per cube vertex, a test of
+    its image a that reads a's blue degree.  An image of degree 0 is red
+    to every other image.  An image of degree 1 is read through the
+    inverse map: its one neighbour, found by ``bit_length``, is an image
+    of a cube neighbour or it is no fault.  Any other image, and a shared one,
     gets one AND of its blue mask with the image mask (N bits).  The n
     edge tests at a follow only where the test leaves a possible fault,
     and any other image is passed over.  An edge test is one bit of the
     AND, an N-bit shift: a map whose images are blue to many images off
     the cube edges pays one per cube edge at those images.
     """
-    missing = [z for z in range(1 << n) if z not in phi]
-    if missing:
+    # k in-range keys leave 2^n - k cube vertices out, the first among
+    # 0..k, so a short map costs O(len(phi)) at any n
+    size = 1 << n
+    defined = sum(1 for z in phi if 0 <= z < size)
+    if defined < size:
+        first = next(z for z in range(defined + 1) if z not in phi)
         raise ValueError(
-            f"phi is only partially defined: {len(missing)} cube vertices "
-            f"missing, first {missing[0]}"
+            f"phi is only partially defined: {size - defined} cube "
+            f"vertices missing, first {first}"
         )
     errors = []
     seen: dict[int, int] = {}

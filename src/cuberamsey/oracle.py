@@ -5,7 +5,8 @@ a depth-first search, finds red cubes in arbitrary colourings, and two
 modes sweep every 2-colouring of a small complete graph: a plain sweep
 that grows, vertex by vertex, only the labelled colourings with neither
 a blue triangle nor a red Q_n, and a sweep over canonical triangle-free
-blue graphs only, one per isomorphism class.
+blue graphs only, one per isomorphism class, that grows only the classes
+with no red Q_n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ from .hypercube import bandwidth_order
 # unlabeled triangle-free graphs on 1..9 vertices; generation is checked
 # against these before its output is trusted
 TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 14, 38, 107, 410, 1897)
+
+# canonical triangle-free classes on 1, 2, ... vertices with no red Q_n,
+# up to the first empty level; the cube-free levels are checked against
+# these as they are built
+CUBE_FREE_CLASS_COUNTS = {
+    1: (1, 1, 0),
+    2: (1, 2, 3, 4, 4, 2, 0),
+    3: (1, 2, 3, 7, 14, 38, 107, 192, 277, 302, 263, 164, 56, 15, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -134,45 +144,69 @@ def contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     size, N = 1 << n, G.n_vertices
     if N < size:
         return CubeSearchResult(None, 0)
-    order = bandwidth_order(range(size))
+    order = _cube_order(n)[0]
     image = [-1] * size
     blocked_of = placed_blue(G, n, image)
     walked = first_fit(list(range(N)), order, image, bytearray(N), blocked_of, G.blue)
     if walked == size:
         return CubeSearchResult({z: image[z] for z in order}, size)
-    pos = {z: i for i, z in enumerate(order)}
-    nbrs_before = [
-        [pos[order[i] ^ (1 << p)] for p in range(n) if pos[order[i] ^ (1 << p)] < i]
-        for i in range(size)
-    ]
-    assigned = [0] * size
     nodes = 0
     for comp in red_components(G):
         if comp.bit_count() < size:
             continue
         piece_of = {v: p for p in _cube_pieces(G, comp, n) for v in iter_bits(p)}
-        # depth first, one iterator per depth over the candidates not yet
-        # tried; used holds the images placed at the depths below the top
-        stack, used = [iter(sorted(piece_of))], 0
-        while stack:
-            i = len(stack) - 1
-            v = next(stack[i], None)
-            if v is None:
-                stack.pop()
-                if i:
-                    used &= ~bit(assigned[i - 1])
-                continue
-            nodes += 1
-            assigned[i] = v
-            if i + 1 == size:
-                return CubeSearchResult(
-                    {order[k]: assigned[k] for k in range(size)}, nodes
-                )
-            used |= bit(v)
-            avail = piece_of[assigned[0]] & ~used
-            for j in nbrs_before[i + 1]:
-                avail &= G.red_mask(assigned[j])
-            stack.append(iter_bits(avail))
+        res = _cube_dfs(G, n, piece_of)
+        nodes += res.nodes
+        if res.found:
+            return CubeSearchResult(res.embedding, nodes)
+    return CubeSearchResult(None, nodes)
+
+
+@cache
+def _cube_order(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The cube vertices in bandwidth order, and for each position the
+    positions of its cube neighbours placed before it; built once per n,
+    and immutable, since every search shares them."""
+    order = tuple(bandwidth_order(range(1 << n)))
+    pos = {z: i for i, z in enumerate(order)}
+    nbrs_before = tuple(
+        tuple(pos[z ^ (1 << p)] for p in range(n) if pos[z ^ (1 << p)] < i)
+        for i, z in enumerate(order)
+    )
+    return order, nbrs_before
+
+
+def _cube_dfs(G: ColouredGraph, n: int, piece_of: dict[int, int]) -> CubeSearchResult:
+    """Depth-first search for a red Q_n whose first cube vertex in
+    bandwidth order (vertex 0) maps to a key of ``piece_of``, the keys
+    tried in increasing order, and whose other vertices lie in that key's
+    piece.  Candidates at each depth are the piece's unused vertices red
+    to every placed cube neighbour, lowest first; ``nodes`` counts the
+    placements."""
+    size = 1 << n
+    order, nbrs_before = _cube_order(n)
+    assigned = [0] * size
+    nodes = 0
+    # depth first, one iterator per depth over the candidates not yet
+    # tried; used holds the images placed at the depths below the top
+    stack, used = [iter(sorted(piece_of))], 0
+    while stack:
+        i = len(stack) - 1
+        v = next(stack[i], None)
+        if v is None:
+            stack.pop()
+            if i:
+                used &= ~bit(assigned[i - 1])
+            continue
+        nodes += 1
+        assigned[i] = v
+        if i + 1 == size:
+            return CubeSearchResult({order[k]: assigned[k] for k in range(size)}, nodes)
+        used |= bit(v)
+        avail = piece_of[assigned[0]] & ~used
+        for j in nbrs_before[i + 1]:
+            avail &= G.red_mask(assigned[j])
+        stack.append(iter_bits(avail))
     return CubeSearchResult(None, nodes)
 
 
@@ -183,8 +217,10 @@ class RamseyVerdict:
     ``witness`` is a colouring of K_N with neither a blue triangle nor a
     red n-cube, or None; ``holds``, that every colouring has one or the
     other, is derived: it means there is no witness.  ``checked`` counts
-    colourings for the plain mode and isomorphism classes for the
-    canonical mode.
+    colourings for the plain mode.  For the canonical mode it counts the
+    canonical children that the sweep tested for a red Q_n, over the
+    levels 2^n..N: every child on the levels below N, and on level N
+    those up to the witness (0 when N < 2^n, where nothing is tested).
     """
 
     n: int
@@ -402,9 +438,26 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
 
 @cache
 def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
-    """The canonical classes on v vertices: each canonical parent on
-    v - 1 vertices plus vertex v - 1 attached to an independent set S of
-    it, in the order of the parents and then of S.
+    """The canonical classes on v vertices, in the order of
+    ``_canonical_children``.  The class count is checked against the
+    table by a raise that ``python -O`` keeps, so a level is trusted only
+    once it matches.  Levels are immutable, so the cache cannot be
+    changed through the lists handed out."""
+    nxt = ((0,),) if v == 1 else tuple(_canonical_children(_canonical_level(v - 1), v))
+    expected = TRIANGLE_FREE_GRAPH_COUNTS[v - 1]
+    if len(nxt) != expected:
+        raise AssertionError(
+            f"generated {len(nxt)} classes at N={v}, expected {expected}"
+        )
+    return nxt
+
+
+def _canonical_children(
+    parents: Sequence[tuple[int, ...]], v: int
+) -> Iterator[tuple[int, ...]]:
+    """The canonical children on v vertices of the canonical ``parents``
+    on v - 1: each parent plus vertex v - 1 attached to an independent
+    set S of it, yielded in the order of the parents and then of S.
 
     A parent pays once for what its children share.  Its columns are the
     child's first v - 1 (a column reads only smaller labels), so the walk
@@ -422,48 +475,96 @@ def _canonical_level(v: int) -> tuple[tuple[int, ...], ...]:
     column p the first p bits of L, L >> (v - 1 - p).  That is below
     cols[p] exactly when L < cols[p] << (v - 1 - p); the floor is the
     largest of these.
-
-    The class count is checked against the table by a raise that
-    ``python -O`` keeps, so a level is trusted only once it matches.
-    Levels are immutable, so the cache cannot be changed through the
-    lists handed out.
     """
-    if v == 1:
-        nxt = [(0,)]
-    else:
-        nxt = []
-        last = [_column(S, v - 1) for S in range(1 << (v - 1))]
-        for adj in _canonical_level(v - 1):
-            cols = [_column(a, t) for t, a in enumerate(adj)]
-            sets = sorted(_independent_sets(adj))
-            by_size: list[list[int]] = [[] for _ in range(v + 1)]
-            for I in sets:
-                by_size[I.bit_count()].append(I)
-            floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
-            tree = None
-            for S in sets:
-                if last[S] < floor:
-                    continue
-                if tree is None:
-                    tree = _tied_prefixes(adj, cols, by_size)
-                child = _child_is_canonical(adj, cols, by_size, tree, S)
-                if child:
-                    nxt.append(child)
-    expected = TRIANGLE_FREE_GRAPH_COUNTS[v - 1]
-    if len(nxt) != expected:
+    last = [_column(S, v - 1) for S in range(1 << (v - 1))]
+    for adj in parents:
+        cols = [_column(a, t) for t, a in enumerate(adj)]
+        sets = sorted(_independent_sets(adj))
+        by_size: list[list[int]] = [[] for _ in range(v + 1)]
+        for I in sets:
+            by_size[I.bit_count()].append(I)
+        floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
+        tree = None
+        for S in sets:
+            if last[S] < floor:
+                continue
+            if tree is None:
+                tree = _tied_prefixes(adj, cols, by_size)
+            child = _child_is_canonical(adj, cols, by_size, tree, S)
+            if child:
+                yield child
+
+
+def _has_rooted_cube(adj: tuple[int, ...], n: int) -> bool:
+    """Does the colouring with blue masks ``adj`` hold a red Q_n through
+    its last vertex?  Q_n is vertex transitive, so such a cube may put
+    its vertex 0 there: ``contains_red_cube``'s search with its first
+    cube vertex fixed at the last vertex."""
+    G = ColouredGraph(len(adj), list(adj), validate=False)
+    return _cube_dfs(G, n, {len(adj) - 1: G.full_mask}).found
+
+
+@cache
+def _cube_free_level(n: int, v: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The canonical classes on v vertices with no red Q_n, in the order
+    of ``canonical_triangle_free_graphs``, and how many canonical
+    children were tested for a red Q_n to find them.
+
+    Below 2^n vertices no cube fits: the level is the canonical one, and
+    nothing is tested.  From v = 2^n on it holds the canonical children
+    of the level below that have no red Q_n.  No blue triangle and no red
+    Q_n both pass to induced colourings, and dropping the last vertex of
+    a canonical graph leaves it canonical, so every cube-free class is a
+    child of a cube-free class; and the parent has no cube, so a child's
+    cube uses its new vertex (``_has_rooted_cube``).  The level is the
+    full canonical level with the cube holders left out, in the same
+    order.  Its count is checked against ``CUBE_FREE_CLASS_COUNTS`` by a
+    raise that ``python -O`` keeps; above an empty level, which ends the
+    table, every level is empty.  A grown level is reached only where
+    every level below is tabulated: at n >= 4, 2^n - 1 exceeds the class
+    table, which ``canonical_triangle_free_graphs`` refuses.
+    """
+    if v < 1 << n:
+        return tuple(map(tuple, canonical_triangle_free_graphs(v))), 0
+    parents = _cube_free_level(n, v - 1)[0]
+    if not parents:
+        return (), 0
+    level, tested = [], 0
+    for child in _canonical_children(parents, v):
+        tested += 1
+        if not _has_rooted_cube(child, n):
+            level.append(child)
+    expected = CUBE_FREE_CLASS_COUNTS[n][v - 1]
+    if len(level) != expected:
         raise AssertionError(
-            f"generated {len(nxt)} classes at N={v}, expected {expected}"
+            f"generated {len(level)} classes without a red Q_{n} at N={v}, "
+            f"expected {expected}"
         )
-    return tuple(nxt)
+    return tuple(level), tested
 
 
 def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
-    graphs = canonical_triangle_free_graphs(N)
-    for adj in graphs:
-        G = ColouredGraph(N, list(adj), validate=False)
-        if not contains_red_cube(G, n).found:
-            return RamseyVerdict(n, N, G, len(graphs), "canonical")
-    return RamseyVerdict(n, N, None, len(graphs), "canonical")
+    """The levels of ``_cube_free_level`` grown up to N - 1, then level N
+    walked lazily: its first cube-free child is the witness.  An empty
+    level ends the growth, since every level above it is empty too.
+    ``checked`` counts the canonical children tested for a red Q_n over
+    the levels 2^n..N."""
+    if N < 1 << n:
+        # no class holds the cube; the first one is a witness
+        first = ColouredGraph(N, list(_cube_free_level(n, N)[0][0]), validate=False)
+        return RamseyVerdict(n, N, first, 0, "canonical")
+    checked = 0
+    for v in range(1 << n, N):
+        level, tested = _cube_free_level(n, v)
+        checked += tested
+        if not level:
+            return RamseyVerdict(n, N, None, checked, "canonical")
+    for child in _canonical_children(_cube_free_level(n, N - 1)[0], N):
+        checked += 1
+        if not _has_rooted_cube(child, n):
+            witness = ColouredGraph(N, list(child), validate=False)
+            return RamseyVerdict(n, N, witness, checked, "canonical")
+    return RamseyVerdict(n, N, None, checked, "canonical")
 
 
 def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
@@ -472,14 +573,21 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
 
     The plain mode covers every labelled colouring but grows only those
     with neither, one vertex at a time (``_plain_sweep``); it needs
-    N <= 7.  The canonical mode enumerates triangle-free blue graphs up
-    to isomorphism and needs N <= 9, the end of the tabulated class
-    counts.  Larger N is refused rather than attempted: the plain mode
-    names the number of colourings, the canonical mode the class count
-    it lacks.  The canonical classes are generated on the first
-    canonical sweep at a given N and kept for the life of the process
-    (``canonical_triangle_free_graphs`` gives the cost), so a later sweep
-    at that N or below pays only for the cube searches.
+    N <= 7.  The canonical mode grows, level by level, only the canonical
+    triangle-free classes with no red Q_n (``_cube_free_level``), and
+    walks level N until its first such class, the witness.  An empty
+    level ends the growth, so every N above it holds at once.  It answers
+    wherever each level it builds is tabulated: at n <= 3 for every N
+    (``CUBE_FREE_CLASS_COUNTS``; r(K_3, Q_3) = 15 takes about 1.2 s on
+    2 cores, Python 3.11), and at n >= 4 for N <= 9, where the levels
+    are the full class lists.  Larger N is refused rather than
+    attempted: the plain mode names the number of colourings, the
+    canonical mode the class count it lacks.  ``checked`` counts the
+    colourings in the plain mode, and in the canonical mode the
+    canonical children tested for a red Q_n over the levels 2^n..N
+    (``RamseyVerdict``).  The levels are generated on first use and kept
+    for the life of the process, so a later sweep at that n pays only
+    for level N's walk.
     """
     if n < 1:
         raise ValueError("cube dimension must be positive")
@@ -491,7 +599,7 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
         if N > 7:
             raise ValueError(
                 f"plain enumeration of K_{N} means 2^{comb(N, 2)} colourings; "
-                f"use canonical mode up to N = 9"
+                f"use canonical mode"
             )
         return _plain_sweep(n, N)
     if mode == "canonical":

@@ -216,9 +216,13 @@ def test_oracle_ramsey_payloads(capsys):
 
 
 def test_oracle_ramsey_refusal(capsys):
-    code, out = _run(capsys, "oracle", "ramsey", "--n", "2", "--N", "12")
+    # n = 2 answers at any N, its cube-free levels ending at 7; n = 4
+    # would need the full class list on 10 vertices, past the table
+    code, out = _run(capsys, "oracle", "ramsey", "--n", "4", "--N", "10")
     assert code == EXIT_PARSE
-    assert _last_json(out)["status"] == "refused"
+    payload = _last_json(out)
+    assert payload["status"] == "refused"
+    assert "tabulated only to N = 9" in payload["message"]
 
 
 def test_oracle_contains_cube(tmp_path, capsys):

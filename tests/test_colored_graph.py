@@ -350,6 +350,20 @@ def test_verify_red_embedding():
     assert not verify_red_embedding(G, 2, {0: 0, 1: 1, 2: 2, 3: 9}).ok
 
 
+def test_verify_red_embedding_counts_a_short_map_at_n_40():
+    # a one-entry map of Q_40 is counted, not listed against all 2^40
+    # cube vertices; keys outside the cube count for nothing
+    G = ColouredGraph(2, [0, 0])
+    with pytest.raises(ValueError) as e:
+        verify_red_embedding(G, 40, {0: 0})
+    assert str(e.value) == (
+        "phi is only partially defined: 1099511627775 cube vertices missing, first 1"
+    )
+    with pytest.raises(ValueError) as e:
+        verify_red_embedding(G, 2, {1: 0, 3: 1, 4: 0, -1: 1})
+    assert str(e.value) == "phi is only partially defined: 2 cube vertices missing, first 0"
+
+
 def test_verify_red_embedding_on_two_clique_host():
     # cliques 0..3 and 4..7, blue across but for the red pairs {0,1}x{4,5};
     # every vertex has blue degree 2 or more, so every image is classed

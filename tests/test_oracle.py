@@ -7,6 +7,7 @@ from pathlib import Path
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -34,11 +35,15 @@ from cuberamsey.colored_graph import (
 )
 from cuberamsey.dense_embedding import Extended
 from cuberamsey.oracle import (
+    CUBE_FREE_CLASS_COUNTS,
     TRIANGLE_FREE_GRAPH_COUNTS,
     CubeSearchResult,
     RamseyVerdict,
     _child_is_canonical,
+    _canonical_children,
     _column,
+    _cube_free_level,
+    _has_rooted_cube,
     _independent_sets,
     _min_red_cut,
     _tied_nodes,
@@ -486,8 +491,10 @@ def test_all_red_shortcut_when_cube_exceeds_graph():
 def test_refusals():
     with pytest.raises(ValueError):
         exhaustive_ramsey(2, 8, mode="plain")
-    with pytest.raises(ValueError):
-        exhaustive_ramsey(2, 10)
+    # at n = 4 the levels below 2^4 are the full class lists, tabulated
+    # only to N = 9
+    with pytest.raises(ValueError, match="tabulated only to N = 9"):
+        exhaustive_ramsey(4, 10)
     with pytest.raises(ValueError):
         exhaustive_ramsey(0, 3)
     with pytest.raises(ValueError):
@@ -499,19 +506,28 @@ def test_refusals():
 def test_verdict_bookkeeping():
     v = exhaustive_ramsey(1, 3, mode="plain")
     assert v.checked == 8 and v.mode == "plain"
+    # canonical mode counts the children tested for a red Q_n from level
+    # 2^n on: both classes on 2 vertices, and on 3 none, since the blue
+    # edge, the one class on 2 without a red edge, has no canonical child
     c = exhaustive_ramsey(1, 3, mode="canonical")
-    assert c.checked == TRIANGLE_FREE_GRAPH_COUNTS[2]
+    assert c.checked == 2 and c.mode == "canonical"
+    assert exhaustive_ramsey(3, 7, mode="canonical").checked == 0
+    # all 410 classes on 8 vertices, then level 9 up to its witness, the
+    # second child; at n = 2 every child up to the empty level 7
+    assert exhaustive_ramsey(3, 9, mode="canonical").checked == 412
+    assert exhaustive_ramsey(2, 9, mode="canonical").checked == 14
 
 
 def test_count_check_survives_optimised_mode():
     # python -O strips assert statements; the tabulated class count must
-    # still be enforced, so a wrong table has to stop the canonical sweep
+    # still be enforced, so a wrong table has to stop the canonical sweep.
+    # At n = 3 the sweep reads the full class list on 5 vertices
     code = (
         "import cuberamsey.oracle as o\n"
         "if __debug__: raise SystemExit('not optimised')\n"
         "o.TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 15)\n"
         "try:\n"
-        "    o.exhaustive_ramsey(2, 5, 'canonical')\n"
+        "    o.exhaustive_ramsey(3, 5, 'canonical')\n"
         "except AssertionError as e:\n"
         "    print('refused:', e)\n"
     )
@@ -523,6 +539,92 @@ def test_count_check_survives_optimised_mode():
     )
     assert run.returncode == 0, run.stderr
     assert "refused: generated 14 classes at N=5, expected 15" in run.stdout
+
+
+def test_cube_free_count_check_survives_optimised_mode():
+    # the same for the cube-free levels: a wrong count stops the sweep
+    # under python -O at the first level built against it
+    code = (
+        "import cuberamsey.oracle as o\n"
+        "if __debug__: raise SystemExit('not optimised')\n"
+        "o.CUBE_FREE_CLASS_COUNTS = {2: (1, 2, 3, 4, 5, 2, 0)}\n"
+        "try:\n"
+        "    o.exhaustive_ramsey(2, 7, 'canonical')\n"
+        "except AssertionError as e:\n"
+        "    print('refused:', e)\n"
+    )
+    src = str(Path(cuberamsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "refused: generated 4 classes without a red Q_2 at N=5, expected 5" in run.stdout
+
+
+@cache
+def _holds_cube(n: int, adj: tuple[int, ...]) -> bool:
+    return contains_red_cube(ColouredGraph(len(adj), list(adj), validate=False), n).found
+
+
+def test_cube_free_levels_are_filtered_full_levels():
+    # the classes grown from cube-free parents are exactly the full
+    # canonical classes without a red Q_n, in the same order; past an
+    # empty level every level is empty
+    for n in (1, 2, 3):
+        for N in range(1, 10):
+            full = map(tuple, canonical_triangle_free_graphs(N))
+            want = tuple(adj for adj in full if not _holds_cube(n, adj))
+            assert _cube_free_level(n, N)[0] == want, (n, N)
+            if N <= len(CUBE_FREE_CLASS_COUNTS[n]):
+                assert len(want) == CUBE_FREE_CLASS_COUNTS[n][N - 1], (n, N)
+
+
+def test_rooted_cube_test_matches_whole_search():
+    # every child tested at n = 3 on levels 8 and 9: its parent has no
+    # red Q_3, so the search through the new vertex decides it
+    seen = Counter()
+    for v in (8, 9):
+        for child in _canonical_children(_cube_free_level(3, v - 1)[0], v):
+            found = _holds_cube(3, child)
+            assert _has_rooted_cube(child, 3) == found, child
+            seen[found] += 1
+    assert seen[True] > 0 and seen[False] > 0, seen
+
+
+def test_level_14_at_n_3():
+    # the 15 triangle-free classes on 14 vertices without a red Q_3: each
+    # of blue maximum degree 7 and 44-49 blue edges, and the one with 49
+    # is complete bipartite 7 + 7, the lower bound's red 2 K_7
+    level = _cube_free_level(3, 14)[0]
+    assert len(level) == 15
+    edges = []
+    for adj in level:
+        assert max(a.bit_count() for a in adj) == 7
+        edges.append(sum(a.bit_count() for a in adj) // 2)
+    assert min(edges) == 44 and max(edges) == 49 and edges.count(49) == 1
+    adj = level[edges.index(49)]
+    a, b = sorted(set(adj))
+    assert a | b == (1 << 14) - 1 and not a & b and a.bit_count() == 7
+    assert all(adj[u] == (b if a >> u & 1 else a) for u in range(14))
+    assert not _cube_free_level(3, 15)[0]
+
+
+def test_r_k3_q3_is_15():
+    # a witness on 14 vertices and none on 15: r(K_3, Q_3) = 15
+    below = exhaustive_ramsey(3, 14, "canonical")
+    assert not below.holds
+    assert is_blue_triangle_free(below.witness)[0]
+    assert not contains_red_cube(below.witness, 3).found
+    assert exhaustive_ramsey(3, 15, "canonical").holds
+
+
+def test_sweep_far_above_the_empty_level_returns_at_once():
+    # the empty level at 15 ends the growth: N = 10,000 builds no level
+    # above it and recurses nowhere
+    assert exhaustive_ramsey(3, 10_000, "canonical").holds
+    assert exhaustive_ramsey(2, 12, "canonical").holds
 
 
 def test_package_import_leaves_numpy_out():
