@@ -801,16 +801,12 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
 
     Cost: a map that misses a cube vertex is refused after one pass over
     its keys.  Otherwise O(2^n) dict and set work over the map and
-    ``mask_of`` of its in-range images; then, per cube vertex, a test of
-    its image a that reads a's blue degree.  An image of degree 0 is red
-    to every other image.  An image of degree 1 is read through the
-    inverse map: its one neighbour, found by ``bit_length``, is an image
-    of a cube neighbour or it is no fault.  Any other image, and a shared one,
-    gets one AND of its blue mask with the image mask (N bits).  The n
-    edge tests at a follow only where the test leaves a possible fault,
-    and any other image is passed over.  An edge test is one bit of the
-    AND, an N-bit shift: a map whose images are blue to many images off
-    the cube edges pays one per cube edge at those images.
+    ``mask_of`` of its in-range images; then, per cube vertex, one AND of
+    its image's blue mask with the image mask (N bits).  The n edge tests
+    at that image follow only where the AND is nonzero or the image is
+    shared.  An edge test is one bit of the AND, an N-bit shift: a map
+    whose images are blue to many images off the cube edges pays one per
+    cube edge at those images.
     """
     # k in-range keys leave 2^n - k cube vertices out, the first among
     # 0..k, so a short map costs O(len(phi)) at any n
@@ -837,29 +833,16 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
             errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
             shared.add(v)
         seen[v] = z
-    deg, blue, images = G.blue_degrees(), G.blue, mask_of(seen)
+    blue, images = G.blue, mask_of(seen)
     for z in range(1 << n):
         if z not in checkable:
             continue
         a = phi[z]
-        d = deg[a]
-        if a in shared or d > 1:
-            # an image red to every other image is red to those of z's
-            # neighbours: no edge test
-            hits = blue[a] & images
-            if not hits and a not in shared:
-                continue
-        elif not d:
+        # an image red to every other image is red to those of z's
+        # neighbours: no edge test
+        hits = blue[a] & images
+        if not hits and a not in shared:
             continue
-        else:
-            # the one neighbour u of a: a fault only where u is the image
-            # of a cube neighbour of z, which is sure to be seen[u] unless
-            # u is shared
-            u = blue[a].bit_length() - 1
-            y = seen.get(u)
-            if y is None or u not in shared and (y ^ z) & ((y ^ z) - 1):
-                continue
-            hits = blue[a]
         for i in range(n):
             w = z ^ (1 << i)
             if w < z or w not in checkable:

@@ -331,9 +331,11 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
             if w >= s and i in pos
         )
 
-        clique_masks = [(ci, mask_of(c)) for ci, c in enumerate(cliques)]
-        snake_masks = [clique_masks[ci] for ci in comp]
-        S_mask = sum(mask for _, mask in snake_masks)  # disjoint cliques
+        # the round's snake, as ``Decomposition.snakes`` reads it off the
+        # record; its clique masks are built here, once
+        snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
+        snake_masks = list(zip(comp, snake.clique_masks))
+        S_mask = snake.mask
         # the degree masks are needed only when the snake leaves some
         # vertex active; lam * d >= s and mu * d > s hold from these degrees
         rest = A & ~S_mask
@@ -369,7 +371,7 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         # stars in both, a red biclique of side at least s/lambda between
         # the two cliques; the gap puts that pair's weight below s/lambda,
         # but a recorded weight below s is only a lower bound
-        out = [cm for cm in clique_masks if cm[0] not in pos]
+        out = [(ci, mask_of(c)) for ci, c in enumerate(cliques) if ci not in pos]
         for v in iter_bits(sparse_new):
             if hit := _attached_clique(G, v, out, s, params.lam):
                 ci, d = hit
@@ -385,10 +387,6 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         rounds.append(RoundRecord(
             tuple(cliques), recorded, s, witnesses, tuple(bits_list(sparse_new))
         ))
-        # the round's snake, as ``Decomposition.snakes`` reads it off the
-        # record, carries the clique masks built above
-        snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
-        snake.__dict__["clique_masks"] = tuple(mask for _, mask in snake_masks)
         snakes.append(snake)
         A = A_next
     else:

@@ -182,14 +182,18 @@ def _cube_dfs(G: ColouredGraph, n: int, piece_of: dict[int, int]) -> CubeSearchR
     tried in increasing order, and whose other vertices lie in that key's
     piece.  Candidates at each depth are the piece's unused vertices red
     to every placed cube neighbour, lowest first; ``nodes`` counts the
-    placements."""
+    placements.  A key whose search has failed lies on no red Q_n of its
+    piece (Q_n is vertex transitive, and a cube lies in one piece), so it
+    leaves the candidates of every later key: the embedding found is
+    the same, with fewer placements."""
     size = 1 << n
     order, nbrs_before = _cube_order(n)
     assigned = [0] * size
     nodes = 0
     # depth first, one iterator per depth over the candidates not yet
-    # tried; used holds the images placed at the depths below the top
-    stack, used = [iter(sorted(piece_of))], 0
+    # tried; used holds the images placed at the depths below the top,
+    # dead the keys whose search has failed
+    stack, used, dead = [iter(sorted(piece_of))], 0, 0
     while stack:
         i = len(stack) - 1
         v = next(stack[i], None)
@@ -197,13 +201,15 @@ def _cube_dfs(G: ColouredGraph, n: int, piece_of: dict[int, int]) -> CubeSearchR
             stack.pop()
             if i:
                 used &= ~bit(assigned[i - 1])
+            if i == 1:
+                dead |= bit(assigned[0])
             continue
         nodes += 1
         assigned[i] = v
         if i + 1 == size:
             return CubeSearchResult({order[k]: assigned[k] for k in range(size)}, nodes)
         used |= bit(v)
-        avail = piece_of[assigned[0]] & ~used
+        avail = piece_of[assigned[0]] & ~(used | dead)
         for j in nbrs_before[i + 1]:
             avail &= G.red_mask(assigned[j])
         stack.append(iter_bits(avail))
@@ -253,10 +259,6 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
     witness is the colouring of the least code left at N, built from the
     blue masks grown with it.
     """
-    P = N * (N - 1) // 2
-    if (1 << n) > N:
-        # no colouring can hold the cube; the all-red one is a witness
-        return RamseyVerdict(n, N, ColouredGraph(N, [0] * N), 1 << P, "plain")
     level = [(0, ())]  # (code, blue masks)
     for v in range(N):
         full = (1 << v) - 1
@@ -273,7 +275,7 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
                 grown.append((code | S << (v * (v - 1) // 2), adj_S + (S,)))
         level = grown
     witness = ColouredGraph(N, list(min(level)[1])) if level else None
-    return RamseyVerdict(n, N, witness, 1 << P, "plain")
+    return RamseyVerdict(n, N, witness, 1 << comb(N, 2), "plain")
 
 
 def _column(row: int, t: int) -> int:
@@ -549,10 +551,6 @@ def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
     level ends the growth, since every level above it is empty too.
     ``checked`` counts the canonical children tested for a red Q_n over
     the levels 2^n..N."""
-    if N < 1 << n:
-        # no class holds the cube; the first one is a witness
-        first = ColouredGraph(N, list(_cube_free_level(n, N)[0][0]), validate=False)
-        return RamseyVerdict(n, N, first, 0, "canonical")
     checked = 0
     for v in range(1 << n, N):
         level, tested = _cube_free_level(n, v)
@@ -571,23 +569,26 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     """Does every red/blue colouring of K_N contain a blue triangle or a
     red n-cube?
 
-    The plain mode covers every labelled colouring but grows only those
-    with neither, one vertex at a time (``_plain_sweep``); it needs
-    N <= 7.  The canonical mode grows, level by level, only the canonical
+    The plain mode needs N <= 7.  Below 2^n vertices no colouring holds
+    Q_n, so both modes answer at once, the all-red colouring the
+    witness: nothing is swept and no class list is built.  From 2^n on,
+    the plain mode covers every labelled colouring but grows only those
+    with neither, one vertex at a time (``_plain_sweep``).  The
+    canonical mode grows, level by level, only the canonical
     triangle-free classes with no red Q_n (``_cube_free_level``), and
     walks level N until its first such class, the witness.  An empty
-    level ends the growth, so every N above it holds at once.  It answers
-    wherever each level it builds is tabulated: at n <= 3 for every N
-    (``CUBE_FREE_CLASS_COUNTS``; r(K_3, Q_3) = 15 takes about 1.2 s on
-    2 cores, Python 3.11), and at n >= 4 for N <= 9, where the levels
-    are the full class lists.  Larger N is refused rather than
-    attempted: the plain mode names the number of colourings, the
-    canonical mode the class count it lacks.  ``checked`` counts the
-    colourings in the plain mode, and in the canonical mode the
-    canonical children tested for a red Q_n over the levels 2^n..N
-    (``RamseyVerdict``).  The levels are generated on first use and kept
-    for the life of the process, so a later sweep at that n pays only
-    for level N's walk.
+    level ends the growth, so every N above it holds at once.  It
+    answers wherever each level it builds is tabulated: at n <= 3 for
+    every N (``CUBE_FREE_CLASS_COUNTS``; r(K_3, Q_3) = 15 takes about
+    1.2 s on 2 cores, Python 3.11); at n >= 4, N >= 2^n needs the full
+    class list on 2^n - 1 vertices, past the table.  What cannot be
+    answered is refused rather than attempted: the plain mode names the
+    number of colourings, the canonical mode the class count it lacks.
+    ``checked`` counts the colourings in the plain mode, and in the
+    canonical mode the canonical children tested for a red Q_n over the
+    levels 2^n..N (``RamseyVerdict``).  The levels are generated on
+    first use and kept for the life of the process, so a later sweep at
+    that n pays only for level N's walk.
     """
     if n < 1:
         raise ValueError("cube dimension must be positive")
@@ -595,13 +596,18 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
         raise ValueError("graph size must be positive")
     if mode == "auto":
         mode = "plain" if N <= 7 else "canonical"
+    if mode not in ("plain", "canonical"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "plain" and N > 7:
+        raise ValueError(
+            f"plain enumeration of K_{N} means 2^{comb(N, 2)} colourings; "
+            f"use canonical mode"
+        )
+    if N < 1 << n:
+        # no colouring on fewer than 2^n vertices holds Q_n: the all-red
+        # one is a witness
+        checked = 1 << comb(N, 2) if mode == "plain" else 0
+        return RamseyVerdict(n, N, ColouredGraph(N, [0] * N), checked, mode)
     if mode == "plain":
-        if N > 7:
-            raise ValueError(
-                f"plain enumeration of K_{N} means 2^{comb(N, 2)} colourings; "
-                f"use canonical mode"
-            )
         return _plain_sweep(n, N)
-    if mode == "canonical":
-        return _canonical_sweep(n, N)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _canonical_sweep(n, N)

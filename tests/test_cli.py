@@ -217,8 +217,9 @@ def test_oracle_ramsey_payloads(capsys):
 
 def test_oracle_ramsey_refusal(capsys):
     # n = 2 answers at any N, its cube-free levels ending at 7; n = 4
-    # would need the full class list on 10 vertices, past the table
-    code, out = _run(capsys, "oracle", "ramsey", "--n", "4", "--N", "10")
+    # answers below 16 at once, and at 16 would need the full class list
+    # on 15 vertices, past the table
+    code, out = _run(capsys, "oracle", "ramsey", "--n", "4", "--N", "16")
     assert code == EXIT_PARSE
     payload = _last_json(out)
     assert payload["status"] == "refused"
@@ -261,6 +262,20 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     code, out = _run(capsys, "check", "--in", str(tmp_path / "absent.txt"))
     assert code == EXIT_PARSE
     assert _last_json(out)["status"] == "io-error"
+
+
+def test_check_reports_a_blue_triangle(tmp_path, capsys):
+    # a host that breaks the hypothesis is still described: check exits 0
+    # and names a blue triangle
+    g = tmp_path / "g.txt"
+    with open(g, "w") as f:
+        ColouredGraph.from_blue_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]).to_text(f)
+    code, out = _run(capsys, "check", "--in", str(g))
+    assert code == EXIT_OK
+    payload = _last_json(out)
+    assert payload["triangle_free"] is False
+    assert payload["blue_triangle"] == [0, 1, 2]
+    assert payload["blue_edges"] == 4 and payload["max_blue_degree"] == 2
 
 
 def test_check_embedding_requires_dimension(tmp_path, capsys):

@@ -448,6 +448,23 @@ def test_verify_checks_round_records():
         assert any(e.startswith("round 0 records s=") for e in verdict.errors)
 
 
+def test_verify_reports_a_round_whose_weights_fill_every_gap():
+    # with the grid cut to the recorded s alone, a weight in its gap
+    # leaves no grid point: the gap rule finds no threshold, and the
+    # verifier reports the round's s instead of raising
+    n = 3
+    G = two_clique_linked_graph(n)
+    dec = decompose(G, DecompositionParams.desk(n))
+    rec = dec.rounds[0]
+    s = rec.s
+    params = replace(dec.params, s_hi=s)
+    with pytest.raises(StageFailure):
+        select_gap_threshold([s - 1], params)
+    bad = replace(dec, params=params, rounds=(replace(rec, weights=((0, 1, s - 1),)),))
+    verdict = verify_decomposition(G, bad)
+    assert f"round 0 records s={s} against its weights [{s - 1}]" in verdict.errors
+
+
 @pytest.mark.parametrize("changes", [
     {"weights": ((0, 2, 6),)},
     {"weights": ((0, 1, 6), (1, 2, 6))},

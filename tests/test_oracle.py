@@ -9,6 +9,7 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -488,13 +489,44 @@ def test_all_red_shortcut_when_cube_exceeds_graph():
     assert all(m == 0 for m in v.witness.blue)
 
 
+def test_sweeps_below_the_cube_order_build_no_class_list(monkeypatch):
+    # no colouring on fewer than 2^n vertices holds Q_n: at n = 4 and 5
+    # every N below 2^n answers with the edgeless witness, and neither
+    # mode builds a class list
+    def no_levels(N):
+        raise AssertionError(f"class list built at N = {N}")
+
+    monkeypatch.setattr(oracle, "canonical_triangle_free_graphs", no_levels)
+    for n in (4, 5):
+        for N in range(1, 1 << n):
+            v = exhaustive_ramsey(n, N, "canonical")
+            assert not v.holds and v.checked == 0 and v.mode == "canonical"
+            assert v.witness.n_vertices == N and not any(v.witness.blue)
+            if N <= 7:
+                p = exhaustive_ramsey(n, N, "plain")
+                assert p.checked == 1 << comb(N, 2) and p.mode == "plain"
+                assert p.witness.blue == v.witness.blue
+
+
+def test_failed_roots_leave_later_pools():
+    # a first cube vertex whose search failed lies on no red Q_n of its
+    # piece, so later searches skip it: the 1,897 classes on 9 vertices
+    # at n = 3 cost under 400,000 placements (1,116,672 when every
+    # failed root stayed in every pool)
+    nodes = sum(
+        contains_red_cube(ColouredGraph(9, adj, validate=False), 3).nodes
+        for adj in canonical_triangle_free_graphs(9)
+    )
+    assert nodes < 400_000
+
+
 def test_refusals():
     with pytest.raises(ValueError):
         exhaustive_ramsey(2, 8, mode="plain")
-    # at n = 4 the levels below 2^4 are the full class lists, tabulated
-    # only to N = 9
+    # at n = 4 every N below 2^4 answers at once; from 16 on the sweep
+    # needs the full class list on 15 vertices, tabulated only to N = 9
     with pytest.raises(ValueError, match="tabulated only to N = 9"):
-        exhaustive_ramsey(4, 10)
+        exhaustive_ramsey(4, 16)
     with pytest.raises(ValueError):
         exhaustive_ramsey(0, 3)
     with pytest.raises(ValueError):
@@ -521,13 +553,14 @@ def test_verdict_bookkeeping():
 def test_count_check_survives_optimised_mode():
     # python -O strips assert statements; the tabulated class count must
     # still be enforced, so a wrong table has to stop the canonical sweep.
-    # At n = 3 the sweep reads the full class list on 5 vertices
+    # At n = 3 and N = 8 the sweep builds the full class lists up to 7
+    # vertices, level 5 among them
     code = (
         "import cuberamsey.oracle as o\n"
         "if __debug__: raise SystemExit('not optimised')\n"
-        "o.TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 15)\n"
+        "o.TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 15, 38, 107)\n"
         "try:\n"
-        "    o.exhaustive_ramsey(3, 5, 'canonical')\n"
+        "    o.exhaustive_ramsey(3, 8, 'canonical')\n"
         "except AssertionError as e:\n"
         "    print('refused:', e)\n"
     )

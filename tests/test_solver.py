@@ -61,6 +61,19 @@ def test_params_are_exact_fractions():
     assert (type(p.gamma), p.gamma) == (Fraction, Fraction(1, 4))
 
 
+@pytest.mark.parametrize("epsilon, gamma, message", [
+    (0, Fraction(1, 4), "epsilon must be positive"),
+    (Fraction(-1, 4), Fraction(1, 4), "epsilon must be positive"),
+    (Fraction(1, 4), 0, "gamma must lie in"),
+    (Fraction(1, 4), 1, "gamma must lie in"),
+    (Fraction(1, 4), Fraction(3, 2), "gamma must lie in"),
+])
+def test_params_refuse_epsilon_and_gamma_out_of_range(epsilon, gamma, message):
+    desk = SolverParams.desk(3)
+    with pytest.raises(ValueError, match=message):
+        SolverParams(epsilon, gamma, desk.schedule, desk.decomp)
+
+
 def test_assign_subcubes_hand_cases():
     # the four codimension-2 pieces of Q_3 have 2 vertices each
     out = assign_subcubes(3, [40])
