@@ -41,10 +41,13 @@ class ColouredGraph:
     Construction with ``validate=False`` skips that check; it is meant for
     internal constructions that are symmetric by shape.  The masks are
     not changed after construction, so one pass over them, on first use,
-    builds the index that ``blue_degrees``, ``blue_classes`` and
-    ``blue_at_least`` read: every degree, the twin classes, and the
-    vertices with a blue neighbour in order of falling degree and as a
-    mask, the support.  For the same reason ``is_blue_triangle_free``
+    builds the index that ``blue_degrees``, ``blue_classes``,
+    ``blue_at_least`` and ``has_blue_into`` read: every degree, the twin
+    classes, the mask of the members of each class of two or more, and
+    the vertices with a blue neighbour in order of falling degree and as
+    a mask, the support.  So a blow-up of a few red cliques pays its
+    N-bit work once per class, not once per vertex, wherever a vertex
+    mask is tested.  For the same reason ``is_blue_triangle_free``
     keeps its verdict on the graph, and ``induced`` hands the subgraph
     the degrees it counts and, from a graph known to be triangle free,
     that verdict.
@@ -102,9 +105,14 @@ class ColouredGraph:
     def red_mask(self, v: int) -> int:
         return self.full_mask & ~self.blue[v] & ~bit(v)
 
-    def _blue_index(self) -> tuple[list[int], tuple[list[int], list[int]], array, int]:
+    def _blue_index(
+        self,
+    ) -> tuple[list[int], tuple[list[int], list[int]], array, int, tuple[list, int]]:
         """The degrees, the twin classes ``(class_of, reps)``, the degree
-        order and the support mask, built together on first use.
+        order, the support mask and ``(groups, grouped)``: a pair
+        ``(reps[c], members of c)`` for each class c of two or more
+        vertices, and the mask of all their members.  Built together on
+        first use.
 
         Cost: one pass over the vertices.  A zero mask is passed over.
         Degrees that ``induced`` counted are read; otherwise a one-bit
@@ -114,10 +122,12 @@ class ColouredGraph:
         popcount unless its degree was counted; a later one compares its
         mask with that vertex's and, if equal, takes its class and
         degree, so a blow-up pays one compare per vertex, cut short when
-        twins share one int object.  Only masks that differ behind a
-        shared fingerprint are hashed whole.  Then a sort of the vertices
-        with a blue neighbour by degree, kept as 4 bytes each, and their
-        mask.
+        twins share one int object, and lists itself among its class's
+        members, so a twin-free host lists nobody.  Only masks that
+        differ behind a shared fingerprint are hashed whole.  Then a sort
+        of the vertices with a blue neighbour by degree, kept as 4 bytes
+        each, their mask, and ``mask_of`` of each member list: O(N)
+        bytes per class of two or more.
         """
         if self._index is None:
             blue = self.blue
@@ -132,6 +142,8 @@ class ColouredGraph:
             first: dict[tuple[int, int, int], int] = {}
             by_mask: dict[int, int] = {}
             reps, class_of = [], [-1] * self.n_vertices
+            # the members of each class that a second vertex joins
+            twins: dict[int, list[int]] = {}
             for v, m in enumerate(blue):
                 if counted:
                     if deg[v] < 2:
@@ -149,8 +161,12 @@ class ColouredGraph:
                 if u != v and m != blue[u]:
                     u = by_mask.setdefault(m, v)
                 if u != v:
-                    class_of[v] = class_of[u]
+                    c = class_of[v] = class_of[u]
                     deg[v] = deg[u]
+                    if c in twins:
+                        twins[c].append(v)
+                    else:
+                        twins[c] = [u, v]
                     continue
                 if not counted:
                     deg[v] = m.bit_count()  # two or more
@@ -158,7 +174,13 @@ class ColouredGraph:
                 reps.append(v)
             touched = [v for v, d in enumerate(deg) if d]
             by_degree = array("i", sorted(touched, key=deg.__getitem__, reverse=True))
-            self._index = (deg, (class_of, reps), by_degree, mask_of(touched))
+            groups = [(vs[0], mask_of(vs)) for vs in twins.values()]
+            grouped = 0
+            for _, members in groups:
+                grouped |= members
+            self._index = (
+                deg, (class_of, reps), by_degree, mask_of(touched), (groups, grouped)
+            )
         return self._index
 
     def blue_degrees(self) -> list[int]:
@@ -173,7 +195,7 @@ class ColouredGraph:
         answer."""
         if t <= 0:
             return self.full_mask
-        deg, _, order, support = self._blue_index()
+        deg, _, order, support, _ = self._blue_index()
         if not order or deg[order[-1]] >= t:
             return support
         return mask_of(order[: bisect_right(order, -t, key=lambda v: -deg[v])])
@@ -195,20 +217,26 @@ class ColouredGraph:
     def has_blue_into(self, vertices: int, mask: int) -> bool:
         """Whether some vertex of the mask ``vertices`` has a blue
         neighbour in ``mask``.  Only its vertices with a blue neighbour
-        are walked (``vertices & blue_at_least(1)``), so a mask of an
-        all-red host reads no blue mask.  Cost: ``iter_bits`` of that
-        AND, then one AND per blue class among them (its members share
-        one mask) and per unclassed vertex of degree 1, whose one-bit
-        mask reaches only as far as its neighbour."""
-        class_of = self.blue_classes()[0]
+        are read (``vertices`` AND the support), so a mask of an
+        all-red host reads no blue mask.  Cost: the members of a class of
+        two or more vertices share one mask, so while there are fewer
+        such classes than vertices to read, each costs one AND of its
+        member mask and, if it meets them, one of its blue mask; then
+        ``iter_bits`` of the rest, one AND per vertex.  Otherwise every
+        vertex costs one AND."""
+        _, _, _, support, (groups, grouped) = self._blue_index()
+        rest = vertices & support
+        if not rest:
+            return False
         blue = self.blue
-        seen: set[int] = set()
-        for v in iter_bits(vertices & self.blue_at_least(1)):
-            c = class_of[v]
-            if c < 0 or c not in seen:
-                if blue[v] & mask:
+        if len(groups) < rest.bit_count():
+            for rep, members in groups:
+                if rest & members and blue[rep] & mask:
                     return True
-                seen.add(c)
+            rest &= ~grouped
+        for v in iter_bits(rest):
+            if blue[v] & mask:
+                return True
         return False
 
     # -- derived graphs -------------------------------------------------
@@ -244,7 +272,7 @@ class ColouredGraph:
         if order and (order[0] < 0 or order[-1] >= self.n_vertices):
             raise ValueError(f"vertices must lie in 0..{self.n_vertices - 1}")
         pos = {v: i for i, v in enumerate(order)}
-        deg, _, by_degree, _ = self._blue_index()
+        deg, _, by_degree, _, _ = self._blue_index()
         blue = self.blue
         # (old start, width mask, new start) of each run; a vertex is
         # copied run by run only if it has more blue neighbours than
@@ -580,8 +608,11 @@ def max_balanced_biclique(
 
     Cost: per side, one N-bit row per vertex, or, if G has fewer blue
     classes than the side has vertices, one row and popcount per class
-    and per vertex of degree below 2; then the walks' sorts, by
-    popcount, and prefix walks.
+    and per vertex of degree below 2, and a list read per vertex; then
+    the walks' sorts, by popcount, in C.  A prefix walk pays one N-bit
+    AND and popcount per run of rows that are one object (a class's
+    rows, in the sorted order) and a compare per row, so on a blow-up
+    it costs a few masks.
     """
     side1 = sorted(set(M1))
     side2 = sorted(set(M2))
@@ -603,28 +634,40 @@ def max_balanced_biclique(
         # prefix is a biclique.  Rows of the red view (disjoint, so no
         # vertex meets itself) and their popcounts are shared by each blue
         # class when G has fewer classes than rows
-        shared = len(reps) < len(rows)
-        rows_c = [col_mask & ~G.blue[r] for r in reps] if shared else []
-        sizes_c = [-row.bit_count() for row in rows_c]
-        adj = {
-            u: rows_c[c] if shared and (c := class_of[u]) >= 0 else col_mask & ~G.blue[u]
-            for u in rows
-        }
-        order = sorted(rows, key=lambda u: (
-            sizes_c[c] if shared and (c := class_of[u]) >= 0 else -adj[u].bit_count()
-        ))
+        blue = G.blue
+        if len(reps) < len(rows):
+            rows_c = [col_mask & ~blue[r] for r in reps]
+            sizes_c = [-row.bit_count() for row in rows_c]
+            cls = list(map(class_of.__getitem__, rows))
+            adj = [
+                rows_c[c] if c >= 0 else col_mask & ~blue[u] for u, c in zip(rows, cls)
+            ]
+            keys = [
+                sizes_c[c] if c >= 0 else -row.bit_count() for row, c in zip(adj, cls)
+            ]
+        else:
+            adj = [col_mask & ~blue[u] for u in rows]
+            keys = [-row.bit_count() for row in adj]
+        # a stable sort of positions in the sorted side: ties keep vertex order
+        order = sorted(range(len(rows)), key=keys.__getitem__)
         # common only shrinks, so every improvement is a whole prefix:
-        # w = idx + 1, and the best rows are sliced once at the end
-        common = col_mask
+        # w = idx + 1, and the best rows are sliced once at the end.  A
+        # class's rows are one object, and common, already inside it,
+        # changes only where the row object does: a run of equal rows
+        # costs one AND and popcount
+        common, row, size = col_mask, None, 0
         best_w, best_common = 0, 0
-        for idx, u in enumerate(order):
-            common &= adj[u]
-            if not common:
-                break
-            w = min(idx + 1, common.bit_count())
+        for idx, k in enumerate(order):
+            if adj[k] is not row:
+                row = adj[k]
+                common &= row
+                if not common:
+                    break
+                size = common.bit_count()
+            w = min(idx + 1, size)
             if w > best_w:
                 best_w, best_common = w, common
-        return best_w, order[:best_w], best_common
+        return best_w, [rows[k] for k in order[:best_w]], best_common
 
     # the other side walks only while the first walk falls short of the
     # limit, and replaces it only when it does better
@@ -799,55 +842,63 @@ def verify_red_embedding(G: ColouredGraph, n: int, phi: dict[int, int]) -> Verdi
     red pair of G.  A phi that misses a cube vertex is a malformed input,
     not a failed verification, and raises ValueError.
 
-    Cost: a map that misses a cube vertex is refused after one pass over
-    its keys.  Otherwise O(2^n) dict and set work over the map and
-    ``mask_of`` of its in-range images; then, per cube vertex, one AND of
-    its image's blue mask with the image mask (N bits).  The n edge tests
-    at that image follow only where the AND is nonzero or the image is
-    shared.  An edge test is one bit of the AND, an N-bit shift: a map
-    whose images are blue to many images off the cube edges pays one per
-    cube edge at those images.
+    Cost: the images are read in cube order by one C-level pass, which
+    stops at a missing cube vertex; such a map is refused after one pass
+    over its keys.  Their range and injectivity cost ``min``, ``max`` and
+    a set; only a map that fails them is walked in cube order, listing
+    its out-of-range and repeated images.  Then ``mask_of`` of the
+    in-range images and, if none is shared, ``has_blue_into`` of that
+    mask with itself: if no image is blue to another, no edge is tested.
+    Otherwise, per cube vertex, one AND of its image's blue mask with the
+    image mask (N bits); the n edge tests at that image follow only
+    where the AND is nonzero or the image is shared.  An edge test is one
+    bit of the AND, an N-bit shift.
     """
-    # k in-range keys leave 2^n - k cube vertices out, the first among
-    # 0..k, so a short map costs O(len(phi)) at any n
-    size = 1 << n
-    defined = sum(1 for z in phi if 0 <= z < size)
-    if defined < size:
+    size, N = 1 << n, G.n_vertices
+    try:
+        images: list = list(map(phi.__getitem__, range(size)))
+    except KeyError:
+        # k in-range keys leave 2^n - k cube vertices out, the first
+        # among 0..k, so a short map costs O(len(phi)) at any n
+        defined = sum(1 for z in phi if 0 <= z < size)
         first = next(z for z in range(defined + 1) if z not in phi)
         raise ValueError(
             f"phi is only partially defined: {size - defined} cube "
             f"vertices missing, first {first}"
-        )
-    errors = []
-    seen: dict[int, int] = {}
+        ) from None
+    errors: list[str] = []
     shared: set[int] = set()
-    # an edge at an out-of-range image is reported with that image alone
-    checkable: set[int] = set()
-    for z in range(1 << n):
-        v = phi[z]
-        if not (0 <= v < G.n_vertices):
-            errors.append(f"cube vertex {z} maps to out-of-range vertex {v}")
+    if min(images) >= 0 and max(images) < N and len(set(images)) == size:
+        image_mask = mask_of(images)
+        if not G.has_blue_into(image_mask, image_mask):
+            return Verdict(errors)
+    else:
+        seen: dict[int, int] = {}
+        for z, v in enumerate(images):
+            if not 0 <= v < N:
+                errors.append(f"cube vertex {z} maps to out-of-range vertex {v}")
+                # an edge at an out-of-range image is reported with that
+                # image alone
+                images[z] = None
+                continue
+            if v in seen:
+                errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
+                shared.add(v)
+            seen[v] = z
+        image_mask = mask_of(seen)
+    blue = G.blue
+    for z, a in enumerate(images):
+        if a is None:
             continue
-        checkable.add(z)
-        if v in seen:
-            errors.append(f"cube vertices {seen[v]} and {z} both map to {v}")
-            shared.add(v)
-        seen[v] = z
-    blue, images = G.blue, mask_of(seen)
-    for z in range(1 << n):
-        if z not in checkable:
-            continue
-        a = phi[z]
         # an image red to every other image is red to those of z's
         # neighbours: no edge test
-        hits = blue[a] & images
+        hits = blue[a] & image_mask
         if not hits and a not in shared:
             continue
         for i in range(n):
             w = z ^ (1 << i)
-            if w < z or w not in checkable:
+            if w < z or (b := images[w]) is None:
                 continue
-            b = phi[w]
             if a != b and not (hits >> b) & 1:
                 continue
             errors.append(f"cube edge {z}-{w} lands on non-red pair {a}-{b}")

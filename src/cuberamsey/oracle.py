@@ -524,7 +524,7 @@ def _cube_free_level(n: int, v: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     raise that ``python -O`` keeps; above an empty level, which ends the
     table, every level is empty.  A grown level is reached only where
     every level below is tabulated: at n >= 4, 2^n - 1 exceeds the class
-    table, which ``canonical_triangle_free_graphs`` refuses.
+    table, and ``exhaustive_ramsey`` refuses before any level is built.
     """
     if v < 1 << n:
         return tuple(map(tuple, canonical_triangle_free_graphs(v))), 0
@@ -582,8 +582,9 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     every N (``CUBE_FREE_CLASS_COUNTS``; r(K_3, Q_3) = 15 takes about
     1.2 s on 2 cores, Python 3.11); at n >= 4, N >= 2^n needs the full
     class list on 2^n - 1 vertices, past the table.  What cannot be
-    answered is refused rather than attempted: the plain mode names the
-    number of colourings, the canonical mode the class count it lacks.
+    answered is refused up front rather than attempted: the plain mode
+    names the number of colourings, the canonical mode the n and N asked
+    for and the level of 2^n - 1 vertices it lacks.
     ``checked`` counts the colourings in the plain mode, and in the
     canonical mode the canonical children tested for a red Q_n over the
     levels 2^n..N (``RamseyVerdict``).  The levels are generated on
@@ -610,4 +611,11 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
         return RamseyVerdict(n, N, ColouredGraph(N, [0] * N), checked, mode)
     if mode == "plain":
         return _plain_sweep(n, N)
+    base, top = (1 << n) - 1, len(TRIANGLE_FREE_GRAPH_COUNTS)
+    if base > top:
+        raise ValueError(
+            f"n = {n}, N = {N} needs the canonical classes on 2^{n} - 1 = "
+            f"{base} vertices; canonical enumeration is tabulated only to "
+            f"N = {top} ({TRIANGLE_FREE_GRAPH_COUNTS[-1]} classes)"
+        )
     return _canonical_sweep(n, N)

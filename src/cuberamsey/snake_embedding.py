@@ -241,7 +241,7 @@ def snake_embed(
     queue = bandwidth_order(cube_vertices)
     if len(set(queue)) != len(queue):
         raise ValueError("cube vertices to embed must be distinct")
-    if any(not 0 <= z < (1 << n) for z in queue):
+    if queue and (min(queue) < 0 or max(queue) >= 1 << n):
         raise ValueError("cube vertex out of range")
     forb = forbidden or {}
     delta = max((d.bit_count() for d in forb.values()), default=0)

@@ -226,6 +226,22 @@ def test_oracle_ramsey_refusal(capsys):
     assert "tabulated only to N = 9" in payload["message"]
 
 
+@pytest.mark.parametrize("n, N", [(4, 16), (5, 40)])
+def test_oracle_ramsey_refusal_names_the_request(capsys, n, N):
+    # the refusal comes before any class list is built, and names the n
+    # and N asked for and the level of 2^n - 1 vertices it would need
+    code, out = _run(capsys, "oracle", "ramsey", "--n", str(n), "--N", str(N),
+                     "--mode", "canonical")
+    assert code == EXIT_PARSE
+    base = (1 << n) - 1
+    assert _last_json(out) == {
+        "status": "refused",
+        "message": f"n = {n}, N = {N} needs the canonical classes on "
+                   f"2^{n} - 1 = {base} vertices; canonical enumeration is "
+                   f"tabulated only to N = 9 (1897 classes)",
+    }
+
+
 def test_oracle_contains_cube(tmp_path, capsys):
     g = tmp_path / "g.txt"
     with open(g, "w") as f:

@@ -61,7 +61,10 @@ def hosts(draw):
     ``sparse`` and ``greedy`` hosts have many mask classes; ``blow-up``
     hosts replace each vertex of a small base graph by a red clique, so
     they have a few large classes (two parts give the two-clique and
-    bipartite shapes).  Any host may get a planted triangle.
+    bipartite shapes).  A blow-up's part holds its mask either as one
+    int object that its vertices share (``shared``, as two-clique hosts
+    and ``lower_bound_coloring`` do) or as one equal int per vertex.
+    Any host may get a planted triangle.
     """
     kind = draw(st.sampled_from(["sparse", "greedy", "blow-up"]))
     N = draw(st.integers(3, 200))
@@ -83,18 +86,22 @@ def hosts(draw):
             for b in range(a + 1, parts):
                 if rng.random() < p:
                     _add_edge(base, a, b)
+        shared = draw(st.booleans())
         part_of = [v % parts for v in range(N)]
         rng.shuffle(part_of)
         members = [0] * parts
         for v, a in enumerate(part_of):
             members[a] |= 1 << v
-        blue = []
+        blue, of_part = [], {}
         for a in part_of:
+            if shared and a in of_part:
+                blue.append(of_part[a])
+                continue
             m = 0
             for b in range(parts):
                 if base[a] >> b & 1:
                     m |= members[b]
-            blue.append(m)
+            blue.append(of_part.setdefault(a, m))
         known = True if parts == 2 else None
     if draw(st.booleans()):
         u, v, w = rng.sample(range(N), 3)
@@ -328,6 +335,109 @@ def test_verify_red_embedding_matches_per_edge_loop(case):
     assert verdict.ok is (not expected)
 
 
+@st.composite
+def maps_on_hosts(draw):
+    """A host from ``hosts()``, sparse or a blow-up with shared or
+    distinct twin masks, a dimension n <= 5 and a map of Q_n into it,
+    drawn in one of three shapes.  ``injective`` maps distinct vertices,
+    so the map passes the C-level checks and only blue cube edges can
+    fail.  ``parity`` maps cube vertices of even weight into the red
+    neighbourhood of a vertex x and those of odd weight into its blue
+    one, so on a blow-up most cube edges are blue and the error list
+    often reaches its cap; images repeat once a side runs out.
+    ``mixed`` draws each image as a random vertex, a repeat of an
+    earlier image or a value out of range."""
+    G, _ = draw(hosts())
+    N = G.n_vertices
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["injective", "parity", "mixed"]))
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    if shape == "injective":
+        n = min(n, N.bit_length() - 1)
+        size = 1 << n
+        images = rng.sample(range(N), size)
+    elif shape == "parity":
+        x = rng.randrange(N)
+        sides = [[v for v in range(N) if (G.blue[x] >> v) & 1 == bit] for bit in (0, 1)]
+        for side in sides:
+            rng.shuffle(side)
+        if not sides[1]:
+            sides[1] = sides[0]
+        images = []
+        for z in range(size):
+            side = sides[z.bit_count() & 1]
+            images.append(side.pop() if len(side) > 1 else side[0])
+        if draw(st.booleans()):
+            images[rng.randrange(size)] = N + rng.randrange(3)
+    else:
+        images = []
+        for z in range(size):
+            kind = draw(st.sampled_from(["any", "repeat", "out"]))
+            if kind == "repeat" and images:
+                images.append(rng.choice(images))
+            elif kind == "out":
+                images.append(rng.choice([-1 - rng.randrange(3), N + rng.randrange(3)]))
+            else:
+                images.append(rng.randrange(N))
+    return G, n, dict(enumerate(images))
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps_on_hosts())
+def test_verify_red_embedding_matches_per_edge_loop_on_hosts(case):
+    G, n, phi = case
+    verdict = verify_red_embedding(G, n, phi)
+    assert verdict.errors == reference_verify_errors(G, n, phi)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_verify_red_embedding_on_a_bipartite_blow_up(shared):
+    # two parts of 40 vertices, all cross pairs blue: a part is a red
+    # clique.  The maps: Q_5 inside the low part; moved across by weight
+    # parity, so every cube edge is blue (80 of them, cut at 20), with and
+    # without an out-of-range image; and repeated images alone, on two
+    # cube vertices at distance n, then on two cube neighbours
+    N, n, half = 80, 5, 40
+    if shared:
+        low, high = (1 << half) - 1, ((1 << N) - 1) ^ ((1 << half) - 1)
+        blue = [high if v < half else low for v in range(N)]
+    else:
+        # each mask computed anew: equal values, distinct int objects
+        blue = [
+            ((1 << N) - 1) ^ ((1 << half) - 1) if v < half else (1 << half) - 1
+            for v in range(N)
+        ]
+    G = ColouredGraph(N, blue)
+    assert (G.blue[1] is G.blue[2]) == shared
+    inside = {z: z for z in range(1 << n)}
+    across = {z: z + half * (z.bit_count() & 1) for z in range(1 << n)}
+    out = {**across, 3: N + 1}
+    far = {**inside, (1 << n) - 1: 0}
+    near = {**inside, 1: 0}
+    cases = {
+        "inside": [],
+        "across": None,
+        "out": None,
+        "far": [f"cube vertices 0 and {(1 << n) - 1} both map to 0"],
+        "near": [
+            "cube vertices 0 and 1 both map to 0",
+            "cube edge 0-1 lands on non-red pair 0-0",
+        ],
+    }
+    for name, phi in (("inside", inside), ("across", across), ("out", out),
+                      ("far", far), ("near", near)):
+        errors = verify_red_embedding(G, n, phi).errors
+        assert errors == reference_verify_errors(G, n, phi), name
+        if cases[name] is not None:
+            assert errors == cases[name], name
+        else:
+            assert len(errors) == 20, name
+    assert verify_red_embedding(G, n, out).errors[0] == (
+        f"cube vertex 3 maps to out-of-range vertex {N + 1}"
+    )
+
+
 # the readers of the graph's index, each with a call that may build it
 FIRST_CALLS = {
     "blue_degrees": lambda G: G.blue_degrees(),
@@ -342,6 +452,17 @@ def _assert_classes_match_masks(G: ColouredGraph, first: str):
     FIRST_CALLS[first](G)
     deg = [m.bit_count() for m in G.blue]
     assert G.blue_classes() == reference_blue_classes(G)
+    # each class of two or more vertices is kept with its members' mask,
+    # which the per-class passes AND with the vertices they are given
+    class_of, reps = reference_blue_classes(G)
+    members = {}
+    for v, c in enumerate(class_of):
+        if c >= 0:
+            members.setdefault(reps[c], []).append(v)
+    twins = {r: reference_mask_of(vs) for r, vs in members.items() if len(vs) > 1}
+    groups, grouped = G._blue_index()[4]
+    assert dict(groups) == twins and len(groups) == len(twins)
+    assert grouped == reference_mask_of(v for vs in members.values() if len(vs) > 1 for v in vs)
     assert G.blue_classes() is G.blue_classes()
     assert G.blue_degrees() == deg
     assert G.blue_degrees() is G.blue_degrees()
@@ -553,12 +674,11 @@ def test_find_red_clique_and_induced_match_peeling_copies(case):
 
 def _assert_induced_copy(G: ColouredGraph, vs) -> ColouredGraph:
     """``G.induced(vs)`` against the per-vertex copy, with the degrees it
-    counts for the subgraph and the classes that the subgraph's index
-    builds on them."""
+    counts for the subgraph and the classes and member masks that the
+    subgraph's index builds on them."""
     H, order = G.induced(vs)
     assert (H.blue, order) == reference_induced(G, vs)
-    assert H.blue_degrees() == [m.bit_count() for m in H.blue]
-    assert H.blue_classes() == reference_blue_classes(H)
+    _assert_classes_match_masks(H, "blue_degrees")
     return H
 
 

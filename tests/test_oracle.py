@@ -508,6 +508,25 @@ def test_sweeps_below_the_cube_order_build_no_class_list(monkeypatch):
                 assert p.witness.blue == v.witness.blue
 
 
+def test_refusal_names_the_request_before_any_class_list(monkeypatch):
+    # from 2^n vertices on, n >= 4 would need every class on 2^n - 1
+    # vertices, past the table: the refusal names n, N and that level,
+    # and no class list is built to find that out
+    def no_levels(N):
+        raise AssertionError(f"class list built at N = {N}")
+
+    monkeypatch.setattr(oracle, "canonical_triangle_free_graphs", no_levels)
+    for n, N in ((4, 16), (4, 17), (5, 32), (6, 100)):
+        base = (1 << n) - 1
+        with pytest.raises(ValueError) as raised:
+            exhaustive_ramsey(n, N)
+        assert str(raised.value) == (
+            f"n = {n}, N = {N} needs the canonical classes on 2^{n} - 1 = "
+            f"{base} vertices; canonical enumeration is tabulated only to "
+            f"N = 9 (1897 classes)"
+        )
+
+
 def test_failed_roots_leave_later_pools():
     # a first cube vertex whose search failed lies on no red Q_n of its
     # piece, so later searches skip it: the 1,897 classes on 9 vertices
