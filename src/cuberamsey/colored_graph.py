@@ -219,22 +219,18 @@ class ColouredGraph:
         neighbour in ``mask``.  Only its vertices with a blue neighbour
         are read (``vertices`` AND the support), so a mask of an
         all-red host reads no blue mask.  Cost: the members of a class of
-        two or more vertices share one mask, so while there are fewer
-        such classes than vertices to read, each costs one AND of its
-        member mask and, if it meets them, one of its blue mask; then
-        ``iter_bits`` of the rest, one AND per vertex.  Otherwise every
-        vertex costs one AND."""
+        two or more vertices share one mask, so each such class costs one
+        AND of its member mask and, if it meets them, one of its blue
+        mask; then ``iter_bits`` of the rest, one AND per vertex."""
         _, _, _, support, (groups, grouped) = self._blue_index()
         rest = vertices & support
         if not rest:
             return False
         blue = self.blue
-        if len(groups) < rest.bit_count():
-            for rep, members in groups:
-                if rest & members and blue[rep] & mask:
-                    return True
-            rest &= ~grouped
-        for v in iter_bits(rest):
+        for rep, members in groups:
+            if rest & members and blue[rep] & mask:
+                return True
+        for v in iter_bits(rest & ~grouped):
             if blue[v] & mask:
                 return True
         return False

@@ -242,13 +242,11 @@ class Decomposition:
 
 def _ints(values, field: str) -> tuple[int, ...]:
     """The values as a tuple, each an int and not a bool, else a
-    ValueError naming the field and the first value that is not.  The
-    types are read by one C-level pass; only a tuple that fails it is
-    walked."""
+    ValueError naming the field."""
     vs = tuple(values)
-    if not set(map(type, vs)) <= {int}:
-        bad = next(x for x in vs if type(x) is not int)
-        raise ValueError(f"{field}: {bad!r} is not an integer")
+    for x in vs:
+        if type(x) is not int:
+            raise ValueError(f"{field}: {x!r} is not an integer")
     return vs
 
 

@@ -101,7 +101,16 @@ def hosts(draw):
             for b in range(parts):
                 if base[a] >> b & 1:
                     m |= members[b]
-            blue.append(of_part.setdefault(a, m))
+            if shared:
+                of_part[a] = m
+            blue.append(m)
+        # Two vertices of a part hold one object exactly when shared
+        # (CPython caches the ints up to 256, so those are one object
+        # either way).
+        for a in range(parts):
+            vs = [v for v in range(N) if part_of[v] == a]
+            one = shared or blue[vs[0]] <= 256
+            assert len({id(blue[v]) for v in vs}) == (1 if one else len(vs))
         known = True if parts == 2 else None
     if draw(st.booleans()):
         u, v, w = rng.sample(range(N), 3)
