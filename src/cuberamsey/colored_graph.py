@@ -13,6 +13,7 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
@@ -602,12 +603,11 @@ def max_balanced_biclique(
     biclique is NP-hard, and no caller needs it.  The name is kept
     because the benchmark's tracer wraps the function by name.
 
-    Cost: per side, one N-bit row per vertex, or, if G has fewer blue
-    classes than the side has vertices, one row and popcount per class
-    and per vertex of degree below 2, and a list read per vertex; then
-    the walks' sorts, by popcount, in C.  A prefix walk pays one N-bit
-    AND and popcount per run of rows that are one object (a class's
-    rows, in the sorted order) and a compare per row, so on a blow-up
+    Cost: per side, one N-bit red row and popcount per blue class the
+    side meets and per vertex outside the classes, and a list read per
+    vertex; then the walks' sorts, by popcount, in C.  A class's rows are
+    one object, so the sorted order holds them in runs, and a prefix walk
+    pays one N-bit AND and popcount per run, grouped in C; on a blow-up
     it costs a few masks.
     """
     side1 = sorted(set(M1))
@@ -627,40 +627,31 @@ def max_balanced_biclique(
     def prefix_walk(rows, col_mask):
         # walk rows in increasing blue-cross order, keeping col_mask red to
         # the whole prefix (a planted block floats to the front); each
-        # prefix is a biclique.  Rows of the red view (disjoint, so no
-        # vertex meets itself) and their popcounts are shared by each blue
-        # class when G has fewer classes than rows
+        # prefix is a biclique.  Rows are of the red view (the sides are
+        # disjoint, so no vertex meets itself); a class's rows share one
+        # row object and one popcount
         blue = G.blue
-        if len(reps) < len(rows):
-            rows_c = [col_mask & ~blue[r] for r in reps]
-            sizes_c = [-row.bit_count() for row in rows_c]
-            cls = list(map(class_of.__getitem__, rows))
-            adj = [
-                rows_c[c] if c >= 0 else col_mask & ~blue[u] for u, c in zip(rows, cls)
-            ]
-            keys = [
-                sizes_c[c] if c >= 0 else -row.bit_count() for row, c in zip(adj, cls)
-            ]
-        else:
-            adj = [col_mask & ~blue[u] for u in rows]
-            keys = [-row.bit_count() for row in adj]
+        cls = list(map(class_of.__getitem__, rows))
+        row_of = {c: col_mask & ~blue[reps[c]] for c in set(cls) - {-1}}
+        size_of = {c: -row.bit_count() for c, row in row_of.items()}
+        adj = [row_of[c] if c >= 0 else col_mask & ~blue[u] for u, c in zip(rows, cls)]
+        keys = [size_of[c] if c >= 0 else -row.bit_count() for row, c in zip(adj, cls)]
         # a stable sort of positions in the sorted side: ties keep vertex order
         order = sorted(range(len(rows)), key=keys.__getitem__)
         # common only shrinks, so every improvement is a whole prefix:
-        # w = idx + 1, and the best rows are sliced once at the end.  A
-        # class's rows are one object, and common, already inside it,
-        # changes only where the row object does: a run of equal rows
-        # costs one AND and popcount
-        common, row, size = col_mask, None, 0
+        # w = idx + 1, and the best rows are sliced once at the end.  Over
+        # a run of one row object common stays put, so w = min(idx + 1,
+        # size) is largest at the run's end: one step per run.  The run's
+        # first row is ANDed before the rest is counted, so the run that
+        # empties common is not read through
+        common, end = col_mask, 0
         best_w, best_common = 0, 0
-        for idx, k in enumerate(order):
-            if adj[k] is not row:
-                row = adj[k]
-                common &= row
-                if not common:
-                    break
-                size = common.bit_count()
-            w = min(idx + 1, size)
+        for _, run in groupby(map(adj.__getitem__, order), key=id):
+            common &= next(run)
+            if not common:
+                break
+            end += 1 + len(list(run))
+            w = min(end, common.bit_count())
             if w > best_w:
                 best_w, best_common = w, common
         return best_w, [rows[k] for k in order[:best_w]], best_common

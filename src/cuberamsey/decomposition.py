@@ -210,50 +210,82 @@ class Decomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "Decomposition":
-        """The certificate written by ``to_json``.  A parameter, vertex,
-        index, weight, s or vertex count that is not a JSON integer (true
-        and false included) raises ValueError naming its field, and its
-        round if it has one; so does a zero denominator of lam or mu."""
+        """The certificate written by ``to_json``.  A missing key, a
+        value that is not a JSON object or list where one belongs, a
+        weight that is not three integers, and a parameter, vertex, index,
+        weight, s or vertex count that is not a JSON integer (true and
+        false included) raise ValueError naming the field, and its round
+        if it has one; so does a zero denominator of lam or mu."""
         data = json.loads(text)
-        p = data["params"]
-        m, s_lo, s_hi = (_ints([p[k]], f"params {k}")[0] for k in ("m", "s_lo", "s_hi"))
-        lam, mu = (_ratio(p[k], f"params {k}") for k in ("lam", "mu"))
+        p = _field(data, "params", "")
+        m, s_lo, s_hi = (_field(p, k, "params", _int) for k in ("m", "s_lo", "s_hi"))
+        lam, mu = (_field(p, k, "params", _ratio) for k in ("lam", "mu"))
         params = DecompositionParams(m, s_lo, s_hi, lam, mu)
         rounds = []
-        for i, r in enumerate(data["rounds"]):
-            at = f"round {i}"
+        for i, r in enumerate(_field(data, "rounds", "", _list)):
+            at, wat = f"round {i}", f"round {i} witness"
             rounds.append(RoundRecord(
-                cliques=tuple(_ints(c, f"{at} clique") for c in r["cliques"]),
-                weights=tuple(_ints(w, f"{at} weight") for w in r["weights"]),
-                s=_ints([r["s"]], f"{at} s")[0],
+                cliques=tuple(
+                    _ints(c, f"{at} clique") for c in _field(r, "cliques", at, _list)
+                ),
+                weights=tuple(
+                    _ints(w, f"{at} weight", 3) for w in _field(r, "weights", at, _list)
+                ),
+                s=_field(r, "s", at, _int),
                 witnesses=tuple(
                     LinkWitness(
-                        *_ints([w["i"], w["j"]], f"{at} witness index"),
-                        _ints(w["X"], f"{at} witness X"),
-                        _ints(w["Y"], f"{at} witness Y"),
+                        _field(w, "i", wat, _int), _field(w, "j", wat, _int),
+                        _field(w, "X", wat, _ints), _field(w, "Y", wat, _ints),
                     )
-                    for w in r["witnesses"]
+                    for w in _field(r, "witnesses", at, _list)
                 ),
-                sparse_added=_ints(r["sparse_added"], f"{at} sparse_added"),
+                sparse_added=_field(r, "sparse_added", at, _ints),
             ))
-        n_vertices = _ints([data["n_vertices"]], "n_vertices")[0]
+        n_vertices = _field(data, "n_vertices", "", _int)
         return cls(n_vertices, params, tuple(rounds))
 
 
-def _ints(values, field: str) -> tuple[int, ...]:
-    """The values as a tuple, each an int and not a bool, else a
+def _field(obj, key: str, at: str, read=None):
+    """The value at key of the JSON object obj, passed through
+    read(value, name) if given, where name is the field's name, at then
+    key; an obj that is not an object, or a missing key, raises
     ValueError naming the field."""
-    vs = tuple(values)
+    name = f"{at} {key}".lstrip()
+    if type(obj) is not dict:
+        raise ValueError(f"{at or 'certificate'}: {obj!r} is not an object")
+    if key not in obj:
+        raise ValueError(f"{name}: missing")
+    return obj[key] if read is None else read(obj[key], name)
+
+
+def _int(x, field: str) -> int:
+    """x if it is an int and not a bool, else a ValueError naming the field."""
+    return _ints([x], field)[0]
+
+
+def _list(values, field: str) -> list:
+    """values if it is a JSON list, else a ValueError naming the field."""
+    if type(values) is not list:
+        raise ValueError(f"{field}: {values!r} is not a list")
+    return values
+
+
+def _ints(values, field: str, size: int | None = None) -> tuple[int, ...]:
+    """A JSON list of ints, each an int and not a bool, of the given size
+    if one is given, as a tuple, else a ValueError naming the field."""
+    vs = tuple(_list(values, field))
     for x in vs:
         if type(x) is not int:
             raise ValueError(f"{field}: {x!r} is not an integer")
+    if size is not None and len(vs) != size:
+        raise ValueError(f"{field}: {values!r} is not {size} integers")
     return vs
 
 
 def _ratio(values, field: str) -> Fraction:
     """A [numerator, denominator] pair of ints as a Fraction, else a
     ValueError naming the field."""
-    num, den = _ints(values, field)
+    num, den = _ints(values, field, 2)
     if den == 0:
         raise ValueError(f"{field}: zero denominator")
     return Fraction(num, den)

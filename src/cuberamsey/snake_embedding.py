@@ -189,15 +189,16 @@ def closed_tree_walk(snake: Snake) -> tuple[int, ...]:
     if len(children) != snake.k:
         raise ValueError("the link graph is disconnected")
 
+    # an explicit stack, so a deep tree cannot exhaust Python's recursion:
+    # each entry is a clique and whether its children are still to visit
     positions: list[int] = []
-
-    def tour(v: int):
+    stack = [(0, True)]
+    while stack:
+        v, descend = stack.pop()
         positions.append(v)
-        for c in children[v]:
-            tour(c)
-            positions.append(v)
-
-    tour(0)
+        if descend:
+            for c in reversed(children[v]):
+                stack += [(v, False), (c, True)]
     return tuple(positions)
 
 
@@ -221,20 +222,21 @@ def snake_embed(
     once, by ``verify_red_embedding`` on the whole map at the end of
     ``solve``, as direct callers should.
 
-    The walk spends, at each position, an arrival batch on the witness
-    side of the link just crossed, then a free stretch inside the clique
-    (keeping clear of witness sides still owed batches), then a departure
-    batch on the witness side of the link about to be crossed.  Batch
-    length t is the larger of s // 4k and the bandwidth bound, so that a
-    full batch always separates the zones of distinct cliques.
+    The walk runs a list of steps built from ``closed_tree_walk``: a
+    free stretch inside the first clique, then for each crossing a -> b a
+    departure batch on the link's witness side in a, an arrival batch on
+    its side in b, and a free stretch inside b that keeps clear of the
+    sides there still owed batches.  Batch length t is the larger of
+    s // 4k and the bandwidth bound, so that a full batch always
+    separates the zones of distinct cliques.
 
     Cost, beyond the range check, the tree walk and sorting the queue:
     one N-bit OR per forbidden mask and a walk over their union, which
-    marks the vertices ``first_fit`` may find blocked; per walk position,
-    one pass over the clique's vertex list and over its sides still owed
-    batches, and a walk of ``first_fit`` that looks up a cube vertex's
-    forbidden mask only when it meets a marked vertex, so a walk that
-    meets none does no N-bit mask operation.
+    marks the vertices ``first_fit`` may find blocked; one sort per
+    witness side crossed; per step, a walk of ``first_fit`` that looks up
+    a cube vertex's forbidden mask only when it meets a marked vertex (a
+    walk that meets none does no N-bit mask operation), and per stretch a
+    pass over the clique's vertex list and its sides still owed batches.
     """
     if bad := range_errors(G.n_vertices, snake) + pair_errors(snake):
         raise ValueError("invalid snake: " + "; ".join(bad))
@@ -256,66 +258,53 @@ def snake_embed(
     k, s = snake.k, snake.s
     t = max(s // (4 * k), bandwidth_bound(n))
 
-    positions = closed_tree_walk(snake)
     clique_lists = [sorted(c) for c in snake.cliques]
-
-    # tree edges are exactly the pairs stepped along by the walk; each of
-    # their witness sides is owed two batches, one per traversal direction
     witness_of = {w.pair(): w for w in snake.witnesses}
-    tree_pairs = {
-        (min(a, b), max(a, b))
-        for a, b in zip(positions, positions[1:])
-    }
+
+    # the steps: a stretch names its clique, a batch its witness side
+    # (i, j, c), sorted once; each crossing of a link owes one batch on
+    # each of its two sides
+    positions = closed_tree_walk(snake)
+    steps: list[tuple[int, Optional[tuple[int, int, int]]]] = [(0, None)]
     side_list: dict[tuple[int, int, int], list[int]] = {}
     owed: dict[tuple[int, int, int], int] = {}
     sides_in: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(k)}
-    for i, j in tree_pairs:
-        w = witness_of[i, j]
-        for c, side in ((i, w.X), (j, w.Y)):
+    for a, b in zip(positions, positions[1:]):
+        i, j = min(a, b), max(a, b)
+        for c in (a, b):
             key = (i, j, c)
-            side_list[key] = sorted(side)
-            owed[key] = 2
-            sides_in[c].append(key)
+            if key not in side_list:
+                w = witness_of[i, j]
+                side_list[key] = sorted(w.X if c == i else w.Y)
+                sides_in[c].append(key)
+            owed[key] = owed.get(key, 0) + 1
+            steps.append((c, key))
+        steps.append((b, None))
 
     phi: dict[int, int] = {}
     taken = bytearray(G.n_vertices)
     qi = 0
-
-    def run_batch(key: tuple[int, int, int]):
-        nonlocal qi
-        qi += first_fit(
-            side_list[key], queue[qi:qi + t], phi, taken, forb.get, blockable
-        )
-        owed[key] -= 1
-
-    for p, c in enumerate(positions):
+    for c, key in steps:
         if qi >= len(queue):
             break
-        if p > 0:
-            prev = positions[p - 1]
-            run_batch((min(prev, c), max(prev, c), c))
-        # free stretch: keep every side that is still owed batches covered
-        # for (t + delta) vertices per remaining batch, by reserving its
-        # lowest `keep` free vertices.  The reservation is computed once per
-        # position: it cannot change during the stretch.  `owed` is fixed
-        # here, and the stretch takes a vertex outside `reserved`, so for
-        # each side that vertex is either outside the side, or above its
-        # lowest `keep` free vertices, which the side then has more than
-        # `keep` of (else all of them would be reserved); either way those
-        # lowest `keep` free vertices, and `keep` itself, stay the same.
-        reserved: set[int] = set()
-        for key in sides_in[c]:
-            if owed[key] > 0:
-                free_side = [v for v in side_list[key] if not taken[v]]
-                keep = (t + delta) * owed[key]
-                reserved.update(free_side[:keep])
-        stretch = [v for v in clique_lists[c] if v not in reserved]
-        qi += first_fit(stretch, queue[qi:], phi, taken, forb.get, blockable)
-        if qi >= len(queue):
-            break
-        if p + 1 < len(positions):
-            nxt = positions[p + 1]
-            run_batch((min(c, nxt), max(c, nxt), c))
+        if key is not None:
+            free, end = side_list[key], qi + t
+            owed[key] -= 1
+        else:
+            # free stretch: each side still owed batches keeps its lowest
+            # `keep` free vertices, (t + delta) per batch owed.  This holds
+            # for the whole stretch: `owed` is fixed, and a vertex the
+            # stretch takes lies outside the side or above those `keep`
+            # (the side then has more free ones): either way they stay
+            reserved: set[int] = set()
+            for side in sides_in[c]:
+                if owed[side] > 0:
+                    free_side = [v for v in side_list[side] if not taken[v]]
+                    keep = (t + delta) * owed[side]
+                    reserved.update(free_side[:keep])
+            free = [v for v in clique_lists[c] if v not in reserved]
+            end = len(queue)
+        qi += first_fit(free, queue[qi:end], phi, taken, forb.get, blockable)
 
     if qi < len(queue):
         raise StageFailure(

@@ -27,6 +27,7 @@ from cuberamsey.colored_graph import (
     verify_red_embedding,
 )
 from cuberamsey.errors import GraphParseError, HypothesisError
+from cuberamsey.oracle import canonical_triangle_free_graphs
 
 
 def brute_has_blue_triangle(G):
@@ -388,3 +389,30 @@ def test_verify_red_embedding_out_of_range_lower_end(image):
     v = verify_red_embedding(G, 2, {0: image, 1: 1, 2: 2, 3: 3})
     assert not v.ok
     assert v.errors == [f"cube vertex 0 maps to out-of-range vertex {image}"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ColouredGraph(-1, []), ValueError, "vertex count must be nonnegative"),
+    (lambda: ColouredGraph.from_blue_edges(3, [(1, 1)]), ValueError,
+     "self-loop at vertex 1"),
+    (lambda: ColouredGraph.from_blue_edges(3, [(0, 5)]), ValueError,
+     "edge 0-5 out of range"),
+    (lambda: ColouredGraph.from_text(io.StringIO("3 4\n")), GraphParseError,
+     "line 1: first line must hold the vertex count"),
+    (lambda: ColouredGraph.from_text(io.StringIO("3\n0 x\n")), GraphParseError,
+     "line 2: non-integer endpoint in '0 x'"),
+    (lambda: max_disjoint_red_cliques(ColouredGraph(2, [0, 0]), 0b11, 0), ValueError,
+     "clique size must be positive"),
+    (lambda: lower_bound_coloring(-1), ValueError, "dimension must be nonnegative"),
+    (lambda: random_bipartite_blue(4, 1.5, random.Random(0)), ValueError,
+     "probability out of range"),
+    (lambda: canonical_triangle_free_graphs(0), ValueError,
+     "graph size must be positive"),
+], ids=[
+    "negative-count", "self-loop", "edge-range", "header", "endpoint",
+    "clique-size", "dimension", "probability", "sweep-size",
+])
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

@@ -209,6 +209,37 @@ def test_outside_attachment_is_a_stage_failure(monkeypatch):
     assert e.value.data == {"round": 1, "vertex": v, "clique": 1, "degree": b}
 
 
+@pytest.mark.parametrize("b", [32, 33])
+def test_sparse_attachment_keeps_the_2m_rule(b, monkeypatch):
+    # vertex 16 is blue to 3 vertices of the red clique 0..15, enough to
+    # attach it at s = 6, and to b vertices of a red block of 33 more; its
+    # blue graph is a star, so no triangle.  The clique family is handed
+    # in as clique 0..15 alone in round 1, so the block survives the
+    # round and the attached vertex keeps blue degree b into it: 2m = 32
+    # passes, and later rounds take the block; 33 fails
+    n = 3
+    params = DecompositionParams.desk(n)
+    m, v = params.m, 16
+    block = range(v + 1, v + 34)
+    G = ColouredGraph.from_blue_edges(
+        v + 34, [(v, u) for u in range(3)] + [(v, u) for u in block[:b]]
+    )
+    clique, family = tuple(range(m)), decomposition.max_disjoint_red_cliques
+    monkeypatch.setattr(
+        decomposition,
+        "max_disjoint_red_cliques",
+        lambda G, A, m: [clique] if A == G.full_mask else family(G, A, m),
+    )
+    if b <= 2 * m:
+        dec = decompose(G, params)
+        assert dec.rounds[0].s == 6 and dec.rounds[0].sparse_added == (v,)
+        return
+    with pytest.raises(StageFailure) as e:
+        decompose(G, params)
+    assert e.value.stage == "sparse-attachment"
+    assert e.value.data == {"round": 1, "vertex": v, "degree": b}
+
+
 def test_decompose_random_hosts():
     rng = random.Random(5)
     for trial in range(6):
@@ -389,6 +420,52 @@ def test_from_json_rejects_malformed_params(field, value, message):
     # and a zero denominator is not met as a ZeroDivisionError
     data = json.loads(Decomposition(4, DecompositionParams.desk(4), ()).to_json())
     data["params"][field] = value
+    with pytest.raises(ValueError) as e:
+        Decomposition.from_json(json.dumps(data))
+    assert str(e.value) == message
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("params",), _MISSING, "params: missing"),
+    (("n_vertices",), _MISSING, "n_vertices: missing"),
+    (("rounds", 0, "s"), _MISSING, "round 0 s: missing"),
+    (("rounds", 0, "witnesses", 0, "Y"), _MISSING, "round 0 witness Y: missing"),
+    ((), [1], "certificate: [1] is not an object"),
+    (("params",), 8, "params: 8 is not an object"),
+    (("rounds", 0, "witnesses", 0), [0, 1], "round 0 witness: [0, 1] is not an object"),
+    (("rounds",), {}, "rounds: {} is not a list"),
+    (("rounds", 0, "cliques"), 5, "round 0 cliques: 5 is not a list"),
+    (("rounds", 0, "cliques", 0), 5, "round 0 clique: 5 is not a list"),
+    (("rounds", 0, "witnesses", 0, "X"), 3, "round 0 witness X: 3 is not a list"),
+    (("rounds", 0, "weights", 0), [0, 1], "round 0 weight: [0, 1] is not 3 integers"),
+    (("rounds", 0, "weights", 0), 7, "round 0 weight: 7 is not a list"),
+    (("params", "mu"), [1, 2, 3], "params mu: [1, 2, 3] is not 2 integers"),
+    (("rounds", 0, "witnesses", 0, "i"), 0.0, "round 0 witness i: 0.0 is not an integer"),
+], ids=[
+    "no-params", "no-n_vertices", "no-s", "no-witness-Y", "certificate-list",
+    "params-int", "witness-list", "rounds-object", "cliques-int", "clique-int",
+    "witness-X-int", "weight-pair", "weight-int", "mu-triple", "witness-i-float",
+])
+def test_from_json_names_every_malformed_field(path, value, message):
+    # a tampered shape is refused on reading, naming its field and round,
+    # not met later as a KeyError, a TypeError or a failed unpacking
+    G = two_clique_linked_graph(3, extra=2)
+    data = json.loads(decompose(G, DecompositionParams.desk(3)).to_json())
+    assert len(data["rounds"][0]["witnesses"]) == 1
+    if not path:
+        data = value
+    else:
+        *head, last = path
+        parent = data
+        for key in head:
+            parent = parent[key]
+        if value is _MISSING:
+            del parent[last]
+        else:
+            parent[last] = value
     with pytest.raises(ValueError) as e:
         Decomposition.from_json(json.dumps(data))
     assert str(e.value) == message

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -349,3 +351,59 @@ def test_snake_embed_reserves_after_arrival_batch():
     phi = snake_embed(G, snake, range(8), n, forbidden=forb)
     assert phi == reference_snake_embed(snake, range(8), n, forb, {})
     assert {phi[q[6]], phi[q[7]]} == {0, 1}
+
+
+# sha256 of snake_embed's outcomes, in seed order, on 24 seeded snakes per
+# cell (wide sides on odd seeds, forbidden masks on up to every cube
+# vertex): json of each map's sorted items, or of the failure's stage and
+# payload.  Recorded before the walk ran its steps from one list; most
+# of these walks cross two or more links
+WALK_GOLDEN = {
+    (3, "path"): "bd33be5d7b02d9901f042dada3ab25e835423c89941d275c23af9493494e27a6",
+    (3, "star"): "a8d5f6922c0c4291caf9db6357c1bc9f236ebec115e48904eda47263cef8a7b1",
+    (4, "path"): "6e6d5f2712cdff8f5ebdc14f4b430bd59b8b3b459570f80ec86f1efeea75e2fc",
+    (4, "star"): "ac8d5670467670de1c3f986fc6bf4a097c725515db36124eaa457548e6b780ea",
+    (5, "path"): "96eb84bd4d2ae786f191c02083bc1c3f8cf4027be960a3141423fec0a8eb302c",
+    (5, "star"): "6f99b31297b1c7984c9937f42fed0eb2c630593a26f0df0d8fd340e19ce17e9b",
+}
+
+
+@pytest.mark.parametrize("k, shape", sorted(WALK_GOLDEN))
+def test_snake_embed_cross_link_walks_match_golden_hashes(k, shape):
+    outcomes = []
+    for seed in range(24):
+        rng = random.Random(f"walk-golden/{k}/{shape}/{seed}")
+        n = rng.choice((4, 5))
+        G, snake = _seeded_snake(rng, k, shape, n, wide=seed % 2 == 1)
+        cube = range(1 << n)
+        members = bits_list(snake.mask)
+        forb = {
+            z: sum(1 << v for v in rng.sample(members, rng.randint(1, 3)))
+            for z in rng.sample(cube, rng.randint(0, len(cube)))
+        }
+        got = _walk_outcome(snake_embed, G, snake, cube, n, forbidden=forb)
+        outcomes.append(sorted(got[1].items()) if got[0] == "map" else list(got))
+    text = json.dumps(outcomes, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == WALK_GOLDEN[k, shape]
+
+
+def test_a_deep_path_snake_walks_without_recursion():
+    # a path of 2,000 two-vertex cliques: the tour goes down and back up,
+    # far deeper than Python's default recursion limit
+    k = 2000
+    cliques = tuple((2 * i, 2 * i + 1) for i in range(k))
+    witnesses = tuple(
+        LinkWitness(i, i + 1, (2 * i + 1,), (2 * i + 2,)) for i in range(k - 1)
+    )
+    snake = Snake(cliques, witnesses, 1)
+    assert closed_tree_walk(snake) == (*range(k), *range(k - 2, -1, -1))
+    G = all_red_graph(2 * k)
+    phi = snake_embed(G, snake, range(16), 4)
+    assert verify_red_embedding(G, 4, phi).ok
+
+
+def test_validate_snake_refuses_a_snake_without_cliques():
+    G = all_red_graph(4)
+    assert validate_snake(G, Snake((), (), 1)).errors == [
+        "a snake needs at least one clique"
+    ]
