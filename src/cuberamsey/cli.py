@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive small-case searches")
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
-    q = osub.add_parser("ramsey", help="sweep all colourings of K_N")
+    q = osub.add_parser("ramsey", help="blue K_3 or red Q_n in every colouring of K_N?")
     q.add_argument("--n", type=_at_least(1), required=True, help="cube dimension")
     q.add_argument("--N", type=int, required=True, help="complete graph size")
     q.add_argument(

@@ -233,10 +233,10 @@ def snake_embed(
     Cost, beyond the range check, the tree walk and sorting the queue:
     one N-bit OR per forbidden mask and a walk over their union, which
     marks the vertices ``first_fit`` may find blocked; one sort per
-    witness side crossed; per step, a walk of ``first_fit`` that looks up
-    a cube vertex's forbidden mask only when it meets a marked vertex (a
-    walk that meets none does no N-bit mask operation), and per stretch a
-    pass over the clique's vertex list and its sides still owed batches.
+    clique entered and per witness side crossed; per step, a ``first_fit``
+    walk that reads a forbidden mask only at a marked vertex; per stretch,
+    a pass over its sides still owed batches, and over the clique's
+    vertex list only when they reserve a vertex.
     """
     if bad := range_errors(G.n_vertices, snake) + pair_errors(snake):
         raise ValueError("invalid snake: " + "; ".join(bad))
@@ -258,7 +258,7 @@ def snake_embed(
     k, s = snake.k, snake.s
     t = max(s // (4 * k), bandwidth_bound(n))
 
-    clique_lists = [sorted(c) for c in snake.cliques]
+    clique_lists: dict[int, list[int]] = {}  # sorted when first entered
     witness_of = {w.pair(): w for w in snake.witnesses}
 
     # the steps: a stretch names its clique, a batch its witness side
@@ -302,7 +302,8 @@ def snake_embed(
                     free_side = [v for v in side_list[side] if not taken[v]]
                     keep = (t + delta) * owed[side]
                     reserved.update(free_side[:keep])
-            free = [v for v in clique_lists[c] if v not in reserved]
+            free = clique_lists[c] = clique_lists.get(c) or sorted(snake.cliques[c])
+            free = [v for v in free if v not in reserved] if reserved else free
             end = len(queue)
         qi += first_fit(free, queue[qi:end], phi, taken, forb.get, blockable)
 

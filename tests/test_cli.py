@@ -217,16 +217,18 @@ def test_oracle_ramsey_payloads(capsys):
 
 def test_oracle_ramsey_refusal(capsys):
     # n = 2 answers at any N, its cube-free levels ending at 7; n = 4
-    # answers below 16 at once, and at 16 would need the full class list
+    # answers up to 30 at once, and at 31 would need the full class list
     # on 15 vertices, past the table
-    code, out = _run(capsys, "oracle", "ramsey", "--n", "4", "--N", "16")
+    code, out = _run(capsys, "oracle", "ramsey", "--n", "4", "--N", "30")
+    assert code == EXIT_OK and _last_json(out)["holds"] is False
+    code, out = _run(capsys, "oracle", "ramsey", "--n", "4", "--N", "31")
     assert code == EXIT_PARSE
     payload = _last_json(out)
     assert payload["status"] == "refused"
     assert "tabulated only to N = 9" in payload["message"]
 
 
-@pytest.mark.parametrize("n, N", [(4, 16), (5, 40)])
+@pytest.mark.parametrize("n, N", [(4, 31), (5, 63)])
 def test_oracle_ramsey_refusal_names_the_request(capsys, n, N):
     # the refusal comes before any class list is built, and names the n
     # and N asked for and the level of 2^n - 1 vertices it would need

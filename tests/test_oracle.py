@@ -32,6 +32,7 @@ from cuberamsey.colored_graph import (
     lower_bound_coloring,
     random_bipartite_blue,
     random_triangle_free_greedy,
+    red_components,
     verify_red_embedding,
 )
 from cuberamsey.dense_embedding import Extended
@@ -42,11 +43,13 @@ from cuberamsey.oracle import (
     RamseyVerdict,
     _child_is_canonical,
     _canonical_children,
+    _canonical_sweep,
     _column,
     _cube_free_level,
     _has_rooted_cube,
     _independent_sets,
     _min_red_cut,
+    _plain_sweep,
     _tied_nodes,
     _tied_prefixes,
     canonical_triangle_free_graphs,
@@ -224,8 +227,9 @@ def test_min_red_cut_against_brute_force():
 
 def test_ramsey_number_of_an_edge():
     # r(K_3, Q_1) = 3: K_2 has an all-blue colouring with no blue
-    # triangle and no red edge, K_3 does not
-    below = exhaustive_ramsey(1, 2)
+    # triangle and no red edge, K_3 does not; the sweep finds it too
+    assert exhaustive_ramsey(1, 2).witness.blue == _canonical_sweep(1, 2).witness.blue
+    below = _canonical_sweep(1, 2)
     assert not below.holds
     w = below.witness
     assert w is not None and is_blue_triangle_free(w)[0]
@@ -235,7 +239,7 @@ def test_ramsey_number_of_an_edge():
 
 def test_ramsey_number_of_a_square():
     # r(K_3, Q_2) = 7 per the exhaustive sweep at 6 and 7
-    below = exhaustive_ramsey(2, 6)
+    below = _canonical_sweep(2, 6)
     assert not below.holds
     w = below.witness
     assert is_blue_triangle_free(w)[0]
@@ -244,19 +248,21 @@ def test_ramsey_number_of_a_square():
 
 
 def test_plain_sweep_matches_brute_force():
-    for n in (1, 2, 3):
-        for N in range(1, 7):
-            v = exhaustive_ramsey(n, N, mode="plain")
+    # the sweep itself, from 2^n vertices on, where a cube fits
+    for n in (1, 2):
+        for N in range(1 << n, 7):
+            v = _plain_sweep(n, N)
             holds, checked, witness = reference_plain_sweep(n, N)
             assert (v.holds, v.checked) == (holds, checked), (n, N)
             assert (v.witness and v.witness.blue) == witness, (n, N)
 
 
 def test_plain_and_canonical_agree():
+    # the two sweeps, from 2^n vertices on, where a cube fits
     for n in (1, 2):
-        for N in (2, 3, 4, 5, 6):
-            a = exhaustive_ramsey(n, N, mode="plain")
-            b = exhaustive_ramsey(n, N, mode="canonical")
+        for N in range(1 << n, 7):
+            a = _plain_sweep(n, N)
+            b = _canonical_sweep(n, N)
             assert a.holds == b.holds, (n, N)
             assert a.mode == "plain" and b.mode == "canonical"
             if not b.holds:
@@ -489,34 +495,42 @@ def test_all_red_shortcut_when_cube_exceeds_graph():
     assert all(m == 0 for m in v.witness.blue)
 
 
-def test_sweeps_below_the_cube_order_build_no_class_list(monkeypatch):
-    # no colouring on fewer than 2^n vertices holds Q_n: at n = 4 and 5
-    # every N below 2^n answers with the edgeless witness, and neither
-    # mode builds a class list
+def test_answers_below_the_lower_bound_build_no_class_list(monkeypatch):
+    # up to N = 2^(n+1) - 2 both modes answer by construction: red
+    # cliques on the first min(N, 2^n - 1) vertices and on the rest,
+    # blue across, edgeless below 2^n, the lower bound's colouring at
+    # 2^(n+1) - 2; nothing is tested and no class list is built
     def no_levels(N):
         raise AssertionError(f"class list built at N = {N}")
 
     monkeypatch.setattr(oracle, "canonical_triangle_free_graphs", no_levels)
-    for n in (4, 5):
-        for N in range(1, 1 << n):
+    for n in range(1, 7):
+        for N in range(1, (2 << n) - 1):
             v = exhaustive_ramsey(n, N, "canonical")
             assert not v.holds and v.checked == 0 and v.mode == "canonical"
-            assert v.witness.n_vertices == N and not any(v.witness.blue)
+            w = v.witness
+            assert w.n_vertices == N and is_blue_triangle_free(w)[0]
+            assert all(c.bit_count() < 1 << n for c in red_components(w))
+            assert (not any(w.blue)) == (N < 1 << n), (n, N)
             if N <= 7:
                 p = exhaustive_ramsey(n, N, "plain")
                 assert p.checked == 1 << comb(N, 2) and p.mode == "plain"
-                assert p.witness.blue == v.witness.blue
+                assert p.witness.blue == w.blue
+        top = exhaustive_ramsey(n, (2 << n) - 2).witness
+        assert top.blue == lower_bound_coloring(n).blue, n
+    # the witness is built from N, not from the lower bound's 2^31 vertices
+    assert exhaustive_ramsey(30, 5).witness.blue == [0] * 5
 
 
 def test_refusal_names_the_request_before_any_class_list(monkeypatch):
-    # from 2^n vertices on, n >= 4 would need every class on 2^n - 1
-    # vertices, past the table: the refusal names n, N and that level,
-    # and no class list is built to find that out
+    # from 2^(n+1) - 1 vertices on, n >= 4 would need every class on
+    # 2^n - 1 vertices, past the table: the refusal names n, N and that
+    # level, and no class list is built to find that out
     def no_levels(N):
         raise AssertionError(f"class list built at N = {N}")
 
     monkeypatch.setattr(oracle, "canonical_triangle_free_graphs", no_levels)
-    for n, N in ((4, 16), (4, 17), (5, 32), (6, 100)):
+    for n, N in ((4, 31), (4, 32), (5, 63), (6, 127)):
         base = (1 << n) - 1
         with pytest.raises(ValueError) as raised:
             exhaustive_ramsey(n, N)
@@ -542,10 +556,11 @@ def test_failed_roots_leave_later_pools():
 def test_refusals():
     with pytest.raises(ValueError):
         exhaustive_ramsey(2, 8, mode="plain")
-    # at n = 4 every N below 2^4 answers at once; from 16 on the sweep
+    # at n = 4 every N up to 30 answers at once; from 31 on the sweep
     # needs the full class list on 15 vertices, tabulated only to N = 9
+    assert not exhaustive_ramsey(4, 30).holds
     with pytest.raises(ValueError, match="tabulated only to N = 9"):
-        exhaustive_ramsey(4, 16)
+        exhaustive_ramsey(4, 31)
     with pytest.raises(ValueError):
         exhaustive_ramsey(0, 3)
     with pytest.raises(ValueError):
@@ -563,23 +578,25 @@ def test_verdict_bookkeeping():
     c = exhaustive_ramsey(1, 3, mode="canonical")
     assert c.checked == 2 and c.mode == "canonical"
     assert exhaustive_ramsey(3, 7, mode="canonical").checked == 0
-    # all 410 classes on 8 vertices, then level 9 up to its witness, the
-    # second child; at n = 2 every child up to the empty level 7
-    assert exhaustive_ramsey(3, 9, mode="canonical").checked == 412
+    # n = 3 answers at 9 by construction; its sweep tests all 410
+    # classes on 8 vertices, then level 9 up to its witness, the second
+    # child; at n = 2 every child up to the empty level 7
+    assert exhaustive_ramsey(3, 9, mode="canonical").checked == 0
+    assert _canonical_sweep(3, 9).checked == 412
     assert exhaustive_ramsey(2, 9, mode="canonical").checked == 14
 
 
 def test_count_check_survives_optimised_mode():
     # python -O strips assert statements; the tabulated class count must
     # still be enforced, so a wrong table has to stop the canonical sweep.
-    # At n = 3 and N = 8 the sweep builds the full class lists up to 7
+    # At n = 3 and N = 15 the sweep builds the full class lists up to 7
     # vertices, level 5 among them
     code = (
         "import cuberamsey.oracle as o\n"
         "if __debug__: raise SystemExit('not optimised')\n"
         "o.TRIANGLE_FREE_GRAPH_COUNTS = (1, 2, 3, 7, 15, 38, 107)\n"
         "try:\n"
-        "    o.exhaustive_ramsey(3, 8, 'canonical')\n"
+        "    o.exhaustive_ramsey(3, 15, 'canonical')\n"
         "except AssertionError as e:\n"
         "    print('refused:', e)\n"
     )
@@ -665,11 +682,33 @@ def test_level_14_at_n_3():
 
 def test_r_k3_q3_is_15():
     # a witness on 14 vertices and none on 15: r(K_3, Q_3) = 15
-    below = exhaustive_ramsey(3, 14, "canonical")
+    below = _canonical_sweep(3, 14)
     assert not below.holds
     assert is_blue_triangle_free(below.witness)[0]
     assert not contains_red_cube(below.witness, 3).found
     assert exhaustive_ramsey(3, 15, "canonical").holds
+
+
+def test_sweep_witnesses_keep_their_order_and_labelling():
+    # the sweep's witness is the first cube-free class of level N in the
+    # order and labelling of the canonical walk, so a change in either
+    # shows here: at N = 9, the second child tested on that level; at
+    # N = 14, the first of the 15 classes
+    v = _canonical_sweep(3, 9)
+    assert v.checked == 412
+    assert v.witness.blue == ColouredGraph.from_blue_edges(9, [
+        (1, 8), (2, 7), (3, 7), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)
+    ]).blue
+    v = _canonical_sweep(3, 14)
+    assert v.checked == 2350
+    assert v.witness.blue == ColouredGraph.from_blue_edges(14, [
+        (0, 9), (0, 10), (0, 11), (0, 12), (0, 13), (1, 8), (1, 10), (1, 11),
+        (1, 12), (1, 13), (2, 7), (2, 9), (2, 10), (2, 11), (2, 12), (2, 13),
+        (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12), (3, 13), (4, 7),
+        (4, 8), (4, 9), (4, 10), (4, 11), (4, 12), (4, 13), (5, 7), (5, 8),
+        (5, 9), (5, 10), (5, 11), (5, 12), (5, 13), (6, 7), (6, 8), (6, 9),
+        (6, 10), (6, 11), (6, 12), (6, 13),
+    ]).blue
 
 
 def test_sweep_far_above_the_empty_level_returns_at_once():
