@@ -672,21 +672,22 @@ def max_balanced_biclique(
 # -- constructions -------------------------------------------------------
 
 
+def two_clique_coloring(N: int, first: int) -> ColouredGraph:
+    """Red cliques on 0..first-1 and first..N-1, blue across, masks shared."""
+    low = (1 << first) - 1
+    blue = [((1 << N) - 1) ^ low] * first + [low] * (N - first)
+    return ColouredGraph(N, blue, validate=False)
+
+
 def lower_bound_coloring(n: int) -> ColouredGraph:
     """Two red cliques of size 2**n - 1 with all cross pairs blue.
 
     The blue graph is complete bipartite, hence triangle free, and every
     red component has fewer than 2**n vertices, so no red n-cube fits.
-    The two adjacency masks are shared across their cliques.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    half = (1 << n) - 1
-    total = 2 * half
-    mask1 = (1 << half) - 1
-    mask2 = ((1 << total) - 1) ^ mask1
-    blue = [mask2] * half + [mask1] * half
-    return ColouredGraph(total, blue, validate=False)
+    return two_clique_coloring(2 * ((1 << n) - 1), (1 << n) - 1)
 
 
 def random_bipartite_blue(

@@ -17,7 +17,13 @@ from math import comb, inf
 from typing import Iterator, Optional, Sequence
 
 from .bits import bit, bits_list, iter_bits
-from .colored_graph import ColouredGraph, first_fit, placed_blue, red_components
+from .colored_graph import (
+    ColouredGraph,
+    first_fit,
+    placed_blue,
+    red_components,
+    two_clique_coloring,
+)
 from .hypercube import bandwidth_order
 
 # unlabeled triangle-free graphs on 1..9 vertices; generation is checked
@@ -267,8 +273,8 @@ def _plain_sweep(n: int, N: int) -> RamseyVerdict:
             red = [full & ~adj[x] & ~(1 << x) for x in range(v)]
             for S in _independent_sets(adj):
                 R = full & ~S  # v's red neighbours
-                # 2^(n+1) - 1 <= N <= 7, so n <= 2: a red edge at v, or
-                # a red 4-cycle through v, some x with two red neighbours in R
+                # 2^n <= N <= 7, so n <= 2: a red edge at v, or a red
+                # 4-cycle through v, some x with two red neighbours in R
                 if R and (n == 1 or any((r & R).bit_count() > 1 for r in red)):
                     continue
                 adj_S = tuple(a | (S >> u & 1) << v for u, a in enumerate(adj))
@@ -569,25 +575,21 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     """Does every red/blue colouring of K_N contain a blue triangle or a
     red n-cube?
 
-    The plain mode needs N <= 7.  Up to N = 2^(n+1) - 2 both modes
-    answer at once, building no class list, with the witness of Burr and
-    Erdos: red cliques on the first min(N, 2^n - 1) vertices and on the
-    rest, blue across (all red below 2^n).  Its blue graph is bipartite
-    and no red component reaches 2^n vertices.  From 2^(n+1) - 1 on, the
-    plain mode covers every labelled colouring but grows only those with
-    neither, one vertex at a time (``_plain_sweep``).  The canonical mode
-    grows, level by level, only the canonical triangle-free classes with
-    no red Q_n (``_cube_free_level``), and walks level N until its first
-    such class, the witness; an empty level ends the growth, so every N
-    above it holds at once.  At n <= 3 it answers every N (r(K_3, Q_3) =
-    15 in about 1.2 s on 2 cores, Python 3.11); at n >= 4 it would need
-    the class list on 2^n - 1 vertices, past the table, and refuses up
-    front, naming n, N and that level; the plain mode refuses N > 7,
-    naming the number of colourings.  ``checked`` counts the colourings
-    in the plain mode, and in the canonical mode the canonical children
-    tested for a red Q_n, 0 up to 2^(n+1) - 2 (``RamseyVerdict``).
-    Levels are generated on first use and kept for the life of the
-    process, so a later sweep at that n pays only for level N's walk.
+    Up to N = 2^(n+1) - 2 both modes answer at once, building no class
+    list (``checked`` 0 in the canonical mode), with Burr and Erdos's
+    ``two_clique_coloring``: red cliques on min(N, 2^n - 1) vertices and
+    on the rest, blue across, so blue is bipartite and every red
+    component has under 2^n vertices.  From 2^(n+1) - 1 on, the plain
+    mode (N <= 7) covers every labelled colouring but grows only those
+    with neither, one vertex at a time (``_plain_sweep``).  The canonical
+    mode grows, level by level, only the triangle-free classes with no
+    red Q_n (``_cube_free_level``) and walks level N to its first such
+    class, the witness; an empty level ends the growth, so every N above
+    it holds at once.  At n <= 3 it answers every N (r(K_3, Q_3) = 15 in
+    about 1.2 s on 2 cores, Python 3.11); at n >= 4 it would need the
+    class list on 2^n - 1 vertices, past the table.  What it cannot
+    answer is refused up front, naming why; levels are kept, so a later
+    sweep at that n walks only level N.
     """
     if n < 1:
         raise ValueError("cube dimension must be positive")
@@ -603,11 +605,8 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
             f"use canonical mode"
         )
     if N <= (2 << n) - 2:
-        half = min(N, (1 << n) - 1)
-        low = (1 << half) - 1
-        blue = [((1 << N) - 1) ^ low] * half + [low] * (N - half)
-        checked = 1 << comb(N, 2) if mode == "plain" else 0
-        return RamseyVerdict(n, N, ColouredGraph(N, blue, validate=False), checked, mode)
+        G = two_clique_coloring(N, min(N, (1 << n) - 1))
+        return RamseyVerdict(n, N, G, 1 << comb(N, 2) if mode == "plain" else 0, mode)
     if mode == "plain":
         return _plain_sweep(n, N)
     base, top = (1 << n) - 1, len(TRIANGLE_FREE_GRAPH_COUNTS)

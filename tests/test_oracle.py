@@ -580,9 +580,14 @@ def test_verdict_bookkeeping():
     assert exhaustive_ramsey(3, 7, mode="canonical").checked == 0
     # n = 3 answers at 9 by construction; its sweep tests all 410
     # classes on 8 vertices, then level 9 up to its witness, the second
-    # child; at n = 2 every child up to the empty level 7
+    # child, in the order and labelling of the canonical walk; at n = 2
+    # every child up to the empty level 7
     assert exhaustive_ramsey(3, 9, mode="canonical").checked == 0
-    assert _canonical_sweep(3, 9).checked == 412
+    v = _canonical_sweep(3, 9)
+    assert v.checked == 412
+    assert v.witness.blue == ColouredGraph.from_blue_edges(9, [
+        (1, 8), (2, 7), (3, 7), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)
+    ]).blue
     assert exhaustive_ramsey(2, 9, mode="canonical").checked == 14
 
 
@@ -681,27 +686,14 @@ def test_level_14_at_n_3():
 
 
 def test_r_k3_q3_is_15():
-    # a witness on 14 vertices and none on 15: r(K_3, Q_3) = 15
+    # a witness on 14 vertices and none on 15: r(K_3, Q_3) = 15.  The
+    # sweep's witness is the first of the 15 classes on 14 vertices, in
+    # the order and labelling of the canonical walk
     below = _canonical_sweep(3, 14)
-    assert not below.holds
+    assert not below.holds and below.checked == 2350
     assert is_blue_triangle_free(below.witness)[0]
     assert not contains_red_cube(below.witness, 3).found
-    assert exhaustive_ramsey(3, 15, "canonical").holds
-
-
-def test_sweep_witnesses_keep_their_order_and_labelling():
-    # the sweep's witness is the first cube-free class of level N in the
-    # order and labelling of the canonical walk, so a change in either
-    # shows here: at N = 9, the second child tested on that level; at
-    # N = 14, the first of the 15 classes
-    v = _canonical_sweep(3, 9)
-    assert v.checked == 412
-    assert v.witness.blue == ColouredGraph.from_blue_edges(9, [
-        (1, 8), (2, 7), (3, 7), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)
-    ]).blue
-    v = _canonical_sweep(3, 14)
-    assert v.checked == 2350
-    assert v.witness.blue == ColouredGraph.from_blue_edges(14, [
+    assert below.witness.blue == ColouredGraph.from_blue_edges(14, [
         (0, 9), (0, 10), (0, 11), (0, 12), (0, 13), (1, 8), (1, 10), (1, 11),
         (1, 12), (1, 13), (2, 7), (2, 9), (2, 10), (2, 11), (2, 12), (2, 13),
         (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12), (3, 13), (4, 7),
@@ -709,6 +701,7 @@ def test_sweep_witnesses_keep_their_order_and_labelling():
         (5, 9), (5, 10), (5, 11), (5, 12), (5, 13), (6, 7), (6, 8), (6, 9),
         (6, 10), (6, 11), (6, 12), (6, 13),
     ]).blue
+    assert exhaustive_ramsey(3, 15, "canonical").holds
 
 
 def test_sweep_far_above_the_empty_level_returns_at_once():
