@@ -136,15 +136,16 @@ def extend_or_clean(
     (a red clique, since blue is triangle free), or the cleaned set.
 
     The step checks none of its hypotheses: ``dense_embed``, its one
-    caller, checks them once on the host and the schedule, and its loop
+    caller, checks them once on its pool and the schedule, and its loop
     keeps them.  The schedule gives 1 <= a and b <= n with every entry's
     codimension at most b; y is the first cell of codimension b outside
-    every entry's subcube; ``centres`` is ``H.blue_at_least(2^(n-b+1))``,
-    the vertices whose blue neighbourhood can hold a candidate set; A
+    every entry's subcube; ``centres`` is the pool's part of
+    ``H.blue_at_least(2^(n-b+1))``, a superset of the vertices whose blue
+    neighbourhood in A can hold a candidate set; A lies in the pool,
     loses each new entry's members and cleaning only shrinks it, so A
     misses every candidate set; the max-degree check, and after it each
-    cleaned set, caps every blue degree into A at 2^(n-a); and the loop
-    stops once the cube is covered.
+    cleaned set, caps every pool vertex's blue degree into A at 2^(n-a);
+    and the loop stops once the cube is covered.
 
     Cost: y and ``centres`` depend only on the pass, and an entry's
     reach only on the entry, so the loop derives each once.  Only
@@ -210,29 +211,35 @@ class ThresholdSchedule:
 
 
 def dense_embed(
-    H: ColouredGraph,
+    G: ColouredGraph,
+    pool: int,
     n: int,
     gamma,
     schedule: ThresholdSchedule,
 ) -> dict[int, int]:
-    """Embed all of Q_n into H along a grown list of assignment entries.
+    """Embed all of Q_n into the vertex mask ``pool`` of G along a grown
+    list of assignment entries.
 
-    H must be blue triangle free with every blue degree at most
-    2^(n - b_0) and at least ceil((1+3*gamma)*2^n) vertices, and the last
-    threshold must satisfy b_{k+1} + 1 <= n.  Cube vertices left outside
-    the assigned subcubes are embedded greedily, in bandwidth order, into
-    the final cleaned set (``complete_greedily``).
+    G must be blue triangle free, the pool must hold at least
+    ceil((1+3*gamma)*2^n) vertices, each with at most 2^(n - b_0) blue
+    neighbours in the pool, and the last threshold must satisfy
+    b_{k+1} + 1 <= n.  Cube vertices left outside the assigned subcubes
+    are embedded greedily, in bandwidth order, into the final cleaned
+    set (``complete_greedily``).  The map's images are vertices of G in
+    the pool.
 
     This is the dense route's one checkpoint: gamma must lie in (0, 1)
-    (a ValueError, raised first), and each hypothesis above is checked
-    here, once, as a ``HypothesisError``.  The steps it calls,
-    ``extend_or_clean`` and ``embed_partial_assignment``, check none.
+    and the pool in 0..N-1 (ValueErrors, raised first), and each
+    hypothesis above is checked here, once, as a ``HypothesisError``;
+    the witness of the degree cap is the pool's first vertex over it.
+    The steps it calls, ``extend_or_clean`` and
+    ``embed_partial_assignment``, check none.
 
-    Cost, beyond the hypothesis checks (the degree index, and
-    ``is_blue_triangle_free``, which reads the verdict that an H copied
-    by ``induced`` out of a checked host inherits) and one
-    ``extend_or_clean`` per extension or cleaning, whose N-bit work is
-    per touching candidate set, not per entry.  Each pass derives its
+    Cost, beyond the hypothesis checks (one N-bit AND per pool vertex
+    whose whole blue degree exceeds the cap, and
+    ``is_blue_triangle_free``, which reads the verdict kept on G) and
+    one ``extend_or_clean`` per extension or cleaning, whose N-bit work
+    is per touching candidate set, not per entry.  Each pass derives its
     facts once: one ``complement_cells`` walk yields the free cells in
     turn, and one ``blue_at_least`` gives the vertices that can centre a
     candidate set; each entry's reach is built when it is made.  The
@@ -246,33 +253,36 @@ def dense_embed(
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if pool >> G.n_vertices:
+        raise ValueError(f"the pool must lie in 0..{G.n_vertices - 1}")
     if schedule.b[-1] + 1 > n:
         raise HypothesisError(
             "schedule-depth",
             f"b_k+1 + 1 = {schedule.b[-1] + 1} exceeds the dimension {n}",
         )
     need = ceil((1 + 3 * gamma) * (1 << n))
-    if H.n_vertices < need:
+    if (size := pool.bit_count()) < need:
         raise HypothesisError(
             "order",
-            f"host has {H.n_vertices} vertices, needs {need}",
+            f"host has {size} vertices, needs {need}",
         )
     cap = 1 << (n - schedule.b[0])
-    if over := H.blue_at_least(cap + 1):
-        v = (over & -over).bit_length() - 1
-        raise HypothesisError(
-            "max-degree",
-            f"vertex {v} has blue degree {H.blue_degrees()[v]}, "
-            f"above 2^(n - b_0) = {cap}",
-            witness=v,
-        )
-    require_blue_triangle_free(H)
+    # a vertex of whole blue degree at most the cap has at most the cap
+    # into the pool
+    for v in iter_bits(G.blue_at_least(cap + 1) & pool):
+        if (d := (G.blue[v] & pool).bit_count()) > cap:
+            raise HypothesisError(
+                "max-degree",
+                f"vertex {v} has blue degree {d}, above 2^(n - b_0) = {cap}",
+                witness=v,
+            )
+    require_blue_triangle_free(G)
 
     # the partial assignment; order matters, since the cross-degree
     # condition bounds each later candidate set's blue degree into every
     # earlier, cube-adjacent one
     entries: list[AssignmentEntry] = []
-    A = H.full_mask
+    A = pool
     # bit z of ``covered`` marks cube vertex z as inside an assigned subcube
     covered = 0
     full_cube = (1 << (1 << n)) - 1
@@ -289,9 +299,10 @@ def dense_embed(
         # one; the loop runs only while a cube vertex is uncovered, so
         # there is one
         cells = complement_cells([e.subcube for e in entries], n, bb)
-        centres = H.blue_at_least(1 << (n - bb + 1))
+        # a vertex with fewer blue neighbours in G than that has fewer in A
+        centres = G.blue_at_least(1 << (n - bb + 1)) & pool
         while covered != full_cube:
-            step = extend_or_clean(H, entries, A, a, next(cells), n, gamma, centres)
+            step = extend_or_clean(G, entries, A, a, next(cells), n, gamma, centres)
             if isinstance(step, Extended):
                 entries.append(step.entry)
                 A &= ~step.entry.mask
@@ -300,10 +311,10 @@ def dense_embed(
                 A = step.mask
                 break
 
-    phi = embed_partial_assignment(H, entries, n)
+    phi = embed_partial_assignment(G, entries, n)
     residual = bits_list(full_cube & ~covered)
     try:
-        return complete_greedily(H, n, phi, A, bandwidth_order(residual))
+        return complete_greedily(G, n, phi, A, bandwidth_order(residual))
     except StageFailure as e:
         e.data.update(passes=passes_run, extensions=len(entries))
         raise

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .bits import bits_list, iter_bits, mask_of
+from .bits import iter_bits, mask_of
 from .colored_graph import (
     ColouredGraph,
     require_blue_triangle_free,
@@ -117,9 +117,8 @@ def _solve_dense(
         for v in iter_bits(G.blue_at_least(cutoff) & C_mask)
         if (G.blue[v] & C_mask).bit_count() >= cutoff
     )
-    H, order = G.induced(bits_list(C_mask & ~drop))
     try:
-        phi_h = dense_embed(H, n, params.gamma, params.schedule)
+        return dense_embed(G, C_mask & ~drop, n, params.gamma, params.schedule)
     except HypothesisError as e:
         if e.hypothesis != "order":
             raise
@@ -129,7 +128,6 @@ def _solve_dense(
             f"the dense route ran out of vertices: {e.details}",
             data={"hypothesis": e.hypothesis, "details": e.details},
         ) from e
-    return {z: order[w] for z, w in phi_h.items()}
 
 
 def _solve_snakes(G: ColouredGraph, n: int, dec: Decomposition) -> dict[int, int]:

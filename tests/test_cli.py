@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import all_red_graph
+from cuberamsey import cli
 from cuberamsey.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
@@ -18,6 +19,7 @@ from cuberamsey.cli import (
 )
 from cuberamsey.colored_graph import (
     ColouredGraph,
+    Verdict,
     is_blue_triangle_free,
     random_bipartite_blue,
 )
@@ -197,6 +199,40 @@ def test_decompose_rejects_blue_triangle(tmp_path, capsys):
     a, b, c = payload["witness"]
     assert G.is_blue(a, b) and G.is_blue(a, c) and G.is_blue(b, c)
     assert not cert.exists()
+
+
+def test_decompose_reports_a_rejected_certificate(tmp_path, capsys, monkeypatch):
+    # a certificate that the verifier rejects is the construction's
+    # failure: exit 3 with the verifier's errors, and no certificate
+    monkeypatch.setattr(cli, "verify_decomposition", lambda G, dec: Verdict(["forged"]))
+    g = tmp_path / "g.txt"
+    cert = tmp_path / "dec.json"
+    with open(g, "w") as f:
+        all_red_graph(16).to_text(f)
+    code, out = _run(capsys, "decompose", "--in", str(g), "--n", "2",
+                     "--cert-out", str(cert))
+    assert code == EXIT_STAGE
+    assert _last_json(out) == {
+        "status": "stage-failure",
+        "stage": "decomposition-verification",
+        "details": "forged",
+        "data": {"errors": ["forged"]},
+    }
+    assert not cert.exists()
+
+
+def test_check_reads_the_graph_from_stdin(tmp_path, capsys, monkeypatch):
+    # --in - reads the host from standard input, as a file would be read
+    g = tmp_path / "g.txt"
+    with open(g, "w") as f:
+        ColouredGraph.from_blue_edges(6, [(0, 3), (1, 4), (2, 5), (0, 4)]).to_text(f)
+    code, from_file = _run(capsys, "check", "--in", str(g))
+    assert code == EXIT_OK
+    monkeypatch.setattr("sys.stdin", io.StringIO(g.read_text()))
+    code, from_stdin = _run(capsys, "check", "--in", "-")
+    assert code == EXIT_OK
+    assert _last_json(from_stdin) == _last_json(from_file)
+    assert _last_json(from_stdin)["blue_edges"] == 4
 
 
 def test_oracle_ramsey_payloads(capsys):

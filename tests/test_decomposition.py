@@ -64,6 +64,12 @@ def test_desk_preset_values():
         assert p.lam == 2 and p.mu == 2
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_desk_preset_refuses_nonpositive_dimension(n):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        DecompositionParams.desk(n)
+
+
 def test_gap_threshold_hand_cases():
     p = DecompositionParams(m=4, s_lo=4, s_hi=16, lam=2, mu=2)
     assert select_gap_threshold([3, 5], p) == 16

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from helpers import (
     reference_embed_partial_assignment,
     reference_verify_errors,
 )
-from cuberamsey.bits import bit, bits_list, mask_of
+from cuberamsey.bits import bit, bits_list, iter_bits, mask_of
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_bipartite_blue,
@@ -62,7 +63,8 @@ def test_partial_assignment_validates_gamma():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense_embedding, "extend_or_clean", spy)
-        dense_embed(all_red_graph(16), 2, 0.25, ThresholdSchedule((1, 1)))
+        G = all_red_graph(16)
+        dense_embed(G, G.full_mask, 2, 0.25, ThresholdSchedule((1, 1)))
     assert seen and all(type(g) is Fraction and g == Fraction(1, 4) for g in seen)
 
 
@@ -72,7 +74,7 @@ def test_dense_embed_refuses_gamma_before_its_hypotheses(gamma):
     # hypothesis, yet the gamma refusal comes first
     G = all_red_graph(1)
     with pytest.raises(ValueError) as e:
-        dense_embed(G, 2, gamma, ThresholdSchedule((2, 3)))
+        dense_embed(G, G.full_mask, 2, gamma, ThresholdSchedule((2, 3)))
     assert str(e.value) == f"gamma must lie in (0, 1), got {gamma}"
 
 
@@ -298,23 +300,31 @@ def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
     else:
         G = random_bipartite_blue(N, rng.choice([0.02, 0.05, 0.2]), rng)
     params = SolverParams.desk(n)
+    pools = []
+
+    def pooled(G, pool, *args):
+        pools.append(pool)
+        return dense_embed(G, pool, *args)
 
     def checked(H, entries, A, a, y, n, gamma, centres):
+        pool = pools[-1]
         cap = 1 << (n - a)
         b = y.codim
         assert 1 <= a and 1 <= b <= n, "threshold-range"
         assert all(e.codim <= b for e in entries), "codimension-order"
         # the pass's walk hands over the first free cell, and its centres
-        # are the vertices that can hold a candidate set at codimension b
+        # are the pool's vertices that can hold a candidate set at
+        # codimension b, read off their blue degrees in the host
         assert y == next(complement_cells([e.subcube for e in entries], n, b)), "free-cell"
-        assert centres == H.blue_at_least(1 << (n - b + 1)), "centres"
+        assert centres == H.blue_at_least(1 << (n - b + 1)) & pool, "centres"
         # each entry's reach was built from its members when it was made
         assert all(e.reach == mask_of(w for u in e.members for w in bits_list(H.blue[u]))
                    for e in entries), "reach"
-        # A misses every entry's members, so complete_greedily can walk
-        # A itself
+        # A lies in the pool and misses every entry's members, so
+        # complete_greedily can walk A itself
+        assert A & ~pool == 0, "active-pool"
         assert not any(A & e.mask for e in entries), "active-overlap"
-        assert all((m & A).bit_count() <= cap for m in H.blue), "active-degree"
+        assert all((H.blue[v] & A).bit_count() <= cap for v in iter_bits(pool)), "active-degree"
         # the entries' subcubes are disjoint (clause c), so they cover
         # the cube exactly when their sizes sum to 2^n
         assert sum(1 << (n - e.codim) for e in entries) < 1 << n, "cube-covered"
@@ -328,9 +338,10 @@ def test_dense_embed_keeps_every_step_hypothesis(n, kind, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dense_embedding, "extend_or_clean", checked)
+        mp.setattr(solver, "dense_embed", pooled)
         for run in (
             lambda: solve(G, n, params),
-            lambda: dense_embed(G, n, params.gamma, params.schedule),
+            lambda: pooled(G, G.full_mask, n, params.gamma, params.schedule),
         ):
             try:
                 run()
@@ -345,6 +356,10 @@ def _dense_outcome(embed, H, n, params):
         return type(e).__name__, str(e), getattr(e, "data", None), getattr(e, "witness", None)
 
 
+def _on_host(G, n, gamma, schedule):
+    return dense_embed(G, G.full_mask, n, gamma, schedule)
+
+
 def _dense_host(n, kind, rng):
     """A greedy or bipartite host at the order ``solve`` needs for n,
     1.25 * 2^(n+1)."""
@@ -356,15 +371,17 @@ def _dense_host(n, kind, rng):
 
 def _same_as_reference(G, n):
     """``dense_embed`` and ``reference_dense_embed`` agree on G and on the
-    host that ``solve`` hands the dense route; returns the extensions
-    made on the latter, or None where ``solve`` took the other route."""
+    copy of the pool that ``solve`` hands the dense route; returns the
+    extensions made on the latter, or None where ``solve`` took the
+    other route."""
     params = SolverParams.desk(n)
-    assert _dense_outcome(dense_embed, G, n, params) == _dense_outcome(
+    assert _dense_outcome(_on_host, G, n, params) == _dense_outcome(
         reference_dense_embed, G, n, params
     )
     extensions = []
 
-    def compare(H, n, gamma, schedule):
+    def compare(G, pool, n, gamma, schedule):
+        H, _ = G.induced(bits_list(pool))
         steps = []
 
         def count(*args):
@@ -374,10 +391,10 @@ def _same_as_reference(G, n):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense_embedding, "extend_or_clean", count)
-            got = _dense_outcome(dense_embedding.dense_embed, H, n, params)
+            got = _dense_outcome(_on_host, H, n, params)
         assert got == _dense_outcome(reference_dense_embed, H, n, params)
         extensions.append(sum(steps))
-        return dense_embedding.dense_embed(H, n, gamma, schedule)
+        return dense_embed(G, pool, n, gamma, schedule)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "dense_embed", compare)
@@ -386,6 +403,66 @@ def _same_as_reference(G, n):
         except (HypothesisError, StageFailure):
             pass
     return extensions[0] if extensions else None
+
+
+def _labelled_outcome(run, label):
+    """The map of ``run()``, or its failure's kind, tag, message, witness
+    and data, with every host vertex named through ``label``."""
+    try:
+        return sorted((z, label(v)) for z, v in run().items())
+    except HypothesisError as e:
+        details, witness = e.details, e.witness
+        if e.hypothesis == "max-degree":
+            details = details.replace(f"vertex {witness} ", f"vertex {label(witness)} ", 1)
+            witness = label(witness)
+        return "hypothesis", e.hypothesis, details, witness
+    except StageFailure as e:
+        data = dict(e.data)
+        if "entry" in data:
+            entry = data["entry"]
+            data["entry"] = entry.subcube, tuple(map(label, entry.members))
+        return "stage", e.stage, e.details, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    kind=st.sampled_from(["greedy", "bipartite"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_embed_on_a_pool_matches_the_copied_pool(n, kind, seed):
+    # the dense route works on the host itself: on a pool of G it gives
+    # the map, or the failure, that it gives on the pool copied out of G
+    # by induced, with the copy's vertices read back through its order.
+    # The pools are random ones of at least the order bound, and the one
+    # solve hands over, the sparse part C less its high-degree vertices
+    rng = random.Random(seed)
+    G = _dense_host(n, kind, rng)
+    params = SolverParams.desk(n)
+    gamma, schedule = params.gamma, params.schedule
+    need = ceil((1 + 3 * gamma) * (1 << n))
+    pools = [
+        mask_of(rng.sample(range(G.n_vertices), rng.randint(need, G.n_vertices)))
+        for _ in range(2)
+    ]
+
+    def record(G, pool, *args):
+        pools.append(pool)
+        return dense_embed(G, pool, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "dense_embed", record)
+        try:
+            solve(G, n, params)
+        except (HypothesisError, StageFailure):
+            pass
+    for pool in pools:
+        H, order = G.induced(bits_list(pool))
+        assert _labelled_outcome(
+            lambda: dense_embed(G, pool, n, gamma, schedule), lambda v: v
+        ) == _labelled_outcome(
+            lambda: dense_embed(H, H.full_mask, n, gamma, schedule), order.__getitem__
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,25 +506,38 @@ def test_threshold_schedule_validation():
 def test_dense_embed_all_red():
     for n, sched in ((2, (1, 1)), (3, (1, 1, 2)), (4, (1, 1, 2))):
         G = all_red_graph(2 << n)
-        phi = dense_embed(G, n, Fraction(1, 4), ThresholdSchedule(sched))
+        phi = dense_embed(G, G.full_mask, n, Fraction(1, 4), ThresholdSchedule(sched))
         assert verify_red_embedding(G, n, phi).ok
 
 
 def test_dense_embed_hypothesis_errors():
     sched = ThresholdSchedule((1, 1, 2))
     with pytest.raises(HypothesisError) as e:
-        dense_embed(all_red_graph(4), 3, Fraction(1, 4), sched)
+        dense_embed(all_red_graph(4), 0b1111, 3, Fraction(1, 4), sched)
     assert e.value.hypothesis == "order"
+    # the order is the pool's: 13 of 16 vertices fall short of 14 at n = 3
+    G = all_red_graph(16)
     with pytest.raises(HypothesisError) as e:
-        dense_embed(all_red_graph(16), 2, Fraction(1, 4), sched)
+        dense_embed(G, G.full_mask >> 3, 3, Fraction(1, 4), ThresholdSchedule((1, 2)))
+    assert (e.value.hypothesis, e.value.details) == ("order", "host has 13 vertices, needs 14")
+    with pytest.raises(HypothesisError) as e:
+        dense_embed(G, G.full_mask, 2, Fraction(1, 4), sched)
     assert e.value.hypothesis == "schedule-depth"
+    with pytest.raises(ValueError, match="pool must lie in 0..15"):
+        dense_embed(G, 1 << 16, 2, Fraction(1, 4), ThresholdSchedule((1, 1)))
+    # blue degrees are read into the pool: vertex 0 has three blue
+    # neighbours in G, and two of them, within the cap, without vertex 3
     hub = ColouredGraph.from_blue_edges(16, [(0, v) for v in range(1, 4)])
     with pytest.raises(HypothesisError) as e:
-        dense_embed(hub, 2, Fraction(1, 4), ThresholdSchedule((1, 1)))
-    assert e.value.hypothesis == "max-degree"
+        dense_embed(hub, hub.full_mask, 2, Fraction(1, 4), ThresholdSchedule((1, 1)))
+    assert (e.value.hypothesis, e.value.witness) == ("max-degree", 0)
+    pool = hub.full_mask & ~bit(3)
+    phi = dense_embed(hub, pool, 2, Fraction(1, 4), ThresholdSchedule((1, 1)))
+    assert verify_red_embedding(hub, 2, phi).ok
+    assert all((pool >> v) & 1 for v in phi.values())
     tri = ColouredGraph.from_blue_edges(32, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(HypothesisError) as e:
-        dense_embed(tri, 3, Fraction(1, 4), ThresholdSchedule((2, 2)))
+        dense_embed(tri, tri.full_mask, 3, Fraction(1, 4), ThresholdSchedule((2, 2)))
     assert e.value.hypothesis == "triangle-free"
 
 
@@ -460,7 +550,7 @@ def test_dense_embed_sparse_random_hosts():
         cap = 1 << (n - 2)
         if any(m.bit_count() > cap for m in G.blue):
             continue
-        phi = dense_embed(G, n, Fraction(1, 4), sched)
+        phi = dense_embed(G, G.full_mask, n, Fraction(1, 4), sched)
         assert verify_red_embedding(G, n, phi).ok
 
 

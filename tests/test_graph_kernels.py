@@ -682,44 +682,12 @@ def test_find_red_clique_and_induced_match_peeling_copies(case):
 
 
 def _assert_induced_copy(G: ColouredGraph, vs) -> ColouredGraph:
-    """``G.induced(vs)`` against the per-vertex copy, with the degrees it
-    counts for the subgraph and the classes and member masks that the
-    subgraph's index builds on them."""
+    """``G.induced(vs)`` against the per-vertex copy, with the degrees,
+    classes and member masks that the subgraph's index builds."""
     H, order = G.induced(vs)
     assert (H.blue, order) == reference_induced(G, vs)
     _assert_classes_match_masks(H, "blue_degrees")
     return H
-
-
-@settings(max_examples=80, deadline=None)
-@given(hosts(), st.booleans(), st.data())
-def test_induced_inherits_only_a_triangle_free_verdict(host, checked, data):
-    # a subgraph of a G checked triangle free reads the verdict and walks
-    # nothing; one of an unchecked G, or of a G with a blue triangle, is
-    # checked in full.  The keep sets are all of G, G less a few vertices
-    # (few runs, some cutting blue edges) and a random half
-    G, _ = host
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    N = G.n_vertices
-    if checked:
-        verdict = is_blue_triangle_free(G)
-    inherits = checked and verdict[0]
-    less = set(rng.sample(range(N), rng.randrange(1, 4)))
-    walked = []
-    walk = colored_graph._first_blue_triangle
-
-    def counted(H):
-        walked.append(H)
-        return walk(H)
-
-    for vs in (range(N), [v for v in range(N) if v not in less], rng.sample(range(N), N // 2)):
-        H = _assert_induced_copy(G, vs)
-        walked.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(colored_graph, "_first_blue_triangle", counted)
-            got = is_blue_triangle_free(H)
-        assert got == reference_is_blue_triangle_free(H)
-        assert walked == ([] if inherits else [H])
 
 
 @pytest.mark.parametrize("vs", [[-1], [0, 5, -1], [8], [3, 8]])
@@ -851,7 +819,7 @@ def _matching_host(N: int, rng) -> ColouredGraph:
 
 def test_degree_one_hosts_read_neighbours_by_bit_length(monkeypatch):
     # every vertex has blue degree 1, and N >= 256 keeps every pick light:
-    # the sweep, the copy and the verifier never list a neighbourhood
+    # the sweep and the verifier never list a neighbourhood
     def never(mask, k):
         raise AssertionError("counted_bits called")
 

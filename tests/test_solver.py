@@ -17,6 +17,7 @@ from helpers import (
     two_clique_linked_graph,
     two_clique_linked_shuffled,
 )
+from cuberamsey.bits import bits_list
 from cuberamsey.colored_graph import (
     ColouredGraph,
     random_bipartite_blue,
@@ -318,9 +319,9 @@ def test_solve_dense_cuts_vertices_at_the_degree_cutoff(monkeypatch):
     edges = [(0, 10 + i) for i in range(cut)] + [(1, 30 + i) for i in range(cut - 1)]
     G = ColouredGraph.from_blue_edges(64, edges)
     dec = decomposition_of(64, params.decomp)
-    # an identity embedding of the induced subgraph reads back its order
+    # an embedding onto the whole pool reads back the pool
     monkeypatch.setattr(
-        solver, "dense_embed", lambda H, *args: {w: w for w in range(H.n_vertices)}
+        solver, "dense_embed", lambda G, pool, *args: dict(enumerate(bits_list(pool)))
     )
     assert sorted(solver._solve_dense(G, n, params, dec).values()) == list(range(1, 64))
 
@@ -386,6 +387,21 @@ def test_solve_maps_and_certificates_match_golden_hashes(n, seed):
         for text in (json.dumps(sorted(phi.items())), legacy_certificate_json(dec), dec.to_json())
     )
     assert got == GOLDEN[n, seed]
+
+
+def test_solve_never_copies_the_host(monkeypatch):
+    # the dense route embeds into a vertex mask of the host itself: with
+    # ``induced`` refusing to run, every golden host still gets its map
+    def refuse(self, vertices):
+        raise AssertionError("solve copied a subgraph out of the host")
+
+    monkeypatch.setattr(ColouredGraph, "induced", refuse)
+    for n, seed in sorted(GOLDEN):
+        N = 1 << (n + 2)
+        G = random_triangle_free_greedy(N, 2 * N, random.Random(f"golden/{n}/{seed}"))
+        phi = solve(G, n, SolverParams.desk(n))
+        got = hashlib.sha256(json.dumps(sorted(phi.items())).encode()).hexdigest()
+        assert got == GOLDEN[n, seed][0]
 
 
 # sha256 of the solve map and of the ``to_json`` certificate on hosts that
