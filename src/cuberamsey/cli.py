@@ -248,7 +248,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_ramsey(args) -> int:
     try:
-        verdict = exhaustive_ramsey(args.n, args.N, mode=args.mode)
+        verdict = exhaustive_ramsey(args.n, args.N)
     except ValueError as e:
         _emit({"status": "refused", "message": str(e)})
         return EXIT_PARSE
@@ -258,7 +258,6 @@ def _cmd_oracle_ramsey(args) -> int:
         "N": verdict.N,
         "holds": verdict.holds,
         "checked": verdict.checked,
-        "mode": verdict.mode,
     }
     if verdict.witness is not None:
         payload["witness_blue_edges"] = [
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="inspect a colouring, optionally an embedding")
     p.add_argument("--in", dest="infile", required=True, help="graph file, - for stdin")
     p.add_argument("--embedding", help="embedding file to verify against the graph")
-    p.add_argument("--n", type=_at_least(0), help="cube dimension of the embedding")
+    p.add_argument("--n", type=_at_least(1), help="cube dimension of the embedding")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="split into a sparse part and snakes")
@@ -395,14 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("ramsey", help="blue K_3 or red Q_n in every colouring of K_N?")
     q.add_argument("--n", type=_at_least(1), required=True, help="cube dimension")
     q.add_argument("--N", type=int, required=True, help="complete graph size")
-    q.add_argument(
-        "--mode", choices=["auto", "plain", "canonical"], default="auto"
-    )
     q.set_defaults(func=_cmd_oracle_ramsey)
 
     q = osub.add_parser("contains-cube", help="search one graph for a red cube")
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--n", type=_at_least(0), required=True)
+    q.add_argument("--n", type=_at_least(1), required=True)
     q.set_defaults(func=_cmd_oracle_contains_cube)
 
     p = sub.add_parser(

@@ -1,19 +1,17 @@
 """Exhaustive ground truth for small cases.
 
 Nothing here scales; everything here is trusted.  A first-fit walk, then
-a depth-first search, finds red cubes in arbitrary colourings, and two
-modes sweep every 2-colouring of a small complete graph: a plain sweep
-that grows, vertex by vertex, only the labelled colourings with neither
-a blue triangle nor a red Q_n, and a sweep over canonical triangle-free
-blue graphs only, one per isomorphism class, that grows only the classes
-with no red Q_n.
+a depth-first search, finds red cubes in arbitrary colourings, and one
+sweep decides every 2-colouring of a small complete graph: it runs over
+canonical triangle-free blue graphs only, one per isomorphism class, and
+grows only the classes with no red Q_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, inf
+from math import inf
 from typing import Iterator, Optional, Sequence
 
 from .bits import bit, bits_list, iter_bits
@@ -229,17 +227,16 @@ class RamseyVerdict:
     ``witness`` is a colouring of K_N with neither a blue triangle nor a
     red n-cube, or None; ``holds``, that every colouring has one or the
     other, is derived: it means there is no witness.  ``checked`` counts
-    colourings for the plain mode.  For the canonical mode it counts the
-    canonical children that the sweep tested for a red Q_n, over the
+    the canonical children that the sweep tested for a red Q_n, over the
     levels 2^n..N: every child on the levels below N, and on level N
-    those up to the witness (0 when N <= 2^(n+1) - 2: nothing is tested).
+    those up to the witness (0 when N <= 2^(n+1) - 2: the answer is
+    built, and nothing is tested).
     """
 
     n: int
     N: int
     witness: Optional[ColouredGraph]
     checked: int
-    mode: str
 
     @property
     def holds(self) -> bool:
@@ -252,36 +249,6 @@ def _independent_sets(adj) -> list[int]:
     for u, a in enumerate(adj):
         sets += [S | 1 << u for S in sets if not a & S]
     return sets
-
-
-def _plain_sweep(n: int, N: int) -> RamseyVerdict:
-    """Every labelled colouring of K_N, grown vertex by vertex.
-
-    No blue triangle and no red Q_n both pass to induced colourings, and
-    all pairs into v come after those among 0..v-1.  So a colouring of
-    K_(v+1) with neither is one of K_v with neither, with code c, plus a
-    blue neighbourhood S of v, independent there, that puts no red Q_n
-    through v: code ``c | S << v(v-1)/2``.  Only those are grown; the
-    witness is the colouring of the least code left at N, built from the
-    blue masks grown with it.
-    """
-    level = [(0, ())]  # (code, blue masks)
-    for v in range(N):
-        full = (1 << v) - 1
-        grown = []
-        for code, adj in level:
-            red = [full & ~adj[x] & ~(1 << x) for x in range(v)]
-            for S in _independent_sets(adj):
-                R = full & ~S  # v's red neighbours
-                # 2^n <= N <= 7, so n <= 2: a red edge at v, or a red
-                # 4-cycle through v, some x with two red neighbours in R
-                if R and (n == 1 or any((r & R).bit_count() > 1 for r in red)):
-                    continue
-                adj_S = tuple(a | (S >> u & 1) << v for u, a in enumerate(adj))
-                grown.append((code | S << (v * (v - 1) // 2), adj_S + (S,)))
-        level = grown
-    witness = ColouredGraph(N, list(min(level)[1])) if level else None
-    return RamseyVerdict(n, N, witness, 1 << comb(N, 2), "plain")
 
 
 def _column(row: int, t: int) -> int:
@@ -562,53 +529,45 @@ def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
         level, tested = _cube_free_level(n, v)
         checked += tested
         if not level:
-            return RamseyVerdict(n, N, None, checked, "canonical")
+            return RamseyVerdict(n, N, None, checked)
     for child in _canonical_children(_cube_free_level(n, N - 1)[0], N):
         checked += 1
         if not _has_rooted_cube(child, n):
             witness = ColouredGraph(N, list(child), validate=False)
-            return RamseyVerdict(n, N, witness, checked, "canonical")
-    return RamseyVerdict(n, N, None, checked, "canonical")
+            return RamseyVerdict(n, N, witness, checked)
+    return RamseyVerdict(n, N, None, checked)
 
 
 def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     """Does every red/blue colouring of K_N contain a blue triangle or a
     red n-cube?
 
-    Up to N = 2^(n+1) - 2 both modes answer at once, building no class
-    list (``checked`` 0 in the canonical mode), with Burr and Erdos's
-    ``two_clique_coloring``: red cliques on min(N, 2^n - 1) vertices and
-    on the rest, blue across, so blue is bipartite and every red
-    component has under 2^n vertices.  From 2^(n+1) - 1 on, the plain
-    mode (N <= 7) covers every labelled colouring but grows only those
-    with neither, one vertex at a time (``_plain_sweep``).  The canonical
-    mode grows, level by level, only the triangle-free classes with no
-    red Q_n (``_cube_free_level``) and walks level N to its first such
-    class, the witness; an empty level ends the growth, so every N above
-    it holds at once.  At n <= 3 it answers every N (r(K_3, Q_3) = 15 in
-    about 1.2 s on 2 cores, Python 3.11); at n >= 4 it would need the
-    class list on 2^n - 1 vertices, past the table.  What it cannot
-    answer is refused up front, naming why; levels are kept, so a later
-    sweep at that n walks only level N.
+    Up to N = 2^(n+1) - 2 the answer is built at once, with no class list
+    and ``checked`` 0, by Burr and Erdos's ``two_clique_coloring``: red
+    cliques on min(N, 2^n - 1) vertices and on the rest, blue across, so
+    blue is bipartite and every red component has under 2^n vertices.
+    From 2^(n+1) - 1 on, the sweep grows, level by level, only the
+    triangle-free classes with no red Q_n (``_cube_free_level``) and
+    walks level N to its first such class, the witness; an empty level
+    ends the growth, so every N above it holds at once.  At n <= 3 it
+    answers every N (r(K_3, Q_3) = 15 in about 1.2 s on 2 cores, Python
+    3.11); at n >= 4 it would need the class list on 2^n - 1 vertices,
+    past the table.  What it cannot answer is refused up front, naming
+    why; levels are kept, so a later sweep at that n walks only level N.
+
+    ``mode`` selects nothing: "auto", "plain" and "canonical" all run
+    the one sweep, and any other value is refused.  It stays only while
+    the benchmark passes ``Op.mode`` (``perfbench/workloads.py``), and
+    goes with it (ROADMAP items 1 and 3).
     """
     if n < 1:
         raise ValueError("cube dimension must be positive")
     if N < 1:
         raise ValueError("graph size must be positive")
-    if mode == "auto":
-        mode = "plain" if N <= 7 else "canonical"
-    if mode not in ("plain", "canonical"):
+    if mode not in ("auto", "plain", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "plain" and N > 7:
-        raise ValueError(
-            f"plain enumeration of K_{N} means 2^{comb(N, 2)} colourings; "
-            f"use canonical mode"
-        )
     if N <= (2 << n) - 2:
-        G = two_clique_coloring(N, min(N, (1 << n) - 1))
-        return RamseyVerdict(n, N, G, 1 << comb(N, 2) if mode == "plain" else 0, mode)
-    if mode == "plain":
-        return _plain_sweep(n, N)
+        return RamseyVerdict(n, N, two_clique_coloring(N, min(N, (1 << n) - 1)), 0)
     base, top = (1 << n) - 1, len(TRIANGLE_FREE_GRAPH_COUNTS)
     if base > top:
         raise ValueError(

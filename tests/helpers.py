@@ -573,12 +573,12 @@ def reference_contains_red_cube(G: ColouredGraph, n: int) -> CubeSearchResult:
     return CubeSearchResult(None, nodes)
 
 
-def reference_plain_sweep(n: int, N: int):
-    """``oracle._plain_sweep`` walking every code of K_N: (holds,
-    checked, witness blue masks or None).  Pair (i, j), i < j, is bit
-    j(j-1)/2 + i, as in the oracle; a cube is looked for directly as a
-    red edge (n = 1) or a red 4-cycle (n = 2), and Q_n for n >= 3 has
-    more vertices than K_N for N <= 7."""
+def reference_plain_sweep(n: int, N: int) -> bool:
+    """``oracle.exhaustive_ramsey``'s verdict by walking every labelled
+    colouring of K_N: does each hold a blue triangle or a red Q_n?  Pair
+    (i, j), i < j, is bit j(j-1)/2 + i of a colouring's code; a cube is
+    looked for directly as a red edge (n = 1) or a red 4-cycle (n = 2),
+    and Q_n for n >= 3 has more vertices than K_N for N <= 7."""
     assert N <= 7
     P = N * (N - 1) // 2
     pairs = [(i, j) for j in range(N) for i in range(j)]
@@ -604,13 +604,8 @@ def reference_plain_sweep(n: int, N: int):
             for a, b, x in combinations(range(N), 3)
         )
         if not triangle and not has_cube(c):
-            blue_masks = [0] * N
-            for i, j in pairs:
-                if blue(c, i, j):
-                    blue_masks[i] |= 1 << j
-                    blue_masks[j] |= 1 << i
-            return False, 1 << P, blue_masks
-    return True, 1 << P, None
+            return False
+    return True
 
 
 def reference_is_canonical(adj: list[int], v: int) -> bool:

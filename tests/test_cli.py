@@ -236,9 +236,17 @@ def test_check_reads_the_graph_from_stdin(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_ramsey_payloads(capsys):
+    # the whole payload: the sweep tests both classes on 2 vertices
     code, out = _run(capsys, "oracle", "ramsey", "--n", "1", "--N", "3")
     assert code == EXIT_OK
-    assert _last_json(out)["holds"] is True
+    assert _last_json(out) == {
+        "status": "ok", "n": 1, "N": 3, "holds": True, "checked": 2,
+    }
+    # there is one sweep, and no flag to choose it
+    with pytest.raises(SystemExit) as e:
+        main(["oracle", "ramsey", "--n", "1", "--N", "3", "--mode", "plain"])
+    assert e.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     code, out = _run(capsys, "oracle", "ramsey", "--n", "2", "--N", "6")
     assert code == EXIT_OK
@@ -268,8 +276,7 @@ def test_oracle_ramsey_refusal(capsys):
 def test_oracle_ramsey_refusal_names_the_request(capsys, n, N):
     # the refusal comes before any class list is built, and names the n
     # and N asked for and the level of 2^n - 1 vertices it would need
-    code, out = _run(capsys, "oracle", "ramsey", "--n", str(n), "--N", str(N),
-                     "--mode", "canonical")
+    code, out = _run(capsys, "oracle", "ramsey", "--n", str(n), "--N", str(N))
     assert code == EXIT_PARSE
     base = (1 << n) - 1
     assert _last_json(out) == {
@@ -360,9 +367,9 @@ def test_argparse_misuse_exits_with_parse_code(capsys):
         ["decompose", "--in", "-", "--n", "0"],
         ["gen-lower-bound", "--n", "-1"],
         ["gen-random", "--n", "-1", "--blue-model", "bipartite", "--seed", "0"],
-        ["check", "--in", "-", "--n", "-1"],
+        ["check", "--in", "-", "--n", "0"],
         ["oracle", "ramsey", "--n", "0", "--N", "4"],
-        ["oracle", "contains-cube", "--in", "-", "--n", "-1"],
+        ["oracle", "contains-cube", "--in", "-", "--n", "0"],
         ["bandwidth-check", "--n", "-1"],
         ["bandwidth-check", "--n", "two"],
     ],

@@ -9,7 +9,6 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,7 +48,6 @@ from cuberamsey.oracle import (
     _has_rooted_cube,
     _independent_sets,
     _min_red_cut,
-    _plain_sweep,
     _tied_nodes,
     _tied_prefixes,
     canonical_triangle_free_graphs,
@@ -247,28 +245,33 @@ def test_ramsey_number_of_a_square():
     assert exhaustive_ramsey(2, 7).holds
 
 
-def test_plain_sweep_matches_brute_force():
-    # the sweep itself, from 2^n vertices on, where a cube fits
+def test_canonical_sweep_matches_brute_force():
+    # the sweep itself, from 2^n vertices on, where a cube fits, against
+    # every labelled colouring; a witness is some class's canonical
+    # labelling, so it is checked rather than compared
     for n in (1, 2):
         for N in range(1 << n, 7):
-            v = _plain_sweep(n, N)
-            holds, checked, witness = reference_plain_sweep(n, N)
-            assert (v.holds, v.checked) == (holds, checked), (n, N)
-            assert (v.witness and v.witness.blue) == witness, (n, N)
+            v = _canonical_sweep(n, N)
+            assert v.holds == reference_plain_sweep(n, N), (n, N)
+            if not v.holds:
+                w = v.witness
+                assert w.n_vertices == N and is_blue_triangle_free(w)[0]
+                assert not contains_red_cube(w, n).found
 
 
-def test_plain_and_canonical_agree():
-    # the two sweeps, from 2^n vertices on, where a cube fits
-    for n in (1, 2):
-        for N in range(1 << n, 7):
-            a = _plain_sweep(n, N)
-            b = _canonical_sweep(n, N)
-            assert a.holds == b.holds, (n, N)
-            assert a.mode == "plain" and b.mode == "canonical"
-            if not b.holds:
-                wb = b.witness
-                assert is_blue_triangle_free(wb)[0]
-                assert not contains_red_cube(wb, n).found
+def test_every_accepted_mode_runs_the_one_sweep():
+    # the third parameter selects nothing: each accepted value gives the
+    # default's verdict, count and witness (test_refusals refuses any
+    # other value)
+    for n in (1, 2, 3):
+        for N in range(1, 17):
+            want = exhaustive_ramsey(n, N)
+            for mode in ("auto", "plain", "canonical"):
+                got = exhaustive_ramsey(n, N, mode)
+                assert (got.holds, got.checked) == (want.holds, want.checked)
+                assert (got.witness and got.witness.blue) == (
+                    want.witness and want.witness.blue
+                ), (n, N, mode)
 
 
 def test_results_keep_their_evidence_and_derive_their_verdict():
@@ -277,7 +280,7 @@ def test_results_keep_their_evidence_and_derive_their_verdict():
     fields = {
         Verdict: ["errors"],
         CubeSearchResult: ["embedding", "nodes"],
-        RamseyVerdict: ["n", "N", "witness", "checked", "mode"],
+        RamseyVerdict: ["n", "N", "witness", "checked"],
         Extended: ["entry"],
     }
     for cls, names in fields.items():
@@ -297,7 +300,7 @@ def test_results_keep_their_evidence_and_derive_their_verdict():
 
 
 def test_canonical_counts_match_tabulation():
-    # canonical mode advertises N = 9, so the whole table is checked
+    # the enumeration advertises N = 9, so the whole table is checked
     for N in range(1, 10):
         got = len(canonical_triangle_free_graphs(N))
         assert got == TRIANGLE_FREE_GRAPH_COUNTS[N - 1]
@@ -496,7 +499,7 @@ def test_all_red_shortcut_when_cube_exceeds_graph():
 
 
 def test_answers_below_the_lower_bound_build_no_class_list(monkeypatch):
-    # up to N = 2^(n+1) - 2 both modes answer by construction: red
+    # up to N = 2^(n+1) - 2 every mode answers by construction: red
     # cliques on the first min(N, 2^n - 1) vertices and on the rest,
     # blue across, edgeless below 2^n, the lower bound's colouring at
     # 2^(n+1) - 2; nothing is tested and no class list is built
@@ -506,16 +509,15 @@ def test_answers_below_the_lower_bound_build_no_class_list(monkeypatch):
     monkeypatch.setattr(oracle, "canonical_triangle_free_graphs", no_levels)
     for n in range(1, 7):
         for N in range(1, (2 << n) - 1):
-            v = exhaustive_ramsey(n, N, "canonical")
-            assert not v.holds and v.checked == 0 and v.mode == "canonical"
+            v = exhaustive_ramsey(n, N)
+            assert not v.holds and v.checked == 0
             w = v.witness
             assert w.n_vertices == N and is_blue_triangle_free(w)[0]
             assert all(c.bit_count() < 1 << n for c in red_components(w))
             assert (not any(w.blue)) == (N < 1 << n), (n, N)
-            if N <= 7:
-                p = exhaustive_ramsey(n, N, "plain")
-                assert p.checked == 1 << comb(N, 2) and p.mode == "plain"
-                assert p.witness.blue == w.blue
+            for mode in ("auto", "plain", "canonical"):
+                m = exhaustive_ramsey(n, N, mode)
+                assert m.checked == 0 and m.witness.blue == w.blue, (n, N, mode)
         top = exhaustive_ramsey(n, (2 << n) - 2).witness
         assert top.blue == lower_bound_coloring(n).blue, n
     # the witness is built from N, not from the lower bound's 2^31 vertices
@@ -554,8 +556,6 @@ def test_failed_roots_leave_later_pools():
 
 
 def test_refusals():
-    with pytest.raises(ValueError):
-        exhaustive_ramsey(2, 8, mode="plain")
     # at n = 4 every N up to 30 answers at once; from 31 on the sweep
     # needs the full class list on 15 vertices, tabulated only to N = 9
     assert not exhaustive_ramsey(4, 30).holds
@@ -565,30 +565,28 @@ def test_refusals():
         exhaustive_ramsey(0, 3)
     with pytest.raises(ValueError):
         exhaustive_ramsey(2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode 'unheard-of'"):
         exhaustive_ramsey(2, 5, mode="unheard-of")
 
 
 def test_verdict_bookkeeping():
-    v = exhaustive_ramsey(1, 3, mode="plain")
-    assert v.checked == 8 and v.mode == "plain"
-    # canonical mode counts the children tested for a red Q_n from level
-    # 2^n on: both classes on 2 vertices, and on 3 none, since the blue
-    # edge, the one class on 2 without a red edge, has no canonical child
-    c = exhaustive_ramsey(1, 3, mode="canonical")
-    assert c.checked == 2 and c.mode == "canonical"
-    assert exhaustive_ramsey(3, 7, mode="canonical").checked == 0
+    # the sweep counts the children tested for a red Q_n from level 2^n
+    # on: both classes on 2 vertices, and on 3 none, since the blue edge,
+    # the one class on 2 without a red edge, has no canonical child
+    for mode in ("auto", "plain", "canonical"):
+        assert exhaustive_ramsey(1, 3, mode).checked == 2, mode
+    assert exhaustive_ramsey(3, 7).checked == 0
     # n = 3 answers at 9 by construction; its sweep tests all 410
     # classes on 8 vertices, then level 9 up to its witness, the second
     # child, in the order and labelling of the canonical walk; at n = 2
     # every child up to the empty level 7
-    assert exhaustive_ramsey(3, 9, mode="canonical").checked == 0
+    assert exhaustive_ramsey(3, 9).checked == 0
     v = _canonical_sweep(3, 9)
     assert v.checked == 412
     assert v.witness.blue == ColouredGraph.from_blue_edges(9, [
         (1, 8), (2, 7), (3, 7), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)
     ]).blue
-    assert exhaustive_ramsey(2, 9, mode="canonical").checked == 14
+    assert exhaustive_ramsey(2, 9).checked == 14
 
 
 def test_count_check_survives_optimised_mode():
@@ -712,13 +710,14 @@ def test_sweep_far_above_the_empty_level_returns_at_once():
 
 
 def test_package_import_leaves_numpy_out():
-    # the package has no runtime dependency: the plain sweep is pure Python
+    # the package has no runtime dependency: the sweep is pure Python,
+    # and its verdict carries no mode
     code = (
         "import sys, cuberamsey, cuberamsey.cli, cuberamsey.oracle\n"
         "print('numpy' in sys.modules)\n"
         "from cuberamsey.oracle import exhaustive_ramsey\n"
-        "v = exhaustive_ramsey(2, 7, mode='plain')\n"
-        "print('numpy' in sys.modules, v.mode)\n"
+        "v = exhaustive_ramsey(2, 7)\n"
+        "print('numpy' in sys.modules, v.holds, v.checked, hasattr(v, 'mode'))\n"
     )
     src = str(Path(cuberamsey.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -727,7 +726,7 @@ def test_package_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "False", "plain"]
+    assert run.stdout.split() == ["False", "False", "True", "14", "False"]
 
 
 def test_package_import_leaves_the_cli_out():
