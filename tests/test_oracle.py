@@ -259,7 +259,21 @@ def test_canonical_sweep_matches_brute_force():
                 assert not contains_red_cube(w, n).found
 
 
-def test_every_accepted_mode_runs_the_one_sweep():
+def test_plain_sweep_matches_brute_force():
+    # the public entry under the accepted value "plain", at every N up to
+    # 6, construction answers included, against every labelled colouring;
+    # a witness is checked rather than compared
+    for n in (1, 2):
+        for N in range(1, 7):
+            v = exhaustive_ramsey(n, N, "plain")
+            assert v.holds == reference_plain_sweep(n, N), (n, N)
+            if not v.holds:
+                w = v.witness
+                assert w.n_vertices == N and is_blue_triangle_free(w)[0]
+                assert not contains_red_cube(w, n).found
+
+
+def test_plain_and_canonical_agree():
     # the third parameter selects nothing: each accepted value gives the
     # default's verdict, count and witness (test_refusals refuses any
     # other value)
