@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .bits import bit, bits_list, counted_bits, iter_bits, lowest_bits, mask_of
 from .errors import GraphParseError, HypothesisError
@@ -188,6 +188,19 @@ class ColouredGraph:
         if not order or deg[order[-1]] >= t:
             return support
         return mask_of(order[: bisect_right(order, -t, key=lambda v: -deg[v])])
+
+    def blue_into(self, vertices: int, target: int, t: int) -> Iterator[tuple[int, int]]:
+        """Each ``(v, d)``, in increasing v, for the vertices v of the mask
+        ``vertices`` with d >= t blue neighbours in the mask ``target``.
+        A degree into a set is at most the whole blue degree, so only the
+        vertices of ``blue_at_least(t)`` pay an N-bit AND and a popcount,
+        and an empty ``vertices`` reads no index."""
+        if not vertices:
+            return
+        blue = self.blue
+        for v in iter_bits(vertices & self.blue_at_least(t)):
+            if (d := (blue[v] & target).bit_count()) >= t:
+                yield v, d
 
     def blue_edge_count(self) -> int:
         return sum(self.blue_degrees()) // 2

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, floor
 
 from .bits import bit, bits_list, iter_bits, mask_of
 from .colored_graph import (
@@ -291,12 +291,11 @@ def _ratio(values, field: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _attached_clique(G: ColouredGraph, v: int, masks, s: int, lam: Fraction):
+def _attached_clique(G: ColouredGraph, v: int, masks, t: int):
     """The first (i, d) of the (i, clique mask) pairs in masks such that
-    v has blue degree d into the clique with lam * d >= s, or None."""
+    v has blue degree d >= t into the clique, or None."""
     for i, mask in masks:
-        d = (G.blue[v] & mask).bit_count()
-        if lam.numerator * d >= s * lam.denominator:
+        if (d := (G.blue[v] & mask).bit_count()) >= t:
             return i, d
     return None
 
@@ -315,19 +314,18 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
     vertices have blue degree at most s/mu into the removed snake, each
     removed attached vertex keeps blue degree at most 2m into what
     survives, and none is attached to a clique outside the snake.
-    Violations are structured failures, not silent repairs.
-    The snakes are not validated here, as they are built valid;
-    ``verify_decomposition`` validates them and re-checks all but the 2m
-    rule.
+    Violations are structured failures, not silent repairs.  Each round
+    works its thresholds out once, as integers: a vertex is attached at
+    ceil(s/lambda) blue neighbours in a clique, survives with at most
+    floor(s/mu) in the snake, and is attached with at most 2m in what
+    survives; each rule reads ``blue_into``.  The snakes are not
+    validated here, as they are built valid; ``verify_decomposition``
+    validates them and re-checks all but the 2m rule.
     """
     A = G.full_mask
     rounds: list[RoundRecord] = []
     snakes: list[Snake] = []
-    # mu * d > s, cross-multiplied into integers
-    mu_num, mu_den = params.mu.numerator, params.mu.denominator
-    # a blue degree into a set is at most the whole blue degree, so each
-    # degree test below walks only the vertices whose whole degree passes
-    above_2m = G.blue_at_least(2 * params.m + 1)
+    t_2m = 2 * params.m + 1
 
     for round_index in range(1, G.n_vertices + 2):
         cliques = max_disjoint_red_cliques(G, A, params.m)
@@ -366,46 +364,38 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
         # the round's snake, as ``Decomposition.snakes`` reads it off the
         # record; its clique masks are built here, once
         snake = Snake(tuple(cliques[ci] for ci in comp), witnesses, s)
-        snake_masks = list(zip(comp, snake.clique_masks))
         S_mask = snake.mask
-        # the degree masks are needed only when the snake leaves some
-        # vertex active; lam * d >= s and mu * d > s hold from these degrees
+        # lam * d >= s and mu * d > s, for an integer degree d
+        t_attach, t_mu = ceil(s / params.lam), floor(s / params.mu) + 1
         rest = A & ~S_mask
-        sparse_new = lam_heavy = mu_heavy = 0
-        if rest:
-            lam_heavy = G.blue_at_least(ceil(s / params.lam))
-            mu_heavy = G.blue_at_least(s * mu_den // mu_num + 1)
-        for v in iter_bits(rest & lam_heavy):
-            if _attached_clique(G, v, snake_masks, s, params.lam):
-                sparse_new |= bit(v)
+        sparse_new = 0
+        for mask in snake.clique_masks:
+            sparse_new |= mask_of(
+                v for v, _ in G.blue_into(rest & ~sparse_new, mask, t_attach)
+            )
         A_next = rest & ~sparse_new
 
-        for v in iter_bits(A_next & mu_heavy):
-            d = (G.blue[v] & S_mask).bit_count()
-            if mu_num * d > s * mu_den:
-                raise StageFailure(
-                    "residual-attachment",
-                    f"vertex {v} keeps blue degree {d} into the removed "
-                    f"snake, above s/mu = {Fraction(s) / params.mu}",
-                    data={"round": round_index, "vertex": v, "degree": d},
-                )
-        within = A_next | sparse_new
-        for v in iter_bits(sparse_new & above_2m):
-            d = (G.blue[v] & within).bit_count()
-            if d > 2 * params.m:
-                raise StageFailure(
-                    "sparse-attachment",
-                    f"attached vertex {v} keeps blue degree {d} into the "
-                    f"surviving vertices, above 2m = {2 * params.m}",
-                    data={"round": round_index, "vertex": v, "degree": d},
-                )
+        for v, d in G.blue_into(A_next, S_mask, t_mu):
+            raise StageFailure(
+                "residual-attachment",
+                f"vertex {v} keeps blue degree {d} into the removed "
+                f"snake, above s/mu = {Fraction(s) / params.mu}",
+                data={"round": round_index, "vertex": v, "degree": d},
+            )
+        for v, d in G.blue_into(sparse_new, A_next | sparse_new, t_2m):
+            raise StageFailure(
+                "sparse-attachment",
+                f"attached vertex {v} keeps blue degree {d} into the "
+                f"surviving vertices, above 2m = {2 * params.m}",
+                data={"round": round_index, "vertex": v, "degree": d},
+            )
         # a vertex attached to the snake and to an outside clique has blue
         # stars in both, a red biclique of side at least s/lambda between
         # the two cliques; the gap puts that pair's weight below s/lambda,
         # but a recorded weight below s is only a lower bound
         out = [(ci, mask_of(c)) for ci, c in enumerate(cliques) if ci not in pos]
         for v in iter_bits(sparse_new):
-            if hit := _attached_clique(G, v, out, s, params.lam):
+            if hit := _attached_clique(G, v, out, t_attach):
                 ci, d = hit
                 raise StageFailure(
                     "outside-attachment",
@@ -481,12 +471,13 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     C = remainder = G.full_mask & ~total  # the vertices in no snake
     for i, rec in enumerate(dec.rounds):
         snake = list(zip(rec.snake_indices, dec.snakes[i].clique_masks))
+        t_attach = ceil(rec.s / dec.params.lam)
         for v in rec.sparse_added:
             if not 0 <= v < G.n_vertices:
                 why = "outside the graph"
             elif not (C >> v) & 1:
                 why = "which lies in a snake"
-            elif not _attached_clique(G, v, snake, rec.s, dec.params.lam):
+            elif not _attached_clique(G, v, snake, t_attach):
                 why = "not lambda-attached to its snake"
             else:
                 remainder &= ~bit(v)
@@ -511,12 +502,11 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
             errors.append(f"round {i} records s={rec.s} against its weights {ws}")
 
     for i, si in enumerate(dec.s_values):
+        t_mu = floor(si / dec.params.mu) + 1
         for j in range(i + 1, dec.r):
-            for v in iter_bits(masks[j]):
-                d = (G.blue[v] & masks[i]).bit_count()
-                if dec.params.mu * d > si:
-                    errors.append(
-                        f"vertex {v} of snake {j} has blue degree {d} "
-                        f"into snake {i}, above s_i/mu"
-                    )
+            for v, d in G.blue_into(masks[j], masks[i], t_mu):
+                errors.append(
+                    f"vertex {v} of snake {j} has blue degree {d} "
+                    f"into snake {i}, above s_i/mu"
+                )
     return Verdict(errors)

@@ -235,8 +235,8 @@ def dense_embed(
     The steps it calls, ``extend_or_clean`` and
     ``embed_partial_assignment``, check none.
 
-    Cost, beyond the hypothesis checks (one N-bit AND per pool vertex
-    whose whole blue degree exceeds the cap, and
+    Cost, beyond the hypothesis checks (``blue_into``: one N-bit AND per
+    pool vertex whose whole blue degree exceeds the cap, and
     ``is_blue_triangle_free``, which reads the verdict kept on G) and
     one ``extend_or_clean`` per extension or cleaning, whose N-bit work
     is per touching candidate set, not per entry.  Each pass derives its
@@ -267,15 +267,12 @@ def dense_embed(
             f"host has {size} vertices, needs {need}",
         )
     cap = 1 << (n - schedule.b[0])
-    # a vertex of whole blue degree at most the cap has at most the cap
-    # into the pool
-    for v in iter_bits(G.blue_at_least(cap + 1) & pool):
-        if (d := (G.blue[v] & pool).bit_count()) > cap:
-            raise HypothesisError(
-                "max-degree",
-                f"vertex {v} has blue degree {d}, above 2^(n - b_0) = {cap}",
-                witness=v,
-            )
+    for v, d in G.blue_into(pool, pool, cap + 1):
+        raise HypothesisError(
+            "max-degree",
+            f"vertex {v} has blue degree {d}, above 2^(n - b_0) = {cap}",
+            witness=v,
+        )
     require_blue_triangle_free(G)
 
     # the partial assignment; order matters, since the cross-degree

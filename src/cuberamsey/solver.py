@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .bits import iter_bits, mask_of
+from .bits import mask_of
 from .colored_graph import (
     ColouredGraph,
     require_blue_triangle_free,
@@ -79,14 +79,15 @@ def assign_subcubes(n: int, snake_sizes: list[int]) -> list[list[InitialSubcube]
     """First-fit the four initial subcubes of codimension ``SPLIT_CODIM``
     = 2, prefixes 00, 01, 10, 11, onto the snakes.
 
-    Snake j may take floor(|S_j| / 2^(n - 2)) - 1 pieces; each piece, in
-    increasing prefix order, goes to the first snake with room.  If the
-    capacities cannot cover all four pieces the split fails with the
-    deficit.  An n below 2 has no such pieces and raises ValueError.
+    Snake j may take floor(|S_j| / 2^(n - 2)) - 1 pieces, or none if that
+    is negative; each piece, in increasing prefix order, goes to the
+    first snake with room.  If the capacities cannot cover all four
+    pieces the split fails with the deficit.  An n below 2 has no such
+    pieces and raises ValueError.
     """
     cells = partition_complement([], n, SPLIT_CODIM)
     piece = 1 << (n - SPLIT_CODIM)
-    caps = [size // piece - 1 for size in snake_sizes]
+    caps = [max(size // piece - 1, 0) for size in snake_sizes]
     total = sum(caps)
     if total < len(cells):
         raise StageFailure(
@@ -98,7 +99,7 @@ def assign_subcubes(n: int, snake_sizes: list[int]) -> list[list[InitialSubcube]
     out: list[list[InitialSubcube]] = [[] for _ in snake_sizes]
     j = 0
     for cell in cells:
-        while len(out[j]) >= max(caps[j], 0):
+        while len(out[j]) >= caps[j]:
             j += 1
         out[j].append(cell)
     return out
@@ -111,12 +112,7 @@ def _solve_dense(
     # dense_embed refuses blue degrees above 2^(n - b_0); this cut is
     # stricter and drops every vertex whose blue degree in C reaches it
     cutoff = 1 << (n - params.schedule.b[0])
-    # a vertex of whole blue degree below the cutoff stays below it in C
-    drop = mask_of(
-        v
-        for v in iter_bits(G.blue_at_least(cutoff) & C_mask)
-        if (G.blue[v] & C_mask).bit_count() >= cutoff
-    )
+    drop = mask_of(v for v, _ in G.blue_into(C_mask, C_mask, cutoff))
     try:
         return dense_embed(G, C_mask & ~drop, n, params.gamma, params.schedule)
     except HypothesisError as e:

@@ -192,6 +192,42 @@ def test_residual_attachment_threshold_is_exclusive():
             assert e.value.data == {"round": 1, "vertex": v, "degree": j + k}
 
 
+@pytest.mark.parametrize("j, k, outcome", [
+    (8, 0, "attached"),
+    (7, 0, "active"),
+    (4, 3, "active"),
+    (4, 4, "residual-attachment"),
+])
+def test_decompose_thresholds_at_fractional_lambda_and_mu(j, k, outcome):
+    # at s = 12, lambda = 5/3 attaches a vertex at s/lambda = 7.2, so at
+    # 8 blue neighbours in a clique and not at 7, and mu = 13/8 lets a
+    # surviving vertex keep s/mu = 96/13, so 7 blue neighbours in the
+    # snake and not 8; the planted vertices are red across, so no blue
+    # triangle forms
+    n = 4
+    m = 1 << (n + 1)
+    params = DecompositionParams(
+        m=m, s_lo=12, s_hi=m, lam=Fraction(5, 3), mu=Fraction(13, 8)
+    )
+    base = two_clique_linked_graph(n, extra=1)
+    v = base.n_vertices - 1
+    blue = list(base.blue)
+    for u in list(range(j)) + list(range(m, m + k)):
+        blue[u] |= 1 << v
+        blue[v] |= 1 << u
+    G = ColouredGraph(len(blue), blue)
+    if outcome == "residual-attachment":
+        with pytest.raises(StageFailure) as e:
+            decompose(G, params)
+        assert e.value.stage == outcome
+        assert e.value.data == {"round": 1, "vertex": v, "degree": j + k}
+        return
+    dec = decompose(G, params)
+    assert dec.s_values == (12,)
+    assert (v in dec.rounds[0].sparse_added) == (outcome == "attached")
+    assert verify_decomposition(G, dec).ok
+
+
 def test_outside_attachment_is_a_stage_failure(monkeypatch):
     # with every weight a lower bound of 0 the planted pair stays unlinked,
     # so the snake is clique 0 alone; a last vertex blue to both planted
@@ -601,6 +637,46 @@ def test_verify_bounds_blue_degree_into_earlier_snakes(blue_edges, errors):
     # 0 and 1 are red to each other, so a vertex blue to both makes no
     # blue triangle; each vertex of snake 1 is tested against s_0/mu = 1
     G, dec = _two_rounds(blue_edges, (2, 3))
+    assert is_blue_triangle_free(G)[0]
+    assert verify_decomposition(G, dec).errors == errors
+
+
+def _two_rounds_at_fractions(blue_edges, attached=()):
+    """A two-round certificate on 8 vertices at lambda = 5/3, mu = 3/2
+    and s = 3: snake 0 is the red clique (0, 1, 2), snake 1 the red
+    clique (3, 4, 5), and round 0 attaches the given vertices.  So
+    s/mu = 2 lets a vertex of snake 1 keep blue degree 2 into snake 0
+    and not 3, and s/lambda = 9/5 attaches at 2 blue neighbours and not
+    at 1."""
+    G = ColouredGraph.from_blue_edges(8, blue_edges)
+    params = DecompositionParams(
+        m=2, s_lo=3, s_hi=3, lam=Fraction(5, 3), mu=Fraction(3, 2)
+    )
+    dec = decomposition_of(
+        8, params, Snake(((0, 1, 2),), (), 3), Snake(((3, 4, 5),), (), 3)
+    )
+    rec = replace(dec.rounds[0], sparse_added=attached)
+    return G, replace(dec, rounds=(rec,) + dec.rounds[1:])
+
+
+@pytest.mark.parametrize("blue_edges, errors", [
+    ([(3, 0), (3, 1)], []),
+    ([(3, 0), (3, 1), (3, 2)],
+     ["vertex 3 of snake 1 has blue degree 3 into snake 0, above s_i/mu"]),
+], ids=["degree-2", "degree-3"])
+def test_verify_mu_rule_at_a_fractional_bound(blue_edges, errors):
+    # 0, 1 and 2 are red to each other, so no blue triangle forms
+    G, dec = _two_rounds_at_fractions(blue_edges)
+    assert is_blue_triangle_free(G)[0]
+    assert verify_decomposition(G, dec).errors == errors
+
+
+@pytest.mark.parametrize("blue_edges, errors", [
+    ([(6, 0)], ["round 0 attaches vertex 6, not lambda-attached to its snake"]),
+    ([(6, 0), (6, 1)], []),
+], ids=["degree-1", "degree-2"])
+def test_verify_lambda_attachment_at_a_fractional_bound(blue_edges, errors):
+    G, dec = _two_rounds_at_fractions(blue_edges, attached=(6,))
     assert is_blue_triangle_free(G)[0]
     assert verify_decomposition(G, dec).errors == errors
 

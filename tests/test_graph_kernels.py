@@ -8,7 +8,8 @@ neighbourhood from the top of its mask, or a degree threshold from the
 sorted degrees, against the N-bit passes they replaced, the red tests,
 greedy sweep and induced copy that pass over vertices without a blue
 neighbour against their per-vertex loops, and the first-fit walk against
-a scan of its whole list per cube vertex."""
+a scan of its whole list per cube vertex, and the blue degrees into a
+mask that pass a threshold against a popcount per vertex."""
 
 import random
 
@@ -737,6 +738,56 @@ def test_has_blue_into_on_masks_matches_per_vertex_loop(host, data):
         for M in (rng.getrandbits(N), S | 1 << N, G.full_mask & ~S):
             assert G.has_blue_into(S, M) is any(G.blue[v] & M for v in vs)
             assert G.has_blue_into(S | 1 << (N + 1), M) is G.has_blue_into(S, M)
+
+
+@st.composite
+def degree_queries(draw):
+    """A host and a vertex mask and target mask for ``blue_into``.  The
+    host is one of ``hosts()`` (sparse, greedy or a twin-rich blow-up) or
+    a random bipartite host, with up to four pendant vertices blue to one
+    vertex each, so one-bit masks occur.  The vertex mask is empty, one
+    vertex, random, random with a bit above the host, or every vertex;
+    the target is the vertex mask itself or a random mask."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = draw(hosts())[0]
+    else:
+        p = draw(st.sampled_from([0.1, 0.5, 1.0]))
+        base = random_bipartite_blue(draw(st.integers(2, 96)), p, rng)
+    blue = list(base.blue)
+    for _ in range(draw(st.integers(0, 4))):
+        u = rng.randrange(len(blue))
+        blue[u] |= 1 << len(blue)
+        blue.append(1 << u)
+    N = len(blue)
+    kind = draw(st.sampled_from(["empty", "one", "random", "beyond", "all"]))
+    vertices = {
+        "empty": 0,
+        "one": 1 << rng.randrange(N),
+        "random": rng.getrandbits(N),
+        "beyond": rng.getrandbits(N) | 1 << (N + 1),
+        "all": (1 << N) - 1,
+    }[kind]
+    target = vertices if draw(st.booleans()) else rng.getrandbits(N)
+    return ColouredGraph(N, blue), vertices, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(degree_queries(), st.data())
+def test_blue_into_matches_per_vertex_popcount(case, data):
+    # thresholds at and below 0, 1 and 2, at, just above and far above
+    # the largest degree, and one drawn in between
+    G, vertices, target = case
+    N = G.n_vertices
+    top = max((m.bit_count() for m in G.blue), default=0)
+    ts = [-3, 0, 1, 2, top, top + 1, top + 5, data.draw(st.integers(0, top + 1))]
+    if not vertices:
+        # an empty vertex mask is answered before the index is built
+        assert [list(G.blue_into(0, target, t)) for t in ts] == [[]] * len(ts)
+        assert G._index is None
+    degrees = [(v, (G.blue[v] & target).bit_count()) for v in range(N) if (vertices >> v) & 1]
+    for t in ts:
+        assert list(G.blue_into(vertices, target, t)) == [(v, d) for v, d in degrees if d >= t]
 
 
 @st.composite

@@ -92,6 +92,14 @@ def test_assign_subcubes_hand_cases():
     assert e.value.stage == "subcube-assignment"
     assert e.value.data["deficit"] == 1
 
+    # a snake of 1 vertex hosts no piece and takes none from the others
+    out = assign_subcubes(3, [10, 1])
+    assert len(out[0]) == 4 and out[1] == []
+    with pytest.raises(StageFailure) as e:
+        assign_subcubes(3, [8, 1])
+    assert e.value.data["capacities"] == [3, 0]
+    assert e.value.data["deficit"] == 1
+
     # Q_1 has no codimension-2 subcube
     with pytest.raises(ValueError):
         assign_subcubes(1, [8])
