@@ -642,16 +642,10 @@ def random_bipartite_blue(
     if not 0 <= p <= 1:
         raise ValueError("probability out of range")
     half = n_vertices // 2
+    if p == 1.0:
+        return two_clique_coloring(n_vertices, half)
     part2 = range(half, n_vertices)
     blue = [0] * n_vertices
-    if p == 1.0:
-        m2 = ((1 << n_vertices) - 1) ^ ((1 << half) - 1)
-        m1 = (1 << half) - 1
-        for u in range(half):
-            blue[u] = m2
-        for v in part2:
-            blue[v] = m1
-        return ColouredGraph(n_vertices, blue, validate=False)
     for u in range(half):
         for v in part2:
             if rng.random() < p:

@@ -429,21 +429,22 @@ def decompose(G: ColouredGraph, params: DecompositionParams) -> Decomposition:
 def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
     """Re-check a decomposition from scratch against its graph.
 
-    Each round must record one weight (not re-searched) per pair of its
-    cliques, none above s, with s the first grid point whose gap is
-    weight-free.  Its snake, the link component of clique 0, must
-    validate with the round's witnesses; snakes must be disjoint, and
-    vertices of later snakes only weakly blue-attached to every earlier
-    snake.  Each vertex a round attaches must lie in G, in no snake, and
-    be lambda-attached to a clique of that round's snake; no vertex may
-    have m blue neighbours in the remainder, the vertices in no snake
-    less the attached ones (the 2m rule is trusted to ``decompose``).
-    A round that lacks a weight for some clique pair, or a snake vertex
-    outside G, fails the certificate before any other test.  Nothing
-    checks that a round's clique family was maximal: a certificate with
-    a round dropped still verifies when its vertices, joining the
-    remainder, leave no blue m-star there.  That changes only the route
-    a solve takes, never a map, which is verified edge by edge.
+    Each round must have cliques of m vertices and record one weight
+    (not re-searched) per pair of them, none above s, with s the first
+    grid point whose gap is weight-free.  Its snake, the link component
+    of clique 0, must validate with the round's witnesses; snakes must
+    be disjoint, and vertices of later snakes only weakly blue-attached
+    to every earlier snake.  Each vertex a round attaches must lie in G,
+    in no snake, and be lambda-attached to a clique of that round's
+    snake; no vertex may have m blue neighbours in the remainder, the
+    vertices in no snake less the attached ones (the 2m rule is trusted
+    to ``decompose``).  A round that lacks a weight for some clique pair
+    or has a clique of other than m vertices, or a snake vertex outside
+    G, fails the certificate before any other test.  Nothing checks that
+    a round's clique family was maximal: a certificate with a round
+    dropped still verifies when its vertices, joining the remainder,
+    leave no blue m-star there.  That changes only the route a solve
+    takes, never a map, which is verified edge by edge.
     """
     errors = []
     if dec.n_vertices != G.n_vertices:
@@ -455,6 +456,10 @@ def verify_decomposition(G: ColouredGraph, dec: Decomposition) -> Verdict:
         pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
         if k == 0 or sorted(tuple(w[:2]) for w in rec.weights) != pairs:
             errors.append(f"round {i} does not record one weight per clique pair")
+        for j, c in enumerate(rec.cliques):
+            if len(c) != dec.params.m:
+                errors.append(f"round {i} clique {j} has {len(c)} vertices, "
+                              f"not m = {dec.params.m}")
     if errors:
         return Verdict(errors)
     for i, sn in enumerate(dec.snakes):

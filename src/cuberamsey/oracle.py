@@ -227,10 +227,9 @@ class RamseyVerdict:
     ``witness`` is a colouring of K_N with neither a blue triangle nor a
     red n-cube, or None; ``holds``, that every colouring has one or the
     other, is derived: it means there is no witness.  ``checked`` counts
-    the canonical children that the sweep tested for a red Q_n, over the
-    levels 2^n..N: every child on the levels below N, and on level N
-    those up to the witness (0 when N <= 2^(n+1) - 2: the answer is
-    built, and nothing is tested).
+    the canonical children that the sweep tested for a red Q_n on the
+    levels 2^n..N, up to the first empty one (0 when N <= 2^(n+1) - 2:
+    the answer is built, and nothing is tested).
     """
 
     n: int
@@ -328,55 +327,24 @@ def _split(cells: list[tuple[int, int]], row: int, x: int) -> list[tuple[int, in
     return split
 
 
-def _tied_prefixes(
-    adj: tuple[int, ...], cols: list[int], by_size: list[list[int]]
-) -> list[tuple]:
-    """Every node (t, cells, free) of the walk over a canonical graph
-    from all its first cells (``by_size``: its independent sets by size),
-    down to the leaves at t = len(adj).  The graph is canonical, so the
-    walk stops nowhere: each free vertex ties its column or exceeds it."""
-    v = len(adj)
-    a0 = next((t for t in range(v) if cols[t]), v)
-    starts = [(a0, [(I, a0)], (1 << v) - 1 & ~I) for I in by_size[a0]]
-    return list(_tied_nodes(adj, cols, starts))
-
-
 def _child_is_canonical(
-    adj: tuple[int, ...],
-    cols: list[int],
-    by_size: list[list[int]],
-    tree: list[tuple],
-    S: int,
+    adj: tuple[int, ...], cols: list[int], by_size: list[list[int]], S: int
 ) -> Optional[tuple[int, ...]]:
     """The canonical parent ``adj`` on v - 1 vertices plus vertex v - 1
     attached to its independent set S, if that child is canonical, else
-    None.  The parent hands in its columns, its independent sets by size
-    and its ``_tied_prefixes``, at which only v - 1 is tried.
-
-    Proof: a relabeling of the child puts v - 1 in the first cell, which
-    the walks from the first cells holding v - 1 meet, or at a place
-    t >= a0 after t parent vertices, whose columns are those they have in
-    the parent.  If these do not tie the parent's, the first that
-    differs is larger (the prefix, the other parent vertices after it,
-    relabels the parent, which is canonical), and so is the relabeling.
-    If they tie, the prefix is a node of the parent's walk, where each
-    parent vertex ties or exceeds its column; so only v - 1's test can
-    fail there, and a tie walks on.  A leaf (v - 1 last) ties the whole
-    parent, an automorphism of it.  An edgeless parent's only node is
-    its leaf.
+    None.  The parent hands in its columns and its independent sets by
+    size, which give the child's own first cells: with a0 the child's
+    first vertex with a nonzero column, its independent sets of a0
+    vertices are the parent's, and v - 1 with each parent set of a0 - 1
+    vertices that misses S.  The child is walked once from all of them
+    (``_tied_nodes``).
     """
     v = len(adj) + 1
     new = 1 << (v - 1)
     cols = cols + [_column(S, v - 1)]
-    starts = []
-    for t, cells, free in tree:
-        col = _least_column(S, cells)
-        if col < cols[t]:
-            return None
-        if col == cols[t]:
-            starts.append((t + 1, _split(cells, S, v - 1), free))
-    k = next((t for t, c in enumerate(cols) if c), v)  # the child's a0
-    starts += [(k, [(J | new, k)], new - 1 & ~J) for J in by_size[k - 1] if not J & S]
+    a0 = next((t for t, c in enumerate(cols) if c), v)
+    starts = [(a0, [(I, a0)], (1 << v) - 1 & ~I) for I in by_size[a0]]
+    starts += [(a0, [(J | new, a0)], new - 1 & ~J) for J in by_size[a0 - 1] if not J & S]
     child = tuple(a | (S >> u & 1) << (v - 1) for u, a in enumerate(adj)) + (S,)
     return child if all(_tied_nodes(child, cols, starts)) else None
 
@@ -395,8 +363,8 @@ def canonical_triangle_free_graphs(N: int) -> list[list[int]]:
 
     Each level is generated once per process and kept for its life
     (under 1 MB for all levels up to N = 9); every call returns fresh
-    lists.  The first call costs 0.02-0.05 s at N = 8 and 0.11-0.17 s
-    at N = 9 on 2 cores (Python 3.11, 10 fresh processes each); a later
+    lists.  The first call costs 0.04-0.07 s at N = 8 and 0.20-0.37 s
+    at N = 9 on 2 cores (Python 3.11, 22 fresh processes each); a later
     call at that N or below only copies.
     """
     if N < 1:
@@ -437,12 +405,8 @@ def _canonical_children(
     A parent pays once for what its children share.  Its columns are the
     child's first v - 1 (a column reads only smaller labels), so the walk
     gets them with the child's last one added.  Its independent sets are
-    the child's candidates S, and they give the child's first cells: the
-    child's independent sets of k vertices are the parent's, and v - 1
-    with each of the parent's sets of k - 1 vertices that misses S.  Its
-    tied prefixes (``_tied_prefixes``), built when its first child needs
-    a walk and dropped with the parent, are the nodes at which a child
-    tries only v - 1 (``_child_is_canonical``).
+    the child's candidates S, and they give the child's first cells
+    (``_child_is_canonical``).
 
     A child whose last column L = ``last[S]`` is below the parent's
     ``floor`` is rejected unwalked: moving v - 1 to place p < v - 1, and
@@ -459,13 +423,10 @@ def _canonical_children(
         for I in sets:
             by_size[I.bit_count()].append(I)
         floor = max(c << (v - 1 - p) for p, c in enumerate(cols))
-        tree = None
         for S in sets:
             if last[S] < floor:
                 continue
-            if tree is None:
-                tree = _tied_prefixes(adj, cols, by_size)
-            child = _child_is_canonical(adj, cols, by_size, tree, S)
+            child = _child_is_canonical(adj, cols, by_size, S)
             if child:
                 yield child
 
@@ -519,23 +480,19 @@ def _cube_free_level(n: int, v: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def _canonical_sweep(n: int, N: int) -> RamseyVerdict:
-    """The levels of ``_cube_free_level`` grown up to N - 1, then level N
-    walked lazily: its first cube-free child is the witness.  An empty
-    level ends the growth, since every level above it is empty too.
-    ``checked`` counts the canonical children tested for a red Q_n over
-    the levels 2^n..N."""
+    """The levels of ``_cube_free_level`` grown from 2^n up to N; the
+    first class of level N, if any, is the witness.  An empty level ends
+    the growth, since every level above it is empty too.  ``checked``
+    counts the canonical children tested for a red Q_n over the levels
+    grown."""
     checked = 0
-    for v in range(1 << n, N):
+    for v in range(1 << n, N + 1):
         level, tested = _cube_free_level(n, v)
         checked += tested
         if not level:
             return RamseyVerdict(n, N, None, checked)
-    for child in _canonical_children(_cube_free_level(n, N - 1)[0], N):
-        checked += 1
-        if not _has_rooted_cube(child, n):
-            witness = ColouredGraph(N, list(child), validate=False)
-            return RamseyVerdict(n, N, witness, checked)
-    return RamseyVerdict(n, N, None, checked)
+    witness = ColouredGraph(N, list(level[0]), validate=False)
+    return RamseyVerdict(n, N, witness, checked)
 
 
 def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
@@ -546,14 +503,14 @@ def exhaustive_ramsey(n: int, N: int, mode: str = "auto") -> RamseyVerdict:
     and ``checked`` 0, by Burr and Erdos's ``two_clique_coloring``: red
     cliques on min(N, 2^n - 1) vertices and on the rest, blue across, so
     blue is bipartite and every red component has under 2^n vertices.
-    From 2^(n+1) - 1 on, the sweep grows, level by level, only the
-    triangle-free classes with no red Q_n (``_cube_free_level``) and
-    walks level N to its first such class, the witness; an empty level
-    ends the growth, so every N above it holds at once.  At n <= 3 it
-    answers every N (r(K_3, Q_3) = 15 in about 1.2 s on 2 cores, Python
-    3.11); at n >= 4 it would need the class list on 2^n - 1 vertices,
-    past the table.  What it cannot answer is refused up front, naming
-    why; levels are kept, so a later sweep at that n walks only level N.
+    From 2^(n+1) - 1 on, the sweep grows, level by level up to N, only
+    the triangle-free classes with no red Q_n (``_cube_free_level``);
+    the first class of level N is the witness, and an empty level ends
+    the growth, so every N above it holds at once.  At n <= 3 it answers
+    every N (r(K_3, Q_3) = 15 in about 1 s on 2 cores, Python 3.11);
+    at n >= 4 it would need the class list on 2^n - 1 vertices, past the
+    table.  What it cannot answer is refused up front, naming why; levels
+    are kept, so a later sweep at that n builds only the levels it lacks.
 
     ``mode`` selects nothing: "auto", "plain" and "canonical" all run
     the one sweep, and any other value is refused.  It stays only while

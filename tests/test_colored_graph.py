@@ -24,6 +24,7 @@ from cuberamsey.colored_graph import (
     random_triangle_free_greedy,
     red_components,
     require_blue_triangle_free,
+    two_clique_coloring,
     verify_red_embedding,
 )
 from cuberamsey.errors import GraphParseError, HypothesisError
@@ -280,13 +281,18 @@ def test_lower_bound_coloring_properties():
 
 def test_random_bipartite_blue_is_triangle_free():
     rng = random.Random(83)
-    for p in (0.0, 0.3, 1.0):
+    for p in (0.0, 0.3, 1.0, 1):
         G = random_bipartite_blue(20, p, rng)
         ok, _ = is_blue_triangle_free(G)
         assert ok
         half = 10
         for u in range(half):
             assert G.blue[u] & ((1 << half) - 1) == 0
+        if p == 1:
+            # every cross pair is blue: the two-clique colouring, whose
+            # halves share one mask object each
+            assert G.blue == two_clique_coloring(20, half).blue
+            assert G.blue[0] is G.blue[1]
 
 
 def test_random_triangle_free_greedy_respects_both_promises():

@@ -602,6 +602,20 @@ def test_verify_rejects_malformed_weight_pairs(changes):
     assert verdict.errors == ["round 0 does not record one weight per clique pair"]
 
 
+def test_verify_rejects_a_clique_of_other_than_m_vertices():
+    # a forged certificate for an all-red host on 40 vertices at n = 3,
+    # m = 16: its one round holds the red edge 0-1 as a clique, links
+    # nothing, and leaves no blue star in the remainder, so only the
+    # clique's size fails it
+    G = ColouredGraph(40, [0] * 40)
+    data = json.loads(Decomposition(40, DecompositionParams.desk(3), ()).to_json())
+    data["rounds"] = [
+        {"cliques": [[0, 1]], "weights": [], "s": 6, "witnesses": [], "sparse_added": []}
+    ]
+    verdict = verify_decomposition(G, Decomposition.from_json(json.dumps(data)))
+    assert verdict.errors == ["round 0 clique 0 has 2 vertices, not m = 16"]
+
+
 def test_verify_rejects_a_witness_outside_its_snake():
     # the complete bipartite host's snake is clique 0 alone, so a witness
     # between its two cliques names a pair the snake does not have
@@ -650,7 +664,7 @@ def _two_rounds_at_fractions(blue_edges, attached=()):
     at 1."""
     G = ColouredGraph.from_blue_edges(8, blue_edges)
     params = DecompositionParams(
-        m=2, s_lo=3, s_hi=3, lam=Fraction(5, 3), mu=Fraction(3, 2)
+        m=3, s_lo=3, s_hi=3, lam=Fraction(5, 3), mu=Fraction(3, 2)
     )
     dec = decomposition_of(
         8, params, Snake(((0, 1, 2),), (), 3), Snake(((3, 4, 5),), (), 3)

@@ -49,7 +49,6 @@ from cuberamsey.oracle import (
     _independent_sets,
     _min_red_cut,
     _tied_nodes,
-    _tied_prefixes,
     canonical_triangle_free_graphs,
     contains_red_cube,
     exhaustive_ramsey,
@@ -404,17 +403,14 @@ def test_prefix_rule_rejects_only_non_canonical_children():
 
 
 def test_child_test_matches_tuple_search():
-    # the test of a child at its parent's tied prefixes, on every child
-    # of every parent on 1..7 vertices: those the prefix rule rejects
+    # the walk of a child from its own first cells, on every child of
+    # every parent on 1..7 vertices: those the prefix rule rejects
     # unwalked too, S empty, edgeless parents, and S holding the higher
     # of two parent twins but not the lower
     seen: Counter = Counter()
-    tree, parent = None, None
     for adj, cols, by_size, skip, S, child in _children():
-        if adj != parent:
-            tree, parent = _tied_prefixes(adj, cols, by_size), adj
         want = reference_is_canonical(child, len(child))
-        got = _child_is_canonical(adj, cols, by_size, tree, S)
+        got = _child_is_canonical(adj, cols, by_size, S)
         assert got == (tuple(child) if want else None), (adj, S)
         seen["canonical" if want else "not"] += 1
         seen["skipped" if skip else "walked"] += 1
@@ -591,12 +587,12 @@ def test_verdict_bookkeeping():
         assert exhaustive_ramsey(1, 3, mode).checked == 2, mode
     assert exhaustive_ramsey(3, 7).checked == 0
     # n = 3 answers at 9 by construction; its sweep tests all 410
-    # classes on 8 vertices, then level 9 up to its witness, the second
-    # child, in the order and labelling of the canonical walk; at n = 2
-    # every child up to the empty level 7
+    # classes on 8 vertices and every canonical child on 9, and its
+    # witness is the first class on 9, in the order and labelling of the
+    # canonical walk; at n = 2 every child up to the empty level 7
     assert exhaustive_ramsey(3, 9).checked == 0
     v = _canonical_sweep(3, 9)
-    assert v.checked == 412
+    assert v.checked == 889
     assert v.witness.blue == ColouredGraph.from_blue_edges(9, [
         (1, 8), (2, 7), (3, 7), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7), (6, 8)
     ]).blue
@@ -702,7 +698,7 @@ def test_r_k3_q3_is_15():
     # sweep's witness is the first of the 15 classes on 14 vertices, in
     # the order and labelling of the canonical walk
     below = _canonical_sweep(3, 14)
-    assert not below.holds and below.checked == 2350
+    assert not below.holds and below.checked == 2364
     assert is_blue_triangle_free(below.witness)[0]
     assert not contains_red_cube(below.witness, 3).found
     assert below.witness.blue == ColouredGraph.from_blue_edges(14, [

@@ -253,7 +253,7 @@ def test_snake_embed_leaves_snake_validity_to_the_verifiers():
     errors = verify_red_embedding(G, 3, phi).errors
     assert "cube edge 0-1 lands on non-red pair 2-3" in errors
     assert "clique 0 is not a red clique" in validate_snake(G, snake).errors
-    params = DecompositionParams(m=1, s_lo=1, s_hi=2, lam=2, mu=1)
+    params = DecompositionParams(m=4, s_lo=1, s_hi=2, lam=2, mu=1)
     verdict = verify_decomposition(G, decomposition_of(8, params, snake))
     assert "snake 0 invalid: clique 0 is not a red clique" in verdict.errors
 
